@@ -402,7 +402,8 @@ def _add_common(p, *, ntraj=None):
     p.add_argument("--out-dir", default=None,
                    help="output directory (default out/<subcommand>-<timestamp>)")
     p.add_argument("--workers", type=int, default=os.cpu_count(),
-                   help="parallel worker threads; results are worker-count independent")
+                   help="worker processes over 1024-trajectory blocks; results are "
+                        "byte-identical for any worker count")
     p.add_argument("--config", default=None,
                    help="JSON file of parameter defaults (flags override)")
     if ntraj is not None:

@@ -1,25 +1,38 @@
 """Reproducible vectorized ensemble runner for reduction statistics.
 
-Trajectories are integrated in fixed-size batches with all per-trajectory
-noise drawn from streams that depend only on (base_seed, trajectory index),
-so results are bit-identical for any batch schedule or worker count.
-Evolution happens in the eigenbasis of H, where the state-vector update and
-the density-matrix update are elementwise; this is an exact unitary change
-of variables of the same discrete process, not an approximation.
+Each trajectory's noise depends only on (base_seed, index) and no
+arithmetic mixes trajectories, so results are byte-identical for any
+batching or worker count.  Evolution happens in the eigenbasis of H, where
+the updates are elementwise.
+
+State vectors evolve as real populations p, shape (d, b).  The Euler step
+of the amplitudes multiplies cᵢ by f = 1 − (σ²/8)k²dt + (σ/2)k dW − iEᵢdt,
+k = Eᵢ − ⟨H⟩, and renormalizes; the populations therefore follow
+p ← p·|f|² / Σp·|f|², the same discrete process, positive by construction.
+Amplitudes are rebuilt at retirement as c0ᵢ/|c0ᵢ|·√pᵢ·e^{−iEᵢt}, so relative
+phases inside a degenerate group stay exact.  Density matrices keep their
+elementwise complex update.
 
 A run has two phases: an optional fixed-horizon recording phase in which
 every trajectory keeps evolving (so recorded ensemble means are unbiased),
 followed, when stop_on_reduction is set, by a first-passage phase in which
-trajectories are retired once the reduction criterion holds.  The
-criterion is V ≤ eps·V(0) together with a dominant outcome-group
-population ≥ popmin, so that every retired endpoint classifies
-unambiguously.
+trajectories are retired once V ≤ eps·V(0) and a dominant outcome-group
+population is ≥ popmin, so every retired endpoint classifies unambiguously.
+
+Trajectories come in blocks of BATCH_SIZE indices.  A worker runs a
+contiguous span of whole blocks as one batch, so its stragglers share one
+first-passage tail; recorded sums are taken per block and added in block
+order.  With workers > 1 the spans run in forked processes, which inherit
+the inputs without a re-import (the kernels call no BLAS, so no BLAS thread
+state crosses the fork); without the fork start method they run serially.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -33,6 +46,7 @@ CHECK_STRIDE = 8
 
 REDUCTION_EPS = 0.01
 POPULATION_MIN = 0.99
+NORM_TOL = 1e-8
 
 
 @dataclass
@@ -66,171 +80,289 @@ class EnsembleRun:
         return np.bincount(self.outcomes[ok], minlength=len(self.groups)) / ok.sum()
 
 
-def _group_masks(groups, dim) -> np.ndarray:
-    g = np.zeros((len(groups), dim))
-    for gi, idx in enumerate(groups):
-        g[gi, list(idx)] = 1.0
-    return g
+def _colsum(x):
+    """Σ over axis 0 of a (d, b) array, rows added in index order whatever b
+    (numpy does so for C-contiguous b > 1, but sums other cases pairwise)."""
+    if x.shape[1] > 1 and x.flags.c_contiguous:
+        return x.sum(0)
+    return reduce(np.add, x)
 
 
-def run_state_ensemble(
-    energies,
-    c0,
-    sigma: float,
-    dt: float,
-    base_seed: int,
-    n_traj: int,
-    *,
-    groups=None,
-    eps: float = REDUCTION_EPS,
-    popmin: float = POPULATION_MIN,
-    horizon_steps: int = 0,
-    record_stride: int = 0,
-    stop_on_reduction: bool = True,
-    max_steps: int = 10_000_000,
-    workers: int | None = None,
-) -> EnsembleRun:
-    """Integrate n_traj state-vector trajectories in the H eigenbasis.
+class _StateKernel:
+    """Eigenbasis populations of state vectors, shape (d, b)."""
 
-    energies: eigenvalues of H; c0: initial amplitudes in the eigenbasis.
-    """
-    e = np.asarray(energies, dtype=float)
-    d = e.shape[0]
-    c0 = np.asarray(c0, dtype=complex)
-    if groups is None:
-        groups = tuple((i,) for i in range(d))
-    gmask = _group_masks(groups, d)
-    e2 = e * e
-    p0 = np.abs(c0) ** 2
-    v0 = float(p0 @ e2 - (p0 @ e) ** 2)
-    v_stop = eps * v0 if v0 > 0 else 0.0
+    axis = 1
 
-    n_rec = (horizon_steps // record_stride + 1) if record_stride else 0
-    sq = np.sqrt(dt)
-    sig2_8 = 0.125 * sigma * sigma
+    def __init__(self, e, c0, sigma, dt):
+        self.shape, self.p0, self.energies = c0.shape, np.abs(c0) ** 2, e
+        self.phase0 = np.exp(1j * np.angle(c0))
+        self.e, self.edt2 = e[:, None], (e * dt)[:, None] ** 2
+        self.half_sigma, self.drift = 0.5 * sigma, 0.125 * sigma * sigma * dt
 
-    def run_batch(lo: int, hi: int):
-        b = hi - lo
-        gens = [trajectory_generator(base_seed, i) for i in range(lo, hi)]
-        c = np.tile(c0, (b, 1))
-        crossed = np.zeros(b, bool)
-        tred = np.full(b, np.nan)
-        outcomes = np.full(b, -1, np.int64)
-        finals = np.zeros((b, d), complex)
-        rec = np.zeros((n_rec, 4)) if n_rec else None  # ΣV, ΣV², Σ⟨H⟩, Σ⟨H⟩²
-        rec_i = 0
+    def start(self, b):
+        return np.repeat(self.p0[:, None], b, axis=1)
 
-        def record(pop):
-            nonlocal rec_i
-            v = pop @ e2 - (pop @ e) ** 2
-            eh = pop @ e
-            rec[rec_i] = (v.sum(), (v * v).sum(), eh.sum(), (eh * eh).sum())
-            rec_i += 1
+    def advance(self, p, dw):
+        k = self.e - _colsum(p * self.e)
+        a = 1.0 + k * (self.half_sigma * dw - self.drift * k)
+        p *= a * a + self.edt2
+        p /= _colsum(p)
 
-        def advance(ca, dw):
-            pop = ca.real**2 + ca.imag**2
-            eh = pop @ e
-            k = e[None, :] - eh[:, None]
-            ca *= 1.0 + dt * (-1j * e[None, :] - sig2_8 * k * k) + (0.5 * sigma) * k * dw[:, None]
-            ca /= np.sqrt((ca.real**2 + ca.imag**2).sum(1))[:, None]
+    def populations(self, p):
+        return p
 
-        def criterion(ca):
-            pop = ca.real**2 + ca.imag**2
-            v = pop @ e2 - (pop @ e) ** 2
-            gp = pop @ gmask.T
-            return (v <= v_stop) & (gp.max(1) >= popmin), gp
+    def renorm(self, p):
+        pass  # advance normalizes every step
 
-        step = 0
-        if n_rec:
-            record(np.abs(c) ** 2)
-        # phase A: fixed horizon, everyone evolves, crossings only marked
-        while step < horizon_steps:
-            n = min(CHUNK, horizon_steps - step)
-            dws = np.stack([g.standard_normal(n) for g in gens]) * sq
-            for j in range(n):
-                advance(c, dws[:, j])
-                step += 1
-                if step % CHECK_STRIDE == 0:
-                    hit, _ = criterion(c)
-                    new = hit & ~crossed
-                    if new.any():
-                        tred[new] = step * dt
-                        crossed |= new
-                if record_stride and step % record_stride == 0:
-                    record(np.abs(c) ** 2)
-        # phase B: retire reduced trajectories until budget exhausted
-        alive = np.arange(b)
-        if stop_on_reduction:
-            hit, gp = criterion(c)
-            if hit.any():
-                idx = np.nonzero(hit)[0]
-                outcomes[idx] = gp[idx].argmax(1)
-                tred[idx] = np.where(np.isnan(tred[idx]), step * dt, tred[idx])
-                finals[idx] = c[idx]
-                alive = np.nonzero(~hit)[0]
-            while alive.size and step < max_steps:
-                n = min(CHUNK, max_steps - step)
-                dws = np.stack([gens[i].standard_normal(n) for i in alive]) * sq
-                ca = c[alive]
-                for j in range(n):
-                    advance(ca, dws[:, j])
-                    step += 1
-                    if step % CHECK_STRIDE == 0:
-                        hit, gp = criterion(ca)
-                        if hit.any():
-                            idx = np.nonzero(hit)[0]
-                            gi = alive[idx]
-                            outcomes[gi] = gp[idx].argmax(1)
-                            tred[gi] = np.where(np.isnan(tred[gi]), step * dt, tred[gi])
-                            finals[gi] = ca[idx]
-                            keep = ~hit
-                            ca = ca[keep]
-                            alive = alive[keep]
-                            dws = dws[keep]
-                c[alive] = ca
-        finals[alive] = c[alive]
-        return rec, outcomes, tred, finals
+    def record(self, p):
+        return ()
 
-    spans = [(lo, min(lo + BATCH_SIZE, n_traj)) for lo in range(0, n_traj, BATCH_SIZE)]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda s: run_batch(*s), spans))
-    else:
-        results = [run_batch(*s) for s in spans]
+    def summarize(self, out, sums, n):
+        pass
 
-    out = EnsembleRun(n_traj=n_traj, dt=dt, energies=e, groups=tuple(groups))
-    out.outcomes = np.concatenate([r[1] for r in results])
-    out.reduction_times = np.concatenate([r[2] for r in results])
-    out.final_states = np.concatenate([r[3] for r in results])
-    if n_rec:
-        sums = sum(r[0] for r in results)
-        n = float(n_traj)
-        out.times = np.arange(n_rec) * record_stride * dt
-        out.mean_v = sums[:, 0] / n
-        out.mean_v2 = sums[:, 1] / n
-        out.sem_v = np.sqrt(np.maximum(sums[:, 1] / n - out.mean_v**2, 0.0) / n)
-        out.mean_e = sums[:, 2] / n
-        out.sem_e = np.sqrt(np.maximum(sums[:, 3] / n - out.mean_e**2, 0.0) / n)
+    def final(self, p, t):
+        return self.phase0 * np.exp(-1j * self.energies * t) * np.sqrt(p.T)
+
+
+class _DensityKernel:
+    """Eigenbasis density matrices, shape (b, d, d), updated elementwise."""
+
+    axis = 0
+
+    def __init__(self, e, r0, sigma, dt):
+        self.shape, self.r0, self.energies = r0.shape, r0, e
+        ei, ej = e[:, None], e[None, :]
+        self.drift_factor = 1.0 + dt * (-1j * (ei - ej) - 0.125 * sigma * sigma * (ei - ej) ** 2)
+        self.anti = ei + ej
+        self.half_sigma = 0.5 * sigma
+
+    def start(self, b):
+        return np.tile(self.r0, (b, 1, 1))
+
+    def populations(self, r):
+        return np.einsum("bii->ib", r).real
+
+    def advance(self, r, dw):
+        tr_h = np.einsum("bii,i->b", r.real, self.energies)
+        noise = self.half_sigma * dw[:, None, None] * (self.anti[None] - 2.0 * tr_h[:, None, None])
+        r *= self.drift_factor[None] + noise
+
+    def renorm(self, r):
+        # trace and Hermiticity hold analytically; this sweeps up roundoff
+        herm = 0.5 * (r + np.conj(np.transpose(r, (0, 2, 1))))
+        tr = np.einsum("bii->b", herm).real
+        r[:] = herm / tr[:, None, None]
+
+    def record(self, r):
+        return r, r.real**2 + r.imag**2
+
+    def summarize(self, out, sums, n):
+        out.mean_rho = sums[0] / n
+        var_elem = np.maximum(sums[1] / n - np.abs(out.mean_rho) ** 2, 0.0)
+        out.sem_rho_frob = np.sqrt(var_elem.sum(axis=(1, 2)) / n)
+
+    def final(self, r, t):
+        return r
+
+
+# everything a span needs besides its index range
+_Plan = namedtuple("_Plan", "kernel e groups dt base_seed v_stop popmin horizon_steps "
+                            "record_stride stop_on_reduction max_steps")
+
+
+def _run_span(plan: _Plan, lo: int, hi: int):
+    """Both phases for trajectories lo..hi−1 as one batch: the recorded sums
+    of each block, then the span's outcomes, reduction times and finals."""
+    kern, dt = plan.kernel, plan.dt
+    e, e2 = plan.e[:, None], plan.e[:, None] ** 2
+    b = hi - lo
+    gens = [trajectory_generator(plan.base_seed, i) for i in range(lo, hi)]
+    x, alive = kern.start(b), np.arange(b)
+    tred, outcomes = np.full(b, np.nan), np.full(b, -1, np.int64)
+    finals = np.zeros((b,) + kern.shape, complex)
+    blocks = range(0, b, BATCH_SIZE)
+    recs = [[] for _ in blocks]
+    singletons = plan.groups == tuple((i,) for i in range(len(plan.e)))
+
+    def moments():
+        pop = kern.populations(x)
+        eh = _colsum(pop * e)
+        return pop, eh, _colsum(pop * e2) - eh * eh
+
+    def record():
+        _, eh, v = moments()
+        terms = (v, v * v, eh, eh * eh) + kern.record(x)
+        for rec, s in zip(recs, blocks):
+            rec.append([t[s:s + BATCH_SIZE].sum(0) for t in terms])
+
+    def check():
+        pop, _, v = moments()
+        if not np.isfinite(pop).all():
+            raise ValueError(f"non-finite populations at step {step}; dt too large?")
+        gp = pop if singletons else np.stack([_colsum(pop[list(g)]) for g in plan.groups])
+        return (v <= plan.v_stop) & (gp.max(0) >= plan.popmin), gp
+
+    def retire(hit, gp):
+        idx = np.nonzero(hit)[0]
+        gi = alive[idx]
+        outcomes[gi] = gp[:, idx].argmax(0)
+        tred[gi] = np.where(np.isnan(tred[gi]), step * dt, tred[gi])
+        finals[gi] = kern.final(np.take(x, idx, axis=kern.axis), step * dt)
+        return ~hit
+
+    step, retiring, sq = 0, False, np.sqrt(dt)
+    if plan.record_stride:
+        record()
+    while alive.size:
+        if step == plan.horizon_steps and not retiring:
+            if not plan.stop_on_reduction:
+                break
+            retiring = True
+            kern.renorm(x)
+            keep = retire(*check())
+            x, alive = np.compress(keep, x, axis=kern.axis), alive[keep]
+            continue
+        end = plan.max_steps if retiring else plan.horizon_steps
+        if step >= end:
+            break
+        dws = np.empty((alive.size, min(CHUNK, end - step)))
+        for k, i in enumerate(alive):
+            gens[i].standard_normal(out=dws[k])
+        dws *= sq
+        for j in range(dws.shape[1]):
+            kern.advance(x, dws[:, j])
+            step += 1
+            if step % CHECK_STRIDE == 0:
+                kern.renorm(x)
+                hit, gp = check()
+                if not retiring:
+                    tred[hit & np.isnan(tred)] = step * dt
+                elif hit.any():
+                    keep = retire(hit, gp)
+                    x, alive, dws = np.compress(keep, x, axis=kern.axis), alive[keep], dws[keep]
+                    if not alive.size:
+                        break
+            if not retiring and plan.record_stride and step % plan.record_stride == 0:
+                record()
+    finals[alive] = kern.final(x, step * dt)
+    sums = [[np.array(col) for col in zip(*rec)] for rec in recs]
+    return sums, outcomes, tred, finals
+
+
+def _fork_context():
+    ok = "fork" in multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork") if ok else None
+
+
+def _span_child(plan, lo, hi, conn):
+    try:
+        conn.send((True, _run_span(plan, lo, hi)))
+    except Exception as exc:  # report to the parent, which re-raises
+        conn.send((False, exc))
+    finally:
+        conn.close()
+
+
+def _run_spans(plan: _Plan, spans):
+    """_run_span over each span: in forked processes when there is more
+    than one span and fork is available, else serially."""
+    ctx = _fork_context()
+    if len(spans) == 1 or ctx is None:
+        return [_run_span(plan, lo, hi) for lo, hi in spans]
+    procs, results = [], []
+    try:
+        for lo, hi in spans:
+            r, w = ctx.Pipe(duplex=False)
+            p = ctx.Process(target=_span_child, args=(plan, lo, hi, w))
+            p.start()
+            w.close()
+            procs.append((p, r))
+        for p, r in procs:
+            try:
+                ok, val = r.recv()
+            except EOFError:
+                p.join()
+                raise RuntimeError(f"ensemble worker exited with code {p.exitcode} "
+                                   "before sending its result") from None
+            if not ok:
+                raise val
+            results.append(val)
+        return results
+    finally:
+        for p, r in procs:
+            r.close()
+            if p.is_alive():
+                p.terminate()
+            p.join()
+
+
+def _check_input(e, state, ndim, dt, n_traj):
+    """Reject input that could never meet the stopping rule."""
+    if e.ndim != 1 or not np.isfinite(e).all():
+        raise ValueError("energies must be a finite 1-D array")
+    if state.shape != (e.shape[0],) * ndim or not np.isfinite(state).all():
+        raise ValueError(f"initial state must be finite with {e.shape[0]} levels, "
+                         f"got shape {state.shape}")
+    mass = np.sum(np.abs(state) ** 2) if ndim == 1 else np.trace(state)
+    if not abs(mass - 1.0) <= NORM_TOL:
+        raise ValueError(f"initial state must have unit {'norm' if ndim == 1 else 'trace'}, "
+                         f"got {mass:.17g}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+
+
+def _run(kernel, e, p0, dt, base_seed, n_traj, workers, groups, eps, popmin,
+         horizon_steps, record_stride, stop_on_reduction, max_steps) -> EnsembleRun:
+    """Split n_traj into spans of whole blocks, run them, merge in order."""
+    groups = tuple((i,) for i in range(e.shape[0])) if groups is None else tuple(groups)
+    v0 = float(p0 @ (e * e) - (p0 @ e) ** 2)
+    plan = _Plan(kernel, e, groups, dt, base_seed, eps * v0 if v0 > 0 else 0.0, popmin,
+                 horizon_steps, record_stride, stop_on_reduction, max_steps)
+    n_blocks = -(-n_traj // BATCH_SIZE)
+    parts = np.array_split(np.arange(n_blocks), max(1, min(workers or 1, n_blocks)))
+    results = _run_spans(plan, [(q[0] * BATCH_SIZE, min((q[-1] + 1) * BATCH_SIZE, n_traj))
+                                for q in parts])
+    out = EnsembleRun(n_traj=n_traj, dt=dt, energies=e, groups=groups)
+    out.outcomes, out.reduction_times, out.final_states = (
+        np.concatenate([r[k] for r in results]) for k in (1, 2, 3))
+    if record_stride:
+        sums = [sum(terms) for terms in zip(*(blk for r in results for blk in r[0]))]
+        n, (s_v, s_v2, s_e, s_e2) = n_traj, sums[:4]  # sums added in block order
+        out.times = np.arange(s_v.shape[0]) * record_stride * dt
+        out.mean_v, out.mean_v2, out.mean_e = s_v / n, s_v2 / n, s_e / n
+        out.sem_v = np.sqrt(np.maximum(out.mean_v2 - out.mean_v**2, 0.0) / n)
+        out.sem_e = np.sqrt(np.maximum(s_e2 / n - out.mean_e**2, 0.0) / n)
+        kernel.summarize(out, sums[4:], n)
     return out
 
 
-def run_density_ensemble(
-    energies,
-    rho0,
-    sigma: float,
-    dt: float,
-    base_seed: int,
-    n_traj: int,
-    *,
-    groups=None,
-    eps: float = REDUCTION_EPS,
-    popmin: float = POPULATION_MIN,
-    horizon_steps: int = 0,
-    record_stride: int = 0,
-    stop_on_reduction: bool = True,
-    max_steps: int = 10_000_000,
-    workers: int | None = None,
-) -> EnsembleRun:
+def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_traj: int, *,
+                       groups=None, eps: float = REDUCTION_EPS, popmin: float = POPULATION_MIN,
+                       horizon_steps: int = 0, record_stride: int = 0,
+                       stop_on_reduction: bool = True, max_steps: int = 10_000_000,
+                       workers: int | None = None) -> EnsembleRun:
+    """Integrate n_traj state-vector trajectories in the H eigenbasis.
+
+    energies: eigenvalues of H; c0: initial amplitudes in the eigenbasis,
+    of unit norm; groups: outcome classes (default: one per level).  Raises
+    ValueError on non-finite, wrongly sized or unnormalized input, dt ≤ 0,
+    or populations that turn non-finite.
+    """
+    e = np.asarray(energies, dtype=float)
+    c0 = np.asarray(c0, dtype=complex)
+    _check_input(e, c0, 1, dt, n_traj)
+    kernel = _StateKernel(e, c0, sigma, dt)
+    return _run(kernel, e, kernel.p0, dt, base_seed, n_traj, workers, groups, eps, popmin,
+                horizon_steps, record_stride, stop_on_reduction, max_steps)
+
+
+def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int, n_traj: int,
+                         *, groups=None, eps: float = REDUCTION_EPS,
+                         popmin: float = POPULATION_MIN, horizon_steps: int = 0,
+                         record_stride: int = 0, stop_on_reduction: bool = True,
+                         max_steps: int = 10_000_000, workers: int | None = None) -> EnsembleRun:
     """Integrate density-matrix trajectories of the anticommutator-form
     equation in the H eigenbasis, where the update is elementwise:
 
@@ -238,144 +370,12 @@ def run_density_ensemble(
                           + (σ/2)(Eᵢ+Eⱼ − 2 Tr ρH) dW].
 
     For [ρ0, H] = 0 the drift factors are inert on the populated entries
-    and this is exactly the pure-noise martingale evolution.
+    and this is exactly the pure-noise martingale evolution.  Raises the
+    errors of run_state_ensemble, with unit trace in place of unit norm.
     """
     e = np.asarray(energies, dtype=float)
-    d = e.shape[0]
     r0 = np.asarray(rho0, dtype=complex)
-    if groups is None:
-        groups = tuple((i,) for i in range(d))
-    gmask = _group_masks(groups, d)
-    e2 = e * e
-    diag0 = np.real(np.diag(r0))
-    v0 = float(diag0 @ e2 - (diag0 @ e) ** 2)
-    v_stop = eps * v0 if v0 > 0 else 0.0
-
-    n_rec = (horizon_steps // record_stride + 1) if record_stride else 0
-    sq = np.sqrt(dt)
-    ei = e[:, None]
-    ej = e[None, :]
-    drift_factor = 1.0 + dt * (-1j * (ei - ej) - 0.125 * sigma * sigma * (ei - ej) ** 2)
-    anti = ei + ej
-
-    def run_batch(lo: int, hi: int):
-        b = hi - lo
-        gens = [trajectory_generator(base_seed, i) for i in range(lo, hi)]
-        rho = np.tile(r0, (b, 1, 1))
-        crossed = np.zeros(b, bool)
-        tred = np.full(b, np.nan)
-        outcomes = np.full(b, -1, np.int64)
-        finals = np.zeros((b, d, d), complex)
-        rec_v = np.zeros((n_rec, 2)) if n_rec else None
-        rec_rho = np.zeros((n_rec, d, d), complex) if n_rec else None
-        rec_abs2 = np.zeros((n_rec, d, d)) if n_rec else None
-        rec_i = 0
-
-        def diag_of(r):
-            return np.einsum("bii->bi", r).real
-
-        def record(r):
-            nonlocal rec_i
-            dg = diag_of(r)
-            v = dg @ e2 - (dg @ e) ** 2
-            rec_v[rec_i] = (v.sum(), (v * v).sum())
-            rec_rho[rec_i] = r.sum(0)
-            rec_abs2[rec_i] = (r.real**2 + r.imag**2).sum(0)
-            rec_i += 1
-
-        def advance(r, dw):
-            tr_h = diag_of(r) @ e
-            f = drift_factor[None] + (0.5 * sigma) * dw[:, None, None] * (
-                anti[None] - 2.0 * tr_h[:, None, None]
-            )
-            r *= f
-
-        def renorm(r):
-            # trace and Hermiticity are preserved analytically; this only
-            # sweeps up float roundoff
-            herm = 0.5 * (r + np.conj(np.transpose(r, (0, 2, 1))))
-            tr = np.einsum("bii->b", herm).real
-            r[:] = herm / tr[:, None, None]
-
-        def criterion(r):
-            dg = diag_of(r)
-            v = dg @ e2 - (dg @ e) ** 2
-            gp = dg @ gmask.T
-            return (v <= v_stop) & (gp.max(1) >= popmin), gp
-
-        step = 0
-        if n_rec:
-            record(rho)
-        while step < horizon_steps:
-            n = min(CHUNK, horizon_steps - step)
-            dws = np.stack([g.standard_normal(n) for g in gens]) * sq
-            for j in range(n):
-                advance(rho, dws[:, j])
-                step += 1
-                if step % CHECK_STRIDE == 0:
-                    renorm(rho)
-                    hit, _ = criterion(rho)
-                    new = hit & ~crossed
-                    if new.any():
-                        tred[new] = step * dt
-                        crossed |= new
-                if record_stride and step % record_stride == 0:
-                    record(rho)
-        alive = np.arange(b)
-        if stop_on_reduction:
-            renorm(rho)
-            hit, gp = criterion(rho)
-            if hit.any():
-                idx = np.nonzero(hit)[0]
-                outcomes[idx] = gp[idx].argmax(1)
-                tred[idx] = np.where(np.isnan(tred[idx]), step * dt, tred[idx])
-                finals[idx] = rho[idx]
-                alive = np.nonzero(~hit)[0]
-            while alive.size and step < max_steps:
-                n = min(CHUNK, max_steps - step)
-                dws = np.stack([gens[i].standard_normal(n) for i in alive]) * sq
-                ra = rho[alive]
-                for j in range(n):
-                    advance(ra, dws[:, j])
-                    step += 1
-                    if step % CHECK_STRIDE == 0:
-                        renorm(ra)
-                        hit, gp = criterion(ra)
-                        if hit.any():
-                            idx = np.nonzero(hit)[0]
-                            gi = alive[idx]
-                            outcomes[gi] = gp[idx].argmax(1)
-                            tred[gi] = np.where(np.isnan(tred[gi]), step * dt, tred[gi])
-                            finals[gi] = ra[idx]
-                            keep = ~hit
-                            ra = ra[keep]
-                            alive = alive[keep]
-                            dws = dws[keep]
-                rho[alive] = ra
-        finals[alive] = rho[alive]
-        return (rec_v, rec_rho, rec_abs2), outcomes, tred, finals
-
-    spans = [(lo, min(lo + BATCH_SIZE, n_traj)) for lo in range(0, n_traj, BATCH_SIZE)]
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda s: run_batch(*s), spans))
-    else:
-        results = [run_batch(*s) for s in spans]
-
-    out = EnsembleRun(n_traj=n_traj, dt=dt, energies=e, groups=tuple(groups))
-    out.outcomes = np.concatenate([r[1] for r in results])
-    out.reduction_times = np.concatenate([r[2] for r in results])
-    out.final_states = np.concatenate([r[3] for r in results])
-    if n_rec:
-        n = float(n_traj)
-        rec_v = sum(r[0][0] for r in results)
-        rec_rho = sum(r[0][1] for r in results)
-        rec_abs2 = sum(r[0][2] for r in results)
-        out.times = np.arange(n_rec) * record_stride * dt
-        out.mean_v = rec_v[:, 0] / n
-        out.mean_v2 = rec_v[:, 1] / n
-        out.sem_v = np.sqrt(np.maximum(out.mean_v2 - out.mean_v**2, 0.0) / n)
-        out.mean_rho = rec_rho / n
-        var_elem = np.maximum(rec_abs2 / n - np.abs(out.mean_rho) ** 2, 0.0)
-        out.sem_rho_frob = np.sqrt(var_elem.sum(axis=(1, 2)) / n)
-    return out
+    _check_input(e, r0, 2, dt, n_traj)
+    return _run(_DensityKernel(e, r0, sigma, dt), e, np.real(np.diag(r0)), dt, base_seed,
+                n_traj, workers, groups, eps, popmin, horizon_steps, record_stride,
+                stop_on_reduction, max_steps)

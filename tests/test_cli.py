@@ -1,6 +1,10 @@
 import json
 import subprocess
 import sys
+import time
+
+import numpy as np
+import pytest
 
 from reductionlab.cli import main
 
@@ -74,6 +78,18 @@ def test_invalid_input_nonzero_exit(tmp_path, capsys):
                   "--weights", "0.5,0.5", "--energies", "1.0,1.0",
                   "--ntraj", "10", "--out-dir", str(tmp_path / "x")])
     assert rc == 2
+    assert "ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--weights", "nan,1"], ["--weights", "1,-1"],
+                                   ["--weights", "0.5,0.5", "--dt", "0"]])
+def test_bad_ensemble_input_exits_2_fast(tmp_path, capsys, extra):
+    t0 = time.monotonic()
+    with np.errstate(all="ignore"):
+        rc = run_cli(["ensemble", "born", "--dim", "2", "--ntraj", "64",
+                      "--out-dir", str(tmp_path / "x")] + extra)
+    assert rc == 2
+    assert time.monotonic() - t0 < 5.0
     assert "ERROR" in capsys.readouterr().err
 
 

@@ -1,0 +1,104 @@
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from reductionlab import ensemble
+
+
+def _complex_step(c, e, sigma, dt, dw):
+    """Reference: one Euler step of the eigenbasis amplitudes c, shape (b, d),
+    then renormalization; the population kernel must reproduce |c|²."""
+    pop = c.real**2 + c.imag**2
+    eh = pop @ e
+    k = e[None, :] - eh[:, None]
+    drift = 1.0 + dt * (-1j * e[None, :] - 0.125 * sigma * sigma * k * k)
+    c *= drift + (0.5 * sigma) * k * dw[:, None]
+    c /= np.sqrt((c.real**2 + c.imag**2).sum(1))[:, None]
+
+
+def test_population_kernel_matches_complex_step():
+    e = np.array([0.0, 1.0, 1.0, 2.5])
+    c0 = np.array([0.4, 0.5 * np.exp(0.3j), 0.5 * np.exp(1.1j), 0.3 * np.exp(-2.0j)])
+    c0 /= np.linalg.norm(c0)
+    sigma, dt, b, n_steps = 1.0, 1e-3, 64, 2000
+    dws = np.random.default_rng(3).standard_normal((n_steps, b)) * math.sqrt(dt)
+    kern = ensemble._StateKernel(e, c0, sigma, dt)
+    p = kern.start(b)
+    c = np.tile(c0, (b, 1))
+    worst = 0.0
+    for dw in dws:
+        _complex_step(c, e, sigma, dt, dw)
+        kern.advance(p, dw)
+        worst = max(worst, float(np.abs(p.T - (c.real**2 + c.imag**2)).max()))
+    assert worst <= 1e-12
+    final = kern.final(p, n_steps * dt)
+    assert np.abs(np.abs(final) - np.abs(c)).max() <= 1e-12
+    # the degenerate pair keeps its initial relative phase
+    rel0 = np.angle(c0[2] / c0[1])
+    assert np.abs(np.angle(final[:, 2] / final[:, 1]) - rel0).max() <= 1e-12
+    assert np.abs(np.angle(c[:, 2] / c[:, 1]) - rel0).max() <= 1e-9
+
+
+def _state_run(workers):
+    e = np.array([0.0, 1.0, 1.0, 2.0])
+    c0 = np.sqrt(np.array([0.3, 0.2, 0.2, 0.3], complex))
+    return ensemble.run_state_ensemble(
+        e, c0, sigma=2.0, dt=2e-3, base_seed=31, n_traj=1100,
+        groups=((0,), (1, 2), (3,)), horizon_steps=120, record_stride=40,
+        max_steps=20_000, workers=workers)
+
+
+def _density_run(workers):
+    e = np.array([0.0, 1.0, 2.0])
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    rho0[0, 1] = rho0[1, 0] = 0.1
+    return ensemble.run_density_ensemble(
+        e, rho0, sigma=2.0, dt=2e-3, base_seed=32, n_traj=1100,
+        horizon_steps=120, record_stride=40, max_steps=20_000, workers=workers)
+
+
+@pytest.mark.parametrize("run", [_state_run, _density_run])
+def test_results_identical_for_any_worker_count(run, monkeypatch):
+    # 1100 trajectories: one full block and one partial block
+    runs = [run(w) for w in (1, 2, 3)]
+    monkeypatch.setattr(ensemble, "_fork_context", lambda: None)
+    runs.append(run(2))  # serial fallback without fork
+    assert runs[0].times is not None and runs[0].n_unreduced < 1100
+    for other in runs[1:]:
+        for field in dataclasses.fields(ensemble.EnsembleRun):
+            a, b = getattr(runs[0], field.name), getattr(other, field.name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, field.name
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
+
+
+BAD_STATES = [
+    ([0.0, 1.0], [math.nan, 1.0], 1e-3),          # non-finite
+    ([0.0, 1.0], [1.0, 0.0, 0.0], 1e-3),          # wrong dimension
+    ([0.0, 1.0], [1.0, 1.0], 1e-3),               # not normalized
+    ([0.0, math.inf], [1.0, 0.0], 1e-3),          # non-finite energy
+    ([0.0, 1.0], [1.0, 0.0], 0.0),                # dt ≤ 0
+]
+
+
+@pytest.mark.parametrize("energies, amps, dt", BAD_STATES)
+def test_bad_input_rejected_up_front(energies, amps, dt):
+    c0 = np.asarray(amps, complex)
+    with pytest.raises(ValueError):
+        ensemble.run_state_ensemble(energies, c0, 1.0, dt, 0, 8)
+    with pytest.raises(ValueError):
+        ensemble.run_density_ensemble(energies, np.diag(c0), 1.0, dt, 0, 8)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_nonfinite_populations_raise(workers):
+    c0 = np.sqrt(np.array([0.5, 0.5], complex))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        ensemble.run_state_ensemble([0.0, 1.0], c0, 1e200, 1e-3, 0, 2048, workers=workers)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]).astype(complex),
+                                      1e200, 1e-3, 0, 16)
