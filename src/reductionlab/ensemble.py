@@ -10,8 +10,14 @@ of the amplitudes multiplies cᵢ by f = 1 − (σ²/8)k²dt + (σ/2)k dW − iE
 k = Eᵢ − ⟨H⟩, and renormalizes; the populations therefore follow
 p ← p·|f|² / Σp·|f|², the same discrete process, positive by construction.
 Amplitudes are rebuilt at retirement as c0ᵢ/|c0ᵢ|·√pᵢ·e^{−iEᵢt}, so relative
-phases inside a degenerate group stay exact.  Density matrices keep their
-elementwise complex update.
+phases inside a degenerate group stay exact.
+
+Density matrices evolve on the support of ρ0, shape (d + m, b): the d
+populations, then the m nonzero upper-triangle coherences of ρ0, each entry
+multiplied by its own factor per step.  A zero entry stays zero and the
+(j, i) factor is the exact conjugate of the (i, j) one, so the lower triangle
+is implied.  The array is float64 for a diagonal ρ0 (every Gibbs run) and
+complex otherwise; dense (d, d) matrices are built only for finals and means.
 
 A run has two phases: an optional fixed-horizon recording phase in which
 every trajectory keeps evolving (so recorded ensemble means are unbiased),
@@ -91,8 +97,6 @@ def _colsum(x):
 class _StateKernel:
     """Eigenbasis populations of state vectors, shape (d, b)."""
 
-    axis = 1
-
     def __init__(self, e, c0, sigma, dt):
         self.shape, self.p0, self.energies = c0.shape, np.abs(c0) ** 2, e
         self.phase0 = np.exp(1j * np.angle(c0))
@@ -125,44 +129,53 @@ class _StateKernel:
 
 
 class _DensityKernel:
-    """Eigenbasis density matrices, shape (b, d, d), updated elementwise."""
-
-    axis = 0
+    """Eigenbasis density matrices on the support of ρ0, shape (d + m, b)."""
 
     def __init__(self, e, r0, sigma, dt):
-        self.shape, self.r0, self.energies = r0.shape, r0, e
-        ei, ej = e[:, None], e[None, :]
-        self.drift_factor = 1.0 + dt * (-1j * (ei - ej) - 0.125 * sigma * sigma * (ei - ej) ** 2)
-        self.anti = ei + ej
-        self.half_sigma = 0.5 * sigma
+        d = e.shape[0]
+        iu, ju = np.triu_indices(d, 1)
+        on = r0[iu, ju] != 0
+        self.shape, self.d, self.iu, self.ju = r0.shape, d, iu[on], ju[on]
+        i, j = np.r_[np.arange(d), self.iu], np.r_[np.arange(d), self.ju]
+        x0, de = np.r_[np.diag(r0).real, r0[self.iu, self.ju]], e[i] - e[j]
+        drift = 1.0 + dt * (-1j * de - 0.125 * sigma * sigma * de ** 2)
+        real = not self.iu.size  # a diagonal ρ0 stays diagonal: evolve it as float64
+        self.x0 = x0.real if real else x0
+        self.drift = (drift.real if real else drift)[:, None]
+        self.anti, self.e, self.half_sigma = (e[i] + e[j])[:, None], e[:, None], 0.5 * sigma
 
     def start(self, b):
-        return np.tile(self.r0, (b, 1, 1))
+        return np.repeat(self.x0[:, None], b, axis=1)
 
-    def populations(self, r):
-        return np.einsum("bii->ib", r).real
+    def populations(self, x):
+        return x[:self.d].real
 
-    def advance(self, r, dw):
-        tr_h = np.einsum("bii,i->b", r.real, self.energies)
-        noise = self.half_sigma * dw[:, None, None] * (self.anti[None] - 2.0 * tr_h[:, None, None])
-        r *= self.drift_factor[None] + noise
+    def advance(self, x, dw):
+        tr_h = _colsum(self.populations(x) * self.e)
+        x *= self.drift + self.half_sigma * dw * (self.anti - 2.0 * tr_h)
 
-    def renorm(self, r):
-        # trace and Hermiticity hold analytically; this sweeps up roundoff
-        herm = 0.5 * (r + np.conj(np.transpose(r, (0, 2, 1))))
-        tr = np.einsum("bii->b", herm).real
-        r[:] = herm / tr[:, None, None]
+    def renorm(self, x):
+        x /= _colsum(self.populations(x))
 
-    def record(self, r):
-        return r, r.real**2 + r.imag**2
+    def record(self, x):
+        return x, (x.conj() * x).real
+
+    def dense(self, x):
+        """(…, d + m) support values → (…, d, d) Hermitian matrices."""
+        d, diag = self.d, np.arange(self.d)
+        r = np.zeros(x.shape[:-1] + (d, d), complex)
+        r[..., diag, diag] = x[..., :d]
+        r[..., self.iu, self.ju] = x[..., d:]
+        r[..., self.ju, self.iu] = x[..., d:].conj()
+        return r
 
     def summarize(self, out, sums, n):
-        out.mean_rho = sums[0] / n
-        var_elem = np.maximum(sums[1] / n - np.abs(out.mean_rho) ** 2, 0.0)
+        out.mean_rho = self.dense(sums[0] / n)
+        var_elem = np.maximum(self.dense(sums[1] / n).real - np.abs(out.mean_rho) ** 2, 0.0)
         out.sem_rho_frob = np.sqrt(var_elem.sum(axis=(1, 2)) / n)
 
-    def final(self, r, t):
-        return r
+    def final(self, x, t):
+        return self.dense(x.T)
 
 
 # everything a span needs besides its index range
@@ -193,12 +206,14 @@ def _run_span(plan: _Plan, lo: int, hi: int):
         _, eh, v = moments()
         terms = (v, v * v, eh, eh * eh) + kern.record(x)
         for rec, s in zip(recs, blocks):
-            rec.append([t[s:s + BATCH_SIZE].sum(0) for t in terms])
+            rec.append([t[..., s:s + BATCH_SIZE].sum(-1) for t in terms])
 
     def check():
         pop, _, v = moments()
         if not np.isfinite(pop).all():
             raise ValueError(f"non-finite populations at step {step}; dt too large?")
+        if (pop < 0).any():
+            raise ValueError(f"negative population at step {step}; dt too large?")
         gp = pop if singletons else np.stack([_colsum(pop[list(g)]) for g in plan.groups])
         return (v <= plan.v_stop) & (gp.max(0) >= plan.popmin), gp
 
@@ -207,7 +222,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
         gi = alive[idx]
         outcomes[gi] = gp[:, idx].argmax(0)
         tred[gi] = np.where(np.isnan(tred[gi]), step * dt, tred[gi])
-        finals[gi] = kern.final(np.take(x, idx, axis=kern.axis), step * dt)
+        finals[gi] = kern.final(np.take(x, idx, axis=1), step * dt)
         return ~hit
 
     step, retiring, sq = 0, False, np.sqrt(dt)
@@ -220,7 +235,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
             retiring = True
             kern.renorm(x)
             keep = retire(*check())
-            x, alive = np.compress(keep, x, axis=kern.axis), alive[keep]
+            x, alive = np.compress(keep, x, axis=1), alive[keep]
             continue
         end = plan.max_steps if retiring else plan.horizon_steps
         if step >= end:
@@ -239,7 +254,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
                     tred[hit & np.isnan(tred)] = step * dt
                 elif hit.any():
                     keep = retire(hit, gp)
-                    x, alive, dws = np.compress(keep, x, axis=kern.axis), alive[keep], dws[keep]
+                    x, alive, dws = np.compress(keep, x, axis=1), alive[keep], dws[keep]
                     if not alive.size:
                         break
             if not retiring and plan.record_stride and step % plan.record_stride == 0:
@@ -303,6 +318,9 @@ def _check_input(e, state, ndim, dt, n_traj):
     if state.shape != (e.shape[0],) * ndim or not np.isfinite(state).all():
         raise ValueError(f"initial state must be finite with {e.shape[0]} levels, "
                          f"got shape {state.shape}")
+    if ndim == 2 and (np.linalg.norm(state - state.conj().T) > NORM_TOL
+                      or np.linalg.eigvalsh(state).min() < -NORM_TOL):
+        raise ValueError("initial density matrix must be Hermitian and positive semidefinite")
     mass = np.sum(np.abs(state) ** 2) if ndim == 1 else np.trace(state)
     if not abs(mass - 1.0) <= NORM_TOL:
         raise ValueError(f"initial state must have unit {'norm' if ndim == 1 else 'trace'}, "
@@ -371,7 +389,8 @@ def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int
 
     For [ρ0, H] = 0 the drift factors are inert on the populated entries
     and this is exactly the pure-noise martingale evolution.  Raises the
-    errors of run_state_ensemble, with unit trace in place of unit norm.
+    errors of run_state_ensemble, with unit trace in place of unit norm, and
+    on a non-Hermitian or non-positive ρ0 or populations that turn negative.
     """
     e = np.asarray(energies, dtype=float)
     r0 = np.asarray(rho0, dtype=complex)

@@ -93,6 +93,15 @@ def test_bad_ensemble_input_exits_2_fast(tmp_path, capsys, extra):
     assert "ERROR" in capsys.readouterr().err
 
 
+def test_negative_population_exits_2_fast(tmp_path, capsys):
+    t0 = time.monotonic()
+    rc = run_cli(["ensemble", "statdist", "--energies", "0,3", "--dt", "0.05",
+                  "--ntraj", "64", "--out-dir", str(tmp_path / "x")])
+    assert rc == 2
+    assert time.monotonic() - t0 < 5.0
+    assert "negative population" in capsys.readouterr().err
+
+
 def test_phenom_t_reduce_quantity_parsing(tmp_path, capsys):
     rc = run_cli(["phenom", "t-reduce", "--delta-e", "2.8MeV",
                   "--out-dir", str(tmp_path / "p")])
