@@ -4,17 +4,22 @@ Covers the decoupling (clustering) residuals of the joint noise and drift
 terms for product states, and the mean-field (Hartree) factorized
 evolution for a system weakly coupled to an equilibrium environment, with
 an error-scaling harness against the full product-space evolution driven
-by the identical noise path.
+by the identical noise path.  The full system runs in the eigenbasis of its
+Hamiltonian on the ensemble density kernel, where the Euler step is
+elementwise; the mean-field pair takes one batched matmul step for all
+trajectories, with the coupling contractions precomputed as matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ANTICOMMUTATOR, noise_coefficient
-from .linalg import as_matrix, hermiticity_defect, hermitize
+from .dynamics import ANTICOMMUTATOR, check_stability, noise_coefficient
+from .ensemble import CHUNK, _DensityKernel, _check_input
+from .linalg import as_matrix, hermiticity_defect
 from .noise import trajectory_generator
 
 __all__ = [
@@ -39,17 +44,13 @@ class CompositeSystem:
     g: float = 1.0
 
     def __post_init__(self):
-        h1 = as_matrix(self.h1)
-        h2 = as_matrix(self.h2)
-        dh = as_matrix(self.delta_h)
-        for name, m in (("h1", h1), ("h2", h2), ("delta_h", dh)):
+        for name in ("h1", "h2", "delta_h"):
+            m = as_matrix(getattr(self, name))
             if hermiticity_defect(m) > 1e-12:
                 raise ValueError(f"{name} is not Hermitian")
-        if dh.shape[0] != h1.shape[0] * h2.shape[0]:
+            object.__setattr__(self, name, m)
+        if self.delta_h.shape[0] != self.h1.shape[0] * self.h2.shape[0]:
             raise ValueError("delta_h must act on the product space")
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "h2", h2)
-        object.__setattr__(self, "delta_h", dh)
 
     @property
     def dims(self):
@@ -70,10 +71,8 @@ def clustering_noise_residual(rho1, rho2, h1, h2, form: str = ANTICOMMUTATOR) ->
     """
     r1, r2 = as_matrix(rho1), as_matrix(rho2)
     m1, m2 = as_matrix(h1), as_matrix(h2)
-    d1, d2 = r1.shape[0], r2.shape[0]
-    joint = np.kron(r1, r2)
-    h = np.kron(m1, np.eye(d2)) + np.kron(np.eye(d1), m2)
-    n_joint = noise_coefficient(joint, h, form)
+    h = np.kron(m1, np.eye(len(m2))) + np.kron(np.eye(len(m1)), m2)
+    n_joint = noise_coefficient(np.kron(r1, r2), h, form)
     n_split = (np.kron(noise_coefficient(r1, m1, form), r2)
                + np.kron(r1, noise_coefficient(r2, m2, form)))
     return float(np.linalg.norm(n_joint - n_split))
@@ -96,6 +95,15 @@ def clustering_drift_residual(rho1, rho2, h1, h2, form: str = ANTICOMMUTATOR) ->
     return float(np.linalg.norm(np.kron(n1, n2) + np.kron(c1, c2)))
 
 
+def _contractions(op: np.ndarray, dims):
+    """Matrices taking a flattened ρ₂ to Tr₂[(I⊗ρ₂)·op], shape (d2², d1²), and a
+    flattened X₁ to Tr₁[(X₁⊗I)·op], shape (d1², d2²)."""
+    d1, d2 = dims
+    o4 = as_matrix(op).reshape(d1, d2, d1, d2)
+    return (o4.transpose(3, 1, 0, 2).reshape(d2 * d2, d1 * d1),
+            o4.transpose(2, 0, 1, 3).reshape(d1 * d1, d2 * d2))
+
+
 def partial_expectation(op: np.ndarray, rho: np.ndarray, dims, over: int) -> np.ndarray:
     """Contract one factor of a product-space operator with a subsystem state.
 
@@ -103,22 +111,45 @@ def partial_expectation(op: np.ndarray, rho: np.ndarray, dims, over: int) -> np.
     image.  Cyclic under the traced factor, so operator ordering there is
     immaterial.
     """
-    d1, d2 = dims
-    o4 = as_matrix(op).reshape(d1, d2, d1, d2)
-    r = as_matrix(rho)
-    if over == 2:
-        return np.einsum("km,imjk->ij", r, o4)
-    if over == 1:
-        return np.einsum("im,mkil->kl", r, o4)
-    raise ValueError("over must be 1 or 2")
+    if over not in (1, 2):
+        raise ValueError("over must be 1 or 2")
+    flat = as_matrix(rho).reshape(-1) @ _contractions(op, dims)[2 - over]
+    return flat.reshape(dims[2 - over], -1)
 
 
-def _single_step(r, h, sigma, dt, dW):
-    comm = h @ r - r @ h
-    dcomm = h @ comm - comm @ h
-    rh = r @ h
-    n = rh + rh.conj().T - 2.0 * r * np.trace(rh).real
-    return r + dt * (-1j * comm - 0.125 * sigma * sigma * dcomm) + (0.5 * sigma * dW) * n
+def _dag(a):
+    return a.conj().swapaxes(-1, -2)
+
+
+def _trace(a):
+    return np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _euler(r, h, sigma, dt, dws):
+    """Anticommutator-form Euler step of a (b, d, d) stack, one H and dW per row,
+    not renormalized, and [H, ρ]; uses ρH = (Hρ)† and [H, ρ]H = −(H[H, ρ])†."""
+    hr = h @ r
+    rh = _dag(hr)
+    comm = hr - rh
+    hc = h @ comm
+    out = (r + dt * (-1j * comm - 0.125 * sigma * sigma * (hc + _dag(hc)))
+           + (0.5 * sigma) * dws[:, None, None] * (hr + rh - 2.0 * r * _trace(hr)))
+    return out, comm
+
+
+def _mean_field_step(a1, a2, system: CompositeSystem, to1, to2, sigma, dt, dws):
+    """One Hartree step of (b, d1, d1) and (b, d2, d2) stacks sharing one dW per
+    row, to1, to2 = _contractions(g·ΔH): Euler steps under the effective
+    Hamiltonians, the environment correction, Hermitize, trace-normalize."""
+    h1 = system.h1 + (a2.reshape(len(a2), -1) @ to1).reshape(a1.shape)
+    h2 = system.h2 + (a1.reshape(len(a1), -1) @ to2).reshape(a2.shape)
+    new1, comm1 = _euler(a1, h1, sigma, dt, dws)
+    corr = (comm1.reshape(len(a1), -1) @ to2).reshape(a2.shape)   # Tr₁(ΔH·([H₁′,ρ₁]⊗I))
+    new2, _ = _euler(a2, h2, sigma, dt, dws)
+    ca = corr @ a2   # [corr, ρ₂] = ca + ca†, corr being anti-Hermitian
+    new2 -= dt * 0.125 * sigma * sigma * (ca + _dag(ca))
+    new1, new2 = 0.5 * (new1 + _dag(new1)), 0.5 * (new2 + _dag(new2))
+    return new1 / _trace(new1), new2 / _trace(new2)
 
 
 def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
@@ -130,20 +161,10 @@ def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
     −(σ²/8)[Tr₁(ΔH[H₁′,ρ₁]), ρ₂]dt drift, which dies off once subsystem 1
     has reduced.
     """
-    r1, r2 = as_matrix(rho1), as_matrix(rho2)
-    g, dh = system.g, system.delta_h
-    dims = system.dims
-    h1_eff = system.h1 + g * partial_expectation(dh, r2, dims, over=2)
-    h2_eff = system.h2 + g * partial_expectation(dh, r1, dims, over=1)
-    new1 = _single_step(r1, h1_eff, sigma, dt, dW)
-    comm1 = h1_eff @ r1 - r1 @ h1_eff
-    dh4 = dh.reshape(dims[0], dims[1], dims[0], dims[1])
-    corr = g * np.einsum("ikml,mi->kl", dh4, comm1)   # Tr₁(ΔH·([H₁′,ρ₁]⊗I))
-    new2 = _single_step(r2, h2_eff, sigma, dt, dW)
-    new2 = new2 - dt * 0.125 * sigma * sigma * (corr @ r2 - r2 @ corr)
-    new1 = hermitize(new1)
-    new2 = hermitize(new2)
-    return new1 / np.trace(new1).real, new2 / np.trace(new2).real
+    new1, new2 = _mean_field_step(as_matrix(rho1)[None], as_matrix(rho2)[None], system,
+                                  *_contractions(system.g * system.delta_h, system.dims),
+                                  sigma, dt, np.array([dW], float))
+    return new1[0], new2[0]
 
 
 @dataclass
@@ -156,29 +177,29 @@ class HartreeReport:
     exponent: float
 
     def csv(self, path) -> None:
-        from pathlib import Path
-
         lines = ["g,mean_discrepancy,sem"]
         for g, m, s in zip(self.g_values, self.mean_discrepancy, self.sem):
             lines.append(f"{g:.17g},{m:.17g},{s:.17g}")
         Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _batched_step(r, h, sigma, dt, dws):
-    """Anticommutator-form step for a (b, d, d) stack, one dW per row."""
-    hr = np.einsum("ij,bjk->bik", h, r) if h.ndim == 2 else np.einsum("bij,bjk->bik", h, r)
-    rh = np.conj(np.transpose(hr, (0, 2, 1)))
-    comm = hr - rh
-    if h.ndim == 2:
-        dcomm = np.einsum("ij,bjk->bik", h, comm) - np.einsum("bij,jk->bik", comm, h)
-    else:
-        dcomm = np.einsum("bij,bjk->bik", h, comm) - np.einsum("bij,bjk->bik", comm, h)
-    tr = np.einsum("bii->b", hr).real
-    n = hr + rh - 2.0 * r * tr[:, None, None]
-    out = (r + dt * (-1j * comm - 0.125 * sigma * sigma * dcomm)
-           + (0.5 * sigma) * dws[:, None, None] * n)
-    out = 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
-    return out / np.einsum("bii->b", out).real[:, None, None]
+def _paired_finals(system: CompositeSystem, e, u, rho1, rho2, sigma, dt, n_steps,
+                   n_traj, base_seed):
+    """Full-system and mean-field finals at one coupling, trajectory i on the
+    Wiener path of trajectory_generator(base_seed, i); the full system runs on
+    the ensemble density kernel in the eigenbasis (e, u) of its Hamiltonian."""
+    kern = _DensityKernel(e, u.conj().T @ np.kron(rho1, rho2) @ u, sigma, dt)
+    maps = _contractions(system.g * system.delta_h, system.dims)
+    x = kern.start(n_traj)
+    a1, a2 = (np.repeat(a[None], n_traj, 0) for a in (rho1, rho2))
+    gens = [trajectory_generator(base_seed, i) for i in range(n_traj)]
+    for done in range(0, n_steps, CHUNK):
+        n = min(CHUNK, n_steps - done)
+        for dw in np.stack([gg.standard_normal(n) for gg in gens]).T * np.sqrt(dt):
+            kern.advance(x, dw)
+            kern.renorm(x)
+            a1, a2 = _mean_field_step(a1, a2, system, *maps, sigma, dt, dw)
+    return u @ kern.final(x, n_steps * dt) @ u.conj().T, a1, a2
 
 
 def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
@@ -191,52 +212,31 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     Frobenius distance ‖Tr₂ ρ_full(T) − ρ₁_mf(T)‖ is averaged over
     trajectories.  The fitted power discrepancy ∝ g^p comes back with the
     report; mean-field theory predicts p = 2 for an equilibrium
-    environment.
+    environment.  Raises ValueError on bad input or non-finite finals, and
+    StabilityError when σ²ΔE²dt exceeds the hard bound at some g.
     """
-    r1 = as_matrix(rho1_0)
-    r2 = as_matrix(rho2_0)
-    d1, d2 = system.dims
+    r1, r2, (d1, d2) = as_matrix(rho1_0), as_matrix(rho2_0), system.dims
     gv = np.asarray(g_values, float)
+    for h, r in ((system.h1, r1), (system.h2, r2)):
+        _check_input(np.linalg.eigvalsh(h), r, 2, dt, n_traj)
+    if not np.isfinite(gv).all():
+        raise ValueError(f"g values must be finite, got {gv}")
+    systems = [CompositeSystem(system.h1, system.h2, system.delta_h, g=g) for g in gv]
+    spectra = [np.linalg.eigh(s.total_hamiltonian()) for s in systems]
+    check_stability(sigma, dt, max((e[-1] - e[0] for e, _ in spectra), default=0.0))
     n_steps = int(round(horizon / dt))
     means, sems = [], []
-    for gi, g in enumerate(gv):
-        sysg = CompositeSystem(system.h1, system.h2, system.delta_h, g=g)
-        hfull = sysg.total_hamiltonian()
-        rho = np.tile(np.kron(r1, r2), (n_traj, 1, 1))
-        a1 = np.tile(r1, (n_traj, 1, 1))
-        a2 = np.tile(r2, (n_traj, 1, 1))
-        gens = [trajectory_generator(base_seed, i) for i in range(n_traj)]
-        dh4 = sysg.delta_h.reshape(d1, d2, d1, d2)
-        ident2 = np.eye(d2)
-        done = 0
-        while done < n_steps:
-            n = min(256, n_steps - done)
-            dws = np.stack([gg.standard_normal(n) for gg in gens]) * np.sqrt(dt)
-            for j in range(n):
-                dwj = dws[:, j]
-                rho = _batched_step(rho, hfull, sigma, dt, dwj)
-                h1_eff = sysg.h1[None] + g * np.einsum("bkm,imjk->bij", a2, dh4)
-                h2_eff = sysg.h2[None] + g * np.einsum("bim,mkil->bkl", a1, dh4)
-                comm1 = (np.einsum("bij,bjk->bik", h1_eff, a1)
-                         - np.einsum("bij,bjk->bik", a1, h1_eff))
-                corr = g * np.einsum("ikml,bmi->bkl", dh4, comm1)
-                new1 = _batched_step(a1, h1_eff, sigma, dt, dwj)
-                new2 = _batched_step(a2, h2_eff, sigma, dt, dwj)
-                new2 = new2 - dt * 0.125 * sigma * sigma * (
-                    np.einsum("bij,bjk->bik", corr, a2)
-                    - np.einsum("bij,bjk->bik", a2, corr))
-                a1, a2 = new1, new2
-                done += 1
-        red = np.einsum("bikjk->bij", rho.reshape(n_traj, d1, d2, d1, d2))
+    for sysg, (e, u) in zip(systems, spectra):
+        rho, a1, a2 = _paired_finals(sysg, e, u, r1, r2, sigma, dt, n_steps, n_traj, base_seed)
+        if not all(np.isfinite(a).all() for a in (rho, a1, a2)):
+            raise ValueError(f"non-finite final states at g={sysg.g}; dt too large?")
+        red = np.trace(rho.reshape(n_traj, d1, d2, d1, d2), axis1=2, axis2=4)
         dev = np.linalg.norm(red - a1, axis=(1, 2))
         means.append(dev.mean())
         sems.append(dev.std(ddof=1) / np.sqrt(n_traj) if n_traj > 1 else 0.0)
-    means = np.asarray(means)
-    sems = np.asarray(sems)
+    means, sems = np.asarray(means), np.asarray(sems)
     pos = (gv > 0) & (means > 0)
-    if pos.sum() >= 2:
-        exponent = float(np.polyfit(np.log(gv[pos]), np.log(means[pos]), 1)[0])
-    else:
-        exponent = float("nan")
+    exponent = (float(np.polyfit(np.log(gv[pos]), np.log(means[pos]), 1)[0])
+                if pos.sum() >= 2 else float("nan"))
     return HartreeReport(g_values=gv, mean_discrepancy=means, sem=sems,
                          exponent=exponent)

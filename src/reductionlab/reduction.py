@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ensemble
-from .dynamics import default_dt
+from .dynamics import check_stability, default_dt
 from .linalg import DensityMatrix, as_matrix, as_vector, eig_hermitian
 
 __all__ = [
@@ -133,12 +133,15 @@ def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
     Endpoints are classified by the dominant eigenvalue (or degenerate
     group) population; frequencies come back with 4-sigma binomial
     intervals.  Raises ReductionBudgetError when more than
-    budget_fraction of the trajectories fail to reduce in max_steps.
+    budget_fraction of the trajectories fail to reduce in max_steps, and
+    StabilityError when σ²ΔE²dt exceeds the hard bound.
     """
     m = as_matrix(h)
     spec = eig_hermitian(m)
     c0 = spec.eigenvectors.conj().T @ as_vector(chi0)
-    dt = default_dt(sigma, float(spec.eigenvalues[-1] - spec.eigenvalues[0])) if dt is None else dt
+    rng = float(spec.eigenvalues[-1] - spec.eigenvalues[0])
+    dt = default_dt(sigma, rng) if dt is None else dt
+    check_stability(sigma, dt, rng)
     run = ensemble.run_state_ensemble(
         spec.eigenvalues, c0, sigma, dt, base_seed, n_traj,
         groups=spec.degeneracy_groups, max_steps=max_steps, workers=workers,
@@ -212,13 +215,15 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
 
     Verifies that the ensemble mean stays at the Gibbs state on the record
     grid, then lets every trajectory run to its reduction endpoint and
-    tallies the outcome frequencies against the Gibbs weights.
+    tallies the outcome frequencies against the Gibbs weights.  Raises the
+    errors of born_statistics.
     """
     m = as_matrix(h)
     spec = eig_hermitian(m)
     e = spec.eigenvalues
     rng = float(e[-1] - e[0])
     dt = default_dt(sigma, rng) if dt is None else dt
+    check_stability(sigma, dt, rng)
     if horizon is None:
         # covers the bulk of the reduction for the unbiased-mean phase; the
         # retirement phase afterwards handles the stragglers
@@ -292,7 +297,7 @@ def luders_scenario(alpha: complex, branch_amplitudes, measured_weights,
     branch sits alone at its entry of measured_energies.  Checks that the
     transmitted outcome occurs with frequency |alpha|², and that
     transmitted endpoints reproduce the branch state — relative phases
-    included.
+    included.  Raises the errors of born_statistics.
     """
     bamp = np.asarray(branch_amplitudes, complex)
     bamp = bamp / np.linalg.norm(bamp)
@@ -310,7 +315,9 @@ def luders_scenario(alpha: complex, branch_amplitudes, measured_weights,
     e = np.concatenate([np.zeros(nb), me])
     c0 = np.concatenate([alpha * bamp, beta * np.sqrt(mw)])
     groups = (tuple(range(nb)),) + tuple((nb + i,) for i in range(nm))
-    dt = default_dt(sigma, float(e.max() - e.min())) if dt is None else dt
+    rng = float(e.max() - e.min())
+    dt = default_dt(sigma, rng) if dt is None else dt
+    check_stability(sigma, dt, rng)
 
     run = ensemble.run_state_ensemble(
         e, c0, sigma, dt, base_seed, n_traj, groups=groups,

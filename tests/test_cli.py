@@ -94,12 +94,26 @@ def test_bad_ensemble_input_exits_2_fast(tmp_path, capsys, extra):
 
 
 def test_negative_population_exits_2_fast(tmp_path, capsys):
+    # σ²ΔE²dt = 0.099 passes the hard stability bound; populations still go negative
     t0 = time.monotonic()
-    rc = run_cli(["ensemble", "statdist", "--energies", "0,3", "--dt", "0.05",
-                  "--ntraj", "64", "--out-dir", str(tmp_path / "x")])
+    with pytest.warns(RuntimeWarning, match="comfort bound"):
+        rc = run_cli(["ensemble", "statdist", "--energies", "0,3", "--dt", "0.011",
+                      "--ntraj", "64", "--out-dir", str(tmp_path / "x")])
     assert rc == 2
     assert time.monotonic() - t0 < 5.0
     assert "negative population" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["born", "statdist"])
+def test_unstable_dt_exits_2_fast(tmp_path, capsys, mode):
+    # σ²ΔE²dt = 0.45, above the hard bound 0.1
+    t0 = time.monotonic()
+    rc = run_cli(["ensemble", mode, "--energies", "0,3", "--dt", "0.05", "--ntraj", "64",
+                  "--out-dir", str(tmp_path / "x")]
+                 + (["--weights", "0.5,0.5"] if mode == "born" else []))
+    assert rc == 2
+    assert time.monotonic() - t0 < 5.0
+    assert "exceeds hard bound" in capsys.readouterr().err
 
 
 def test_phenom_t_reduce_quantity_parsing(tmp_path, capsys):

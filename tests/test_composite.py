@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reductionlab import composite
 from reductionlab.composite import (
     CompositeSystem,
     clustering_drift_residual,
@@ -9,12 +10,13 @@ from reductionlab.composite import (
     hartree_vs_full,
     partial_expectation,
 )
-from reductionlab.dynamics import step_density
+from reductionlab.dynamics import StabilityError, step_density
 from reductionlab.linalg import (
     random_density_matrix,
     random_hermitian,
     random_pure_state,
 )
+from reductionlab.noise import trajectory_generator
 
 
 def _pure(rng, d):
@@ -195,3 +197,165 @@ def test_hartree_vs_full_g_zero_floor(rng):
     rep = hartree_vs_full(sys, r1, r2, sigma=1.0, dt=1e-3, horizon=0.2,
                           g_values=[0.0], n_traj=4, base_seed=7)
     assert rep.mean_discrepancy[0] < 1e-12
+
+
+# -- reference: the dense (b, d, d) einsum stepper and inline mean-field loop
+# that hartree_vs_full ran before it moved to the eigenbasis kernel ---------
+
+def _ref_batched_step(r, h, sigma, dt, dws):
+    hr = np.einsum("ij,bjk->bik", h, r) if h.ndim == 2 else np.einsum("bij,bjk->bik", h, r)
+    rh = np.conj(np.transpose(hr, (0, 2, 1)))
+    comm = hr - rh
+    if h.ndim == 2:
+        dcomm = np.einsum("ij,bjk->bik", h, comm) - np.einsum("bij,jk->bik", comm, h)
+    else:
+        dcomm = np.einsum("bij,bjk->bik", h, comm) - np.einsum("bij,bjk->bik", comm, h)
+    tr = np.einsum("bii->b", hr).real
+    n = hr + rh - 2.0 * r * tr[:, None, None]
+    out = (r + dt * (-1j * comm - 0.125 * sigma * sigma * dcomm)
+           + (0.5 * sigma) * dws[:, None, None] * n)
+    out = 0.5 * (out + np.conj(np.transpose(out, (0, 2, 1))))
+    return out / np.einsum("bii->b", out).real[:, None, None]
+
+
+def _ref_finals(sysg, r1, r2, sigma, dt, n_steps, n_traj, base_seed):
+    d1, d2 = sysg.dims
+    g, hfull = sysg.g, sysg.total_hamiltonian()
+    rho = np.tile(np.kron(r1, r2), (n_traj, 1, 1))
+    a1 = np.tile(r1, (n_traj, 1, 1))
+    a2 = np.tile(r2, (n_traj, 1, 1))
+    gens = [trajectory_generator(base_seed, i) for i in range(n_traj)]
+    dh4 = sysg.delta_h.reshape(d1, d2, d1, d2)
+    done = 0
+    while done < n_steps:
+        n = min(256, n_steps - done)
+        dws = np.stack([gg.standard_normal(n) for gg in gens]) * np.sqrt(dt)
+        for j in range(n):
+            dwj = dws[:, j]
+            rho = _ref_batched_step(rho, hfull, sigma, dt, dwj)
+            h1_eff = sysg.h1[None] + g * np.einsum("bkm,imjk->bij", a2, dh4)
+            h2_eff = sysg.h2[None] + g * np.einsum("bim,mkil->bkl", a1, dh4)
+            comm1 = (np.einsum("bij,bjk->bik", h1_eff, a1)
+                     - np.einsum("bij,bjk->bik", a1, h1_eff))
+            corr = g * np.einsum("ikml,bmi->bkl", dh4, comm1)
+            new1 = _ref_batched_step(a1, h1_eff, sigma, dt, dwj)
+            new2 = _ref_batched_step(a2, h2_eff, sigma, dt, dwj)
+            new2 = new2 - dt * 0.125 * sigma * sigma * (
+                np.einsum("bij,bjk->bik", corr, a2)
+                - np.einsum("bij,bjk->bik", a2, corr))
+            a1, a2 = new1, new2
+            done += 1
+    return rho, a1, a2
+
+
+def _ref_report(sys, r1, r2, sigma, dt, n_steps, g_values, n_traj, base_seed):
+    d1, d2 = sys.dims
+    means, sems = [], []
+    for g in g_values:
+        sysg = CompositeSystem(sys.h1, sys.h2, sys.delta_h, g=g)
+        rho, a1, _ = _ref_finals(sysg, r1, r2, sigma, dt, n_steps, n_traj, base_seed)
+        red = np.einsum("bikjk->bij", rho.reshape(n_traj, d1, d2, d1, d2))
+        dev = np.linalg.norm(red - a1, axis=(1, 2))
+        means.append(dev.mean())
+        sems.append(dev.std(ddof=1) / np.sqrt(n_traj))
+    return np.array(means), np.array(sems)
+
+
+def _diff_case(env="equilibrium"):
+    rng = np.random.default_rng(5)
+    d = 3
+    h1, h2 = 0.5 * random_hermitian(d, rng), 0.5 * random_hermitian(d, rng)
+    dh = random_hermitian(d * d, rng)
+    sys = CompositeSystem(h1, h2, dh / np.linalg.norm(dh, 2))
+    if env == "equilibrium":   # an H2 eigenstate: zero floor at g = 0
+        v2 = np.linalg.eigh(h2)[1][:, 1]
+        r2 = np.outer(v2, v2.conj())
+    else:
+        r2 = random_density_matrix(d, rng)
+    return sys, _pure(rng, d), r2
+
+
+DIFF_KW = dict(sigma=1.0, dt=4e-4, n_traj=6, base_seed=11)   # σ²ΔE²dt ≈ 0.002
+DIFF_STEPS = 300
+
+
+@pytest.mark.parametrize("env", ["equilibrium", "generic"])
+@pytest.mark.parametrize("g", [0.0, 0.4])
+def test_eigenbasis_full_system_matches_dense_stepper(g, env):
+    sys, r1, r2 = _diff_case(env)
+    sysg = CompositeSystem(sys.h1, sys.h2, sys.delta_h, g=g)
+    e, u = np.linalg.eigh(sysg.total_hamiltonian())
+    kw = DIFF_KW
+    rho, a1, a2 = composite._paired_finals(sysg, e, u, r1, r2, kw["sigma"], kw["dt"],
+                                           DIFF_STEPS, kw["n_traj"], kw["base_seed"])
+    ref_rho, ref_a1, ref_a2 = _ref_finals(sysg, r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS,
+                                          kw["n_traj"], kw["base_seed"])
+    assert np.abs(rho - ref_rho).max() <= 1e-12
+    assert np.abs(a1 - ref_a1).max() <= 1e-12
+    assert np.abs(a2 - ref_a2).max() <= 1e-12
+    assert np.abs(ref_rho - np.kron(r1, r2)).max() > 1e-3   # the states did move
+
+
+def test_hartree_vs_full_matches_dense_reference():
+    sys, r1, r2 = _diff_case()
+    kw, gv = DIFF_KW, [0.0, 0.2, 0.4]
+    rep = hartree_vs_full(sys, r1, r2, horizon=DIFF_STEPS * kw["dt"], g_values=gv, **kw)
+    ref_mean, ref_sem = _ref_report(sys, r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS, gv,
+                                    kw["n_traj"], kw["base_seed"])
+    assert rep.mean_discrepancy[0] < 1e-12
+    assert np.allclose(rep.mean_discrepancy[1:], ref_mean[1:], rtol=1e-10, atol=0)
+    assert np.allclose(rep.sem[1:], ref_sem[1:], rtol=1e-10, atol=0)
+
+
+def test_hartree_step_is_a_row_of_the_batched_step(rng):
+    d1, d2, b = 3, 2, 5
+    sys = CompositeSystem(random_hermitian(d1, rng), random_hermitian(d2, rng),
+                          random_hermitian(d1 * d2, rng), g=0.3)
+    a1 = np.stack([_pure(rng, d1) for _ in range(b)])
+    a2 = np.stack([random_density_matrix(d2, rng) for _ in range(b)])
+    dws = rng.standard_normal(b) * 0.03
+    maps = composite._contractions(sys.g * sys.delta_h, sys.dims)
+    new1, new2 = composite._mean_field_step(a1, a2, sys, *maps, 1.0, 1e-3, dws)
+    for k in range(b):
+        n1, n2 = hartree_step(a1[k], a2[k], sys, 1.0, 1e-3, dws[k])
+        assert np.abs(n1 - new1[k]).max() <= 1e-14
+        assert np.abs(n2 - new2[k]).max() <= 1e-14
+
+
+def _bad_inputs():
+    sys, r1, r2 = _diff_case()
+    skew = r1 + 0.1j * np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    neg = np.diag([1.1, 0.0, -0.1]).astype(complex)
+    cases = {"dt-zero": ("dt", 0.0), "dt-negative": ("dt", -1e-3),
+             "dt-nan": ("dt", float("nan")), "n_traj-zero": ("n_traj", 0),
+             "g-nan": ("g_values", [0.1, float("nan")]), "g-inf": ("g_values", [float("inf")]),
+             "rho1-non-hermitian": ("rho1_0", skew), "rho1-trace-2": ("rho1_0", 2.0 * r1),
+             "rho2-negative": ("rho2_0", neg), "rho2-trace-half": ("rho2_0", 0.5 * r2),
+             "rho2-wrong-size": ("rho2_0", np.eye(2) / 2)}
+    return [pytest.param(*v, id=k) for k, v in cases.items()]
+
+
+@pytest.mark.parametrize("key,value", _bad_inputs())
+def test_hartree_vs_full_rejects_bad_input(key, value):
+    sys, r1, r2 = _diff_case()
+    kw = dict(rho1_0=r1, rho2_0=r2, sigma=1.0, dt=1e-3, horizon=0.01, g_values=[0.0, 0.2],
+              n_traj=2)
+    kw[key] = value
+    with pytest.raises(ValueError):
+        hartree_vs_full(sys, **kw)
+
+
+def test_hartree_vs_full_non_finite_finals_raise():
+    sys, r1, r2 = _diff_case()
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        hartree_vs_full(sys, r1, r2, sigma=float("nan"), dt=1e-3, horizon=0.01,
+                        g_values=[0.2], n_traj=2)
+
+
+def test_hartree_vs_full_stability_guard():
+    sys, r1, r2 = _diff_case()
+    kw = dict(sigma=1.0, horizon=0.01, g_values=[0.0, 0.2], n_traj=2)
+    with pytest.raises(StabilityError):
+        hartree_vs_full(sys, r1, r2, dt=0.05, **kw)     # σ²ΔE²dt ≈ 0.28
+    with pytest.warns(RuntimeWarning, match="comfort bound"):
+        hartree_vs_full(sys, r1, r2, dt=5e-3, **kw)     # ≈ 0.028

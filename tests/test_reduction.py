@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reductionlab import reduction
+from reductionlab.dynamics import StabilityError
 from reductionlab.linalg import random_density_matrix, random_hermitian
 from reductionlab.reduction import (
     EnsembleStats,
@@ -167,3 +168,15 @@ def test_stats_csv(tmp_path):
     lines = (tmp_path / "o.csv").read_text().splitlines()
     assert lines[0] == "outcome,frequency,ci_lo,ci_hi"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda dt: born_statistics(np.diag([0.0, 3.0]), np.sqrt([0.5, 0.5]), 1.0, 16, 0, dt=dt),
+    lambda dt: statdist_martingale_run(np.diag([0.0, 3.0]), 1.0, 1.0, 16, 0, dt=dt),
+    lambda dt: luders_scenario(0.7, [1.0, 1.0], [0.5, 0.5], [1.0, 3.0], 1.0, 16, 0, dt=dt),
+], ids=["born", "statdist", "luders"])
+def test_scenarios_enforce_stability_guard(scenario):
+    with pytest.raises(StabilityError, match="hard bound"):
+        scenario(0.05)      # σ²ΔE²dt = 0.45
+    with pytest.warns(RuntimeWarning, match="comfort bound"):
+        scenario(0.0012)    # 0.0108: runs, with a warning
