@@ -9,6 +9,10 @@ environment amplitude: the Hamiltonian is a displaced harmonic oscillator,
 and the occupation statistics of its eigenstates are computed exactly on a
 truncated Fock space, via a Laguerre closed form, and in the
 large-quantum-number Bessel approximation with its smooth envelope.
+
+scipy is imported inside the functions that use it (the pmfs, the matrix
+exponential and the Bessel approximation), so importing this module costs
+numpy only.
 """
 
 from __future__ import annotations
@@ -19,9 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.linalg import expm
-from scipy.special import gammaln, jv
 
 __all__ = [
     "AccretionModel",
@@ -222,13 +223,57 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
     )
 
 
+def _stirlerr(m):
+    """log m! − [(m + ½)·log m − m + ½·log 2π] for m ≥ 1: the remainder of
+    Stirling's series, summed directly for m ≤ 15 and by its first five
+    terms above, so it keeps full relative accuracy at large m."""
+    from scipy.special import gammaln
+
+    m = np.asarray(m, float)
+    direct = gammaln(m + 1) - (m + 0.5) * np.log(m) + m - 0.5 * math.log(2 * math.pi)
+    r = 1.0 / (m * m)
+    series = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / m
+    return np.where(m <= 15, direct, series)
+
+
 def stationary_binomial_pmf(model: AccretionModel, n) -> np.ndarray:
-    """Exact stationary law of the total count: Binomial(N, s/(s+e))."""
-    return stats.binom.pmf(np.asarray(n), model.n_sites, model.fill_probability)
+    """Exact stationary law of the total count: Binomial(N, s/(s+e)).
+
+    Computed in log space in Loader's saddle-point form, which avoids the
+    cancellation of log N! − log n! − log (N−n)! at large N: the ends
+    n = 0 and n = N are q^N and p^N, and the interior is
+    √(N/2πn(N−n))·exp(δ(N) − δ(n) − δ(N−n) − n·log(n/Np) − (N−n)·log((N−n)/Nq))
+    with δ the Stirling remainder; the two logs are taken as log1p of
+    ±(n − Np) over Np and Nq, so their rounding scales with n − Np, not N.
+    Zero off the integers of [0, N]; p ∈ {0, 1} gives a point mass.
+    """
+    from scipy.special import xlog1py, xlogy
+
+    big_n, p = model.n_sites, model.fill_probability
+    n = np.asarray(n)
+    out = np.where(n == 0, np.exp(xlog1py(big_n, -p)), 0.0)
+    out = np.where(n == big_n, np.exp(xlogy(big_n, p)), out)
+    inner = (n > 0) & (n < big_n) & (n == np.floor(n))
+    if 0 < p < 1 and inner.any():
+        k = n[inner].astype(float)
+        rest, mu, nu = big_n - k, big_n * p, big_n * (1 - p)
+        log_pmf = (_stirlerr(big_n) - _stirlerr(k) - _stirlerr(rest)
+                   - k * np.log1p((k - mu) / mu) - rest * np.log1p((mu - k) / nu))
+        out[inner] = np.sqrt(big_n / (2 * math.pi * k * rest)) * np.exp(log_pmf)
+    return out[()]
 
 
 def poisson_pmf(mean: float, n) -> np.ndarray:
-    return stats.poisson.pmf(np.asarray(n), mean)
+    """Poisson(mean) pmf in log space; zero off the nonnegative integers,
+    a point mass at 0 for mean 0, and NaN everywhere for a negative mean."""
+    from scipy.special import gammaln, xlogy
+
+    n = np.asarray(n)
+    if not mean >= 0:
+        return np.full(n.shape, np.nan)[()]
+    ok = (n >= 0) & (n == np.floor(n))
+    m = np.where(ok, n, 0)
+    return np.where(ok, np.exp(xlogy(m, mean) - mean - gammaln(m + 1)), 0.0)[()]
 
 
 def energy_fluctuation_accretion(model: AccretionModel) -> float:
@@ -255,6 +300,8 @@ class DisplacedOscillator:
 @functools.lru_cache(maxsize=32)
 def displacement_matrix(z: complex, n_max: int) -> np.ndarray:
     """exp(z a† − z* a) on the truncated Fock space."""
+    from scipy.linalg import expm
+
     a, adag = fock_ladder(n_max)
     d = expm(z * adag - np.conj(z) * a)
     d.setflags(write=False)
@@ -308,6 +355,8 @@ def _laguerre(n: int, alpha: int, x: float) -> float:
 def pnk_laguerre(n: int, k: int, z: complex) -> float:
     """Closed form for the same probability: Laguerre polynomial with the
     factorial ratio taken in log space (safe for large n)."""
+    from scipy.special import gammaln
+
     if n < 0 or n - k < 0:
         raise ValueError("need n ≥ 0 and n−k ≥ 0")
     x = abs(z) ** 2
@@ -326,6 +375,8 @@ def pnk_bessel(n: int, k: int, z: complex) -> float:
     Valid for |z| ≪ 1 with n large at fixed 2√n|z|; agreement with
     pnk_exact improves like 1/n along that family.
     """
+    from scipy.special import jv
+
     w = 2.0 * math.sqrt(n) * abs(z)
     return float(jv(abs(k), w) ** 2)
 

@@ -212,19 +212,23 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     Frobenius distance ‖Tr₂ ρ_full(T) − ρ₁_mf(T)‖ is averaged over
     trajectories.  The fitted power discrepancy ∝ g^p comes back with the
     report; mean-field theory predicts p = 2 for an equilibrium
-    environment.  Raises ValueError on bad input or non-finite finals, and
-    StabilityError when σ²ΔE²dt exceeds the hard bound at some g.
+    environment.  Raises ValueError on bad input (a non-finite or negative
+    σ and a horizon that rounds to no step included) or non-finite finals,
+    and StabilityError when σ²ΔE²dt exceeds the hard bound at some g.
     """
     r1, r2, (d1, d2) = as_matrix(rho1_0), as_matrix(rho2_0), system.dims
     gv = np.asarray(g_values, float)
     for h, r in ((system.h1, r1), (system.h2, r2)):
-        _check_input(np.linalg.eigvalsh(h), r, 2, dt, n_traj)
+        _check_input(np.linalg.eigvalsh(h), r, 2, sigma, dt, n_traj)
     if not np.isfinite(gv).all():
         raise ValueError(f"g values must be finite, got {gv}")
     systems = [CompositeSystem(system.h1, system.h2, system.delta_h, g=g) for g in gv]
     spectra = [np.linalg.eigh(s.total_hamiltonian()) for s in systems]
     check_stability(sigma, dt, max((e[-1] - e[0] for e, _ in spectra), default=0.0))
-    n_steps = int(round(horizon / dt))
+    n_steps = int(round(horizon / dt)) if np.isfinite(horizon) else 0
+    if n_steps < 1:
+        raise ValueError(f"horizon must be finite and round to at least one step of "
+                         f"dt = {dt}, got {horizon}")
     means, sems = [], []
     for sysg, (e, u) in zip(systems, spectra):
         rho, a1, a2 = _paired_finals(sysg, e, u, r1, r2, sigma, dt, n_steps, n_traj, base_seed)

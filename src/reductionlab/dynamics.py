@@ -88,6 +88,10 @@ def default_dt(sigma: float, h_or_range) -> float:
 
 
 def check_stability(sigma: float, dt: float, h_range: float) -> None:
+    """Raise ValueError on a non-finite or negative sigma and StabilityError
+    when sigma²·ΔE²·dt exceeds the hard bound; warn above the comfort bound."""
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     product = sigma * sigma * h_range * h_range * dt
     if product > STABILITY_HARD:
         raise StabilityError(

@@ -244,8 +244,9 @@ def _run_span(plan: _Plan, lo: int, hi: int):
         for k, i in enumerate(alive):
             gens[i].standard_normal(out=dws[k])
         dws *= sq
+        rows = np.arange(alive.size)  # dws rows of the alive trajectories: retiring copies no noise
         for j in range(dws.shape[1]):
-            kern.advance(x, dws[:, j])
+            kern.advance(x, dws[rows, j])
             step += 1
             if step % CHECK_STRIDE == 0:
                 kern.renorm(x)
@@ -254,7 +255,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
                     tred[hit & np.isnan(tred)] = step * dt
                 elif hit.any():
                     keep = retire(hit, gp)
-                    x, alive, dws = np.compress(keep, x, axis=1), alive[keep], dws[keep]
+                    x, alive, rows = np.compress(keep, x, axis=1), alive[keep], rows[keep]
                     if not alive.size:
                         break
             if not retiring and plan.record_stride and step % plan.record_stride == 0:
@@ -311,8 +312,10 @@ def _run_spans(plan: _Plan, spans):
             p.join()
 
 
-def _check_input(e, state, ndim, dt, n_traj):
+def _check_input(e, state, ndim, sigma, dt, n_traj):
     """Reject input that could never meet the stopping rule."""
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if e.ndim != 1 or not np.isfinite(e).all():
         raise ValueError("energies must be a finite 1-D array")
     if state.shape != (e.shape[0],) * ndim or not np.isfinite(state).all():
@@ -365,12 +368,13 @@ def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_
 
     energies: eigenvalues of H; c0: initial amplitudes in the eigenbasis,
     of unit norm; groups: outcome classes (default: one per level).  Raises
-    ValueError on non-finite, wrongly sized or unnormalized input, dt ≤ 0,
-    or populations that turn non-finite.
+    ValueError on non-finite, wrongly sized or unnormalized input, a
+    non-finite or negative sigma, dt ≤ 0, or populations that turn
+    non-finite.
     """
     e = np.asarray(energies, dtype=float)
     c0 = np.asarray(c0, dtype=complex)
-    _check_input(e, c0, 1, dt, n_traj)
+    _check_input(e, c0, 1, sigma, dt, n_traj)
     kernel = _StateKernel(e, c0, sigma, dt)
     return _run(kernel, e, kernel.p0, dt, base_seed, n_traj, workers, groups, eps, popmin,
                 horizon_steps, record_stride, stop_on_reduction, max_steps)
@@ -394,7 +398,7 @@ def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int
     """
     e = np.asarray(energies, dtype=float)
     r0 = np.asarray(rho0, dtype=complex)
-    _check_input(e, r0, 2, dt, n_traj)
+    _check_input(e, r0, 2, sigma, dt, n_traj)
     return _run(_DensityKernel(e, r0, sigma, dt), e, np.real(np.diag(r0)), dt, base_seed,
                 n_traj, workers, groups, eps, popmin, horizon_steps, record_stride,
                 stop_on_reduction, max_steps)

@@ -217,3 +217,27 @@ def test_occupancy_short_horizon_warns():
     m = AccretionModel(10, 1.0, 0.1, 0.9)
     with pytest.warns(RuntimeWarning):
         occupancy_simulate(m, horizon=20.0, seed=0)
+
+
+@pytest.mark.parametrize("n_sites, stick, evap", [
+    (1, 0.5, 0.5), (2, 0.5, 0.5), (7, 0.001, 0.999), (50, 0.2, 0.8),
+    (1000, 0.005, 0.995), (1000, 0.3, 0.7), (1000, 1.0, 1e-9),
+    (10, 0.0, 1.0), (10, 1.0, 0.0)])        # p = 0 and p = 1
+def test_binomial_pmf_matches_scipy(n_sites, stick, evap):
+    m = AccretionModel(n_sites, 1.0, stick, evap)
+    n = np.r_[np.arange(-3, n_sites + 4), 0.5, n_sites - 0.5]   # off-support and non-integer
+    ours = stationary_binomial_pmf(m, n)
+    ref = sstats.binom.pmf(n, n_sites, m.fill_probability)
+    assert np.array_equal(ours == 0, ref == 0)
+    np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=np.finfo(float).tiny)
+    assert np.ndim(stationary_binomial_pmf(m, 1)) == 0
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.3, 5.0, 50.0, 700.0, -1.0, math.nan])
+def test_poisson_pmf_matches_scipy(mean):
+    n = np.r_[np.arange(-2, 1500), 2.5]
+    ours, ref = poisson_pmf(mean, n), sstats.poisson.pmf(n, mean)
+    assert np.array_equal(ours == 0, ref == 0)
+    assert np.array_equal(np.isnan(ours), np.isnan(ref))
+    np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=np.finfo(float).tiny)
+    assert np.ndim(poisson_pmf(mean, 1)) == 0

@@ -5,8 +5,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
-from reductionlab.cli import main
+from reductionlab import reduction
+from reductionlab.cli import _merge_bins, main
 
 
 def run_cli(args):
@@ -82,7 +84,8 @@ def test_invalid_input_nonzero_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", [["--weights", "nan,1"], ["--weights", "1,-1"],
-                                   ["--weights", "0.5,0.5", "--dt", "0"]])
+                                   ["--weights", "0.5,0.5", "--dt", "0"],
+                                   ["--weights", "0.5,0.5", "--sigma", "nan"]])
 def test_bad_ensemble_input_exits_2_fast(tmp_path, capsys, extra):
     t0 = time.monotonic()
     with np.errstate(all="ignore"):
@@ -136,3 +139,41 @@ def test_console_entry_point_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "reproduce-paper" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["reductionlab", "reductionlab.cli"])
+def test_import_loads_no_scipy(module):
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _p_value(out: str, check: str) -> float:
+    line = next(ln for ln in out.splitlines() if f"check={check} " in ln)
+    return float(line.split("p_value=")[1].split()[0])
+
+
+def test_born_p_value_matches_scipy_chisquare(tmp_path, capsys):
+    assert run_cli(["ensemble", "born", "--weights", "0.3,0.7", "--ntraj", "300",
+                    "--dt", "0.001", "--seed", "5", "--out-dir", str(tmp_path / "b")]) == 0
+    pval = _p_value(capsys.readouterr().out, "born-chi2")
+    st = reduction.born_statistics(np.diag([0.0, 1.0]).astype(complex),
+                                   np.sqrt([0.3, 0.7]).astype(complex), 1.0, 300, 5, dt=0.001)
+    counts = np.round(st.frequencies * (st.n_traj - st.n_unreduced))
+    ref = sstats.chisquare(counts, st.expected * counts.sum()).pvalue
+    assert abs(pval - ref) <= 1e-12 * ref
+
+
+def test_occupancy_p_value_matches_scipy_chi2(tmp_path, capsys):
+    sites, stick, evap = 1000, 0.005, 0.995   # the command's defaults
+    assert run_cli(["accretion", "occupancy", "--horizon", "4000", "--seed", "3",
+                    "--out-dir", str(tmp_path / "o")]) == 0
+    pval = _p_value(capsys.readouterr().out, "occupancy-binomial")
+    hist = np.loadtxt(tmp_path / "o" / "occupancy-histogram.csv", delimiter=",",
+                      skiprows=1)[:, 1]
+    expected = sstats.binom.pmf(np.arange(hist.size), sites, stick / (stick + evap))
+    obs, exp = _merge_bins(hist, expected * hist.sum())
+    ref = sstats.chi2.sf(((obs - exp) ** 2 / exp).sum(), len(obs) - 1)
+    assert abs(pval - ref) <= 1e-12 * ref

@@ -331,7 +331,10 @@ def _bad_inputs():
              "g-nan": ("g_values", [0.1, float("nan")]), "g-inf": ("g_values", [float("inf")]),
              "rho1-non-hermitian": ("rho1_0", skew), "rho1-trace-2": ("rho1_0", 2.0 * r1),
              "rho2-negative": ("rho2_0", neg), "rho2-trace-half": ("rho2_0", 0.5 * r2),
-             "rho2-wrong-size": ("rho2_0", np.eye(2) / 2)}
+             "rho2-wrong-size": ("rho2_0", np.eye(2) / 2),
+             "sigma-nan": ("sigma", float("nan")), "sigma-inf": ("sigma", float("inf")),
+             "sigma-negative": ("sigma", -1.0), "horizon-negative": ("horizon", -1.0),
+             "horizon-0.4dt": ("horizon", 0.4e-3), "horizon-inf": ("horizon", float("inf"))}
     return [pytest.param(*v, id=k) for k, v in cases.items()]
 
 
@@ -345,10 +348,19 @@ def test_hartree_vs_full_rejects_bad_input(key, value):
         hartree_vs_full(sys, **kw)
 
 
-def test_hartree_vs_full_non_finite_finals_raise():
+def test_hartree_vs_full_non_finite_finals_raise(monkeypatch):
+    # bad input is rejected before any step, so poison one final state
+    paired = composite._paired_finals
+
+    def poisoned(*args):
+        rho, a1, a2 = paired(*args)
+        a1[0, 0, 0] = np.nan
+        return rho, a1, a2
+
+    monkeypatch.setattr(composite, "_paired_finals", poisoned)
     sys, r1, r2 = _diff_case()
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-        hartree_vs_full(sys, r1, r2, sigma=float("nan"), dt=1e-3, horizon=0.01,
+    with pytest.raises(ValueError, match="non-finite"):
+        hartree_vs_full(sys, r1, r2, sigma=1.0, dt=1e-3, horizon=0.01,
                         g_values=[0.2], n_traj=2)
 
 

@@ -286,6 +286,12 @@ def test_stability_bound_errors():
         dynamics.check_stability(1.0, 0.02, 2.0)  # product 0.08: warn, no error
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+def test_stability_check_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        dynamics.check_stability(sigma, 1e-3, 1.0)
+
+
 def test_variance_helper():
     h = np.diag([0.0, 1.0]).astype(complex)
     assert energy_variance(np.array([1, 0], complex), h) == 0.0

@@ -151,6 +151,15 @@ def test_bad_input_rejected_up_front(energies, amps, dt):
         ensemble.run_density_ensemble(energies, np.diag(c0), 1.0, dt, 0, 8)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_bad_sigma_rejected_up_front(sigma):
+    c0 = np.sqrt(np.array([0.5, 0.5], complex))
+    with pytest.raises(ValueError, match="sigma"):
+        ensemble.run_state_ensemble([0.0, 1.0], c0, sigma, 1e-3, 0, 8)
+    with pytest.raises(ValueError, match="sigma"):
+        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), sigma, 1e-3, 0, 8)
+
+
 @pytest.mark.parametrize("rho0", [[[0.5, 0.3], [0.1, 0.5]],    # not Hermitian
                                   [[0.5, 0.9], [0.9, 0.5]]])   # eigenvalue −0.4
 def test_bad_density_rejected_up_front(rho0):
