@@ -4,15 +4,17 @@ Covers the decoupling (clustering) residuals of the joint noise and drift
 terms for product states, and the mean-field (Hartree) factorized
 evolution for a system weakly coupled to an equilibrium environment, with
 an error-scaling harness against the full product-space evolution driven
-by the identical noise path.  The full system runs in the eigenbasis of its
-Hamiltonian on the ensemble density kernel, where the Euler step is
-elementwise; the mean-field pair takes one batched matmul step for all
-trajectories, with the coupling contractions precomputed as matrices.
+by the identical noise path.  The harness sweeps every coupling g in one
+pass: each trajectory's noise is drawn once and shared by all g.  The full
+systems run in the eigenbases of their Hamiltonians as one stack of spectra
+on the ensemble density kernel, where the Euler step is elementwise; the
+mean-field pairs take one batched matmul step for all couplings and
+trajectories, with the coupling contractions precomputed as one matrix per g.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -137,14 +139,19 @@ def _euler(r, h, sigma, dt, dws):
     return out, comm
 
 
+def _flat(a):
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
 def _mean_field_step(a1, a2, system: CompositeSystem, to1, to2, sigma, dt, dws):
-    """One Hartree step of (b, d1, d1) and (b, d2, d2) stacks sharing one dW per
-    row, to1, to2 = _contractions(g·ΔH): Euler steps under the effective
-    Hamiltonians, the environment correction, Hermitize, trace-normalize."""
-    h1 = system.h1 + (a2.reshape(len(a2), -1) @ to1).reshape(a1.shape)
-    h2 = system.h2 + (a1.reshape(len(a1), -1) @ to2).reshape(a2.shape)
+    """One Hartree step of (…, b, d1, d1) and (…, b, d2, d2) stacks sharing one dW
+    per row, to1, to2 = _contractions(g·ΔH), or (G, ·, ·) stacks of them for
+    (G, b, ·, ·) states: Euler steps under the effective Hamiltonians, the
+    environment correction, Hermitize, trace-normalize."""
+    h1 = system.h1 + (_flat(a2) @ to1).reshape(a1.shape)
+    h2 = system.h2 + (_flat(a1) @ to2).reshape(a2.shape)
     new1, comm1 = _euler(a1, h1, sigma, dt, dws)
-    corr = (comm1.reshape(len(a1), -1) @ to2).reshape(a2.shape)   # Tr₁(ΔH·([H₁′,ρ₁]⊗I))
+    corr = (_flat(comm1) @ to2).reshape(a2.shape)   # Tr₁(ΔH·([H₁′,ρ₁]⊗I))
     new2, _ = _euler(a2, h2, sigma, dt, dws)
     ca = corr @ a2   # [corr, ρ₂] = ca + ca†, corr being anti-Hermitian
     new2 -= dt * 0.125 * sigma * sigma * (ca + _dag(ca))
@@ -183,15 +190,20 @@ class HartreeReport:
         Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _paired_finals(system: CompositeSystem, e, u, rho1, rho2, sigma, dt, n_steps,
-                   n_traj, base_seed):
-    """Full-system and mean-field finals at one coupling, trajectory i on the
-    Wiener path of trajectory_generator(base_seed, i); the full system runs on
-    the ensemble density kernel in the eigenbasis (e, u) of its Hamiltonian."""
-    kern = _DensityKernel(e, u.conj().T @ np.kron(rho1, rho2) @ u, sigma, dt)
-    maps = _contractions(system.g * system.delta_h, system.dims)
+def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma, dt,
+                   n_steps, n_traj, base_seed):
+    """Full-system and mean-field finals at every coupling, shaped (G, n_traj, …),
+    trajectory i on the Wiener path of trajectory_generator(base_seed, i) at
+    every g.  The full system at g_values[k] runs in the eigenbasis
+    spectra[k] = (e, u) of its Hamiltonian, all G of them on one stacked
+    ensemble density kernel; the mean-field pairs take one batched step."""
+    rho0 = np.kron(rho1, rho2)
+    kern = _DensityKernel(np.stack([e for e, _ in spectra]),
+                          np.stack([u.conj().T @ rho0 @ u for _, u in spectra]), sigma, dt)
+    maps = [np.stack(m) for m in zip(*(_contractions(g * system.delta_h, system.dims)
+                                        for g in g_values))]
     x = kern.start(n_traj)
-    a1, a2 = (np.repeat(a[None], n_traj, 0) for a in (rho1, rho2))
+    a1, a2 = (np.tile(a, (len(g_values), n_traj, 1, 1)) for a in (rho1, rho2))
     gens = [trajectory_generator(base_seed, i) for i in range(n_traj)]
     for done in range(0, n_steps, CHUNK):
         n = min(CHUNK, n_steps - done)
@@ -199,7 +211,8 @@ def _paired_finals(system: CompositeSystem, e, u, rho1, rho2, sigma, dt, n_steps
             kern.advance(x, dw)
             kern.renorm(x)
             a1, a2 = _mean_field_step(a1, a2, system, *maps, sigma, dt, dw)
-    return u @ kern.final(x, n_steps * dt) @ u.conj().T, a1, a2
+    finals = kern.final(x, n_steps * dt)
+    return np.stack([u @ f @ u.conj().T for (_, u), f in zip(spectra, finals)]), a1, a2
 
 
 def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
@@ -210,30 +223,34 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     For each coupling scale g, both evolutions are driven by the same
     per-trajectory Wiener path from a product initial state, and the
     Frobenius distance ‖Tr₂ ρ_full(T) − ρ₁_mf(T)‖ is averaged over
-    trajectories.  The fitted power discrepancy ∝ g^p comes back with the
-    report; mean-field theory predicts p = 2 for an equilibrium
-    environment.  Raises ValueError on bad input (a non-finite or negative
-    σ and a horizon that rounds to no step included) or non-finite finals,
-    and StabilityError when σ²ΔE²dt exceeds the hard bound at some g.
+    trajectories.  All couplings run in one pass on shared noise, and each
+    row of the report is bit for bit the one a single-g call gives (to
+    rounding at a g whose initial product state commutes with its
+    Hamiltonian, batched with a g whose state does not).  The power
+    discrepancy ∝ g^p, fitted over the g > 0 rows, comes back with the
+    report; mean-field theory predicts p = 2 for an equilibrium environment.
+    Raises ValueError on bad input (an empty or non-finite g list, a
+    non-finite or negative σ and a horizon that rounds to no step included)
+    or non-finite finals, and StabilityError when σ²ΔE²dt exceeds the hard
+    bound at some g.
     """
     r1, r2, (d1, d2) = as_matrix(rho1_0), as_matrix(rho2_0), system.dims
     gv = np.asarray(g_values, float)
     for h, r in ((system.h1, r1), (system.h2, r2)):
         _check_input(np.linalg.eigvalsh(h), r, 2, sigma, dt, n_traj)
-    if not np.isfinite(gv).all():
-        raise ValueError(f"g values must be finite, got {gv}")
-    systems = [CompositeSystem(system.h1, system.h2, system.delta_h, g=g) for g in gv]
-    spectra = [np.linalg.eigh(s.total_hamiltonian()) for s in systems]
-    check_stability(sigma, dt, max((e[-1] - e[0] for e, _ in spectra), default=0.0))
+    if not gv.size or not np.isfinite(gv).all():
+        raise ValueError(f"g values must be a nonempty list of finite numbers, got {gv}")
+    spectra = [np.linalg.eigh(replace(system, g=g).total_hamiltonian()) for g in gv]
+    check_stability(sigma, dt, max(e[-1] - e[0] for e, _ in spectra))
     n_steps = int(round(horizon / dt)) if np.isfinite(horizon) else 0
     if n_steps < 1:
         raise ValueError(f"horizon must be finite and round to at least one step of "
                          f"dt = {dt}, got {horizon}")
+    finals = _paired_finals(system, gv, spectra, r1, r2, sigma, dt, n_steps, n_traj, base_seed)
     means, sems = [], []
-    for sysg, (e, u) in zip(systems, spectra):
-        rho, a1, a2 = _paired_finals(sysg, e, u, r1, r2, sigma, dt, n_steps, n_traj, base_seed)
+    for g, rho, a1, a2 in zip(gv, *finals):
         if not all(np.isfinite(a).all() for a in (rho, a1, a2)):
-            raise ValueError(f"non-finite final states at g={sysg.g}; dt too large?")
+            raise ValueError(f"non-finite final states at g={g}; dt too large?")
         red = np.trace(rho.reshape(n_traj, d1, d2, d1, d2), axis1=2, axis2=4)
         dev = np.linalg.norm(red - a1, axis=(1, 2))
         means.append(dev.mean())

@@ -18,6 +18,13 @@ multiplied by its own factor per step.  A zero entry stays zero and the
 (j, i) factor is the exact conjugate of the (i, j) one, so the lower triangle
 is implied.  The array is float64 for a diagonal ρ0 (every Gibbs run) and
 complex otherwise; dense (d, d) matrices are built only for finals and means.
+The density kernel also takes a stack of G spectra with their rotated ρ0
+(composite.hartree_vs_full runs every coupling so): it then evolves one
+(d + m, G, b) array on the union of the G supports, in which an entry off one
+matrix's support stays exactly 0, so each (g, trajectory) column goes through
+the arithmetic of its own single-spectrum run.  (A diagonal ρ0 stacked with a
+coherent one is evolved in complex arithmetic, which agrees with its float64
+run to rounding.)
 
 A run has two phases: an optional fixed-horizon recording phase in which
 every trajectory keeps evolving (so recorded ensemble means are unbiased),
@@ -87,10 +94,12 @@ class EnsembleRun:
 
 
 def _colsum(x):
-    """Σ over axis 0 of a (d, b) array, rows added in index order whatever b
-    (numpy does so for C-contiguous b > 1, but sums other cases pairwise)."""
-    if x.shape[1] > 1 and x.flags.c_contiguous:
-        return x.sum(0)
+    """Σ over axis 0 of a (d, …) array, rows added in index order whatever its
+    layout: numpy does so for a C-contiguous array with more than one column
+    but sums a single column pairwise, so a strided view (the .real of a
+    complex array) is copied first and a single column is added row by row."""
+    if x[0].size > 1:
+        return np.ascontiguousarray(x).sum(0)
     return reduce(np.add, x)
 
 
@@ -129,23 +138,28 @@ class _StateKernel:
 
 
 class _DensityKernel:
-    """Eigenbasis density matrices on the support of ρ0, shape (d + m, b)."""
+    """Eigenbasis density matrices on the support of ρ0, shape (d + m, b), for
+    energies e (d,) and ρ0 (d, d); for stacks e (G, d) and ρ0 (G, d, d), shape
+    (d + m, G, b) on the union support of the G matrices."""
 
     def __init__(self, e, r0, sigma, dt):
-        d = e.shape[0]
+        d = e.shape[-1]
         iu, ju = np.triu_indices(d, 1)
-        on = r0[iu, ju] != 0
-        self.shape, self.d, self.iu, self.ju = r0.shape, d, iu[on], ju[on]
+        on = (r0[..., iu, ju] != 0).reshape(-1, iu.size).any(0)
+        self.shape, self.d, self.iu, self.ju = r0.shape[-2:], d, iu[on], ju[on]
         i, j = np.r_[np.arange(d), self.iu], np.r_[np.arange(d), self.ju]
-        x0, de = np.r_[np.diag(r0).real, r0[self.iu, self.ju]], e[i] - e[j]
+        x0 = r0[..., i, j]
+        x0[..., :d] = x0[..., :d].real
+        x0, e = np.moveaxis(x0, -1, 0), np.moveaxis(e, -1, 0)  # level axis first
+        de = e[i] - e[j]
         drift = 1.0 + dt * (-1j * de - 0.125 * sigma * sigma * de ** 2)
         real = not self.iu.size  # a diagonal ρ0 stays diagonal: evolve it as float64
         self.x0 = x0.real if real else x0
-        self.drift = (drift.real if real else drift)[:, None]
-        self.anti, self.e, self.half_sigma = (e[i] + e[j])[:, None], e[:, None], 0.5 * sigma
+        self.drift = (drift.real if real else drift)[..., None]
+        self.anti, self.e, self.half_sigma = (e[i] + e[j])[..., None], e[..., None], 0.5 * sigma
 
     def start(self, b):
-        return np.repeat(self.x0[:, None], b, axis=1)
+        return np.repeat(self.x0[..., None], b, axis=-1)
 
     def populations(self, x):
         return x[:self.d].real
@@ -175,7 +189,7 @@ class _DensityKernel:
         out.sem_rho_frob = np.sqrt(var_elem.sum(axis=(1, 2)) / n)
 
     def final(self, x, t):
-        return self.dense(x.T)
+        return self.dense(np.moveaxis(x, 0, -1))
 
 
 # everything a span needs besides its index range

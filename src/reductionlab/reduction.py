@@ -124,6 +124,17 @@ def _stats_from_run(run: ensemble.EnsembleRun, labels, expected=None) -> Ensembl
     )
 
 
+def _check_reducible(sigma: float, e, p) -> None:
+    """Raise ValueError when σ = 0 meets populations p over energies e with
+    V(0) > 0: nothing reduces, and the first-passage phase would run to
+    max_steps."""
+    e, p = np.asarray(e, float), np.asarray(p, float)
+    v0 = float(p @ (e * e) - (p @ e) ** 2)
+    if sigma == 0 and v0 > 0:
+        raise ValueError(f"sigma = 0 never reduces a state with energy variance "
+                         f"V(0) = {v0:.3g} > 0")
+
+
 def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
                     dt: float | None = None, max_steps: int = 10_000_000,
                     budget_fraction: float = 0.01,
@@ -133,8 +144,9 @@ def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
     Endpoints are classified by the dominant eigenvalue (or degenerate
     group) population; frequencies come back with 4-sigma binomial
     intervals.  Raises ReductionBudgetError when more than
-    budget_fraction of the trajectories fail to reduce in max_steps, and
-    StabilityError when σ²ΔE²dt exceeds the hard bound.
+    budget_fraction of the trajectories fail to reduce in max_steps,
+    StabilityError when σ²ΔE²dt exceeds the hard bound, and ValueError, before
+    the first step, when σ = 0 and V(0) > 0.
     """
     m = as_matrix(h)
     spec = eig_hermitian(m)
@@ -142,6 +154,7 @@ def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
     rng = float(spec.eigenvalues[-1] - spec.eigenvalues[0])
     dt = default_dt(sigma, rng) if dt is None else dt
     check_stability(sigma, dt, rng)
+    _check_reducible(sigma, spec.eigenvalues, np.abs(c0) ** 2)
     run = ensemble.run_state_ensemble(
         spec.eigenvalues, c0, sigma, dt, base_seed, n_traj,
         groups=spec.degeneracy_groups, max_steps=max_steps, workers=workers,
@@ -224,13 +237,14 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
     rng = float(e[-1] - e[0])
     dt = default_dt(sigma, rng) if dt is None else dt
     check_stability(sigma, dt, rng)
+    w = np.exp(-beta * (e - e.min()))
+    w /= w.sum()
+    _check_reducible(sigma, e, w)
     if horizon is None:
         # covers the bulk of the reduction for the unbiased-mean phase; the
         # retirement phase afterwards handles the stragglers
         horizon = 20.0 / (sigma * sigma * max(rng, 1e-12) ** 2)
     horizon_steps = max(record_stride, int(round(horizon / dt)))
-    w = np.exp(-beta * (e - e.min()))
-    w /= w.sum()
     rho0 = np.diag(w).astype(complex)
 
     run = ensemble.run_density_ensemble(
@@ -318,6 +332,7 @@ def luders_scenario(alpha: complex, branch_amplitudes, measured_weights,
     rng = float(e.max() - e.min())
     dt = default_dt(sigma, rng) if dt is None else dt
     check_stability(sigma, dt, rng)
+    _check_reducible(sigma, e, np.abs(c0) ** 2)
 
     run = ensemble.run_state_ensemble(
         e, c0, sigma, dt, base_seed, n_traj, groups=groups,
@@ -389,10 +404,13 @@ def reduction_time_scaling(de_values, sigma_values, *, sigma_ref: float = 1.0,
     """Scan two-level systems and fit median reduction time power laws.
 
     Expected exponents are −2 in both σ (at fixed splitting de_ref) and the
-    splitting ΔE (at fixed sigma_ref).
+    splitting ΔE (at fixed sigma_ref).  Raises ValueError, before the first
+    run, when a run would pair σ = 0 with a nonzero splitting.
     """
     sv = np.asarray(sigma_values, float)
     dv = np.asarray(de_values, float)
+    for s, de in [(s, de_ref) for s in sv] + [(sigma_ref, de) for de in dv]:
+        _check_reducible(s, [0.0, de], [0.5, 0.5])
     unred = 0
     med_s = []
     for i, s in enumerate(sv):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from reductionlab import reduction
+from reductionlab import composite, reduction
 from reductionlab.cli import _merge_bins, main
+from reductionlab.linalg import random_hermitian, random_pure_state
 
 
 def run_cli(args):
@@ -85,7 +86,8 @@ def test_invalid_input_nonzero_exit(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [["--weights", "nan,1"], ["--weights", "1,-1"],
                                    ["--weights", "0.5,0.5", "--dt", "0"],
-                                   ["--weights", "0.5,0.5", "--sigma", "nan"]])
+                                   ["--weights", "0.5,0.5", "--sigma", "nan"],
+                                   ["--weights", "0.5,0.5", "--sigma", "0"]])
 def test_bad_ensemble_input_exits_2_fast(tmp_path, capsys, extra):
     t0 = time.monotonic()
     with np.errstate(all="ignore"):
@@ -117,6 +119,27 @@ def test_unstable_dt_exits_2_fast(tmp_path, capsys, mode):
     assert rc == 2
     assert time.monotonic() - t0 < 5.0
     assert "exceeds hard bound" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:sigma²·ΔE²·dt:RuntimeWarning")
+def test_hartree_compare_matches_direct_calls(tmp_path, capsys):
+    # the command's set-up at seed 0 and its defaults: sigma 1, dt 2e-4, g 0.1,0.2,0.4
+    assert run_cli(["hartree", "compare", "--ntraj", "2", "--horizon", "0.01", "--seed", "0",
+                    "--out-dir", str(tmp_path / "h")]) == 0
+    rng = np.random.default_rng(101)
+    h1 = random_hermitian(4, rng)
+    dh = random_hermitian(16, rng)
+    system = composite.CompositeSystem(h1, np.diag(np.linspace(0.0, 1.8, 4)).astype(complex),
+                                       dh / np.linalg.norm(dh, 2))
+    v = random_pure_state(4, rng)
+    rho2 = np.zeros((4, 4), complex)
+    rho2[1, 1] = 1.0
+    args = (system, np.outer(v, v.conj()), rho2, 1.0, 2e-4, 0.01)
+    composite.hartree_vs_full(*args, [0.1, 0.2, 0.4], 2, 0).csv(tmp_path / "direct.csv")
+    assert ((tmp_path / "h" / "hartree-discrepancy.csv").read_bytes()
+            == (tmp_path / "direct.csv").read_bytes())
+    floor = composite.hartree_vs_full(*args, [0.0], 2, 0).mean_discrepancy[0]
+    assert f"check=hartree-g0 status=PASS discrepancy={floor:.17g}" in capsys.readouterr().out
 
 
 def test_phenom_t_reduce_quantity_parsing(tmp_path, capsys):

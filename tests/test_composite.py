@@ -284,16 +284,54 @@ DIFF_STEPS = 300
 def test_eigenbasis_full_system_matches_dense_stepper(g, env):
     sys, r1, r2 = _diff_case(env)
     sysg = CompositeSystem(sys.h1, sys.h2, sys.delta_h, g=g)
-    e, u = np.linalg.eigh(sysg.total_hamiltonian())
+    spectrum = np.linalg.eigh(sysg.total_hamiltonian())
     kw = DIFF_KW
-    rho, a1, a2 = composite._paired_finals(sysg, e, u, r1, r2, kw["sigma"], kw["dt"],
-                                           DIFF_STEPS, kw["n_traj"], kw["base_seed"])
+    rho, a1, a2 = (f[0] for f in composite._paired_finals(
+        sys, [g], [spectrum], r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS, kw["n_traj"],
+        kw["base_seed"]))
     ref_rho, ref_a1, ref_a2 = _ref_finals(sysg, r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS,
                                           kw["n_traj"], kw["base_seed"])
     assert np.abs(rho - ref_rho).max() <= 1e-12
     assert np.abs(a1 - ref_a1).max() <= 1e-12
     assert np.abs(a2 - ref_a2).max() <= 1e-12
     assert np.abs(ref_rho - np.kron(r1, r2)).max() > 1e-3   # the states did move
+
+
+def _sparse_case():
+    # diagonal H1, H2 and an H2 eigenstate for the environment: at g = 0 the
+    # eigenbasis is a permutation of the product basis, so ρ0 there has exact
+    # zero coherences that a generic coupling fills
+    rng = np.random.default_rng(5)
+    d = 3
+    dh = random_hermitian(d * d, rng)
+    sys = CompositeSystem(np.diag([0.0, 0.45, 1.1]).astype(complex),
+                          np.diag([0.0, 0.3, 0.8]).astype(complex), dh / np.linalg.norm(dh, 2))
+    r2 = np.zeros((d, d), complex)
+    r2[1, 1] = 1.0
+    return sys, _pure(rng, d), r2
+
+
+def test_coupling_batch_matches_single_g_calls():
+    sys, r1, r2 = _sparse_case()
+    iu = np.triu_indices(9, 1)
+    support = []
+    for g in (0.0, 0.4):
+        u = np.linalg.eigh(CompositeSystem(sys.h1, sys.h2, sys.delta_h, g=g)
+                           .total_hamiltonian())[1]
+        support.append((u.conj().T @ np.kron(r1, r2) @ u)[iu] != 0)
+    assert support[0].sum() < support[1].sum() == iu[0].size   # the union support is used
+    kw = dict(DIFF_KW, horizon=DIFF_STEPS * DIFF_KW["dt"])
+
+    def rows(rep):
+        return [(m.tobytes(), s.tobytes()) for m, s in zip(rep.mean_discrepancy, rep.sem)]
+
+    batch = hartree_vs_full(sys, r1, r2, g_values=[0.0, 0.2, 0.4], **kw)
+    singles = [rows(hartree_vs_full(sys, r1, r2, g_values=[g], **kw))[0]
+               for g in (0.0, 0.2, 0.4)]
+    assert rows(batch) == singles
+    shuffled = hartree_vs_full(sys, r1, r2, g_values=[0.4, 0.0, 0.2], **kw)
+    assert rows(shuffled) == [singles[2], singles[0], singles[1]]
+    assert batch.mean_discrepancy[0] < 1e-12 < batch.mean_discrepancy[1]
 
 
 def test_hartree_vs_full_matches_dense_reference():
@@ -329,6 +367,7 @@ def _bad_inputs():
     cases = {"dt-zero": ("dt", 0.0), "dt-negative": ("dt", -1e-3),
              "dt-nan": ("dt", float("nan")), "n_traj-zero": ("n_traj", 0),
              "g-nan": ("g_values", [0.1, float("nan")]), "g-inf": ("g_values", [float("inf")]),
+             "g-empty": ("g_values", []),
              "rho1-non-hermitian": ("rho1_0", skew), "rho1-trace-2": ("rho1_0", 2.0 * r1),
              "rho2-negative": ("rho2_0", neg), "rho2-trace-half": ("rho2_0", 0.5 * r2),
              "rho2-wrong-size": ("rho2_0", np.eye(2) / 2),
@@ -354,7 +393,7 @@ def test_hartree_vs_full_non_finite_finals_raise(monkeypatch):
 
     def poisoned(*args):
         rho, a1, a2 = paired(*args)
-        a1[0, 0, 0] = np.nan
+        a1[0, 0, 0, 0] = np.nan
         return rho, a1, a2
 
     monkeypatch.setattr(composite, "_paired_finals", poisoned)

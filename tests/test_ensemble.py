@@ -41,6 +41,24 @@ def test_population_kernel_matches_complex_step():
     assert np.abs(np.angle(c[:, 2] / c[:, 1]) - rel0).max() <= 1e-9
 
 
+@pytest.mark.parametrize("b", [1, 2, 24])
+@pytest.mark.parametrize("d", [4, 16])
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stacked"])
+def test_colsum_adds_strided_rows_in_index_order(stack, d, b):
+    # the populations of a complex kernel are the strided view x[:d].real
+    rng = np.random.default_rng(d * b)
+    shape = (d,) + stack + (b,)
+    z = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+         + 1j * rng.standard_normal(shape))
+    pop = z.real
+    assert not pop.flags.c_contiguous
+    ref = pop[0].copy()
+    for row in pop[1:]:
+        ref = ref + row
+    got = ensemble._colsum(pop)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def _dense_density_step(r, e, sigma, dt, dw):
     """Reference: the elementwise eigenbasis update of full density matrices,
     shape (b, d, d); the support kernel must reproduce every entry."""

@@ -180,3 +180,27 @@ def test_scenarios_enforce_stability_guard(scenario):
         scenario(0.05)      # σ²ΔE²dt = 0.45
     with pytest.warns(RuntimeWarning, match="comfort bound"):
         scenario(0.0012)    # 0.0108: runs, with a warning
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda: born_statistics(np.diag([0.0, 1.0]), np.sqrt([0.5, 0.5]), 0.0, 64, 0),
+    lambda: statdist_martingale_run(np.diag([0.0, 1.0]), 0.5, 0.0, 64, 0),
+    lambda: luders_scenario(0.7, [1.0, 1.0], [0.5, 0.5], [1.0, 3.0], 0.0, 64, 0),
+    lambda: reduction_time_scaling([1.0, 2.0], [1.0, 0.0], n_traj=64),
+    lambda: reduction_time_scaling([1.0, 2.0], [1.0, 2.0], sigma_ref=0.0, n_traj=64),
+], ids=["born", "statdist", "luders", "scaling-sigma", "scaling-sigma-ref"])
+def test_scenarios_reject_sigma_zero_before_the_first_step(scenario, monkeypatch):
+    # σ = 0 never reduces a state with V(0) > 0: no run may start
+    def no_run(*args, **kwargs):
+        raise AssertionError("an ensemble run started")
+
+    monkeypatch.setattr(reduction.ensemble, "run_state_ensemble", no_run)
+    monkeypatch.setattr(reduction.ensemble, "run_density_ensemble", no_run)
+    with pytest.raises(ValueError, match="sigma = 0 never reduces"):
+        scenario()
+
+
+def test_sigma_zero_accepted_for_an_eigenstate():
+    # V(0) = 0: the state is reduced already, so σ = 0 is no error
+    st = born_statistics(np.diag([0.0, 1.0]), np.array([0.0, 1.0]), 0.0, 16, 0)
+    assert list(st.frequencies) == [0.0, 1.0]
