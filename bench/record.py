@@ -8,7 +8,9 @@ seed s < runs, `perfbench/run.py --workload W --seed s` runs in the parent
 and in the change checkout as one pair, the change first on even seeds and
 the parent first on odd ones.  Each end-to-end metric keeps its per-run
 values, median and quartiles, and the number of pairs the change won
-(by the metric's `better` direction; ties count for neither side).
+(by the metric's `better` direction; ties count for neither side).  Each
+side is identified by its git_sha, when the checkout has a .git, and by
+src_sha256, a digest of the Python files under its src/.
 
 perfbench's peak_rss_mb reads the benchmark process only.  To see the
 memory of ensemble worker processes, one born-d4 scenario call at
@@ -20,6 +22,7 @@ of the worker processes it waited for.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -52,6 +55,15 @@ def perfbench(checkout: Path, workload: str, seed: int) -> dict:
     out = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     env = json.loads(out.read_text())["env"]
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()}, "env": env}
+
+
+def src_digest(checkout: Path) -> str:
+    """sha256 over the relative path and the bytes of every src/**/*.py file."""
+    h = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        name, data = path.relative_to(checkout).as_posix().encode(), path.read_bytes()
+        h.update(b"%d:%s%d:%s" % (len(name), name, len(data), data))
+    return h.hexdigest()
 
 
 def worker_rss(checkout: Path) -> dict:
@@ -87,9 +99,10 @@ def main(argv=None) -> int:
               "command": spec["command"], "machine": {
                   k: env["change"][k] for k in ("nproc", "cpu", "python", "numpy", "blas")}}
     for side in sides:
-        record[side] = {"git_sha": env[side]["git_sha"], "workloads": {
-            name: {m: summary([r[m] for r in rs]) for m in rs[0]}
-            for name, rs in runs[side].items()},
+        record[side] = {
+            "git_sha": env[side]["git_sha"], "src_sha256": src_digest(sides[side]),
+            "workloads": {name: {m: summary([r[m] for r in rs]) for m in rs[0]}
+                          for name, rs in runs[side].items()},
             "born_d4_worker_rss": worker_rss(sides[side])}
     sign = {m["name"]: 1 if m["better"] == "higher" else -1 for m in spec["end_to_end"]}
     record["change_vs_parent"] = {name: {m: {

@@ -8,8 +8,12 @@ by the identical noise path.  The harness sweeps every coupling g in one
 pass: each trajectory's noise is drawn once and shared by all g.  The full
 systems run in the eigenbases of their Hamiltonians as one stack of spectra
 on the ensemble density kernel, where the Euler step is elementwise; the
-mean-field pairs take one batched matmul step for all couplings and
-trajectories, with the coupling contractions precomputed as one matrix per g.
+mean-field pairs take one batched step for all couplings and trajectories.
+In that step every matrix product is one real stacked matmul on the float
+view of the states, by the real embedding of the complex right factor, with
+the coupling contractions precomputed as one real map per g; each factor's
+update is built as M + M†, so it is exactly Hermitian, and then multiplied by
+its reciprocal trace.
 """
 
 from __future__ import annotations
@@ -124,39 +128,80 @@ def _dag(a):
 
 
 def _trace(a):
-    return np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
+    return np.einsum("...ii->...", a).real[..., None, None]
 
 
-def _euler(r, h, sigma, dt, dws):
-    """Anticommutator-form Euler step of a (b, d, d) stack, one H and dW per row,
-    not renormalized, and [H, ρ]; uses ρH = (Hρ)† and [H, ρ]H = −(H[H, ρ])†."""
-    hr = h @ r
-    rh = _dag(hr)
-    comm = hr - rh
-    hc = h @ comm
-    out = (r + dt * (-1j * comm - 0.125 * sigma * sigma * (hc + _dag(hc)))
-           + (0.5 * sigma) * dws[:, None, None] * (hr + rh - 2.0 * r * _trace(hr)))
-    return out, comm
+def _embed(m):
+    """R(m): the real (…, 2d, 2d) embedding of complex (…, d, d) matrices, with
+    the 2×2 block [[a, b], [−b, a]] for each entry a + ib, so that
+    (x @ m).view(float) == x.view(float) @ R(m) for a C-contiguous x."""
+    d = m.shape[-1]
+    r = np.empty(m.shape[:-2] + (d, 2, d, 2))
+    r[..., :, 0, :, 0] = r[..., :, 1, :, 1] = m.real
+    r[..., :, 0, :, 1] = m.imag
+    r[..., :, 1, :, 0] = -m.imag
+    return r.reshape(m.shape[:-2] + (2 * d, 2 * d))
 
 
-def _flat(a):
-    return a.reshape(a.shape[:-2] + (-1,))
+def _real_maps(system: CompositeSystem, g_values):
+    """R(H₁), R(H₂) and, stacked over g (G, ·, ·), the contractions of g·ΔH as
+    real maps on x.view(float): from a flattened ρ₂ to R(Tr₂[(I⊗ρ₂)·gΔH]),
+    shape (G, 2d2², 4d1²), and from a flattened X₁ to R(Tr₁[(X₁⊗I)·gΔH]),
+    shape (G, 2d1², 4d2²)."""
+    con = [_contractions(g * system.delta_h, system.dims) for g in g_values]
+    maps = []
+    for k, d in enumerate(system.dims):
+        m = np.stack([c[k] for c in con])
+        images = np.stack([m, 1j * m], -2).reshape(len(m), -1, d, d)   # of each coordinate
+        maps.append(_embed(images).reshape(images.shape[:2] + (-1,)))
+    return (_embed(system.h1), _embed(system.h2), *maps)
 
 
-def _mean_field_step(a1, a2, system: CompositeSystem, to1, to2, sigma, dt, dws):
-    """One Hartree step of (…, b, d1, d1) and (…, b, d2, d2) stacks sharing one dW
-    per row, to1, to2 = _contractions(g·ΔH), or (G, ·, ·) stacks of them for
-    (G, b, ·, ·) states: Euler steps under the effective Hamiltonians, the
-    environment correction, Hermitize, trace-normalize."""
-    h1 = system.h1 + (_flat(a2) @ to1).reshape(a1.shape)
-    h2 = system.h2 + (_flat(a1) @ to2).reshape(a2.shape)
-    new1, comm1 = _euler(a1, h1, sigma, dt, dws)
-    corr = (_flat(comm1) @ to2).reshape(a2.shape)   # Tr₁(ΔH·([H₁′,ρ₁]⊗I))
-    new2, _ = _euler(a2, h2, sigma, dt, dws)
-    ca = corr @ a2   # [corr, ρ₂] = ca + ca†, corr being anti-Hermitian
-    new2 -= dt * 0.125 * sigma * sigma * (ca + _dag(ca))
-    new1, new2 = 0.5 * (new1 + _dag(new1)), 0.5 * (new2 + _dag(new2))
-    return new1 / _trace(new1), new2 / _trace(new2)
+def _times(x, rm):
+    """x @ m for C-contiguous complex (…, d, d) stacks x, given rm = R(m)."""
+    return (x.view(float) @ rm).view(complex)
+
+
+def _image(x, t, d):
+    """R of the d×d contraction images of C-contiguous complex (G, b, ·, ·)
+    states x under the (G, ·, 4d²) real maps t, shape (G, b, 2d, 2d)."""
+    return (x.view(float).reshape(x.shape[:-2] + (-1,)) @ t).reshape(x.shape[:-2] + (2 * d,) * 2)
+
+
+def _mean_field_step(a1, a2, maps, sigma, dt, dws):
+    """One Hartree step of C-contiguous (G, b, d1, d1) and (G, b, d2, d2)
+    stacks, coupling g_values[k] on row k of maps = _real_maps(system,
+    g_values), sharing one dW per trajectory column.
+
+    Every product is one real stacked matmul on x.view(float).  Each factor
+    takes the anticommutator-form Euler step under its effective Hamiltonian
+    h, written as M + M† from ρh = (hρ)† and [h, ρ]h = −(h[h, ρ])†, so that
+    both products right-multiply by R(h) and the result is exactly Hermitian.
+    The environment also takes the correction −(σ²/8)[corr, ρ₂]dt, where
+    corr = Tr₁(ΔH·([h₁, ρ₁]⊗I)) is anti-Hermitian, as the M-part
+    (σ²/8)ρ₂·corr·dt.  Both factors are then multiplied by their reciprocal
+    traces."""
+    e1, e2, t1, t2 = maps
+    d1, d2 = len(e1) // 2, len(e2) // 2
+    r1 = e1 + _image(a2, t1, d1)
+    r2 = e2 + _image(a1, t2, d2)
+    rh1 = _times(a1, r1)
+    comm1 = _dag(rh1) - rh1
+    q = ((0.5 * sigma) * dws)[:, None, None]
+    k = 0.125 * sigma * sigma * dt
+
+    def half(a, rh, ch):
+        # M = ρ/2 + dt(iρh + (σ²/8)·ch) + (σ/2)dW(ρh − ρ·Tr ρh)
+        return a * (0.5 - q * _trace(rh)) + rh * (q + 1j * dt) + k * ch
+
+    m1 = half(a1, rh1, _times(comm1, r1))
+    rh2 = _times(a2, r2)
+    m2 = half(a2, rh2, _times(_dag(rh2) - rh2, r2) + _times(a2, _image(comm1, t2, d2)))
+    for m in (m1, m2):
+        m += _dag(m)
+        parts = m.view(float)
+        parts *= 1.0 / _trace(m)
+    return m1, m2
 
 
 def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
@@ -168,10 +213,10 @@ def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
     −(σ²/8)[Tr₁(ΔH[H₁′,ρ₁]), ρ₂]dt drift, which dies off once subsystem 1
     has reduced.
     """
-    new1, new2 = _mean_field_step(as_matrix(rho1)[None], as_matrix(rho2)[None], system,
-                                  *_contractions(system.g * system.delta_h, system.dims),
-                                  sigma, dt, np.array([dW], float))
-    return new1[0], new2[0]
+    a1, a2 = (np.ascontiguousarray(as_matrix(r))[None, None] for r in (rho1, rho2))
+    new1, new2 = _mean_field_step(a1, a2, _real_maps(system, [system.g]), sigma, dt,
+                                  np.array([dW], float))
+    return new1[0, 0], new2[0, 0]
 
 
 @dataclass
@@ -200,8 +245,7 @@ def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma
     rho0 = np.kron(rho1, rho2)
     kern = _DensityKernel(np.stack([e for e, _ in spectra]),
                           np.stack([u.conj().T @ rho0 @ u for _, u in spectra]), sigma, dt)
-    maps = [np.stack(m) for m in zip(*(_contractions(g * system.delta_h, system.dims)
-                                        for g in g_values))]
+    maps = _real_maps(system, g_values)
     x = kern.start(n_traj)
     a1, a2 = (np.tile(a, (len(g_values), n_traj, 1, 1)) for a in (rho1, rho2))
     gens = [trajectory_generator(base_seed, i) for i in range(n_traj)]
@@ -210,7 +254,7 @@ def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma
         for dw in np.stack([gg.standard_normal(n) for gg in gens]).T * np.sqrt(dt):
             kern.advance(x, dw)
             kern.renorm(x)
-            a1, a2 = _mean_field_step(a1, a2, system, *maps, sigma, dt, dw)
+            a1, a2 = _mean_field_step(a1, a2, maps, sigma, dt, dw)
     finals = kern.final(x, n_steps * dt)
     return np.stack([u @ f @ u.conj().T for (_, u), f in zip(spectra, finals)]), a1, a2
 

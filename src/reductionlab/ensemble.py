@@ -169,7 +169,11 @@ class _DensityKernel:
         x *= self.drift + self.half_sigma * dw * (self.anti - 2.0 * tr_h)
 
     def renorm(self, x):
-        x /= _colsum(self.populations(x))
+        s = _colsum(self.populations(x))
+        if x.dtype == complex:   # numpy divides complex by real as x·(1/s): same bits, faster
+            x *= 1.0 / s
+        else:                    # a reciprocal would change the bits of a float64 x
+            x /= s
 
     def record(self, x):
         return x, (x.conj() * x).real

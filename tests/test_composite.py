@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reductionlab import composite
 from reductionlab.composite import (
@@ -218,14 +220,28 @@ def _ref_batched_step(r, h, sigma, dt, dws):
     return out / np.einsum("bii->b", out).real[:, None, None]
 
 
-def _ref_finals(sysg, r1, r2, sigma, dt, n_steps, n_traj, base_seed):
+def _ref_mean_field_step(sysg, a1, a2, sigma, dt, dws):
     d1, d2 = sysg.dims
-    g, hfull = sysg.g, sysg.total_hamiltonian()
+    g, dh4 = sysg.g, sysg.delta_h.reshape(d1, d2, d1, d2)
+    h1_eff = sysg.h1[None] + g * np.einsum("bkm,imjk->bij", a2, dh4)
+    h2_eff = sysg.h2[None] + g * np.einsum("bim,mkil->bkl", a1, dh4)
+    comm1 = (np.einsum("bij,bjk->bik", h1_eff, a1)
+             - np.einsum("bij,bjk->bik", a1, h1_eff))
+    corr = g * np.einsum("ikml,bmi->bkl", dh4, comm1)
+    new1 = _ref_batched_step(a1, h1_eff, sigma, dt, dws)
+    new2 = _ref_batched_step(a2, h2_eff, sigma, dt, dws)
+    new2 = new2 - dt * 0.125 * sigma * sigma * (
+        np.einsum("bij,bjk->bik", corr, a2)
+        - np.einsum("bij,bjk->bik", a2, corr))
+    return new1, new2
+
+
+def _ref_finals(sysg, r1, r2, sigma, dt, n_steps, n_traj, base_seed):
+    hfull = sysg.total_hamiltonian()
     rho = np.tile(np.kron(r1, r2), (n_traj, 1, 1))
     a1 = np.tile(r1, (n_traj, 1, 1))
     a2 = np.tile(r2, (n_traj, 1, 1))
     gens = [trajectory_generator(base_seed, i) for i in range(n_traj)]
-    dh4 = sysg.delta_h.reshape(d1, d2, d1, d2)
     done = 0
     while done < n_steps:
         n = min(256, n_steps - done)
@@ -233,17 +249,7 @@ def _ref_finals(sysg, r1, r2, sigma, dt, n_steps, n_traj, base_seed):
         for j in range(n):
             dwj = dws[:, j]
             rho = _ref_batched_step(rho, hfull, sigma, dt, dwj)
-            h1_eff = sysg.h1[None] + g * np.einsum("bkm,imjk->bij", a2, dh4)
-            h2_eff = sysg.h2[None] + g * np.einsum("bim,mkil->bkl", a1, dh4)
-            comm1 = (np.einsum("bij,bjk->bik", h1_eff, a1)
-                     - np.einsum("bij,bjk->bik", a1, h1_eff))
-            corr = g * np.einsum("ikml,bmi->bkl", dh4, comm1)
-            new1 = _ref_batched_step(a1, h1_eff, sigma, dt, dwj)
-            new2 = _ref_batched_step(a2, h2_eff, sigma, dt, dwj)
-            new2 = new2 - dt * 0.125 * sigma * sigma * (
-                np.einsum("bij,bjk->bik", corr, a2)
-                - np.einsum("bij,bjk->bik", a2, corr))
-            a1, a2 = new1, new2
+            a1, a2 = _ref_mean_field_step(sysg, a1, a2, sigma, dt, dwj)
             done += 1
     return rho, a1, a2
 
@@ -352,12 +358,39 @@ def test_hartree_step_is_a_row_of_the_batched_step(rng):
     a1 = np.stack([_pure(rng, d1) for _ in range(b)])
     a2 = np.stack([random_density_matrix(d2, rng) for _ in range(b)])
     dws = rng.standard_normal(b) * 0.03
-    maps = composite._contractions(sys.g * sys.delta_h, sys.dims)
-    new1, new2 = composite._mean_field_step(a1, a2, sys, *maps, 1.0, 1e-3, dws)
+    new1, new2 = (n[0] for n in composite._mean_field_step(
+        a1[None], a2[None], composite._real_maps(sys, [sys.g]), 1.0, 1e-3, dws))
+
+    def layouts(a):   # the same matrix as a C array, a Fortran array and a transposed view
+        return a, np.asfortranarray(a), np.ascontiguousarray(a.T).T
+
     for k in range(b):
-        n1, n2 = hartree_step(a1[k], a2[k], sys, 1.0, 1e-3, dws[k])
-        assert np.abs(n1 - new1[k]).max() <= 1e-14
-        assert np.abs(n2 - new2[k]).max() <= 1e-14
+        steps = [hartree_step(r1, r2, sys, 1.0, 1e-3, dws[k])
+                 for r1, r2 in zip(layouts(a1[k]), layouts(a2[k]))]
+        for n1, n2 in steps:
+            assert n1.tobytes() == steps[0][0].tobytes() and n2.tobytes() == steps[0][1].tobytes()
+            assert np.abs(n1 - new1[k]).max() <= 1e-14
+            assert np.abs(n2 - new2[k]).max() <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(d1=st.sampled_from([2, 3, 4]), d2=st.sampled_from([2, 3, 4]),
+       seed=st.integers(0, 2**32 - 1), g=st.floats(0.0, 1.0),
+       dw=st.floats(-0.1, 0.1), dt=st.floats(1e-4, 1e-2))
+def test_mean_field_step_properties(d1, d2, seed, g, dw, dt):
+    rng = np.random.default_rng(seed)
+    sysg = CompositeSystem(random_hermitian(d1, rng), random_hermitian(d2, rng),
+                           random_hermitian(d1 * d2, rng), g=g)
+    a1, a2 = random_density_matrix(d1, rng)[None], random_density_matrix(d2, rng)[None]
+    dws = np.array([dw])
+    new = composite._mean_field_step(a1[None], a2[None], composite._real_maps(sysg, [g]),
+                                     1.0, dt, dws)
+    ref = _ref_mean_field_step(sysg, a1, a2, 1.0, dt, dws)
+    for n, r in zip(new, ref):
+        n = n[0, 0]
+        assert (n == n.conj().T).all()   # exactly Hermitian (±0 compare equal)
+        assert abs(np.trace(n) - 1.0) <= 1e-12
+        assert np.abs(n - r[0]).max() <= 1e-13
 
 
 def _bad_inputs():

@@ -106,6 +106,25 @@ def test_support_kernel_matches_dense_density_step(rho0, dtype):
     assert np.abs(final - r).max() <= 1e-12
 
 
+@pytest.mark.parametrize("e, rho0, dtype", [
+    (np.array([0.0, 1.0, 1.0, 2.5]), _coherent_rho0(), np.complex128),
+    (np.array([0.0, 1.0, 1.0, 2.5]), np.diag([0.3, 0.25, 0.25, 0.2]), np.float64),
+    # a stack whose first matrix is diagonal: its coherences stay exact zeros
+    (np.array([[0.0, 0.7, 1.2, 2.0], [0.0, 1.0, 1.0, 2.5]]),
+     np.stack([np.diag([0.3, 0.25, 0.25, 0.2]), _coherent_rho0()]), np.complex128),
+], ids=["complex", "float64", "stacked"])
+def test_renorm_is_division_by_the_population_sum(e, rho0, dtype):
+    kern = ensemble._DensityKernel(e, np.asarray(rho0, complex), 1.0, 1e-3)
+    x = kern.start(24)
+    assert x.dtype == dtype
+    dws = np.random.default_rng(5).standard_normal((300, 24)) * math.sqrt(1e-3)
+    for dw in dws:
+        kern.advance(x, dw)
+        ref = x / ensemble._colsum(kern.populations(x))
+        kern.renorm(x)
+        assert x.tobytes() == ref.tobytes()
+
+
 def _state_run(workers):
     e = np.array([0.0, 1.0, 1.0, 2.0])
     c0 = np.sqrt(np.array([0.3, 0.2, 0.2, 0.3], complex))
