@@ -20,17 +20,14 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "AccretionModel",
-    "FockTruncation",
     "DisplacedOscillator",
     "fock_ladder",
-    "embed_mode",
-    "accretion_hamiltonians",
     "OccupancyResult",
     "occupancy_simulate",
     "stationary_binomial_pmf",
@@ -82,69 +79,12 @@ class AccretionModel:
         return self.n_sites * self.fill_probability
 
 
-@dataclass(frozen=True)
-class FockTruncation:
-    """Ladder operators on the subspace of at most n_max quanta."""
-
-    n_max: int
-    a: np.ndarray = field(init=False)
-    adag: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        a, adag = fock_ladder(self.n_max)
-        a.setflags(write=False)
-        adag.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "adag", adag)
-
-    def commutator_defect(self) -> float:
-        """max |([a,a†] − 1)| away from the truncation boundary."""
-        c = self.a @ self.adag - self.adag @ self.a
-        inner = c[: self.n_max, : self.n_max] - np.eye(self.n_max)
-        return float(np.abs(inner).max())
-
-
 def fock_ladder(n_max: int):
     """Annihilation and creation matrices on the (n_max+1)-level subspace."""
     ns = np.arange(1, n_max + 1)
     a = np.zeros((n_max + 1, n_max + 1))
     a[ns - 1, ns] = np.sqrt(ns)
     return a, a.T.copy()
-
-
-def embed_mode(op: np.ndarray, mode: int, n_modes: int) -> np.ndarray:
-    """Lift a single-mode operator to mode `mode` of an n_modes register."""
-    dim = op.shape[0]
-    out = np.array([[1.0]])
-    for m in range(n_modes):
-        out = np.kron(out, op if m == mode else np.eye(dim))
-    return out
-
-
-def accretion_hamiltonians(n_sites: int, n_env: int, n_max: int,
-                           site_mass: float, couplings: np.ndarray):
-    """Site Hamiltonian, exchange coupling, and total number operator.
-
-    couplings[j, k] weights the transfer of one molecule between surface
-    site j and environment mode k; the coupling conserves the total number
-    operator away from the truncation boundary.
-    """
-    couplings = np.atleast_2d(np.asarray(couplings, complex))
-    if couplings.shape != (n_sites, n_env):
-        raise ValueError(f"couplings must be shaped ({n_sites}, {n_env})")
-    n_modes = n_sites + n_env
-    a, adag = fock_ladder(n_max)
-    num = adag @ a
-    h_site = sum(site_mass * embed_mode(num, j, n_modes) for j in range(n_sites))
-    n_total = sum(embed_mode(num, m, n_modes) for m in range(n_modes))
-    delta_h = np.zeros_like(n_total, dtype=complex)
-    for j in range(n_sites):
-        aj_dag = embed_mode(adag, j, n_modes)
-        for k in range(n_env):
-            bk = embed_mode(a, n_sites + k, n_modes)
-            term = couplings[j, k] * (aj_dag @ bk)
-            delta_h += term + term.conj().T
-    return h_site, delta_h, n_total
 
 
 @dataclass

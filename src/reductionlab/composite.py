@@ -8,12 +8,10 @@ by the identical noise path.  The harness sweeps every coupling g in one
 pass: each trajectory's noise is drawn once and shared by all g.  The full
 systems run in the eigenbases of their Hamiltonians as one stack of spectra
 on the ensemble density kernel, where the Euler step is elementwise; the
-mean-field pairs take one batched step for all couplings and trajectories.
-In that step every matrix product is one real stacked matmul on the float
-view of the states, by the real embedding of the complex right factor, with
-the coupling contractions precomputed as one real map per g; each factor's
-update is built as M + M†, so it is exactly Hermitian, and then multiplied by
-its reciprocal trace.
+mean-field pairs take one batched step for all couplings and trajectories:
+the density Euler step of `dynamics` under each factor's effective
+Hamiltonian, with every matrix product one real stacked matmul and the
+coupling contractions precomputed as one real map per g.
 """
 
 from __future__ import annotations
@@ -23,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import ANTICOMMUTATOR, check_stability, noise_coefficient
+from .dynamics import (ANTICOMMUTATOR, _dag, _embed, _euler_step, _times, check_stability,
+                       noise_coefficient)
 from .ensemble import CHUNK, _DensityKernel, _check_input
 from .linalg import as_matrix, hermiticity_defect
 from .noise import trajectory_generator
@@ -123,26 +122,6 @@ def partial_expectation(op: np.ndarray, rho: np.ndarray, dims, over: int) -> np.
     return flat.reshape(dims[2 - over], -1)
 
 
-def _dag(a):
-    return a.conj().swapaxes(-1, -2)
-
-
-def _trace(a):
-    return np.einsum("...ii->...", a).real[..., None, None]
-
-
-def _embed(m):
-    """R(m): the real (…, 2d, 2d) embedding of complex (…, d, d) matrices, with
-    the 2×2 block [[a, b], [−b, a]] for each entry a + ib, so that
-    (x @ m).view(float) == x.view(float) @ R(m) for a C-contiguous x."""
-    d = m.shape[-1]
-    r = np.empty(m.shape[:-2] + (d, 2, d, 2))
-    r[..., :, 0, :, 0] = r[..., :, 1, :, 1] = m.real
-    r[..., :, 0, :, 1] = m.imag
-    r[..., :, 1, :, 0] = -m.imag
-    return r.reshape(m.shape[:-2] + (2 * d, 2 * d))
-
-
 def _real_maps(system: CompositeSystem, g_values):
     """R(H₁), R(H₂) and, stacked over g (G, ·, ·), the contractions of g·ΔH as
     real maps on x.view(float): from a flattened ρ₂ to R(Tr₂[(I⊗ρ₂)·gΔH]),
@@ -157,11 +136,6 @@ def _real_maps(system: CompositeSystem, g_values):
     return (_embed(system.h1), _embed(system.h2), *maps)
 
 
-def _times(x, rm):
-    """x @ m for C-contiguous complex (…, d, d) stacks x, given rm = R(m)."""
-    return (x.view(float) @ rm).view(complex)
-
-
 def _image(x, t, d):
     """R of the d×d contraction images of C-contiguous complex (G, b, ·, ·)
     states x under the (G, ·, 4d²) real maps t, shape (G, b, 2d, 2d)."""
@@ -174,34 +148,20 @@ def _mean_field_step(a1, a2, maps, sigma, dt, dws):
     g_values), sharing one dW per trajectory column.
 
     Every product is one real stacked matmul on x.view(float).  Each factor
-    takes the anticommutator-form Euler step under its effective Hamiltonian
-    h, written as M + M† from ρh = (hρ)† and [h, ρ]h = −(h[h, ρ])†, so that
-    both products right-multiply by R(h) and the result is exactly Hermitian.
-    The environment also takes the correction −(σ²/8)[corr, ρ₂]dt, where
-    corr = Tr₁(ΔH·([h₁, ρ₁]⊗I)) is anti-Hermitian, as the M-part
-    (σ²/8)ρ₂·corr·dt.  Both factors are then multiplied by their reciprocal
-    traces."""
+    takes the density Euler step `dynamics._euler_step` under its effective
+    Hamiltonian h.  The environment also takes the correction
+    −(σ²/8)[corr, ρ₂]dt, where corr = Tr₁(ΔH·([h₁, ρ₁]⊗I)) is anti-Hermitian,
+    through the step's [h, ρ]h slot as ρ₂·corr."""
     e1, e2, t1, t2 = maps
     d1, d2 = len(e1) // 2, len(e2) // 2
     r1 = e1 + _image(a2, t1, d1)
     r2 = e2 + _image(a1, t2, d2)
     rh1 = _times(a1, r1)
     comm1 = _dag(rh1) - rh1
-    q = ((0.5 * sigma) * dws)[:, None, None]
-    k = 0.125 * sigma * sigma * dt
-
-    def half(a, rh, ch):
-        # M = ρ/2 + dt(iρh + (σ²/8)·ch) + (σ/2)dW(ρh − ρ·Tr ρh)
-        return a * (0.5 - q * _trace(rh)) + rh * (q + 1j * dt) + k * ch
-
-    m1 = half(a1, rh1, _times(comm1, r1))
     rh2 = _times(a2, r2)
-    m2 = half(a2, rh2, _times(_dag(rh2) - rh2, r2) + _times(a2, _image(comm1, t2, d2)))
-    for m in (m1, m2):
-        m += _dag(m)
-        parts = m.view(float)
-        parts *= 1.0 / _trace(m)
-    return m1, m2
+    ch2 = _times(_dag(rh2) - rh2, r2) + _times(a2, _image(comm1, t2, d2))
+    return (_euler_step(a1, rh1, _times(comm1, r1), sigma, dt, dws),
+            _euler_step(a2, rh2, ch2, sigma, dt, dws))
 
 
 def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,

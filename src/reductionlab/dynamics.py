@@ -12,6 +12,11 @@ Implements Euler–Maruyama single steps and full trajectories for
 * the deterministic flow of the stochastic expectation
   dE[ρ]/dt = −i[H,E[ρ]] − (σ²/8)[H,[H,E[ρ]]].
 
+Every density-matrix Euler step, here and in the mean-field step of
+`composite`, is one batched update over (…, b, d, d) stacks: it builds
+ρ′ = M + M†, which is exactly Hermitian, and multiplies it by its reciprocal
+trace.  Its products ρH right-multiply by the real 2d×2d embedding of H.
+
 All steppers take and return plain complex ndarrays; the wrappers from
 `linalg` are accepted anywhere an operator or state is expected.
 """
@@ -88,10 +93,13 @@ def default_dt(sigma: float, h_or_range) -> float:
 
 
 def check_stability(sigma: float, dt: float, h_range: float) -> None:
-    """Raise ValueError on a non-finite or negative sigma and StabilityError
-    when sigma²·ΔE²·dt exceeds the hard bound; warn above the comfort bound."""
+    """Raise ValueError on a non-finite or negative sigma or a dt that is not
+    finite and positive, and StabilityError when sigma²·ΔE²·dt exceeds the
+    hard bound; warn above the comfort bound."""
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     product = sigma * sigma * h_range * h_range * dt
     if product > STABILITY_HARD:
         raise StabilityError(
@@ -203,24 +211,73 @@ def step_state_vector(chi, h, sigma: float, dt: float, dW: float,
     return out
 
 
+def _dag(a):
+    return a.conj().swapaxes(-1, -2)
+
+
+def _trace(a):
+    return np.einsum("...ii->...", a).real[..., None, None]
+
+
+def _embed(m):
+    """R(m): the real (…, 2d, 2d) embedding of complex (…, d, d) matrices, with
+    the 2×2 block [[a, b], [−b, a]] for each entry a + ib, so that
+    (x @ m).view(float) == x.view(float) @ R(m) for a C-contiguous x."""
+    d = m.shape[-1]
+    r = np.empty(m.shape[:-2] + (d, 2, d, 2))
+    r[..., :, 0, :, 0] = r[..., :, 1, :, 1] = m.real
+    r[..., :, 0, :, 1] = m.imag
+    r[..., :, 1, :, 0] = -m.imag
+    return r.reshape(m.shape[:-2] + (2 * d, 2 * d))
+
+
+def _times(x, rm):
+    """x @ m for C-contiguous complex (…, d, d) stacks x, given rm = R(m)."""
+    return (x.view(float) @ rm).view(complex)
+
+
+def _euler_step(rho, rh, ch, sigma, dt, dws, noise=None):
+    """One Euler step of C-contiguous (…, b, d, d) stacks rho, one dW per
+    column b, given rh = ρh and ch = [h, ρ]h for each state's Hamiltonian h:
+    (M + M†)/Tr(M + M†) with M = ρ/2 + dt(iρh + (σ²/8)ch) + (σ/2)dW·X, which
+    is exactly Hermitian.  X is ρh − ρ Tr ρh (anticommutator form) or the
+    given noise (ρ·ρh − ρh·ρ for the double-commutator form); a further drift
+    enters as its M-part through ch."""
+    q = ((0.5 * sigma) * dws)[:, None, None]
+    k = 0.125 * sigma * sigma * dt
+    if noise is None:
+        m = rho * (0.5 - q * _trace(rh)) + rh * (q + 1j * dt) + k * ch
+    else:
+        m = 0.5 * rho + (1j * dt) * rh + k * ch + q * noise
+    m += _dag(m)
+    parts = m.view(float)
+    parts *= 1.0 / _trace(m)
+    return m
+
+
+def _single_step(rho, h, sigma, dt, dW, noise_form):
+    """_euler_step on a batch of one state."""
+    if noise_form not in (ANTICOMMUTATOR, DOUBLE_COMMUTATOR):
+        raise ValueError(f"unknown noise form {noise_form!r}")
+    r = np.ascontiguousarray(as_matrix(rho))[None]
+    rm = _embed(as_matrix(h))
+    rh = _times(r, rm)
+    noise = r @ rh - rh @ r if noise_form == DOUBLE_COMMUTATOR else None
+    return _euler_step(r, rh, _times(_dag(rh) - rh, rm), sigma, dt,
+                       np.array([dW], float), noise)[0]
+
+
 def step_density(rho, h, sigma: float, dt: float, dW: float,
                  noise_form: str = ANTICOMMUTATOR,
                  psd_tol: float | None = None) -> np.ndarray:
     """One Euler–Maruyama step of the density-matrix equation.
 
-    The result is re-Hermitized and trace-renormalized (the exact equations
-    preserve both; Euler violates them at O(dt²) per step).  The smallest
-    eigenvalue must stay above −psd_tol (default 100·dt); a violation means
-    dt is too large for this Hamiltonian and sigma.
+    The result is exactly Hermitian and trace-renormalized (the exact
+    equations preserve both; Euler violates the trace at O(dt²) per step).
+    The smallest eigenvalue must stay above −psd_tol (default 100·dt); a
+    violation means dt is too large for this Hamiltonian and sigma.
     """
-    r = as_matrix(rho)
-    m = as_matrix(h)
-    comm = m @ r - r @ m
-    dcomm = m @ comm - comm @ m
-    n = noise_coefficient(r, m, noise_form)
-    out = r + dt * (-1j * comm - 0.125 * sigma * sigma * dcomm) + (0.5 * sigma * dW) * n
-    out = hermitize(out)
-    out = out / np.trace(out).real
+    out = _single_step(rho, h, sigma, dt, dW, noise_form)
     tol = 100.0 * dt if psd_tol is None else psd_tol
     low = np.linalg.eigvalsh(out)[0]
     if low < -tol:
@@ -236,8 +293,8 @@ def step_commuting_martingale(rho, h, sigma: float, dt: float, dW: float,
 
     For commuting (e.g. equilibrium) initial data the drift terms of the
     full equation vanish identically and only the anticommutator noise
-    remains; the step keeps ρ diagonal in the H eigenbasis and preserves
-    the trace.
+    remains, so this is the density step with its drift removed (dt = 0);
+    it keeps ρ diagonal in the H eigenbasis and preserves the trace.
     """
     r = as_matrix(rho)
     m = as_matrix(h)
@@ -247,9 +304,7 @@ def step_commuting_martingale(rho, h, sigma: float, dt: float, dW: float,
         raise NonCommutingError(
             f"[rho,H] relative defect {defect:.2e}; this specialization needs commuting input"
         )
-    out = r + (0.5 * sigma * dW) * noise_coefficient(r, m, ANTICOMMUTATOR)
-    out = hermitize(out)
-    return out / np.trace(out).real
+    return _single_step(r, m, sigma, 0.0, dW, ANTICOMMUTATOR)
 
 
 def evolve_expectation(rho0, h, sigma: float, t: float,
@@ -296,9 +351,12 @@ class Trajectory:
     dt: float = 0.0
 
     def validate(self, c: float = 100.0) -> None:
-        """Check stored states against their type invariants at tolerance C·dt."""
+        """Check stored states against their type invariants at tolerance C·dt;
+        a non-finite state fails every invariant."""
         tol = max(c * self.dt, 1e-10)
         for k, s in enumerate(self.states):
+            if not np.isfinite(s).all():
+                raise ValueError(f"state {k} is not finite")
             if self.kind == "state_vector":
                 drift = abs(float(np.vdot(s, s).real) - 1.0)
                 if drift > tol:

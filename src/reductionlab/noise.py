@@ -4,14 +4,14 @@ Each increment is Gaussian(0, dt).  Streams are built on the counter-based
 Philox bit generator so that the stream for ensemble member i is a pure
 function of (base_seed, i): any trajectory can be regenerated bit-for-bit
 without touching the streams of other members, which makes ensemble results
-independent of batching, scheduling, and worker count.
+independent of batching, scheduling, and worker count.  A single path of seed
+s is member 0 of base seed s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -19,12 +19,7 @@ __all__ = [
     "NoisePath",
     "wiener_path",
     "trajectory_generator",
-    "wiener_chunks",
 ]
-
-
-def _generator(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 @dataclass(frozen=True)
@@ -53,33 +48,19 @@ class NoisePath:
 def wiener_path(seed: int, dt: float, n_steps: int) -> NoisePath:
     """Generate n_steps independent Gaussian(0, dt) increments.
 
-    Deterministic in (seed, dt, n_steps); a longer path extends a shorter
-    one drawn from the same seed.
+    The path is ensemble member 0 of base seed `seed`, bit for bit: a longer
+    path extends a shorter one drawn from the same seed.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    gen = _generator(seed)
-    inc = gen.standard_normal(n_steps) * np.sqrt(dt)
+    inc = trajectory_generator(seed, 0).standard_normal(n_steps) * np.sqrt(dt)
     return NoisePath(seed=seed, dt=dt, increments=inc)
 
 
 def trajectory_generator(base_seed: int, index: int) -> np.random.Generator:
     """Generator for ensemble member `index`, a pure function of (base_seed, index)."""
-    return _generator((int(base_seed), int(index)))
+    seq = np.random.SeedSequence((int(base_seed), int(index)))
+    return np.random.Generator(np.random.Philox(seq))
 
-
-def wiener_chunks(gen: np.random.Generator, dt: float, n_steps: int,
-                  chunk: int = 256) -> Iterator[np.ndarray]:
-    """Yield the increments of a path in fixed-size chunks.
-
-    Chunked draws reproduce a one-shot wiener_path prefix bit-for-bit
-    (numpy's normal sampler consumes the bit stream sequentially).
-    """
-    sq = np.sqrt(dt)
-    done = 0
-    while done < n_steps:
-        n = min(chunk, n_steps - done)
-        yield gen.standard_normal(n) * sq
-        done += n

@@ -20,9 +20,7 @@ from .dynamics import check_stability, default_dt
 from .linalg import DensityMatrix, as_matrix, as_vector, eig_hermitian
 
 __all__ = [
-    "GibbsSpec",
     "gibbs_state",
-    "variance",
     "EnsembleStats",
     "ReductionBudgetError",
     "born_statistics",
@@ -39,24 +37,6 @@ __all__ = [
 
 class ReductionBudgetError(RuntimeError):
     """More than the allowed fraction of trajectories failed to reduce."""
-
-
-def variance(state, h) -> float:
-    """V = Tr ρH² − (Tr ρH)² for a state vector or density matrix."""
-    from .dynamics import energy_variance
-
-    return energy_variance(state, h)
-
-
-@dataclass(frozen=True)
-class GibbsSpec:
-    """Canonical distribution exp(−βH)/Z for a Hermitian H."""
-
-    h: np.ndarray
-    beta: float
-
-    def state(self) -> DensityMatrix:
-        return gibbs_state(self.h, self.beta)
 
 
 def gibbs_state(h, beta: float) -> DensityMatrix:

@@ -121,6 +121,15 @@ def test_unstable_dt_exits_2_fast(tmp_path, capsys, mode):
     assert "exceeds hard bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--dt", "nan"], ["--dt", "inf", "--sigma", "0"]])
+def test_simulate_non_finite_dt_exits_2_fast(tmp_path, capsys, extra):
+    t0 = time.monotonic()
+    rc = run_cli(["simulate", "--steps", "5", "--out-dir", str(tmp_path / "x")] + extra)
+    assert rc == 2
+    assert time.monotonic() - t0 < 5.0
+    assert "dt must be finite and positive" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:sigma²·ΔE²·dt:RuntimeWarning")
 def test_hartree_compare_matches_direct_calls(tmp_path, capsys):
     # the command's set-up at seed 0 and its defaults: sigma 1, dt 2e-4, g 0.1,0.2,0.4

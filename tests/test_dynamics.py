@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from reductionlab import dynamics
@@ -292,11 +294,21 @@ def test_stability_check_rejects_bad_sigma(sigma):
         dynamics.check_stability(sigma, 1e-3, 1.0)
 
 
-def test_variance_helper():
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-3])
+def test_stability_check_rejects_bad_dt(dt):
+    with pytest.raises(ValueError, match="dt"):
+        dynamics.check_stability(0.0, dt, 1.0)
+
+
+def test_variance_helper(rng):
     h = np.diag([0.0, 1.0]).astype(complex)
     assert energy_variance(np.array([1, 0], complex), h) == 0.0
     v = np.sqrt(np.array([0.5, 0.5], complex))
     assert abs(energy_variance(v, h) - 0.25) < 1e-14
+    h = random_hermitian(4, rng)
+    rho = random_density_matrix(4, rng)
+    oracle = np.trace(rho @ h @ h).real - np.trace(rho @ h).real ** 2
+    assert abs(energy_variance(rho, h) - oracle) < 1e-12
 
 
 def test_default_dt_rule(rng):
@@ -304,3 +316,71 @@ def test_default_dt_rule(rng):
     dt = dynamics.default_dt(0.7, h)
     rng_h = dynamics.spectral_range(h)
     assert abs(0.7**2 * rng_h**2 * dt - 1e-3) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["state_vector", "density"])
+def test_trajectory_rejects_non_finite_initial_state(kind):
+    h = np.diag([0.0, 1.0]).astype(complex)
+    init = np.array([np.nan, 1.0], complex)
+    if kind == "density":
+        init = np.outer(init, init.conj())
+    cfg = SdeConfig(sigma=1.0, dt=1e-3, n_steps=5)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        evolve_trajectory(init, h, cfg, seed=0)
+
+
+# -- reference: the complex Euler formula step_density used before it became a
+# batch of one through the shared M + M† step --------------------------------
+
+def _ref_step_density(r, h, sigma, dt, dw, form):
+    comm = h @ r - r @ h
+    dcomm = h @ comm - comm @ h
+    out = (r + dt * (-1j * comm - 0.125 * sigma * sigma * dcomm)
+           + (0.5 * sigma * dw) * noise_coefficient(r, h, form))
+    out = 0.5 * (out + out.conj().T)
+    return out / np.trace(out).real
+
+
+def _batched_step(rhos, h, sigma, dt, dws, form):
+    rm = dynamics._embed(h)
+    rh = dynamics._times(rhos, rm)
+    noise = rhos @ rh - rh @ rhos if form == DOUBLE_COMMUTATOR else None
+    return dynamics._euler_step(rhos, rh, dynamics._times(dynamics._dag(rh) - rh, rm),
+                                sigma, dt, dws, noise)
+
+
+def _check_step(out, row, ref):
+    assert out.tobytes() == row.tobytes()   # a row of the batched step
+    assert (out == out.conj().T).all()      # exactly Hermitian (±0 compare equal)
+    assert abs(np.trace(out) - 1.0) <= 1e-12
+    assert np.abs(out - ref).max() <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+       form=st.sampled_from([ANTICOMMUTATOR, DOUBLE_COMMUTATOR]),
+       dw=st.floats(-0.1, 0.1), dt=st.floats(1e-4, 1e-2))
+def test_step_density_is_a_row_of_the_batched_step(d, seed, form, dw, dt):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(d, rng)
+    rhos = np.stack([random_density_matrix(d, rng) for _ in range(3)])
+    dws = np.array([-0.07, dw, 0.03])
+    # positivity is not under test: a mixed state near the PSD boundary may
+    # leave it at these dW and dt
+    out = step_density(rhos[1], h, 1.0, dt, dw, noise_form=form, psd_tol=np.inf)
+    _check_step(out, _batched_step(rhos, h, 1.0, dt, dws, form)[1],
+                _ref_step_density(rhos[1], h, 1.0, dt, dw, form))
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+       dw=st.floats(-0.1, 0.1))
+def test_martingale_step_is_the_driftless_density_step(d, seed, dw):
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    h = (u * rng.standard_normal(d)) @ u.conj().T
+    rhos = np.stack([(u * rng.dirichlet(np.ones(d))) @ u.conj().T for _ in range(3)])
+    out = step_commuting_martingale(rhos[1], h, 1.0, 1e-3, dw)
+    ref = rhos[1] + 0.5 * dw * noise_coefficient(rhos[1], h, ANTICOMMUTATOR)
+    _check_step(out, _batched_step(rhos, h, 1.0, 0.0, np.array([-0.07, dw, 0.03]),
+                                   ANTICOMMUTATOR)[1], ref / np.trace(ref).real)

@@ -6,7 +6,6 @@ import pytest
 from reductionlab.noise import (
     NoisePath,
     trajectory_generator,
-    wiener_chunks,
     wiener_path,
 )
 
@@ -44,10 +43,16 @@ def test_distinct_seeds_uncorrelated():
 
 
 def test_chunked_matches_oneshot_prefix():
-    ref = wiener_path((3, 1), 0.01, 700).increments
-    gen = trajectory_generator(3, 1)
-    got = np.concatenate(list(wiener_chunks(gen, 0.01, 700, chunk=128)))
-    assert np.array_equal(ref, got)
+    # a single path of seed s is ensemble member 0 of seed s, drawn as the
+    # ensemble draws it: 256 normals per chunk, each chunk scaled by √dt.
+    # 2**96 is the first seed whose entropy fills SeedSequence's 4-word pool,
+    # so that s and (s, 0) no longer hash alike
+    dt, n = 0.01, 700
+    for seed in (3, 2**96):
+        gen = trajectory_generator(seed, 0)
+        member = np.concatenate([gen.standard_normal(min(256, n - k)) * np.sqrt(dt)
+                                 for k in range(0, n, 256)])
+        assert wiener_path(seed, dt, n).increments.tobytes() == member.tobytes()
 
 
 def test_trajectory_streams_independent_of_order():

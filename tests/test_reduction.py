@@ -5,7 +5,7 @@ import pytest
 
 from reductionlab import reduction
 from reductionlab.dynamics import StabilityError
-from reductionlab.linalg import random_density_matrix, random_hermitian
+from reductionlab.linalg import random_hermitian
 from reductionlab.reduction import (
     EnsembleStats,
     born_statistics,
@@ -13,34 +13,8 @@ from reductionlab.reduction import (
     luders_scenario,
     reduction_time_scaling,
     statdist_martingale_run,
-    variance,
     variance_decay_check,
 )
-
-
-def test_variance_eigenstate_zero():
-    h = np.diag([0.0, 1.0, 2.0]).astype(complex)
-    assert variance(np.array([0, 1, 0], complex), h) == 0.0
-
-
-def test_variance_equal_superposition():
-    h = np.diag([0.0, 1.0]).astype(complex)
-    chi = np.sqrt(np.array([0.5, 0.5], complex))
-    assert abs(variance(chi, h) - 0.25) < 1e-14
-
-
-def test_variance_direct_trace_oracle(rng):
-    h = random_hermitian(4, rng)
-    rho = random_density_matrix(4, rng)
-    v = variance(rho, h)
-    oracle = np.trace(rho @ h @ h).real - np.trace(rho @ h).real ** 2
-    assert abs(v - oracle) < 1e-12
-
-
-def test_gibbs_spec_realizes_state(rng):
-    h = random_hermitian(3, rng)
-    spec = reduction.GibbsSpec(h=h, beta=0.6)
-    assert np.allclose(spec.state().matrix, gibbs_state(h, 0.6).matrix)
 
 
 def test_gibbs_state_properties(rng):
