@@ -212,7 +212,7 @@ def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma
     for done in range(0, n_steps, CHUNK):
         n = min(CHUNK, n_steps - done)
         for dw in np.stack([gg.standard_normal(n) for gg in gens]).T * np.sqrt(dt):
-            kern.advance(x, dw)
+            kern.advance(x, kern.half_sigma * dw)
             kern.renorm(x)
             a1, a2 = _mean_field_step(a1, a2, maps, sigma, dt, dw)
     finals = kern.final(x, n_steps * dt)

@@ -263,8 +263,8 @@ def _single_step(rho, h, sigma, dt, dW, noise_form):
     rm = _embed(as_matrix(h))
     rh = _times(r, rm)
     noise = r @ rh - rh @ r if noise_form == DOUBLE_COMMUTATOR else None
-    return _euler_step(r, rh, _times(_dag(rh) - rh, rm), sigma, dt,
-                       np.array([dW], float), noise)[0]
+    ch = _times(_dag(rh) - rh, rm) if dt else 0.0   # the step adds (σ²/8)·dt·ch
+    return _euler_step(r, rh, ch, sigma, dt, np.array([dW], float), noise)[0]
 
 
 def step_density(rho, h, sigma: float, dt: float, dW: float,

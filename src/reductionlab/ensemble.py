@@ -26,6 +26,18 @@ the arithmetic of its own single-spectrum run.  (A diagonal ρ0 stacked with a
 coherent one is evolved in complex arithmetic, which agrees with its float64
 run to rounding.)
 
+Each kernel steps on a workspace of its batch width b.  It holds the per-row
+constants (energies, their squares, (E·dt)², the drift factors, Eᵢ + Eⱼ)
+materialized to the full (…, b) shape, and the scratch arrays, so that each
+ufunc of a step and of the check runs on same-shape C-contiguous operands
+with out=: at these sizes a broadcast operand costs numpy about twice a
+same-shape one (a (4, 1024)·(4, 1) multiply about 6–7 µs, against 3.5 µs
+with a (4, 1024) operand), and no step allocates an array of the batch's
+shape.  start(b) builds the workspace; compact(x, keep) drops the retired
+columns from x and resizes the workspace with it.  advance(x, u) takes
+u = (σ/2)·dW per column: the runner scales each noise chunk once, by √dt
+and then by σ/2, the same two roundings as (σ/2)·dW.
+
 A run has two phases: an optional fixed-horizon recording phase in which
 every trajectory keeps evolving (so recorded ensemble means are unbiased),
 followed, when stop_on_reduction is set, by a first-passage phase in which
@@ -45,7 +57,7 @@ from __future__ import annotations
 import multiprocessing
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,29 +109,67 @@ def _colsum(x):
     """Σ over axis 0 of a (d, …) array, rows added in index order whatever its
     layout: numpy does so for a C-contiguous array with more than one column
     but sums a single column pairwise, so a strided view (the .real of a
-    complex array) is copied first and a single column is added row by row."""
+    complex array) is copied first and a single column is accumulated."""
     if x[0].size > 1:
         return np.ascontiguousarray(x).sum(0)
-    return reduce(np.add, x)
+    return np.add.accumulate(x, 0)[-1]
 
 
-class _StateKernel:
-    """Eigenbasis populations of state vectors, shape (d, b)."""
-
-    def __init__(self, e, c0, sigma, dt):
-        self.shape, self.p0, self.energies = c0.shape, np.abs(c0) ** 2, e
-        self.phase0 = np.exp(1j * np.angle(c0))
-        self.e, self.edt2 = e[:, None], (e * dt)[:, None] ** 2
-        self.half_sigma, self.drift = 0.5 * sigma, 0.125 * sigma * sigma * dt
+class _Kernel:
+    """What both kernels share: the workspace self.w of x's batch width, with
+    each (…, 1) constant of self.rows repeated to x's shape and one array of
+    that shape per name in self.scratch; start and compact rebuild it."""
 
     def start(self, b):
-        return np.repeat(self.p0[:, None], b, axis=1)
+        x = np.repeat(self.x0[..., None], b, axis=-1)
+        self._build(x)
+        return x
 
-    def advance(self, p, dw):
-        k = self.e - _colsum(p * self.e)
-        a = 1.0 + k * (self.half_sigma * dw - self.drift * k)
-        p *= a * a + self.edt2
-        p /= _colsum(p)
+    def compact(self, x, keep):
+        """The columns of x where keep is true; the workspace follows."""
+        x = np.compress(keep, x, axis=-1)
+        self._build(x)
+        return x
+
+    def _build(self, x):
+        w = {k: np.repeat(c, x.shape[-1], axis=-1) for k, c in self.rows.items()}
+        w.update((k, np.empty(x.shape)) for k in self.scratch)
+        self.w = SimpleNamespace(pe=w["t"][:len(w["e"])], **w)   # pe: t's first d rows
+
+    def moments(self, x):
+        """The populations, ⟨H⟩ and V of every column."""
+        w, pop = self.w, self.populations(x)
+        eh = _colsum(np.multiply(pop, w.e, out=w.pe))
+        return pop, eh, _colsum(np.multiply(pop, w.e2, out=w.pe)) - eh * eh
+
+
+class _StateKernel(_Kernel):
+    """Eigenbasis populations of state vectors, shape (d, b)."""
+
+    scratch = ("k", "t", "s")
+
+    def __init__(self, e, c0, sigma, dt):
+        self.shape, self.x0, self.energies = c0.shape, np.abs(c0) ** 2, e
+        self.phase0 = np.exp(1j * np.angle(c0))
+        self.rows = {"e": e[:, None], "e2": e[:, None] ** 2, "edt2": (e * dt)[:, None] ** 2}
+        self.half_sigma, self.drift = 0.5 * sigma, 0.125 * sigma * sigma * dt
+
+    def advance(self, p, u):
+        """One step of every column; u = (σ/2)·dW of each."""
+        w = self.w
+        k, t, s = w.k, w.t, w.s
+        np.copyto(k, _colsum(np.multiply(p, w.e, out=t)))
+        np.subtract(w.e, k, out=k)                  # k = E − ⟨H⟩
+        np.multiply(k, self.drift, out=t)
+        np.copyto(s, u)
+        np.subtract(s, t, out=t)
+        np.multiply(k, t, out=t)
+        np.add(t, 1.0, out=t)                       # a = 1 + k(u − drift·k)
+        np.multiply(t, t, out=t)
+        np.add(t, w.edt2, out=t)                    # |f|² = a² + (E dt)²
+        p *= t
+        np.copyto(s, _colsum(p))
+        p /= s
 
     def populations(self, p):
         return p
@@ -137,10 +187,12 @@ class _StateKernel:
         return self.phase0 * np.exp(-1j * self.energies * t) * np.sqrt(p.T)
 
 
-class _DensityKernel:
+class _DensityKernel(_Kernel):
     """Eigenbasis density matrices on the support of ρ0, shape (d + m, b), for
     energies e (d,) and ρ0 (d, d); for stacks e (G, d) and ρ0 (G, d, d), shape
     (d + m, G, b) on the union support of the G matrices."""
+
+    scratch = ("t", "s")
 
     def __init__(self, e, r0, sigma, dt):
         d = e.shape[-1]
@@ -155,25 +207,42 @@ class _DensityKernel:
         drift = 1.0 + dt * (-1j * de - 0.125 * sigma * sigma * de ** 2)
         real = not self.iu.size  # a diagonal ρ0 stays diagonal: evolve it as float64
         self.x0 = x0.real if real else x0
-        self.drift = (drift.real if real else drift)[..., None]
-        self.anti, self.e, self.half_sigma = (e[i] + e[j])[..., None], e[..., None], 0.5 * sigma
+        self.rows = {"e": e[..., None], "e2": e[..., None] ** 2, "drift": drift.real[..., None],
+                     "anti": (e[i] + e[j])[..., None]}
+        # the imaginary part of the step factor drift + f, as numpy forms it for a real f
+        self.drift_imag = None if real else drift.imag[..., None] + 0.0
+        self.half_sigma = 0.5 * sigma
 
-    def start(self, b):
-        return np.repeat(self.x0[..., None], b, axis=-1)
+    def _build(self, x):
+        super()._build(x)
+        w = self.w
+        w.g = w.f = w.t   # the step factor and its real part
+        if x.dtype == complex:
+            w.g = np.empty_like(x)
+            np.copyto(w.g.imag, self.drift_imag)
+            w.f = w.g.real
 
     def populations(self, x):
         return x[:self.d].real
 
-    def advance(self, x, dw):
-        tr_h = _colsum(self.populations(x) * self.e)
-        x *= self.drift + self.half_sigma * dw * (self.anti - 2.0 * tr_h)
+    def advance(self, x, u):
+        """One step of every column; u = (σ/2)·dW of each."""
+        w = self.w
+        tr_h = _colsum(np.multiply(self.populations(x), w.e, out=w.pe))
+        np.copyto(w.t, 2.0 * tr_h)
+        np.subtract(w.anti, w.t, out=w.t)
+        np.copyto(w.s, u)
+        np.multiply(w.s, w.t, out=w.t)
+        np.add(w.drift, w.t, out=w.f)
+        x *= w.g
 
     def renorm(self, x):
         s = _colsum(self.populations(x))
-        if x.dtype == complex:   # numpy divides complex by real as x·(1/s): same bits, faster
-            x *= 1.0 / s
+        if x.dtype == complex:   # numpy divides complex by real as x·(1/s): same bits, faster;
+            x *= 1.0 / s         # a 1/s materialized to x's shape is no faster, for its cast
         else:                    # a reciprocal would change the bits of a float64 x
-            x /= s
+            np.copyto(self.w.t, s)
+            x /= self.w.t
 
     def record(self, x):
         return x, (x.conj() * x).real
@@ -205,7 +274,6 @@ def _run_span(plan: _Plan, lo: int, hi: int):
     """Both phases for trajectories lo..hi−1 as one batch: the recorded sums
     of each block, then the span's outcomes, reduction times and finals."""
     kern, dt = plan.kernel, plan.dt
-    e, e2 = plan.e[:, None], plan.e[:, None] ** 2
     b = hi - lo
     gens = [trajectory_generator(plan.base_seed, i) for i in range(lo, hi)]
     x, alive = kern.start(b), np.arange(b)
@@ -214,25 +282,24 @@ def _run_span(plan: _Plan, lo: int, hi: int):
     blocks = range(0, b, BATCH_SIZE)
     recs = [[] for _ in blocks]
     singletons = plan.groups == tuple((i,) for i in range(len(plan.e)))
-
-    def moments():
-        pop = kern.populations(x)
-        eh = _colsum(pop * e)
-        return pop, eh, _colsum(pop * e2) - eh * eh
+    # a group of consecutive levels is summed over a slice, which copies no rows
+    index = [slice(g[0], g[-1] + 1) if list(g) == list(range(g[0], g[-1] + 1)) else list(g)
+             for g in plan.groups]
 
     def record():
-        _, eh, v = moments()
+        _, eh, v = kern.moments(x)
         terms = (v, v * v, eh, eh * eh) + kern.record(x)
         for rec, s in zip(recs, blocks):
             rec.append([t[..., s:s + BATCH_SIZE].sum(-1) for t in terms])
 
     def check():
-        pop, _, v = moments()
-        if not np.isfinite(pop).all():
+        pop, _, v = kern.moments(x)
+        low, high = pop.min(), pop.max()   # a NaN propagates into both
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError(f"non-finite populations at step {step}; dt too large?")
-        if (pop < 0).any():
+        if low < 0:
             raise ValueError(f"negative population at step {step}; dt too large?")
-        gp = pop if singletons else np.stack([_colsum(pop[list(g)]) for g in plan.groups])
+        gp = pop if singletons else np.stack([_colsum(pop[g]) for g in index])
         return (v <= plan.v_stop) & (gp.max(0) >= plan.popmin), gp
 
     def retire(hit, gp):
@@ -253,7 +320,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
             retiring = True
             kern.renorm(x)
             keep = retire(*check())
-            x, alive = np.compress(keep, x, axis=1), alive[keep]
+            x, alive = kern.compact(x, keep), alive[keep]
             continue
         end = plan.max_steps if retiring else plan.horizon_steps
         if step >= end:
@@ -262,6 +329,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
         for k, i in enumerate(alive):
             gens[i].standard_normal(out=dws[k])
         dws *= sq
+        dws *= kern.half_sigma  # (σ/2)·dW, rounded as (σ/2)·(z·√dt)
         rows = np.arange(alive.size)  # dws rows of the alive trajectories: retiring copies no noise
         for j in range(dws.shape[1]):
             kern.advance(x, dws[rows, j])
@@ -273,7 +341,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
                     tred[hit & np.isnan(tred)] = step * dt
                 elif hit.any():
                     keep = retire(hit, gp)
-                    x, alive, rows = np.compress(keep, x, axis=1), alive[keep], rows[keep]
+                    x, alive, rows = kern.compact(x, keep), alive[keep], rows[keep]
                     if not alive.size:
                         break
             if not retiring and plan.record_stride and step % plan.record_stride == 0:
@@ -394,7 +462,7 @@ def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_
     c0 = np.asarray(c0, dtype=complex)
     _check_input(e, c0, 1, sigma, dt, n_traj)
     kernel = _StateKernel(e, c0, sigma, dt)
-    return _run(kernel, e, kernel.p0, dt, base_seed, n_traj, workers, groups, eps, popmin,
+    return _run(kernel, e, kernel.x0, dt, base_seed, n_traj, workers, groups, eps, popmin,
                 horizon_steps, record_stride, stop_on_reduction, max_steps)
 
 

@@ -30,7 +30,7 @@ def test_population_kernel_matches_complex_step():
     worst = 0.0
     for dw in dws:
         _complex_step(c, e, sigma, dt, dw)
-        kern.advance(p, dw)
+        kern.advance(p, kern.half_sigma * dw)
         worst = max(worst, float(np.abs(p.T - (c.real**2 + c.imag**2)).max()))
     assert worst <= 1e-12
     final = kern.final(p, n_steps * dt)
@@ -94,7 +94,7 @@ def test_support_kernel_matches_dense_density_step(rho0, dtype):
     worst = 0.0
     for step, dw in enumerate(dws, 1):
         _dense_density_step(r, e, sigma, dt, dw)
-        kern.advance(x, dw)
+        kern.advance(x, kern.half_sigma * dw)
         if step % ensemble.CHECK_STRIDE == 0:
             _hermitize_renorm(r)
             kern.renorm(x)
@@ -119,7 +119,7 @@ def test_renorm_is_division_by_the_population_sum(e, rho0, dtype):
     assert x.dtype == dtype
     dws = np.random.default_rng(5).standard_normal((300, 24)) * math.sqrt(1e-3)
     for dw in dws:
-        kern.advance(x, dw)
+        kern.advance(x, kern.half_sigma * dw)
         ref = x / ensemble._colsum(kern.populations(x))
         kern.renorm(x)
         assert x.tobytes() == ref.tobytes()
@@ -220,3 +220,92 @@ def test_nonfinite_populations_raise(workers):
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
         ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]).astype(complex),
                                       1e200, 1e-3, 0, 16)
+
+
+KERNELS = {
+    "state": lambda: ensemble._StateKernel(
+        np.array([0.0, 1.0, 1.0, 2.5]),
+        np.sqrt(np.array([0.3, 0.25, 0.25, 0.2])) * np.exp(1j * np.arange(4)), 1.0, 1e-3),
+    "float64": lambda: ensemble._DensityKernel(
+        np.array([0.0, 1.0, 1.0, 2.5]), np.diag([0.3, 0.25, 0.25, 0.2]).astype(complex),
+        1.0, 1e-3),
+    "complex": lambda: ensemble._DensityKernel(
+        np.array([0.0, 1.0, 1.0, 2.5]), _coherent_rho0(), 1.0, 1e-3),
+    "stacked": lambda: ensemble._DensityKernel(
+        np.array([[0.0, 0.7, 1.2, 2.0], [0.0, 1.0, 1.0, 2.5]]),
+        np.stack([np.diag([0.3, 0.25, 0.25, 0.2]), _coherent_rho0()]).astype(complex),
+        1.0, 1e-3),
+}
+
+
+@pytest.mark.parametrize("width", [1, 5])
+@pytest.mark.parametrize("name", KERNELS)
+def test_compacted_kernel_matches_a_fresh_one(name, width):
+    # after a compaction every step and check equals, byte for byte, that of a
+    # fresh kernel of the compacted width and the kept columns of an
+    # uncompacted run
+    b = 12
+    rng = np.random.default_rng(7)
+    us = 0.5 * rng.standard_normal((60, b)) * math.sqrt(1e-3)
+    keep = np.zeros(b, bool)
+    keep[rng.choice(b, width, replace=False)] = True
+    kern, full = KERNELS[name](), KERNELS[name]()
+    x, z = kern.start(b), full.start(b)
+    for u in us[:20]:
+        kern.advance(x, u)
+        full.advance(z, u)
+        kern.renorm(x)
+        full.renorm(z)
+    x = kern.compact(x, keep)
+    fresh = KERNELS[name]()
+    y = fresh.start(width)
+    y[...] = x
+    for u in us[20:]:
+        kern.advance(x, u[keep])
+        fresh.advance(y, u[keep])
+        full.advance(z, u)
+        assert x.tobytes() == y.tobytes() == np.compress(keep, z, axis=-1).tobytes()
+        kern.renorm(x)
+        fresh.renorm(y)
+        full.renorm(z)
+        assert x.tobytes() == y.tobytes() == np.compress(keep, z, axis=-1).tobytes()
+        for a, c, f in zip(kern.moments(x), fresh.moments(y), full.moments(z)):
+            assert a.tobytes() == c.tobytes() == np.compress(keep, f, axis=-1).tobytes()
+
+
+def _coherent_run(n_traj):
+    rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    rho0[0, 1] = rho0[1, 0] = 0.1
+    return ensemble.run_density_ensemble([0.0, 1.0, 2.0], rho0, 1.0, 1e-3, 3, n_traj, workers=1)
+
+
+BAD_RUNS = [
+    (ensemble._StateKernel, lambda n: ensemble.run_state_ensemble(
+        [0.0, 1.0, 2.0], np.sqrt(np.array([0.5, 0.3, 0.2], complex)), 1.0, 1e-3, 1, n,
+        workers=1)),
+    (ensemble._DensityKernel, lambda n: ensemble.run_density_ensemble(
+        [0.0, 1.0, 2.0], np.diag([0.5, 0.3, 0.2]), 1.0, 1e-3, 2, n, workers=1)),
+    (ensemble._DensityKernel, _coherent_run),
+]
+
+
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "non-finite populations"), (math.inf, "non-finite populations"),
+    (-math.inf, "non-finite populations"), (-0.25, "negative population")])
+@pytest.mark.parametrize("n_traj", [1, 64])
+@pytest.mark.parametrize("cls, run", BAD_RUNS, ids=["state", "float64", "complex"])
+def test_bad_population_stops_the_run(cls, run, n_traj, value, message, monkeypatch):
+    # one population of one column turns bad just before the first check,
+    # which must raise
+    advance, calls = cls.advance, []
+
+    def spoiled(self, x, u):
+        advance(self, x, u)
+        calls.append(None)
+        if len(calls) == ensemble.CHECK_STRIDE:
+            x[0, x.shape[-1] // 2] = value
+
+    monkeypatch.setattr(cls, "advance", spoiled)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
+        run(n_traj)
+    assert len(calls) == ensemble.CHECK_STRIDE
