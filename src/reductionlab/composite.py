@@ -23,7 +23,7 @@ import numpy as np
 
 from .dynamics import (ANTICOMMUTATOR, _dag, _embed, _euler_step, _times, check_stability,
                        noise_coefficient)
-from .ensemble import CHUNK, _DensityKernel, _check_input
+from .ensemble import CHUNK, _DensityKernel, _check_input, _noise_chunk
 from .linalg import as_matrix, hermiticity_defect
 from .noise import trajectory_generator
 
@@ -210,8 +210,7 @@ def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma
     a1, a2 = (np.tile(a, (len(g_values), n_traj, 1, 1)) for a in (rho1, rho2))
     gens = [trajectory_generator(base_seed, i) for i in range(n_traj)]
     for done in range(0, n_steps, CHUNK):
-        n = min(CHUNK, n_steps - done)
-        for dw in np.stack([gg.standard_normal(n) for gg in gens]).T * np.sqrt(dt):
+        for dw in _noise_chunk(gens, min(CHUNK, n_steps - done), np.sqrt(dt)):
             kern.advance(x, kern.half_sigma * dw)
             kern.renorm(x)
             a1, a2 = _mean_field_step(a1, a2, maps, sigma, dt, dw)

@@ -188,6 +188,17 @@ def test_bad_input_rejected_up_front(energies, amps, dt):
         ensemble.run_density_ensemble(energies, np.diag(c0), 1.0, dt, 0, 8)
 
 
+@pytest.mark.parametrize("option, value", [("horizon_steps", -5), ("record_stride", -10),
+                                           ("max_steps", 0), ("max_steps", -1)])
+def test_bad_step_counts_rejected_up_front(option, value):
+    c0 = np.sqrt(np.array([0.5, 0.5], complex))
+    with pytest.raises(ValueError, match=option):
+        ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, **{option: value})
+    with pytest.raises(ValueError, match=option):
+        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), 1.0, 1e-3, 0, 8,
+                                      **{option: value})
+
+
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
 def test_bad_sigma_rejected_up_front(sigma):
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
@@ -271,6 +282,75 @@ def test_compacted_kernel_matches_a_fresh_one(name, width):
         assert x.tobytes() == y.tobytes() == np.compress(keep, z, axis=-1).tobytes()
         for a, c, f in zip(kern.moments(x), fresh.moments(y), full.moments(z)):
             assert a.tobytes() == c.tobytes() == np.compress(keep, f, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("b", [1, 5])
+@pytest.mark.parametrize("groups", [((0,), (1, 2), (3,)), ((0, 1, 2), (3,)),
+                                    ((0, 2), (1,), (3,)), ((3, 1, 0), (2,))])
+@pytest.mark.parametrize("strided", [False, True], ids=["float64", "complex"])
+def test_group_sums_add_levels_in_row_order(strided, groups, b):
+    rng = np.random.default_rng(b * len(groups))
+    z = (rng.standard_normal((4, b)) * 10.0 ** rng.integers(-8, 8, (4, b))
+         + 1j * rng.standard_normal((4, b)))
+    pop = z.real if strided else z.real.copy()
+    index = ensemble._group_index(groups, 4)
+    got = ensemble._group_sums(pop, index, np.empty((len(groups) + 1, b))[:len(groups)])
+    for g, row in zip(groups, got):
+        ref = pop[g[0]].copy()
+        for i in g[1:]:
+            ref = ref + pop[i]
+        assert row.tobytes() == ref.tobytes(), g
+
+
+def test_group_index_of_levels_in_order_is_none():
+    assert ensemble._group_index(((0,), (1,), (2,)), 3) is None
+    assert ensemble._group_index(((0,), (1,)), 3) == [slice(0, 1), slice(1, 2)]
+
+
+def _capture_plan(run, monkeypatch):
+    plans, run_spans = [], ensemble._run_spans
+
+    def spy(plan, spans):
+        plans.append(plan)
+        return run_spans(plan, spans)
+
+    monkeypatch.setattr(ensemble, "_run_spans", spy)
+    out = run()
+    return out, plans[0]
+
+
+MEMBER_RUNS = {
+    "state": lambda: ensemble.run_state_ensemble(
+        [0.0, 1.0, 1.0, 2.0], np.sqrt(np.array([0.3, 0.2, 0.2, 0.3], complex)), 2.0, 2e-3, 41,
+        150, groups=((0,), (1, 2), (3,)), workers=1),
+    "float64": lambda: ensemble.run_density_ensemble(
+        [0.0, 1.0, 2.0], np.diag([0.5, 0.3, 0.2]), 2.0, 2e-3, 42, 150, workers=1),
+    "complex": lambda: ensemble.run_density_ensemble(
+        [0.0, 1.0, 2.0], _coherent_rho0()[1:, 1:] / 0.7, 2.0, 2e-3, 43, 150,
+        groups=((0, 2), (1,)), workers=1),
+}
+
+
+@pytest.mark.parametrize("name", MEMBER_RUNS)
+def test_member_equals_its_one_member_span(name, monkeypatch):
+    # 150 trajectories: two full noise groups of 64 and a partial one.  A
+    # member that retires after others retired earlier in the same noise
+    # chunk reads its increments through the compacted column index, so its
+    # solo run only matches when that index is right.
+    run, plan = _capture_plan(MEMBER_RUNS[name], monkeypatch)
+    assert run.n_unreduced == 0
+    steps = np.round(run.reduction_times / plan.dt).astype(int)
+    chunk = (steps - 1) // ensemble.CHUNK
+    later = [i for i in range(run.n_traj) if np.any((chunk == chunk[i]) & (steps < steps[i]))]
+    picked = {}
+    for i in later:  # the last member to retire in each chunk, after others
+        picked[chunk[i]] = max(picked.get(chunk[i], i), i, key=lambda k: (steps[k], k))
+    assert len(picked) >= 2
+    for i in picked.values():
+        _, outcomes, tred, finals = ensemble._run_span(plan, i, i + 1)
+        assert outcomes[0] == run.outcomes[i]
+        assert tred.tobytes() == run.reduction_times[i:i + 1].tobytes()
+        assert finals.tobytes() == run.final_states[i:i + 1].tobytes()
 
 
 def _coherent_run(n_traj):
