@@ -12,6 +12,10 @@ values, median and quartiles, and the number of pairs the change won
 side is identified by its git_sha, when the checkout has a .git, and by
 src_sha256, a digest of the Python files under its src/.
 
+Every subprocess runs with PYTHONDONTWRITEBYTECODE=1, and a checkout that
+already holds a src/**/__pycache__ is refused: a bytecode cache left in one
+side only would lower that side's setup_s.
+
 perfbench's peak_rss_mb reads the benchmark process only.  To see the
 memory of ensemble worker processes, one born-d4 scenario call at
 workers=nproc also runs in a fresh interpreter per checkout, which reports
@@ -24,12 +28,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
 WORKER_RSS = r"""
 import json, os, resource, sys
@@ -48,7 +54,7 @@ print(json.dumps({"self_mb": mb(resource.RUSAGE_SELF),
 def perfbench(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed)], capture_output=True, text=True, cwd=checkout)
+         "--seed", str(seed)], capture_output=True, text=True, cwd=checkout, env=ENV)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         raise RuntimeError(f"{checkout} {workload} seed {seed} failed its gate:\n{proc.stdout}")
@@ -68,7 +74,7 @@ def src_digest(checkout: Path) -> str:
 
 def worker_rss(checkout: Path) -> dict:
     proc = subprocess.run([sys.executable, "-c", WORKER_RSS, str(checkout)], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=ENV)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -86,6 +92,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for checkout in sides.values():
+        for cache in (checkout / "src").rglob("__pycache__"):
+            ap.error(f"{cache} exists: a bytecode cache would lower that side's setup_s; "
+                     "remove it first")
     runs = {side: {w["name"]: [] for w in spec["workloads"]} for side in sides}
     env = {}
     for w in spec["workloads"]:

@@ -462,15 +462,30 @@ def _check_input(e, state, ndim, sigma, dt, n_traj):
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
 
 
-def _run(kernel, e, p0, dt, base_seed, n_traj, workers, groups, eps, popmin,
+def _check_reducible(sigma, e, p, stop_on_reduction=True) -> float:
+    """V(0) of populations p over energies e.  Raises ValueError when σ = 0 meets
+    V(0) > 0 under stop_on_reduction: nothing reduces, and the first-passage
+    phase would run to max_steps."""
+    e, p = np.asarray(e, float), np.asarray(p, float)
+    v0 = float(p @ (e * e) - (p @ e) ** 2)
+    if stop_on_reduction and sigma == 0 and v0 > 0:
+        raise ValueError(f"sigma = 0 never reduces a state with energy variance "
+                         f"V(0) = {v0:.3g} > 0")
+    return v0
+
+
+def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, eps, popmin,
          horizon_steps, record_stride, stop_on_reduction, max_steps) -> EnsembleRun:
     """Split n_traj into spans of whole blocks, run them, merge in order."""
     for name, value, least in (("horizon_steps", horizon_steps, 0),
                                ("record_stride", record_stride, 0), ("max_steps", max_steps, 1)):
         if not value >= least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    if stop_on_reduction and max_steps < horizon_steps:
+        raise ValueError(f"max_steps must be >= horizon_steps with stop_on_reduction, "
+                         f"got max_steps = {max_steps} < horizon_steps = {horizon_steps}")
     groups = tuple((i,) for i in range(e.shape[0])) if groups is None else tuple(groups)
-    v0 = float(p0 @ (e * e) - (p0 @ e) ** 2)
+    v0 = _check_reducible(sigma, e, p0, stop_on_reduction)
     plan = _Plan(kernel, _group_index(groups, e.shape[0]), dt, base_seed,
                  eps * v0 if v0 > 0 else 0.0, popmin, horizon_steps, record_stride,
                  stop_on_reduction, max_steps)
@@ -503,13 +518,14 @@ def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_
     of unit norm; groups: outcome classes (default: one per level).  Raises
     ValueError on non-finite, wrongly sized or unnormalized input, a
     non-finite or negative sigma, dt ≤ 0, or populations that turn
-    non-finite.
+    non-finite; with stop_on_reduction, also on max_steps < horizon_steps
+    and on sigma = 0 with V(0) > 0, which could never stop.
     """
     e = np.asarray(energies, dtype=float)
     c0 = np.asarray(c0, dtype=complex)
     _check_input(e, c0, 1, sigma, dt, n_traj)
     kernel = _StateKernel(e, c0, sigma, dt)
-    return _run(kernel, e, kernel.x0, dt, base_seed, n_traj, workers, groups, eps, popmin,
+    return _run(kernel, e, kernel.x0, sigma, dt, base_seed, n_traj, workers, groups, eps, popmin,
                 horizon_steps, record_stride, stop_on_reduction, max_steps)
 
 
@@ -532,6 +548,6 @@ def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int
     e = np.asarray(energies, dtype=float)
     r0 = np.asarray(rho0, dtype=complex)
     _check_input(e, r0, 2, sigma, dt, n_traj)
-    return _run(_DensityKernel(e, r0, sigma, dt), e, np.real(np.diag(r0)), dt, base_seed,
+    return _run(_DensityKernel(e, r0, sigma, dt), e, np.real(np.diag(r0)), sigma, dt, base_seed,
                 n_traj, workers, groups, eps, popmin, horizon_steps, record_stride,
                 stop_on_reduction, max_steps)

@@ -10,6 +10,7 @@ empirical scaling of the reduction time with σ and the level splitting.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,15 +105,34 @@ def _stats_from_run(run: ensemble.EnsembleRun, labels, expected=None) -> Ensembl
     )
 
 
-def _check_reducible(sigma: float, e, p) -> None:
-    """Raise ValueError when σ = 0 meets populations p over energies e with
-    V(0) > 0: nothing reduces, and the first-passage phase would run to
-    max_steps."""
-    e, p = np.asarray(e, float), np.asarray(p, float)
-    v0 = float(p @ (e * e) - (p @ e) ** 2)
-    if sigma == 0 and v0 > 0:
-        raise ValueError(f"sigma = 0 never reduces a state with energy variance "
-                         f"V(0) = {v0:.3g} > 0")
+def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_fraction,
+                  workers, groups=None, labels=(), expected=None, horizon=0.0,
+                  record_stride=0, stall=None):
+    """What every scenario shares, for energies e and, in their eigenbasis,
+    amplitudes or a density matrix `state`: dt from the spectral range when
+    None, the stability and σ = 0 checks before the first step, the ensemble
+    run to reduction after a recorded horizon (None: 20/(σ²ΔE²), which covers
+    the bulk of the reduction; stragglers retire afterwards), the outcome
+    tally, and the budget check, whose message ends in `stall` when given.
+    workers=None runs on every CPU, as the CLI does.  Returns the run and
+    its EnsembleStats."""
+    rng = float(e.max() - e.min())
+    dt = default_dt(sigma, rng) if dt is None else dt
+    check_stability(sigma, dt, rng)
+    density = state.ndim == 2
+    ensemble._check_reducible(sigma, e, np.real(np.diag(state)) if density else np.abs(state) ** 2)
+    if horizon is None:
+        horizon = 20.0 / (sigma * sigma * max(rng, 1e-12) ** 2)
+    runner = ensemble.run_density_ensemble if density else ensemble.run_state_ensemble
+    run = runner(e, state, sigma, dt, base_seed, n_traj, groups=groups,
+                 horizon_steps=max(record_stride, int(round(horizon / dt))),
+                 record_stride=record_stride, max_steps=max_steps,
+                 workers=(os.cpu_count() or 1) if workers is None else workers)
+    stats = _stats_from_run(run, labels, expected)
+    if stats.n_unreduced > budget_fraction * n_traj:
+        raise ReductionBudgetError(f"{stats.n_unreduced}/{n_traj} trajectories unreduced "
+                                   + (stall or f"after {max_steps} steps"))
+    return run, stats
 
 
 def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
@@ -128,26 +148,14 @@ def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
     StabilityError when σ²ΔE²dt exceeds the hard bound, and ValueError, before
     the first step, when σ = 0 and V(0) > 0.
     """
-    m = as_matrix(h)
-    spec = eig_hermitian(m)
+    spec = eig_hermitian(as_matrix(h))
     c0 = spec.eigenvectors.conj().T @ as_vector(chi0)
-    rng = float(spec.eigenvalues[-1] - spec.eigenvalues[0])
-    dt = default_dt(sigma, rng) if dt is None else dt
-    check_stability(sigma, dt, rng)
-    _check_reducible(sigma, spec.eigenvalues, np.abs(c0) ** 2)
-    run = ensemble.run_state_ensemble(
-        spec.eigenvalues, c0, sigma, dt, base_seed, n_traj,
-        groups=spec.degeneracy_groups, max_steps=max_steps, workers=workers,
-    )
     weights = np.asarray(
         [sum(abs(c0[i]) ** 2 for i in g) for g in spec.degeneracy_groups])
-    labels = [f"E={eg:.6g}" for eg in spec.group_energies()]
-    stats = _stats_from_run(run, labels, expected=weights)
-    if stats.n_unreduced > budget_fraction * n_traj:
-        raise ReductionBudgetError(
-            f"{stats.n_unreduced}/{n_traj} trajectories unreduced after {max_steps} steps"
-        )
-    return stats
+    return _run_scenario(
+        spec.eigenvalues, c0, sigma, n_traj, base_seed, dt=dt, max_steps=max_steps,
+        budget_fraction=budget_fraction, workers=workers, groups=spec.degeneracy_groups,
+        labels=[f"E={eg:.6g}" for eg in spec.group_energies()], expected=weights)[1]
 
 
 @dataclass
@@ -211,35 +219,16 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
     tallies the outcome frequencies against the Gibbs weights.  Raises the
     errors of born_statistics.
     """
-    m = as_matrix(h)
-    spec = eig_hermitian(m)
+    spec = eig_hermitian(as_matrix(h))
     e = spec.eigenvalues
-    rng = float(e[-1] - e[0])
-    dt = default_dt(sigma, rng) if dt is None else dt
-    check_stability(sigma, dt, rng)
     w = np.exp(-beta * (e - e.min()))
     w /= w.sum()
-    _check_reducible(sigma, e, w)
-    if horizon is None:
-        # covers the bulk of the reduction for the unbiased-mean phase; the
-        # retirement phase afterwards handles the stragglers
-        horizon = 20.0 / (sigma * sigma * max(rng, 1e-12) ** 2)
-    horizon_steps = max(record_stride, int(round(horizon / dt)))
-    rho0 = np.diag(w).astype(complex)
-
-    run = ensemble.run_density_ensemble(
-        e, rho0, sigma, dt, base_seed, n_traj,
-        groups=spec.degeneracy_groups,
-        horizon_steps=horizon_steps, record_stride=record_stride,
-        stop_on_reduction=True, max_steps=max_steps, workers=workers,
-    )
     gw = np.array([w[list(g)].sum() for g in spec.degeneracy_groups])
-    labels = [f"E={eg:.6g}" for eg in spec.group_energies()]
-    stats = _stats_from_run(run, labels, expected=gw)
-    if stats.n_unreduced > budget_fraction * n_traj:
-        raise ReductionBudgetError(
-            f"{stats.n_unreduced}/{n_traj} trajectories unreduced after {max_steps} steps"
-        )
+    run, stats = _run_scenario(
+        e, np.diag(w).astype(complex), sigma, n_traj, base_seed, dt=dt, max_steps=max_steps,
+        budget_fraction=budget_fraction, workers=workers, groups=spec.degeneracy_groups,
+        labels=[f"E={eg:.6g}" for eg in spec.group_energies()], expected=gw,
+        horizon=horizon, record_stride=record_stride)
 
     target = np.diag(w)
     dev = np.linalg.norm(run.mean_rho - target[None], axis=(1, 2))
@@ -305,27 +294,15 @@ def luders_scenario(alpha: complex, branch_amplitudes, measured_weights,
         raise ValueError("measured branches need well-separated nonzero energies")
     beta = math.sqrt(max(1.0 - abs(alpha) ** 2, 0.0))
     nb, nm = len(bamp), len(mw)
-    d = nb + nm
     e = np.concatenate([np.zeros(nb), me])
     c0 = np.concatenate([alpha * bamp, beta * np.sqrt(mw)])
-    groups = (tuple(range(nb)),) + tuple((nb + i,) for i in range(nm))
-    rng = float(e.max() - e.min())
-    dt = default_dt(sigma, rng) if dt is None else dt
-    check_stability(sigma, dt, rng)
-    _check_reducible(sigma, e, np.abs(c0) ** 2)
-
-    run = ensemble.run_state_ensemble(
-        e, c0, sigma, dt, base_seed, n_traj, groups=groups,
-        max_steps=max_steps, workers=workers,
-    )
     expected = np.concatenate([[abs(alpha) ** 2], beta**2 * mw])
-    labels = ["transmitted"] + [f"outcome_{i}" for i in range(nm)]
-    stats = _stats_from_run(run, labels, expected=expected)
-    if stats.n_unreduced > budget_fraction * n_traj:
-        raise ReductionBudgetError(
-            f"{stats.n_unreduced}/{n_traj} trajectories unreduced "
-            f"(insufficient branch energy separation stalls reduction)"
-        )
+    run, stats = _run_scenario(
+        e, c0, sigma, n_traj, base_seed, dt=dt, max_steps=max_steps,
+        budget_fraction=budget_fraction, workers=workers,
+        groups=(tuple(range(nb)),) + tuple((nb + i,) for i in range(nm)),
+        labels=["transmitted"] + [f"outcome_{i}" for i in range(nm)], expected=expected,
+        stall="(insufficient branch energy separation stalls reduction)")
 
     sel = run.outcomes == 0
     n_trans = int(sel.sum())
@@ -367,16 +344,6 @@ class ScalingReport:
     n_unreduced: int
 
 
-def _median_first_passage(sigma, de, n_traj, base_seed, max_steps, workers):
-    e = np.array([0.0, de])
-    c0 = np.sqrt(np.array([0.5, 0.5], complex))
-    dt = default_dt(sigma, de)
-    run = ensemble.run_state_ensemble(
-        e, c0, sigma, dt, base_seed, n_traj, max_steps=max_steps, workers=workers)
-    times = run.reduction_times
-    return float(np.nanmedian(times)), int(np.sum(run.outcomes < 0))
-
-
 def reduction_time_scaling(de_values, sigma_values, *, sigma_ref: float = 1.0,
                            de_ref: float = 1.0, n_traj: int = 512,
                            base_seed: int = 0, max_steps: int = 1_000_000,
@@ -389,22 +356,18 @@ def reduction_time_scaling(de_values, sigma_values, *, sigma_ref: float = 1.0,
     """
     sv = np.asarray(sigma_values, float)
     dv = np.asarray(de_values, float)
-    for s, de in [(s, de_ref) for s in sv] + [(sigma_ref, de) for de in dv]:
-        _check_reducible(s, [0.0, de], [0.5, 0.5])
-    unred = 0
-    med_s = []
-    for i, s in enumerate(sv):
-        m, u = _median_first_passage(s, de_ref, n_traj, base_seed + 1000 + i,
-                                     max_steps, workers)
-        med_s.append(m)
-        unred += u
-    med_d = []
-    for i, de in enumerate(dv):
-        m, u = _median_first_passage(sigma_ref, de, n_traj, base_seed + 2000 + i,
-                                     max_steps, workers)
-        med_d.append(m)
-        unred += u
-    med_s, med_d = np.asarray(med_s), np.asarray(med_d)
+    scan = ([(s, de_ref, base_seed + 1000 + i) for i, s in enumerate(sv)]
+            + [(sigma_ref, de, base_seed + 2000 + i) for i, de in enumerate(dv)])
+    for s, de, _ in scan:
+        ensemble._check_reducible(s, [0.0, de], [0.5, 0.5])
+    medians, unred = [], 0
+    for s, de, seed in scan:
+        _, stats = _run_scenario(np.array([0.0, de]), np.sqrt(np.array([0.5, 0.5], complex)),
+                                 s, n_traj, seed, dt=None, max_steps=max_steps,
+                                 budget_fraction=1.0, workers=workers)
+        medians.append(float(np.nanmedian(stats.reduction_times)))
+        unred += stats.n_unreduced
+    med_s, med_d = np.asarray(medians[:len(sv)]), np.asarray(medians[len(sv):])
     exp_s = float(np.polyfit(np.log(sv), np.log(med_s), 1)[0])
     exp_d = float(np.polyfit(np.log(dv), np.log(med_d), 1)[0])
     return ScalingReport(

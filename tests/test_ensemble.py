@@ -199,6 +199,42 @@ def test_bad_step_counts_rejected_up_front(option, value):
                                       **{option: value})
 
 
+def test_max_steps_below_horizon_rejected_up_front():
+    # with stop_on_reduction the first-passage phase would get no step
+    c0 = np.sqrt(np.array([0.5, 0.5], complex))
+    rho0 = np.diag([0.5, 0.5])
+    steps = {"horizon_steps": 100, "max_steps": 50}
+    with pytest.raises(ValueError, match="max_steps = 50 < horizon_steps = 100"):
+        ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, **steps)
+    with pytest.raises(ValueError, match="max_steps = 50 < horizon_steps = 100"):
+        ensemble.run_density_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8, **steps)
+    # without it the run ends at the horizon and max_steps bounds nothing
+    run = ensemble.run_density_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8,
+                                        stop_on_reduction=False, **steps)
+    assert run.n_unreduced == 8
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["state", "density"])
+def test_sigma_zero_rejected_when_nothing_can_reduce(density, monkeypatch):
+    def run(p, **options):
+        if density:
+            return ensemble.run_density_ensemble([0.0, 1.0], np.diag(p), 0.0, 1e-3, 0, 8,
+                                                 **options)
+        return ensemble.run_state_ensemble([0.0, 1.0], np.sqrt(p), 0.0, 1e-3, 0, 8, **options)
+
+    # accepted: V(0) = 0 is reduced at once, and a fixed horizon ends by itself
+    assert list(run([0.0, 1.0]).outcomes) == [1] * 8
+    fixed = run([0.5, 0.5], horizon_steps=100, stop_on_reduction=False)
+    assert fixed.n_unreduced == 8 and np.isnan(fixed.reduction_times).all()
+
+    def no_run(*args):
+        raise AssertionError("a span started")
+
+    monkeypatch.setattr(ensemble, "_run_spans", no_run)
+    with pytest.raises(ValueError, match=r"sigma = 0 never reduces .* V\(0\) = 0.25 > 0"):
+        run([0.5, 0.5], max_steps=200_000)
+
+
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
 def test_bad_sigma_rejected_up_front(sigma):
     c0 = np.sqrt(np.array([0.5, 0.5], complex))

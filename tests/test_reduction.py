@@ -1,9 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from reductionlab import reduction
+from reductionlab import ensemble, reduction
 from reductionlab.dynamics import StabilityError
 from reductionlab.linalg import random_hermitian
 from reductionlab.reduction import (
@@ -111,9 +112,11 @@ def test_luders_validation():
 def test_scaling_sigma_zero_reports_unreduced():
     from reductionlab.ensemble import run_state_ensemble
 
+    # σ = 0 with V(0) > 0 is rejected under stop_on_reduction; over a fixed
+    # horizon every trajectory comes back unreduced
     run = run_state_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
                              sigma=0.0, dt=1e-3, base_seed=0, n_traj=16,
-                             max_steps=2000)
+                             horizon_steps=2000, stop_on_reduction=False)
     assert run.n_unreduced == 16
     assert np.all(np.isnan(run.reduction_times))
 
@@ -178,3 +181,27 @@ def test_sigma_zero_accepted_for_an_eigenstate():
     # V(0) = 0: the state is reduced already, so σ = 0 is no error
     st = born_statistics(np.diag([0.0, 1.0]), np.array([0.0, 1.0]), 0.0, 16, 0)
     assert list(st.frequencies) == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda n, **kw: born_statistics(np.diag([0.0, 1.0]), np.sqrt([0.3, 0.7]), 1.0, n, 21,
+                                    dt=5e-3, **kw),
+    lambda n, **kw: statdist_martingale_run(np.diag([0.0, 1.0]), 0.5, 1.0, n, 22, dt=5e-3,
+                                            horizon=2.0, **kw).stats,
+    lambda n, **kw: luders_scenario(0.6, [1.0], [1.0], [1.0], 1.0, n, 23, dt=5e-3, **kw).stats,
+], ids=["born", "statdist", "luders"])
+def test_scenarios_default_to_every_cpu_with_the_same_results(scenario, monkeypatch):
+    # two blocks of trajectories: the default runs them as two spans on two CPUs
+    n = ensemble.BATCH_SIZE + 100
+    widths = []
+    run_spans = ensemble._run_spans
+
+    def spy(plan, spans):
+        widths.append(len(spans))
+        return run_spans(plan, spans)
+
+    monkeypatch.setattr(ensemble, "_run_spans", spy)
+    default, serial = scenario(n), scenario(n, workers=1)
+    assert widths == [min(2, os.cpu_count() or 1), 1]
+    assert default.frequencies.tobytes() == serial.frequencies.tobytes()
+    assert default.reduction_times.tobytes() == serial.reduction_times.tobytes()
