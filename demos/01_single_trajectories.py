@@ -6,6 +6,8 @@ to the energy distribution.  With σ > 0 the energy variance V(t) is driven
 to zero along every path: the state collapses onto an energy eigenstate.
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from reductionlab.dynamics import SdeConfig, evolve_trajectory
@@ -31,5 +33,7 @@ for seed in (7, 8, 9):
 print()
 print("different seeds pick different eigenstates; the variance dies every time")
 
-traj.to_csv("trajectory-seed9.csv")
-print("last trajectory written to trajectory-seed9.csv (t, reH_exp, V, purity_residual)")
+out = Path("out")
+out.mkdir(exist_ok=True)
+traj.to_csv(out / "trajectory-seed9.csv")
+print("last trajectory written to out/trajectory-seed9.csv (t, reH_exp, V, purity_residual)")

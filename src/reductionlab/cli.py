@@ -22,22 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import accretion, composite, dynamics, phenomenology as ph, reduction
-from .linalg import load_array, random_density_matrix, random_hermitian, random_pure_state
+from .linalg import (_format, load_array, random_density_matrix, random_hermitian,
+                     random_pure_state, write_csv)
 from .noise import wiener_path
 
 SEED_ENV = "REDUCTIONLAB_SEED"
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
 class Reporter:
@@ -47,17 +36,25 @@ class Reporter:
         self.failures = 0
 
     def check(self, name: str, ok: bool, **info) -> None:
-        detail = " ".join(f"{k}={_fmt(v) if isinstance(v, (int, float, np.floating)) else v}"
-                          for k, v in info.items())
         status = "PASS" if ok else "FAIL"
-        print(f"RESULT check={name} status={status} {detail}".rstrip())
+        print(f"RESULT check={name} status={status} {_details(info)}".rstrip())
         if not ok:
             self.failures += 1
 
     def value(self, name: str, **info) -> None:
-        detail = " ".join(f"{k}={_fmt(v) if isinstance(v, (int, float, np.floating)) else v}"
-                          for k, v in info.items())
-        print(f"VALUE name={name} {detail}")
+        print(f"VALUE name={name} {_details(info)}")
+
+    def bands(self, prefix: str, stats, expected, key: str) -> None:
+        """Check each outcome frequency against its expected probability p,
+        within 4 binomial standard deviations; key names p in the line."""
+        for lab, f, p in zip(stats.outcome_labels, stats.frequencies, expected):
+            band = 4.0 * math.sqrt(p * (1 - p) / stats.n_traj)
+            self.check(f"{prefix}[{lab}]", abs(f - p) <= band, freq=f, **{key: p}, band=band)
+
+
+def _details(info) -> str:
+    """k=v pairs, each value formatted as in the CSV artifacts."""
+    return " ".join(f"{k}={_format(v)}" for k, v in info.items())
 
 
 def _resolve_out_dir(args, subname: str) -> Path:
@@ -142,12 +139,7 @@ def cmd_ensemble_born(args, rep: Reporter, out: Path) -> None:
     st = reduction.born_statistics(h, chi0, args.sigma, args.ntraj, args.seed,
                                    dt=args.dt, workers=args.workers)
     st.outcome_csv(out / "born-frequencies.csv")
-    ok_all = True
-    for lab, f, p in zip(st.outcome_labels, st.frequencies, st.expected):
-        band = 4.0 * math.sqrt(p * (1 - p) / st.n_traj)
-        ok = abs(f - p) <= band
-        ok_all &= ok
-        rep.check(f"born[{lab}]", ok, freq=f, born_weight=p, band=band)
+    rep.bands("born", st, st.expected, "born_weight")
     counts = np.round(st.frequencies * (st.n_traj - st.n_unreduced))
     expected = st.expected * counts.sum()
     pval = _chi2_pvalue(((counts - expected) ** 2 / expected).sum(), len(counts) - 1)
@@ -165,10 +157,7 @@ def cmd_ensemble_statdist(args, rep: Reporter, out: Path) -> None:
     report.stats.series_csv(out / "statdist-series.csv")
     rep.check("statdist-mean", report.mean_dev_ratio <= 1.0,
               sup_dev=report.sup_mean_deviation, allowed=report.sup_allowed)
-    for lab, f, p in zip(report.stats.outcome_labels, report.stats.frequencies,
-                         report.gibbs_weights):
-        band = 4.0 * math.sqrt(p * (1 - p) / report.stats.n_traj)
-        rep.check(f"statdist[{lab}]", abs(f - p) <= band, freq=f, gibbs=p, band=band)
+    rep.bands("statdist", report.stats, report.gibbs_weights, "gibbs")
 
 
 def cmd_ensemble_luders(args, rep: Reporter, out: Path) -> None:
@@ -181,9 +170,7 @@ def cmd_ensemble_luders(args, rep: Reporter, out: Path) -> None:
                                    args.sigma, args.ntraj, args.seed,
                                    dt=args.dt, workers=args.workers)
     rp.stats.outcome_csv(out / "luders-frequencies.csv")
-    for lab, f, p in zip(rp.stats.outcome_labels, rp.stats.frequencies, rp.expected):
-        band = 4.0 * math.sqrt(p * (1 - p) / rp.stats.n_traj)
-        rep.check(f"luders[{lab}]", abs(f - p) <= band, freq=f, expected=p, band=band)
+    rep.bands("luders", rp.stats, rp.expected, "expected")
     rep.check("luders-fidelity", rp.transmission_fidelity_min >= 0.99,
               min_fidelity=rp.transmission_fidelity_min)
     rep.check("luders-phase", rp.phase_error_max <= 1e-2,
@@ -195,10 +182,10 @@ def cmd_ensemble_scaling(args, rep: Reporter, out: Path) -> None:
     dv = [float(x) for x in args.de_values.split(",")]
     sc = reduction.reduction_time_scaling(dv, sv, n_traj=args.ntraj,
                                           base_seed=args.seed, workers=args.workers)
-    _write_csv(out / "scaling-sigma.csv", "sigma,median_t_r",
-               zip(sc.sigma_values, sc.sigma_medians))
-    _write_csv(out / "scaling-de.csv", "delta_e,median_t_r",
-               zip(sc.de_values, sc.de_medians))
+    write_csv(out / "scaling-sigma.csv", "sigma,median_t_r",
+              zip(sc.sigma_values, sc.sigma_medians))
+    write_csv(out / "scaling-de.csv", "delta_e,median_t_r",
+              zip(sc.de_values, sc.de_medians))
     rep.check("scaling-sigma", abs(sc.sigma_exponent + 2.0) <= 0.2,
               exponent=sc.sigma_exponent)
     rep.check("scaling-de", abs(sc.de_exponent + 2.0) <= 0.2,
@@ -244,7 +231,7 @@ def cmd_cluster_check(args, rep: Reporter, out: Path) -> None:
         rep.check(f"cluster[{name}]", v <= 1e-12, residual=v)
     rows.append(("generic-mixed-dc", generic))
     rep.check("cluster[generic-nonzero]", generic > 1e-6, residual=generic)
-    _write_csv(out / "cluster-residuals.csv", "case,worst_residual", rows)
+    write_csv(out / "cluster-residuals.csv", "case,worst_residual", rows)
 
 
 def cmd_hartree(args, rep: Reporter, out: Path) -> None:
@@ -274,8 +261,8 @@ def cmd_hartree(args, rep: Reporter, out: Path) -> None:
 def cmd_accretion_occupancy(args, rep: Reporter, out: Path) -> None:
     model = accretion.AccretionModel(args.sites, args.mass, args.stick, args.evap)
     res = accretion.occupancy_simulate(model, args.horizon, args.seed)
-    _write_csv(out / "occupancy-histogram.csv", "count,samples",
-               enumerate(res.histogram))
+    write_csv(out / "occupancy-histogram.csv", "count,samples",
+              enumerate(res.histogram))
     n = np.arange(len(res.histogram))
     expected = accretion.stationary_binomial_pmf(model, n) * res.samples.size
     obs, exp = _merge_bins(res.histogram, expected)
@@ -319,7 +306,7 @@ def cmd_accretion_coherent(args, rep: Reporter, out: Path) -> None:
         pb = accretion.pnk_bessel(n, k, z)
         env = accretion.pnk_envelope(n, k, z)
         rows.append((k, pe, pb, env.value if env.region == "band" else 0.0))
-    _write_csv(out / "coherent-spectrum.csv", "k,p_exact,p_bessel,envelope", rows)
+    write_csv(out / "coherent-spectrum.csv", "k,p_exact,p_bessel,envelope", rows)
     n_max = accretion.default_truncation(n, z)
     total = sum(accretion.pnk_exact(n, n - m, z, n_max=n_max) for m in range(n_max + 1))
     rep.check("coherent-sum", abs(total - 1.0) <= 1e-10, total=total)
@@ -331,7 +318,7 @@ def cmd_accretion_coherent(args, rep: Reporter, out: Path) -> None:
 def cmd_phenom_treduce(args, rep: Reporter, out: Path) -> None:
     de = _parse_quantity(args.delta_e)
     t = ph.t_reduce(de)
-    _write_csv(out / "t-reduce.csv", "delta_e_eV,t_r_s", [(de.to("eV"), t.to("s"))])
+    write_csv(out / "t-reduce.csv", "delta_e_eV,t_r_s", [(de.to("eV"), t.to("s"))])
     rep.value("t-reduce", delta_e_eV=de.to("eV"), t_r_s=t.to("s"))
 
 
@@ -339,10 +326,10 @@ def cmd_phenom_accretion(args, rep: Reporter, out: Path) -> None:
     preset = ph.PRESETS[args.preset]
     area = _parse_quantity(args.area)
     est = ph.accretion_reduction_for_area(preset, area)
-    _write_csv(out / "phenom-accretion.csv",
-               "preset,area_cm2,t_r_s,molecules,valid",
-               [(preset.name, area.to("cm2"), est.t_r.to("s"), est.molecules,
-                 int(est.valid))])
+    write_csv(out / "phenom-accretion.csv",
+              "preset,area_cm2,t_r_s,molecules,valid",
+              [(preset.name, area.to("cm2"), est.t_r.to("s"), est.molecules,
+                int(est.valid))])
     rep.value("phenom-accretion", preset=preset.name, t_r_s=est.t_r.to("s"),
               molecules=est.molecules, valid=est.valid)
 
@@ -397,7 +384,7 @@ def cmd_reproduce_paper(args, rep: Reporter, out: Path) -> None:
         print(f"{name:<28}{value:>14.4g}{target:>12.3g}{ratio:>9.3f}  "
               f"{'PASS' if ok else 'FAIL'}")
         rep.check(f"paper[{name}]", ok, computed=value, source=target, ratio=ratio)
-    _write_csv(out / "paper-values.csv", "check,computed,source,ratio,status", rows)
+    write_csv(out / "paper-values.csv", "check,computed,source,ratio,status", rows)
 
 
 # --- parser ------------------------------------------------------------------

@@ -17,14 +17,13 @@ coupling contractions precomputed as one real map per g.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .dynamics import (ANTICOMMUTATOR, _dag, _embed, _euler_step, _times, check_stability,
                        noise_coefficient)
 from .ensemble import CHUNK, _DensityKernel, _check_input, _noise_chunk
-from .linalg import as_matrix, hermiticity_defect
+from .linalg import as_matrix, hermiticity_defect, write_csv
 from .noise import trajectory_generator
 
 __all__ = [
@@ -189,10 +188,8 @@ class HartreeReport:
     exponent: float
 
     def csv(self, path) -> None:
-        lines = ["g,mean_discrepancy,sem"]
-        for g, m, s in zip(self.g_values, self.mean_discrepancy, self.sem):
-            lines.append(f"{g:.17g},{m:.17g},{s:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        write_csv(path, "g,mean_discrepancy,sem",
+                  zip(self.g_values, self.mean_discrepancy, self.sem))
 
 
 def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma, dt,

@@ -10,7 +10,7 @@ Implements Euler–Maruyama single steps and full trajectories for
 * the pure-noise specialization for states commuting with H
   (dρ = (σ/2)({ρ,H} − 2ρ Tr ρH) dW, a matrix martingale),
 * the deterministic flow of the stochastic expectation
-  dE[ρ]/dt = −i[H,E[ρ]] − (σ²/8)[H,[H,E[ρ]]].
+  dE[ρ]/dt = −i[H,E[ρ]] − (σ²/8)[H,[H,E[ρ]]], solved in closed form.
 
 Every density-matrix Euler step, here and in the mean-field step of
 `composite`, is one batched update over (…, b, d, d) stacks: it builds
@@ -23,13 +23,13 @@ All steppers take and return plain complex ndarrays; the wrappers from
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, hermitize, purity_residual
+from .linalg import as_matrix, as_vector, hermitize, purity_residual, write_csv
 from .noise import wiener_path
 
 __all__ = [
@@ -95,7 +95,8 @@ def default_dt(sigma: float, h_or_range) -> float:
 def check_stability(sigma: float, dt: float, h_range: float) -> None:
     """Raise ValueError on a non-finite or negative sigma or a dt that is not
     finite and positive, and StabilityError when sigma²·ΔE²·dt exceeds the
-    hard bound; warn above the comfort bound."""
+    hard bound; warn above the comfort bound, at the first caller outside
+    the package."""
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if not (np.isfinite(dt) and dt > 0):
@@ -106,10 +107,13 @@ def check_stability(sigma: float, dt: float, h_range: float) -> None:
             f"sigma²·ΔE²·dt = {product:.3g} exceeds hard bound {STABILITY_HARD}"
         )
     if product > STABILITY_WARN:
+        level, frame = 2, sys._getframe(1)
+        while frame.f_back and frame.f_globals.get("__name__", "").startswith("reductionlab."):
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"sigma²·ΔE²·dt = {product:.3g} above comfort bound {STABILITY_WARN}",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -307,35 +311,17 @@ def step_commuting_martingale(rho, h, sigma: float, dt: float, dW: float,
     return _single_step(r, m, sigma, 0.0, dW, ANTICOMMUTATOR)
 
 
-def evolve_expectation(rho0, h, sigma: float, t: float,
-                       n_steps: int | None = None) -> np.ndarray:
-    """Deterministic flow of E[ρ] integrated with fixed-step RK4.
+def evolve_expectation(rho0, h, sigma: float, t: float) -> np.ndarray:
+    """E[ρ](t) in closed form.
 
-    Any function of H is a fixed point; off-diagonal elements in the H
-    eigenbasis rotate at (Eᵢ−Eⱼ) and decay at (σ²/8)(Eᵢ−Eⱼ)².
+    In the H eigenbasis each element ρᵢⱼ rotates at (Eᵢ−Eⱼ) and decays at
+    (σ²/8)(Eᵢ−Eⱼ)², so any function of H is a fixed point.
     """
-    r = as_matrix(rho0).copy()
-    m = as_matrix(h)
-    if t == 0.0:
-        return r
-    if n_steps is None:
-        rng = spectral_range(m)
-        rate = rng + 0.125 * sigma * sigma * rng * rng
-        n_steps = max(200, int(np.ceil(20.0 * rate * abs(t))))
-
-    def rhs(x):
-        comm = m @ x - x @ m
-        dcomm = m @ comm - comm @ m
-        return -1j * comm - 0.125 * sigma * sigma * dcomm
-
-    dt = t / n_steps
-    for _ in range(n_steps):
-        k1 = rhs(r)
-        k2 = rhs(r + 0.5 * dt * k1)
-        k3 = rhs(r + 0.5 * dt * k2)
-        k4 = rhs(r + dt * k3)
-        r = r + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return hermitize(r)
+    e, u = np.linalg.eigh(as_matrix(h))
+    gap = e[:, None] - e[None, :]
+    r = u.conj().T @ as_matrix(rho0) @ u
+    r *= np.exp(-1j * gap * t - 0.125 * sigma * sigma * gap * gap * t)
+    return hermitize(u @ r @ u.conj().T)
 
 
 @dataclass
@@ -372,11 +358,8 @@ class Trajectory:
                     )
 
     def to_csv(self, path) -> None:
-        lines = ["t,reH_exp,V,purity_residual"]
-        for t, e, v, p in zip(self.times, self.energy_mean, self.variance,
-                              self.purity_residual):
-            lines.append(f"{t:.17g},{e:.17g},{v:.17g},{p:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        write_csv(path, "t,reH_exp,V,purity_residual",
+                  zip(self.times, self.energy_mean, self.variance, self.purity_residual))
 
 
 def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:

@@ -30,6 +30,7 @@ __all__ = [
     "random_density_matrix",
     "save_array",
     "load_array",
+    "write_csv",
 ]
 
 # Construction-time tolerances.  Trajectory storage uses scheme-dependent
@@ -281,18 +282,15 @@ def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None =
 # square matrix.
 
 def save_array(path, arr) -> None:
-    a = np.asarray(arr, dtype=complex)
     if isinstance(arr, (Operator, DensityMatrix)):
-        a = arr.matrix
+        arr = arr.matrix
     elif isinstance(arr, StateVector):
-        a = arr.amplitudes
-    if a.ndim not in (1, 2):
+        arr = arr.amplitudes
+    a = np.asarray(arr, dtype=complex)
+    if a.ndim not in (1, 2) or a.shape[0] != a.shape[-1]:
         raise LinalgError("can only serialize vectors and square matrices")
-    dim = a.shape[0]
-    flat = a.reshape(-1)
-    lines = [str(dim)]
-    lines += [f"{x.real:.17g} {x.imag:.17g}" for x in flat]
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    write_csv(path, str(a.shape[0]),
+              ([f"{_format(x.real)} {_format(x.imag)}"] for x in a.reshape(-1)))
 
 
 def load_array(path) -> np.ndarray:
@@ -306,3 +304,16 @@ def load_array(path) -> np.ndarray:
     if vals.size == dim * dim:
         return vals.reshape(dim, dim)
     raise LinalgError(f"file holds {vals.size} entries; expected {dim} or {dim*dim}")
+
+
+def _format(v) -> str:
+    """A CSV cell or RESULT value: an int or float at 17 significant digits,
+    which round-trips a float64, anything else by str."""
+    return f"{float(v):.17g}" if isinstance(v, (int, float, np.floating)) else str(v)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write every artifact table: the header line, then one line of
+    comma-joined cells per row, each line ending in LF."""
+    lines = [header] + [",".join(map(_format, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")

@@ -11,9 +11,10 @@ s is member 0 of base seed s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .linalg import write_csv
 
 __all__ = [
     "NoisePath",
@@ -40,9 +41,7 @@ class NoisePath:
         return self.increments.shape[0]
 
     def to_csv(self, path) -> None:
-        lines = ["step,dW"]
-        lines += [f"{i},{x:.17g}" for i, x in enumerate(self.increments)]
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        write_csv(path, "step,dW", enumerate(self.increments))
 
 
 def wiener_path(seed: int, dt: float, n_steps: int) -> NoisePath:

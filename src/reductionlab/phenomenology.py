@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
+
+from .linalg import write_csv
 
 __all__ = [
     "Dim",
@@ -423,11 +424,8 @@ def scenario_table(presets=None) -> list[ScenarioRow]:
 
 def scenario_table_csv(path, rows=None) -> None:
     rows = scenario_table() if rows is None else rows
-    lines = ["preset,area_fast_cm2,molecules_fast,area_relaxed_cm2,"
-             "molecules_relaxed,t_r_1cm2_s,molecules_1cm2"]
-    for r in rows:
-        lines.append(
-            f"{r.preset},{r.area_fast.to('cm2'):.17g},{r.molecules_fast:.17g},"
-            f"{r.area_relaxed.to('cm2'):.17g},{r.molecules_relaxed:.17g},"
-            f"{r.t_r_at_1cm2.to('s'):.17g},{r.molecules_at_1cm2:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    write_csv(path, "preset,area_fast_cm2,molecules_fast,area_relaxed_cm2,"
+              "molecules_relaxed,t_r_1cm2_s,molecules_1cm2",
+              ((r.preset, r.area_fast.to("cm2"), r.molecules_fast,
+                r.area_relaxed.to("cm2"), r.molecules_relaxed,
+                r.t_r_at_1cm2.to("s"), r.molecules_at_1cm2) for r in rows))

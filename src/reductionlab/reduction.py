@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import ensemble
 from .dynamics import check_stability, default_dt
-from .linalg import DensityMatrix, as_matrix, as_vector, eig_hermitian
+from .linalg import DensityMatrix, as_matrix, as_vector, eig_hermitian, write_csv
 
 __all__ = [
     "gibbs_state",
@@ -68,17 +67,12 @@ class EnsembleStats:
     n_unreduced: int = 0
 
     def outcome_csv(self, path) -> None:
-        lines = ["outcome,frequency,ci_lo,ci_hi"]
-        for lab, f, lo, hi in zip(self.outcome_labels, self.frequencies,
-                                  self.ci_lo, self.ci_hi):
-            lines.append(f"{lab},{f:.17g},{lo:.17g},{hi:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        write_csv(path, "outcome,frequency,ci_lo,ci_hi",
+                  zip(self.outcome_labels, self.frequencies, self.ci_lo, self.ci_hi))
 
     def series_csv(self, path) -> None:
-        lines = ["t,EV,EV_sem,EV2"]
-        for t, v, s, v2 in zip(self.times, self.e_v, self.e_v_sem, self.e_v2):
-            lines.append(f"{t:.17g},{v:.17g},{s:.17g},{v2:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+        write_csv(path, "t,EV,EV_sem,EV2",
+                  zip(self.times, self.e_v, self.e_v_sem, self.e_v2))
 
 
 def _binomial_ci(freq: np.ndarray, n: int, z: float = 4.0):

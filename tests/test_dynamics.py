@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from reductionlab import dynamics
+from reductionlab.composite import CompositeSystem, hartree_vs_full
 from reductionlab.dynamics import (
     ANTICOMMUTATOR,
     DOUBLE_COMMUTATOR,
@@ -20,6 +21,7 @@ from reductionlab.dynamics import (
     step_state_vector,
 )
 from reductionlab.linalg import random_density_matrix, random_hermitian, random_pure_state
+from reductionlab.reduction import born_statistics
 
 
 def test_noise_forms_agree_on_pure_states(rng):
@@ -210,7 +212,7 @@ def test_evolve_expectation_unitary_limit(rng):
     t = 0.7
     out = evolve_expectation(rho, h, sigma=0.0, t=t)
     u = expm(-1j * h * t)
-    assert np.linalg.norm(out - u @ rho @ u.conj().T) < 1e-7
+    assert np.linalg.norm(out - u @ rho @ u.conj().T) < 1e-12
 
 
 def test_evolve_expectation_offdiagonal_decay(rng):
@@ -286,6 +288,21 @@ def test_stability_bound_errors():
         step_state_vector(np.array([1, 0], complex), h, sigma=10.0, dt=0.1, dW=0.0)
     with pytest.warns(RuntimeWarning):
         dynamics.check_stability(1.0, 0.02, 2.0)  # product 0.08: warn, no error
+
+
+def test_comfort_bound_warning_points_at_the_caller():
+    # each warning names the line that called into the package, so the default
+    # filter prints it once per call site, not once per line inside the package
+    h = np.diag([0.0, 3.0]).astype(complex)
+    chi = np.sqrt([0.5, 0.5]).astype(complex)
+    rho = np.outer(chi, chi.conj())
+    system = CompositeSystem(h, h, np.eye(4, dtype=complex))
+    for run in (lambda: born_statistics(h, chi, 1.0, 16, 0, dt=0.0012),    # σ²ΔE²dt 0.0108
+                lambda: hartree_vs_full(system, rho, rho, 1.0, 0.0012, 0.0024, [0.0], 2),
+                lambda: evolve_trajectory(chi, h, SdeConfig(1.0, 0.0012, 3), seed=0)):
+        with pytest.warns(RuntimeWarning, match="comfort bound") as record:
+            run()
+        assert {w.filename for w in record} == {__file__}
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])

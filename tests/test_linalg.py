@@ -167,3 +167,16 @@ def test_serialization_roundtrip(tmp_path, rng):
     save_array(tmp_path / "vec.txt", v)
     vb = load_array(tmp_path / "vec.txt")
     assert vb.ndim == 1 and np.array_equal(vb, v)
+
+
+def test_serialization_accepts_wrappers(tmp_path, rng):
+    m = random_hermitian(3, rng)
+    v = random_pure_state(3, rng)
+    for name, wrapped, raw in [("op", Operator(m, hermitian=True), m),
+                               ("rho", StateVector(v).density(), np.outer(v, v.conj())),
+                               ("vec", StateVector(v), v)]:
+        save_array(tmp_path / f"{name}.txt", wrapped)
+        save_array(tmp_path / f"{name}-raw.txt", raw)
+        assert (tmp_path / f"{name}.txt").read_bytes() == (tmp_path / f"{name}-raw.txt").read_bytes()
+    with pytest.raises(LinalgError, match="square"):
+        save_array(tmp_path / "wide.txt", np.ones((2, 3)))     # load_array could not read it
