@@ -17,10 +17,11 @@ already holds a src/**/__pycache__ is refused: a bytecode cache left in one
 side only would lower that side's setup_s.
 
 perfbench's peak_rss_mb reads the benchmark process only.  To see the
-memory of ensemble worker processes, one born-d4 scenario call at
-workers=nproc also runs in a fresh interpreter per checkout, which reports
-its own peak RSS and, from getrusage(RUSAGE_CHILDREN), the largest peak RSS
-of the worker processes it waited for.
+memory of worker processes, one call of each WORKER_RSS_WORKLOADS workload
+at workers=nproc (a born-d4 scenario and a hartree-dense comparison) also
+runs in a fresh interpreter per checkout, which reports its own peak RSS
+and, from getrusage(RUSAGE_CHILDREN), the largest peak RSS of the worker
+processes it waited for.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
+WORKER_RSS_WORKLOADS = ("born-d4", "hartree-dense")
 WORKER_RSS = r"""
 import json, os, resource, sys
-root = sys.argv[1]
+root, name = sys.argv[1:3]
 sys.path[:0] = [root + "/src", root + "/perfbench"]
 import workloads
-wl = workloads.WORKLOADS["born-d4"]
+wl = workloads.WORKLOADS[name]
 inputs = wl.setup()
 wl.call(inputs, wl.acceptance_seed, os.cpu_count() or 1)
 mb = lambda who: resource.getrusage(who).ru_maxrss / 1024.0
@@ -72,9 +74,9 @@ def src_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def worker_rss(checkout: Path) -> dict:
-    proc = subprocess.run([sys.executable, "-c", WORKER_RSS, str(checkout)], capture_output=True,
-                          text=True, check=True, env=ENV)
+def worker_rss(checkout: Path, workload: str) -> dict:
+    proc = subprocess.run([sys.executable, "-c", WORKER_RSS, str(checkout), workload],
+                          capture_output=True, text=True, check=True, env=ENV)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -113,7 +115,8 @@ def main(argv=None) -> int:
             "git_sha": env[side]["git_sha"], "src_sha256": src_digest(sides[side]),
             "workloads": {name: {m: summary([r[m] for r in rs]) for m in rs[0]}
                           for name, rs in runs[side].items()},
-            "born_d4_worker_rss": worker_rss(sides[side])}
+            **{f"{name.replace('-', '_')}_worker_rss": worker_rss(sides[side], name)
+               for name in WORKER_RSS_WORKLOADS}}
     sign = {m["name"]: 1 if m["better"] == "higher" else -1 for m in spec["end_to_end"]}
     record["change_vs_parent"] = {name: {m: {
         "median_ratio": record["change"]["workloads"][name][m]["median"] / v["median"],

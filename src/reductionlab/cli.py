@@ -249,7 +249,8 @@ def cmd_hartree(args, rep: Reporter, out: Path) -> None:
     gv = [float(x) for x in args.g_values.split(",")]
     # the g = 0 floor rides along as the last coupling; the exponent fit skips g = 0
     full = composite.hartree_vs_full(system, rho1, rho2, args.sigma, args.dt,
-                                     args.horizon, gv + [0.0], args.ntraj, args.seed)
+                                     args.horizon, gv + [0.0], args.ntraj, args.seed,
+                                     workers=args.workers)
     report = composite.HartreeReport(full.g_values[:-1], full.mean_discrepancy[:-1],
                                      full.sem[:-1], full.exponent)
     report.csv(out / "hartree-discrepancy.csv")
@@ -396,7 +397,7 @@ def _add_common(p, *, ntraj=None):
     p.add_argument("--out-dir", default=None,
                    help="output directory (default out/<subcommand>-<timestamp>)")
     p.add_argument("--workers", type=int, default=os.cpu_count(),
-                   help="worker processes over 1024-trajectory blocks; results are "
+                   help="worker processes over trajectory spans; results are "
                         "byte-identical for any worker count")
     p.add_argument("--config", default=None,
                    help="JSON file of parameter defaults (flags override)")

@@ -12,17 +12,28 @@ mean-field pairs take one batched step for all couplings and trajectories:
 the density Euler step of `dynamics` under each factor's effective
 Hamiltonian, with every matrix product one real stacked matmul and the
 coupling contractions precomputed as one real map per g.
+
+The trajectories run as contiguous spans on the ensemble's fork pool
+(`ensemble._run_spans`), one span per worker, and the parent joins the
+spans' finals in trajectory order.  No span is narrower than two
+trajectories: numpy sends a one-row contraction product through gemv
+rather than gemm, which rounds differently, while spans two or more wide
+give every trajectory the bits of the one-span run.  The report is
+therefore byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (ANTICOMMUTATOR, _dag, _embed, _euler_step, _times, check_stability,
                        noise_coefficient)
-from .ensemble import CHUNK, _DensityKernel, _check_input, _noise_chunk
+from .ensemble import (CHUNK, _DensityKernel, _check_input, _check_workers, _noise_chunk,
+                       _run_spans, _split)
 from .linalg import as_matrix, hermiticity_defect, write_csv
 from .noise import trajectory_generator
 
@@ -193,19 +204,20 @@ class HartreeReport:
 
 
 def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma, dt,
-                   n_steps, n_traj, base_seed):
-    """Full-system and mean-field finals at every coupling, shaped (G, n_traj, …),
-    trajectory i on the Wiener path of trajectory_generator(base_seed, i) at
-    every g.  The full system at g_values[k] runs in the eigenbasis
-    spectra[k] = (e, u) of its Hamiltonian, all G of them on one stacked
-    ensemble density kernel; the mean-field pairs take one batched step."""
+                   n_steps, base_seed, lo, hi):
+    """Full-system and mean-field finals of trajectories lo..hi−1 at every
+    coupling, shaped (G, hi − lo, …), trajectory i on the Wiener path of
+    trajectory_generator(base_seed, i) at every g.  The full system at
+    g_values[k] runs in the eigenbasis spectra[k] = (e, u) of its
+    Hamiltonian, all G of them on one stacked ensemble density kernel; the
+    mean-field pairs take one batched step."""
     rho0 = np.kron(rho1, rho2)
     kern = _DensityKernel(np.stack([e for e, _ in spectra]),
                           np.stack([u.conj().T @ rho0 @ u for _, u in spectra]), sigma, dt)
     maps = _real_maps(system, g_values)
-    x = kern.start(n_traj)
-    a1, a2 = (np.tile(a, (len(g_values), n_traj, 1, 1)) for a in (rho1, rho2))
-    gens = [trajectory_generator(base_seed, i) for i in range(n_traj)]
+    x = kern.start(hi - lo)
+    a1, a2 = (np.tile(a, (len(g_values), hi - lo, 1, 1)) for a in (rho1, rho2))
+    gens = [trajectory_generator(base_seed, i) for i in range(lo, hi)]
     for done in range(0, n_steps, CHUNK):
         for dw in _noise_chunk(gens, min(CHUNK, n_steps - done), np.sqrt(dt)):
             kern.advance(x, kern.half_sigma * dw)
@@ -217,7 +229,7 @@ def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma
 
 def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
                     dt: float, horizon: float, g_values, n_traj: int,
-                    base_seed: int = 0) -> HartreeReport:
+                    base_seed: int = 0, workers: int | None = None) -> HartreeReport:
     """Compare the reduced full-system state with the mean-field state.
 
     For each coupling scale g, both evolutions are driven by the same
@@ -229,11 +241,15 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     Hamiltonian, batched with a g whose state does not).  The power
     discrepancy ∝ g^p, fitted over the g > 0 rows, comes back with the
     report; mean-field theory predicts p = 2 for an equilibrium environment.
-    Raises ValueError on bad input (an empty or non-finite g list, a
-    non-finite or negative σ and a horizon that rounds to no step included)
-    or non-finite finals, and StabilityError when σ²ΔE²dt exceeds the hard
-    bound at some g.
+    The trajectories run in min(workers, n_traj // 2) spans (at least one)
+    on that many forked processes, workers=None meaning every CPU; the
+    report is the same bytes for any worker count.  Raises ValueError on
+    bad input (an empty or non-finite g list, a non-finite or negative σ, a
+    horizon that rounds to no step and workers other than None or an
+    integer ≥ 1 included) or non-finite finals, and StabilityError when
+    σ²ΔE²dt exceeds the hard bound at some g.
     """
+    _check_workers(workers)
     r1, r2, (d1, d2) = as_matrix(rho1_0), as_matrix(rho2_0), system.dims
     gv = np.asarray(g_values, float)
     for h, r in ((system.h1, r1), (system.h2, r2)):
@@ -246,7 +262,11 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     if n_steps < 1:
         raise ValueError(f"horizon must be finite and round to at least one step of "
                          f"dt = {dt}, got {horizon}")
-    finals = _paired_finals(system, gv, spectra, r1, r2, sigma, dt, n_steps, n_traj, base_seed)
+    workers = (os.cpu_count() or 1) if workers is None else workers
+    spans = _split(n_traj, max(1, min(workers, n_traj // 2)))   # none one trajectory wide
+    parts = _run_spans(functools.partial(_paired_finals, system, gv, spectra, r1, r2, sigma, dt,
+                                         n_steps, base_seed), spans)
+    finals = [np.concatenate(f, axis=1) for f in zip(*parts)]
     means, sems = [], []
     for g, rho, a1, a2 in zip(gv, *finals):
         if not all(np.isfinite(a).all() for a in (rho, a1, a2)):

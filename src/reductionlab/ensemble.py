@@ -58,14 +58,21 @@ Trajectories come in blocks of BATCH_SIZE indices.  A worker runs a
 contiguous span of whole blocks as one batch, so its stragglers share one
 first-passage tail; recorded sums are taken per block and added in block
 order.  With workers > 1 the spans run in forked processes, which inherit
-the inputs without a re-import (the kernels call no BLAS, so no BLAS thread
-state crosses the fork); without the fork start method they run serially.
+the inputs without a re-import; without the fork start method they run
+serially.  The pool, _run_spans, takes its work as a callable of (lo, hi):
+the eigenbasis runner passes _run_span bound to its plan, and
+composite.hartree_vs_full passes its paired full and mean-field run.  The
+eigenbasis kernels call no BLAS, but the mean-field step's matmuls do, so a
+Hartree worker runs BLAS after the fork.  A test checks that forked workers
+get correct BLAS matmuls after the parent has run a threaded 800×800 one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -398,26 +405,39 @@ def _fork_context():
     return multiprocessing.get_context("fork") if ok else None
 
 
-def _span_child(plan, lo, hi, conn):
+def _span_child(work, lo, hi, conn):
     try:
-        conn.send((True, _run_span(plan, lo, hi)))
+        conn.send((True, work(lo, hi)))
     except Exception as exc:  # report to the parent, which re-raises
         conn.send((False, exc))
     finally:
         conn.close()
 
 
-def _run_spans(plan: _Plan, spans):
-    """_run_span over each span: in forked processes when there is more
-    than one span and fork is available, else serially."""
+def _check_workers(workers):
+    """Reject a worker count other than None or an integer >= 1."""
+    if workers is not None and (isinstance(workers, bool)
+                                or not isinstance(workers, numbers.Integral) or workers < 1):
+        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
+
+
+def _split(n, parts):
+    """range(n) cut into parts contiguous (lo, hi) spans, widths within one of each other."""
+    return [(int(q[0]), int(q[-1]) + 1) for q in np.array_split(np.arange(n), parts)]
+
+
+def _run_spans(work, spans):
+    """work(lo, hi) for each span, results in span order: in forked
+    processes when there is more than one span and fork is available, else
+    serially."""
     ctx = _fork_context()
     if len(spans) == 1 or ctx is None:
-        return [_run_span(plan, lo, hi) for lo, hi in spans]
+        return [work(lo, hi) for lo, hi in spans]
     procs, results = [], []
     try:
         for lo, hi in spans:
             r, w = ctx.Pipe(duplex=False)
-            p = ctx.Process(target=_span_child, args=(plan, lo, hi, w))
+            p = ctx.Process(target=_span_child, args=(work, lo, hi, w))
             p.start()
             w.close()
             procs.append((p, r))
@@ -477,6 +497,7 @@ def _check_reducible(sigma, e, p, stop_on_reduction=True) -> float:
 def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, eps, popmin,
          horizon_steps, record_stride, stop_on_reduction, max_steps) -> EnsembleRun:
     """Split n_traj into spans of whole blocks, run them, merge in order."""
+    _check_workers(workers)
     for name, value, least in (("horizon_steps", horizon_steps, 0),
                                ("record_stride", record_stride, 0), ("max_steps", max_steps, 1)):
         if not value >= least:
@@ -490,9 +511,9 @@ def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, eps, popm
                  eps * v0 if v0 > 0 else 0.0, popmin, horizon_steps, record_stride,
                  stop_on_reduction, max_steps)
     n_blocks = -(-n_traj // BATCH_SIZE)
-    parts = np.array_split(np.arange(n_blocks), max(1, min(workers or 1, n_blocks)))
-    results = _run_spans(plan, [(q[0] * BATCH_SIZE, min((q[-1] + 1) * BATCH_SIZE, n_traj))
-                                for q in parts])
+    blocks = _split(n_blocks, min(workers or 1, n_blocks))
+    results = _run_spans(functools.partial(_run_span, plan),
+                         [(lo * BATCH_SIZE, min(hi * BATCH_SIZE, n_traj)) for lo, hi in blocks])
     out = EnsembleRun(n_traj=n_traj, dt=dt, energies=e, groups=groups)
     out.outcomes, out.reduction_times, out.final_states = (
         np.concatenate([r[k] for r in results]) for k in (1, 2, 3))
@@ -517,9 +538,10 @@ def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_
     energies: eigenvalues of H; c0: initial amplitudes in the eigenbasis,
     of unit norm; groups: outcome classes (default: one per level).  Raises
     ValueError on non-finite, wrongly sized or unnormalized input, a
-    non-finite or negative sigma, dt ≤ 0, or populations that turn
-    non-finite; with stop_on_reduction, also on max_steps < horizon_steps
-    and on sigma = 0 with V(0) > 0, which could never stop.
+    non-finite or negative sigma, dt ≤ 0, workers other than None (one
+    process) or an integer ≥ 1, or populations that turn non-finite; with
+    stop_on_reduction, also on max_steps < horizon_steps and on sigma = 0
+    with V(0) > 0, which could never stop.
     """
     e = np.asarray(energies, dtype=float)
     c0 = np.asarray(c0, dtype=complex)

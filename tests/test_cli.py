@@ -151,6 +151,28 @@ def test_hartree_compare_matches_direct_calls(tmp_path, capsys):
     assert f"check=hartree-g0 status=PASS discrepancy={floor:.17g}" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore:sigma²·ΔE²·dt:RuntimeWarning")
+def test_hartree_compare_identical_for_any_worker_count(tmp_path, capsys):
+    # four trajectories: one span at --workers 1, two forked spans at --workers 2
+    outs = []
+    for workers in ("1", "2"):
+        assert run_cli(["hartree", "compare", "--ntraj", "4", "--horizon", "0.01", "--seed", "3",
+                        "--workers", workers, "--out-dir", str(tmp_path / workers)]) == 0
+        results = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("RESULT")]
+        outs.append(((tmp_path / workers / "hartree-discrepancy.csv").read_bytes(), results))
+    assert len(outs[0][1]) == 2
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("cmd", [["ensemble", "born", "--ntraj", "16"],
+                                 ["hartree", "compare", "--ntraj", "4", "--horizon", "0.01"]],
+                         ids=["born", "hartree"])
+@pytest.mark.parametrize("workers", ["-3", "0"])
+def test_bad_worker_count_exits_2(cmd, workers, tmp_path, capsys):
+    assert run_cli(cmd + ["--workers", workers, "--out-dir", str(tmp_path / "w")]) == 2
+    assert "workers must be None or an integer >= 1" in capsys.readouterr().err
+
+
 def test_phenom_t_reduce_quantity_parsing(tmp_path, capsys):
     rc = run_cli(["phenom", "t-reduce", "--delta-e", "2.8MeV",
                   "--out-dir", str(tmp_path / "p")])

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -293,8 +295,8 @@ def test_eigenbasis_full_system_matches_dense_stepper(g, env):
     spectrum = np.linalg.eigh(sysg.total_hamiltonian())
     kw = DIFF_KW
     rho, a1, a2 = (f[0] for f in composite._paired_finals(
-        sys, [g], [spectrum], r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS, kw["n_traj"],
-        kw["base_seed"]))
+        sys, [g], [spectrum], r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS, kw["base_seed"], 0,
+        kw["n_traj"]))
     ref_rho, ref_a1, ref_a2 = _ref_finals(sysg, r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS,
                                           kw["n_traj"], kw["base_seed"])
     assert np.abs(rho - ref_rho).max() <= 1e-12
@@ -406,7 +408,9 @@ def _bad_inputs():
              "rho2-wrong-size": ("rho2_0", np.eye(2) / 2),
              "sigma-nan": ("sigma", float("nan")), "sigma-inf": ("sigma", float("inf")),
              "sigma-negative": ("sigma", -1.0), "horizon-negative": ("horizon", -1.0),
-             "horizon-0.4dt": ("horizon", 0.4e-3), "horizon-inf": ("horizon", float("inf"))}
+             "horizon-0.4dt": ("horizon", 0.4e-3), "horizon-inf": ("horizon", float("inf")),
+             "workers-zero": ("workers", 0), "workers-negative": ("workers", -2),
+             "workers-fraction": ("workers", 2.5)}
     return [pytest.param(*v, id=k) for k, v in cases.items()]
 
 
@@ -431,9 +435,37 @@ def test_hartree_vs_full_non_finite_finals_raise(monkeypatch):
 
     monkeypatch.setattr(composite, "_paired_finals", poisoned)
     sys, r1, r2 = _diff_case()
-    with pytest.raises(ValueError, match="non-finite"):
-        hartree_vs_full(sys, r1, r2, sigma=1.0, dt=1e-3, horizon=0.01,
-                        g_values=[0.2], n_traj=2)
+    # at workers=2 the four trajectories run as two forked spans, each poisoned
+    for workers, n_traj in ((1, 2), (2, 4)):
+        with pytest.raises(ValueError, match="non-finite final states at g=0.2"):
+            hartree_vs_full(sys, r1, r2, sigma=1.0, dt=1e-3, horizon=0.01,
+                            g_values=[0.2], n_traj=n_traj, workers=workers)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_hartree_vs_full_identical_for_any_worker_count(seed, monkeypatch):
+    sys, r1, r2 = _diff_case()
+    kw = dict(sigma=1.0, dt=4e-4, horizon=20 * 4e-4, g_values=[0.0, 0.2, 0.4], base_seed=seed)
+    widths, run_spans = [], composite._run_spans
+
+    def spy(work, spans):
+        widths.append([hi - lo for lo, hi in spans])
+        assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+        return run_spans(work, spans)
+
+    monkeypatch.setattr(composite, "_run_spans", spy)
+    for n_traj in (1, 2, 3, 5, 24):
+        reports = []
+        for workers in (1, 2, 3, 5, None):
+            del widths[:]
+            rep = hartree_vs_full(sys, r1, r2, n_traj=n_traj, workers=workers, **kw)
+            reports.append((rep.mean_discrepancy.tobytes(), rep.sem.tobytes(),
+                            np.float64(rep.exponent).tobytes()))
+            w = os.cpu_count() if workers is None else workers
+            assert sum(widths[0]) == n_traj
+            assert len(widths[0]) == max(1, min(w, n_traj // 2))
+            assert n_traj < 2 or min(widths[0]) >= 2   # no one-row gemv span
+        assert reports[1:] == reports[:-1], n_traj
 
 
 def test_hartree_vs_full_stability_guard():

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -251,6 +253,75 @@ def test_bad_density_rejected_up_front(rho0):
         ensemble.run_density_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8)
 
 
+@pytest.mark.parametrize("workers", [0, -2, 2.5, True, "2"])
+def test_bad_worker_count_rejected_up_front(workers, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a span started")
+
+    monkeypatch.setattr(ensemble, "_run_spans", no_run)
+    c0 = np.sqrt(np.array([0.5, 0.5], complex))
+    with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
+        ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, workers=workers)
+    with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
+        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), 1.0, 1e-3, 0, 8,
+                                      workers=workers)
+
+
+def test_numpy_integer_worker_count_accepted():
+    c0 = np.sqrt(np.array([0.5, 0.5], complex))
+    run = ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, workers=np.int64(2))
+    assert run.n_unreduced == 0
+
+
+def _needs_fork():
+    if ensemble._fork_context() is None:
+        pytest.skip("no fork start method")
+
+
+def _alarm(seconds):
+    """Raise in the test, rather than hang it, if the pool blocks for seconds."""
+    def fail(*_):
+        raise AssertionError(f"the pool still blocked after {seconds} s")
+
+    signal.signal(signal.SIGALRM, fail)
+    signal.alarm(seconds)
+
+
+def test_worker_exit_raises_instead_of_hanging():
+    _needs_fork()
+
+    def dies(lo, hi):
+        os._exit(3)
+
+    _alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="worker exited with code 3 before sending"):
+            ensemble._run_spans(dies, [(0, 1), (1, 2)])
+    finally:
+        signal.alarm(0)
+
+
+def test_forked_workers_run_blas_after_a_threaded_matmul():
+    _needs_fork()
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((800, 800))
+    expected = a @ a   # large enough for a threaded BLAS to start its threads
+    _alarm(120)
+    try:
+        rows = ensemble._run_spans(lambda lo, hi: (a[lo:hi] @ a).tobytes(),
+                                   [(0, 400), (400, 800)])
+    finally:
+        signal.alarm(0)
+    got = np.frombuffer(b"".join(rows)).reshape(800, 800)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-9)
+
+
+def test_spans_results_in_span_order():
+    spans = ensemble._split(10, 3)
+    assert spans == [(0, 4), (4, 7), (7, 10)]
+    assert ensemble._run_spans(lambda lo, hi: (lo, hi), spans) == spans
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_negative_populations_raise(workers):
     # σ²ΔE²dt = 0.45: the Euler factor turns negative within the first checks
@@ -346,9 +417,11 @@ def test_group_index_of_levels_in_order_is_none():
 def _capture_plan(run, monkeypatch):
     plans, run_spans = [], ensemble._run_spans
 
-    def spy(plan, spans):
+    def spy(work, spans):
+        assert work.func is ensemble._run_span and not work.keywords
+        (plan,) = work.args
         plans.append(plan)
-        return run_spans(plan, spans)
+        return run_spans(work, spans)
 
     monkeypatch.setattr(ensemble, "_run_spans", spy)
     out = run()

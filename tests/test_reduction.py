@@ -183,6 +183,12 @@ def test_sigma_zero_accepted_for_an_eigenstate():
     assert list(st.frequencies) == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("workers", [0, -2, 2.5])
+def test_born_statistics_rejects_a_bad_worker_count(workers):
+    with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
+        born_statistics(np.diag([0.0, 1.0]), np.sqrt([0.3, 0.7]), 1.0, 16, 0, workers=workers)
+
+
 @pytest.mark.parametrize("scenario", [
     lambda n, **kw: born_statistics(np.diag([0.0, 1.0]), np.sqrt([0.3, 0.7]), 1.0, n, 21,
                                     dt=5e-3, **kw),
@@ -196,9 +202,10 @@ def test_scenarios_default_to_every_cpu_with_the_same_results(scenario, monkeypa
     widths = []
     run_spans = ensemble._run_spans
 
-    def spy(plan, spans):
+    def spy(work, spans):
+        assert work.func is ensemble._run_span
         widths.append(len(spans))
-        return run_spans(plan, spans)
+        return run_spans(work, spans)
 
     monkeypatch.setattr(ensemble, "_run_spans", spy)
     default, serial = scenario(n), scenario(n, workers=1)
