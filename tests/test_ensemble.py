@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import os
@@ -278,13 +279,19 @@ def _needs_fork():
         pytest.skip("no fork start method")
 
 
-def _alarm(seconds):
+@contextlib.contextmanager
+def _deadline(seconds):
     """Raise in the test, rather than hang it, if the pool blocks for seconds."""
     def fail(*_):
         raise AssertionError(f"the pool still blocked after {seconds} s")
 
-    signal.signal(signal.SIGALRM, fail)
+    previous = signal.signal(signal.SIGALRM, fail)
     signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_worker_exit_raises_instead_of_hanging():
@@ -293,12 +300,9 @@ def test_worker_exit_raises_instead_of_hanging():
     def dies(lo, hi):
         os._exit(3)
 
-    _alarm(60)
-    try:
-        with pytest.raises(RuntimeError, match="worker exited with code 3 before sending"):
-            ensemble._run_spans(dies, [(0, 1), (1, 2)])
-    finally:
-        signal.alarm(0)
+    with _deadline(60), pytest.raises(RuntimeError,
+                                      match="worker exited with code 3 before sending"):
+        ensemble._run_spans(dies, [(0, 1), (1, 2)])
 
 
 def test_forked_workers_run_blas_after_a_threaded_matmul():
@@ -306,12 +310,9 @@ def test_forked_workers_run_blas_after_a_threaded_matmul():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((800, 800))
     expected = a @ a   # large enough for a threaded BLAS to start its threads
-    _alarm(120)
-    try:
+    with _deadline(120):
         rows = ensemble._run_spans(lambda lo, hi: (a[lo:hi] @ a).tobytes(),
                                    [(0, 400), (400, 800)])
-    finally:
-        signal.alarm(0)
     got = np.frombuffer(b"".join(rows)).reshape(800, 800)
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-9)
 
