@@ -392,17 +392,19 @@ def cmd_reproduce_paper(args, rep: Reporter, out: Path) -> None:
 
 
 def _add_common(p, *, ntraj=None):
+    """The flags every command takes; a trajectory ensemble (ntraj given) also
+    takes --ntraj and --workers, which no other command would use."""
     p.add_argument("--seed", type=int,
                    default=int(os.environ.get(SEED_ENV, "0")))
     p.add_argument("--out-dir", default=None,
                    help="output directory (default out/<subcommand>-<timestamp>)")
-    p.add_argument("--workers", type=int, default=os.cpu_count(),
-                   help="worker processes over trajectory spans; results are "
-                        "byte-identical for any worker count")
     p.add_argument("--config", default=None,
                    help="JSON file of parameter defaults (flags override)")
     if ntraj is not None:
         p.add_argument("--ntraj", type=int, default=ntraj)
+        p.add_argument("--workers", type=int, default=os.cpu_count(),
+                       help="worker processes over trajectory spans; results are "
+                            "byte-identical for any worker count")
 
 
 def build_parser() -> argparse.ArgumentParser:

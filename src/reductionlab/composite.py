@@ -8,10 +8,14 @@ by the identical noise path.  The harness sweeps every coupling g in one
 pass: each trajectory's noise is drawn once and shared by all g.  The full
 systems run in the eigenbases of their Hamiltonians as one stack of spectra
 on the ensemble density kernel, where the Euler step is elementwise; the
-mean-field pairs take one batched step for all couplings and trajectories:
-the density Euler step of `dynamics` under each factor's effective
-Hamiltonian, with every matrix product one real stacked matmul and the
-coupling contractions precomputed as one real map per g.
+mean-field pairs take one batched step for all couplings and trajectories.
+Both factors live in one C-contiguous (2, G, b, D, D) array, D = max(d1, d2),
+the smaller factor zero-padded: its padded rows and columns stay exactly 0
+and its trace is unchanged, so every step is one code path whatever the
+dimensions.  A step is one density Euler step of `dynamics` over both
+factors under their effective Hamiltonians, with every matrix product one
+real stacked matmul over both factors and the coupling contractions
+precomputed as one real map per factor and g.
 
 The trajectories run as contiguous spans on the ensemble's fork pool
 (`ensemble._run_spans`), one span per worker, and the parent joins the
@@ -25,15 +29,14 @@ therefore byte-identical for any worker count.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (ANTICOMMUTATOR, _dag, _embed, _euler_step, _times, check_stability,
                        noise_coefficient)
-from .ensemble import (CHUNK, _DensityKernel, _check_input, _check_workers, _noise_chunk,
-                       _run_spans, _split)
+from .ensemble import (CHUNK, _DensityKernel, _check_input, _noise_chunk, _run_spans,
+                       _split, _workers)
 from .linalg import as_matrix, hermiticity_defect, write_csv
 from .noise import trajectory_generator
 
@@ -133,45 +136,60 @@ def partial_expectation(op: np.ndarray, rho: np.ndarray, dims, over: int) -> np.
 
 
 def _real_maps(system: CompositeSystem, g_values):
-    """R(H₁), R(H₂) and, stacked over g (G, ·, ·), the contractions of g·ΔH as
-    real maps on x.view(float): from a flattened ρ₂ to R(Tr₂[(I⊗ρ₂)·gΔH]),
-    shape (G, 2d2², 4d1²), and from a flattened X₁ to R(Tr₁[(X₁⊗I)·gΔH]),
-    shape (G, 2d1², 4d2²)."""
-    con = [_contractions(g * system.delta_h, system.dims) for g in g_values]
-    maps = []
-    for k, d in enumerate(system.dims):
-        m = np.stack([c[k] for c in con])
-        images = np.stack([m, 1j * m], -2).reshape(len(m), -1, d, d)   # of each coordinate
-        maps.append(_embed(images).reshape(images.shape[:2] + (-1,)))
-    return (_embed(system.h1), _embed(system.h2), *maps)
+    """E and T for the (2, G, b, D, D) stacks of both factors, D = max(d1, d2):
+    E, shape (2, 1, 1, 2D, 2D), holds R(H₁) and R(H₂) zero-padded to D; T,
+    shape (2, G, 2D², 4D²), holds over g the contractions of g·ΔH as real maps
+    on x.view(float), in swapped order: T[0] takes a flattened X₁ to
+    R(Tr₁[(X₁⊗I)·gΔH]), the environment's image, and T[1] a flattened ρ₂ to
+    R(Tr₂[(I⊗ρ₂)·gΔH]), the system's.  Padded rows and columns are 0."""
+    (d1, d2), d = system.dims, max(system.dims)
+    dh = np.zeros((d,) * 4, complex)
+    dh[:d1, :d2, :d1, :d2] = system.delta_h.reshape(d1, d2, d1, d2)
+    con = [_contractions(g * dh.reshape(d * d, d * d), (d, d)) for g in g_values]
+    m = np.stack([np.stack([c[1 - k] for c in con]) for k in range(2)])
+    images = np.stack([m, 1j * m], -2).reshape(m.shape[:2] + (-1, d, d))   # of each coordinate
+    t = _embed(images).reshape(images.shape[:3] + (-1,))
+    return _embed(_stacked(system.h1, system.h2, (1, 1))), t
 
 
-def _image(x, t, d):
-    """R of the d×d contraction images of C-contiguous complex (G, b, ·, ·)
-    states x under the (G, ·, 4d²) real maps t, shape (G, b, 2d, 2d)."""
-    return (x.view(float).reshape(x.shape[:-2] + (-1,)) @ t).reshape(x.shape[:-2] + (2 * d,) * 2)
+def _stacked(m1, m2, shape):
+    """(…, d1, d1) m1 and (…, d2, d2) m2 zero-padded to D = max(d1, d2) and
+    broadcast to shape, as one C-contiguous complex (2, *shape, D, D) array."""
+    d = max(m1.shape[-1], m2.shape[-1])
+    a = np.zeros((2, *shape, d, d), complex)
+    for k, m in enumerate((m1, m2)):
+        a[k, ..., :m.shape[-1], :m.shape[-1]] = m
+    return a
 
 
-def _mean_field_step(a1, a2, maps, sigma, dt, dws):
-    """One Hartree step of C-contiguous (G, b, d1, d1) and (G, b, d2, d2)
-    stacks, coupling g_values[k] on row k of maps = _real_maps(system,
-    g_values), sharing one dW per trajectory column.
+def _image(x, t):
+    """R of the contraction images of C-contiguous complex (…, G, b, D, D)
+    states x under the (…, G, 2D², 4D²) real maps t, shape (…, G, b, 2D, 2D)."""
+    n = x.shape[-1]
+    return (x.view(float).reshape(x.shape[:-2] + (-1,)) @ t).reshape(x.shape[:-2] + (2 * n,) * 2)
 
-    Every product is one real stacked matmul on x.view(float).  Each factor
-    takes the density Euler step `dynamics._euler_step` under its effective
-    Hamiltonian h.  The environment also takes the correction
+
+def _mean_field_step(a, maps, sigma, dt, dws):
+    """One Hartree step of the C-contiguous (2, G, b, D, D) stack a of both
+    factors, a[0] the system and a[1] the environment, zero-padded to D,
+    coupling g_values[k] on row k of maps = _real_maps(system, g_values),
+    sharing one dW per trajectory column.
+
+    Every product is one real stacked matmul on x.view(float), over both
+    factors at once: each factor's effective Hamiltonian h is its own H plus
+    the partner's image under T, and both take one density Euler step
+    `dynamics._euler_step`.  The environment also takes the correction
     −(σ²/8)[corr, ρ₂]dt, where corr = Tr₁(ΔH·([h₁, ρ₁]⊗I)) is anti-Hermitian,
-    through the step's [h, ρ]h slot as ρ₂·corr."""
-    e1, e2, t1, t2 = maps
-    d1, d2 = len(e1) // 2, len(e2) // 2
-    r1 = e1 + _image(a2, t1, d1)
-    r2 = e2 + _image(a1, t2, d2)
-    rh1 = _times(a1, r1)
-    comm1 = _dag(rh1) - rh1
-    rh2 = _times(a2, r2)
-    ch2 = _times(_dag(rh2) - rh2, r2) + _times(a2, _image(comm1, t2, d2))
-    return (_euler_step(a1, rh1, _times(comm1, r1), sigma, dt, dws),
-            _euler_step(a2, rh2, ch2, sigma, dt, dws))
+    through the step's [h, ρ]h slot as ρ₂·corr.  Padded rows and columns stay
+    exactly 0, so the traces and the unpadded entries are those of the
+    unpadded factors."""
+    e, t = maps
+    r = e + _image(a, t)[::-1]
+    rh = _times(a, r)
+    comm = _dag(rh) - rh
+    ch = _times(comm, r)
+    ch[1] += _times(a[1], _image(comm[0], t[0]))
+    return _euler_step(a, rh, ch, sigma, dt, dws)
 
 
 def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
@@ -183,10 +201,10 @@ def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
     −(σ²/8)[Tr₁(ΔH[H₁′,ρ₁]), ρ₂]dt drift, which dies off once subsystem 1
     has reduced.
     """
-    a1, a2 = (np.ascontiguousarray(as_matrix(r))[None, None] for r in (rho1, rho2))
-    new1, new2 = _mean_field_step(a1, a2, _real_maps(system, [system.g]), sigma, dt,
-                                  np.array([dW], float))
-    return new1[0, 0], new2[0, 0]
+    (d1, d2), r1, r2 = system.dims, as_matrix(rho1), as_matrix(rho2)
+    new = _mean_field_step(_stacked(r1, r2, (1, 1)), _real_maps(system, [system.g]), sigma,
+                           dt, np.array([dW], float))
+    return new[0, 0, 0, :d1, :d1], new[1, 0, 0, :d2, :d2]
 
 
 @dataclass
@@ -216,15 +234,18 @@ def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma
                           np.stack([u.conj().T @ rho0 @ u for _, u in spectra]), sigma, dt)
     maps = _real_maps(system, g_values)
     x = kern.start(hi - lo)
-    a1, a2 = (np.tile(a, (len(g_values), hi - lo, 1, 1)) for a in (rho1, rho2))
+    a = _stacked(rho1, rho2, (len(g_values), hi - lo))
     gens = [trajectory_generator(base_seed, i) for i in range(lo, hi)]
     for done in range(0, n_steps, CHUNK):
-        for dw in _noise_chunk(gens, min(CHUNK, n_steps - done), np.sqrt(dt)):
-            kern.advance(x, kern.half_sigma * dw)
+        dws = _noise_chunk(gens, min(CHUNK, n_steps - done), np.sqrt(dt))
+        for dw, u in zip(dws, dws * kern.half_sigma):   # the kernel takes (σ/2)·dW
+            kern.advance(x, u)
             kern.renorm(x)
-            a1, a2 = _mean_field_step(a1, a2, maps, sigma, dt, dw)
+            a = _mean_field_step(a, maps, sigma, dt, dw)
     finals = kern.final(x, n_steps * dt)
-    return np.stack([u @ f @ u.conj().T for (_, u), f in zip(spectra, finals)]), a1, a2
+    d1, d2 = system.dims
+    return (np.stack([u @ f @ u.conj().T for (_, u), f in zip(spectra, finals)]),
+            a[0, ..., :d1, :d1], a[1, ..., :d2, :d2])
 
 
 def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
@@ -249,7 +270,7 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     integer ≥ 1 included) or non-finite finals, and StabilityError when
     σ²ΔE²dt exceeds the hard bound at some g.
     """
-    _check_workers(workers)
+    workers = _workers(workers)
     r1, r2, (d1, d2) = as_matrix(rho1_0), as_matrix(rho2_0), system.dims
     gv = np.asarray(g_values, float)
     for h, r in ((system.h1, r1), (system.h2, r2)):
@@ -262,7 +283,6 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     if n_steps < 1:
         raise ValueError(f"horizon must be finite and round to at least one step of "
                          f"dt = {dt}, got {horizon}")
-    workers = (os.cpu_count() or 1) if workers is None else workers
     spans = _split(n_traj, max(1, min(workers, n_traj // 2)))   # none one trajectory wide
     parts = _run_spans(functools.partial(_paired_finals, system, gv, spectra, r1, r2, sigma, dt,
                                          n_steps, base_seed), spans)

@@ -57,9 +57,10 @@ population is ≥ popmin, so every retired endpoint classifies unambiguously.
 Trajectories come in blocks of BATCH_SIZE indices.  A worker runs a
 contiguous span of whole blocks as one batch, so its stragglers share one
 first-passage tail; recorded sums are taken per block and added in block
-order.  With workers > 1 the spans run in forked processes, which inherit
-the inputs without a re-import; without the fork start method they run
-serially.  The pool, _run_spans, takes its work as a callable of (lo, hi):
+order.  workers=None means every CPU, for the runners as for the scenarios
+and the Hartree harness.  With workers > 1 the spans run in forked
+processes, which inherit the inputs without a re-import; without the fork
+start method they run serially.  The pool, _run_spans, takes its work as a callable of (lo, hi):
 the eigenbasis runner passes _run_span bound to its plan, and
 composite.hartree_vs_full passes its paired full and mean-field run.  The
 eigenbasis kernels call no BLAS, but the mean-field step's matmuls do, so a
@@ -73,6 +74,7 @@ import functools
 import math
 import multiprocessing
 import numbers
+import os
 from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -128,9 +130,10 @@ def _colsum(x):
     """Σ over axis 0 of a (d, …) array, rows added in index order whatever its
     layout: numpy does so for a C-contiguous array with more than one column
     but sums a single column pairwise, so a strided view (the .real of a
-    complex array) is copied first and a single column is accumulated."""
+    complex array) is copied first and a single column is accumulated.  The
+    ufunc reduce is .sum(0) without its Python wrapper."""
     if x[0].size > 1:
-        return np.ascontiguousarray(x).sum(0)
+        return np.add.reduce(np.ascontiguousarray(x), 0)
     return np.add.accumulate(x, 0)[-1]
 
 
@@ -414,11 +417,14 @@ def _span_child(work, lo, hi, conn):
         conn.close()
 
 
-def _check_workers(workers):
-    """Reject a worker count other than None or an integer >= 1."""
-    if workers is not None and (isinstance(workers, bool)
-                                or not isinstance(workers, numbers.Integral) or workers < 1):
+def _workers(workers):
+    """A worker count: None means every CPU.  Raises ValueError on anything
+    other than None or an integer >= 1."""
+    if workers is None:
+        return os.cpu_count() or 1
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
         raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
+    return int(workers)
 
 
 def _split(n, parts):
@@ -497,7 +503,7 @@ def _check_reducible(sigma, e, p, stop_on_reduction=True) -> float:
 def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, eps, popmin,
          horizon_steps, record_stride, stop_on_reduction, max_steps) -> EnsembleRun:
     """Split n_traj into spans of whole blocks, run them, merge in order."""
-    _check_workers(workers)
+    workers = _workers(workers)
     for name, value, least in (("horizon_steps", horizon_steps, 0),
                                ("record_stride", record_stride, 0), ("max_steps", max_steps, 1)):
         if not value >= least:
@@ -511,7 +517,7 @@ def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, eps, popm
                  eps * v0 if v0 > 0 else 0.0, popmin, horizon_steps, record_stride,
                  stop_on_reduction, max_steps)
     n_blocks = -(-n_traj // BATCH_SIZE)
-    blocks = _split(n_blocks, min(workers or 1, n_blocks))
+    blocks = _split(n_blocks, min(workers, n_blocks))
     results = _run_spans(functools.partial(_run_span, plan),
                          [(lo * BATCH_SIZE, min(hi * BATCH_SIZE, n_traj)) for lo, hi in blocks])
     out = EnsembleRun(n_traj=n_traj, dt=dt, energies=e, groups=groups)
@@ -536,12 +542,14 @@ def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_
     """Integrate n_traj state-vector trajectories in the H eigenbasis.
 
     energies: eigenvalues of H; c0: initial amplitudes in the eigenbasis,
-    of unit norm; groups: outcome classes (default: one per level).  Raises
-    ValueError on non-finite, wrongly sized or unnormalized input, a
-    non-finite or negative sigma, dt ≤ 0, workers other than None (one
-    process) or an integer ≥ 1, or populations that turn non-finite; with
-    stop_on_reduction, also on max_steps < horizon_steps and on sigma = 0
-    with V(0) > 0, which could never stop.
+    of unit norm; groups: outcome classes (default: one per level).  The
+    blocks run on min(workers, blocks) processes, workers=None meaning every
+    CPU, with the same results for any worker count.  Raises ValueError on
+    non-finite, wrongly sized or unnormalized input, a non-finite or
+    negative sigma, dt ≤ 0, workers other than None or an integer ≥ 1, or
+    populations that turn non-finite; with stop_on_reduction, also on
+    max_steps < horizon_steps and on sigma = 0 with V(0) > 0, which could
+    never stop.
     """
     e = np.asarray(energies, dtype=float)
     c0 = np.asarray(c0, dtype=complex)
@@ -563,9 +571,10 @@ def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int
                           + (σ/2)(Eᵢ+Eⱼ − 2 Tr ρH) dW].
 
     For [ρ0, H] = 0 the drift factors are inert on the populated entries
-    and this is exactly the pure-noise martingale evolution.  Raises the
-    errors of run_state_ensemble, with unit trace in place of unit norm, and
-    on a non-Hermitian or non-positive ρ0 or populations that turn negative.
+    and this is exactly the pure-noise martingale evolution.  Workers as for
+    run_state_ensemble.  Raises the errors of run_state_ensemble, with unit
+    trace in place of unit norm, and on a non-Hermitian or non-positive ρ0
+    or populations that turn negative.
     """
     e = np.asarray(energies, dtype=float)
     r0 = np.asarray(rho0, dtype=complex)

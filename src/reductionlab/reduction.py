@@ -10,7 +10,6 @@ empirical scaling of the reduction time with σ and the level splitting.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +109,7 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     tally, and the budget check, whose message ends in `stall` when given.
     workers=None runs on every CPU, as the CLI does.  Returns the run and
     its EnsembleStats."""
+    workers = ensemble._workers(workers)
     rng = float(e.max() - e.min())
     dt = default_dt(sigma, rng) if dt is None else dt
     check_stability(sigma, dt, rng)
@@ -120,8 +120,7 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     runner = ensemble.run_density_ensemble if density else ensemble.run_state_ensemble
     run = runner(e, state, sigma, dt, base_seed, n_traj, groups=groups,
                  horizon_steps=max(record_stride, int(round(horizon / dt))),
-                 record_stride=record_stride, max_steps=max_steps,
-                 workers=(os.cpu_count() or 1) if workers is None else workers)
+                 record_stride=record_stride, max_steps=max_steps, workers=workers)
     stats = _stats_from_run(run, labels, expected)
     if stats.n_unreduced > budget_fraction * n_traj:
         raise ReductionBudgetError(f"{stats.n_unreduced}/{n_traj} trajectories unreduced "

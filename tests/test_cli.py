@@ -173,6 +173,25 @@ def test_bad_worker_count_exits_2(cmd, workers, tmp_path, capsys):
     assert "workers must be None or an integer >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [["simulate", "--steps", "5"], ["cluster-check", "--instances", "2"],
+                                 ["phenom", "table"], ["reproduce-paper"]],
+                         ids=["simulate", "cluster-check", "phenom", "reproduce-paper"])
+def test_commands_without_a_pool_take_no_workers_flag(cmd, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(cmd + ["--workers", "-3", "--out-dir", str(tmp_path / "w")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers -3" in capsys.readouterr().err
+
+
+def test_config_workers_key_ignored_where_no_pool_runs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 3, "steps": 5, "stride": 1}))
+    assert run_cli(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "s")]) == 0
+    resolved = json.loads((tmp_path / "s" / "config-resolved.json").read_text())
+    assert resolved["steps"] == 5 and "workers" not in resolved
+    assert len((tmp_path / "s" / "trajectory.csv").read_text().splitlines()) == 7
+
+
 def test_phenom_t_reduce_quantity_parsing(tmp_path, capsys):
     rc = run_cli(["phenom", "t-reduce", "--delta-e", "2.8MeV",
                   "--out-dir", str(tmp_path / "p")])

@@ -360,8 +360,9 @@ def test_hartree_step_is_a_row_of_the_batched_step(rng):
     a1 = np.stack([_pure(rng, d1) for _ in range(b)])
     a2 = np.stack([random_density_matrix(d2, rng) for _ in range(b)])
     dws = rng.standard_normal(b) * 0.03
-    new1, new2 = (n[0] for n in composite._mean_field_step(
-        a1[None], a2[None], composite._real_maps(sys, [sys.g]), 1.0, 1e-3, dws))
+    new = composite._mean_field_step(composite._stacked(a1, a2, (1, b)),
+                                     composite._real_maps(sys, [sys.g]), 1.0, 1e-3, dws)
+    new1, new2 = new[0, 0, :, :d1, :d1], new[1, 0, :, :d2, :d2]
 
     def layouts(a):   # the same matrix as a C array, a Fortran array and a transposed view
         return a, np.asfortranarray(a), np.ascontiguousarray(a.T).T
@@ -383,16 +384,20 @@ def test_mean_field_step_properties(d1, d2, seed, g, dw, dt):
     rng = np.random.default_rng(seed)
     sysg = CompositeSystem(random_hermitian(d1, rng), random_hermitian(d2, rng),
                            random_hermitian(d1 * d2, rng), g=g)
-    a1, a2 = random_density_matrix(d1, rng)[None], random_density_matrix(d2, rng)[None]
-    dws = np.array([dw])
-    new = composite._mean_field_step(a1[None], a2[None], composite._real_maps(sysg, [g]),
-                                     1.0, dt, dws)
-    ref = _ref_mean_field_step(sysg, a1, a2, 1.0, dt, dws)
-    for n, r in zip(new, ref):
-        n = n[0, 0]
+    a1, a2 = random_density_matrix(d1, rng), random_density_matrix(d2, rng)
+    maps, dws = composite._real_maps(sysg, [g]), np.array([dw])
+    a = composite._mean_field_step(composite._stacked(a1, a2, (1, 1)), maps, 1.0, dt, dws)
+    ref = _ref_mean_field_step(sysg, a1[None], a2[None], 1.0, dt, dws)
+    for n, r, d in zip(a[:, 0, 0], ref, (d1, d2)):
         assert (n == n.conj().T).all()   # exactly Hermitian (±0 compare equal)
         assert abs(np.trace(n) - 1.0) <= 1e-12
-        assert np.abs(n - r[0]).max() <= 1e-13
+        assert np.abs(n[:d, :d] - r[0]).max() <= 1e-13
+    # the smaller factor's padded rows and columns stay exactly 0
+    for dwj in rng.standard_normal(50) * np.sqrt(dt):
+        a = composite._mean_field_step(a, maps, 1.0, dt, np.array([dwj]))
+    for n, d in zip(a[:, 0, 0], (d1, d2)):
+        assert not n[d:].any() and not n[:, d:].any()
+        assert abs(np.trace(n) - 1.0) <= 1e-12
 
 
 def _bad_inputs():

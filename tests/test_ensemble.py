@@ -268,6 +268,24 @@ def test_bad_worker_count_rejected_up_front(workers, monkeypatch):
                                       workers=workers)
 
 
+def test_runners_default_to_every_cpu(monkeypatch):
+    # two blocks of trajectories: workers=None runs them as two spans on two CPUs
+    n, widths, run_spans = ensemble.BATCH_SIZE + 8, [], ensemble._run_spans
+
+    def spy(work, spans):
+        widths.append(len(spans))
+        return run_spans(work, spans)
+
+    monkeypatch.setattr(ensemble, "_run_spans", spy)
+    c0 = np.sqrt(np.array([0.5, 0.5], complex))
+    runs = [ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, n, horizon_steps=40,
+                                        record_stride=20, stop_on_reduction=False, workers=w)
+            for w in (None, 1)]
+    assert widths == [min(2, os.cpu_count() or 1), 1]
+    assert runs[0].mean_v.tobytes() == runs[1].mean_v.tobytes()
+    assert runs[0].final_states.tobytes() == runs[1].final_states.tobytes()
+
+
 def test_numpy_integer_worker_count_accepted():
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
     run = ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, workers=np.int64(2))
