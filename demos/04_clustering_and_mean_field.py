@@ -13,9 +13,9 @@ product-space evolution shrinks quadratically with the coupling.
 import numpy as np
 
 from reductionlab.composite import (
-    CompositeSystem,
     clustering_drift_residual,
     clustering_noise_residual,
+    hartree_instance,
     hartree_vs_full,
 )
 from reductionlab.linalg import random_density_matrix, random_hermitian, random_pure_state
@@ -44,16 +44,8 @@ print(f"  generic pure environment           : "
       f"{clustering_drift_residual(p1, p2, h1, h2, 'double_commutator'):.2e}"
       "   <- drift couples them\n")
 
-d = 4
-h1 = random_hermitian(d, rng)
-h2 = np.diag(np.linspace(0, 1.8, d)).astype(complex)
-dh = random_hermitian(d * d, rng)
-dh /= np.linalg.norm(dh, 2)
-system = CompositeSystem(h1, h2, dh)
-v = random_pure_state(d, rng)
-rho1 = np.outer(v, v.conj())
-rho2 = np.zeros((d, d), complex)
-rho2[1, 1] = 1.0
+# H₂ = diag(0, 0.6, 1.2, 1.8), the environment in its eigenstate |1⟩
+system, rho1, rho2 = hartree_instance(rng)
 
 print("mean-field error vs coupling g (paired noise paths, 8 trajectories)")
 rep = hartree_vs_full(system, rho1, rho2, sigma=1.0, dt=2e-4, horizon=0.6,

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import accretion, composite, dynamics, phenomenology as ph, reduction
-from .linalg import (_format, load_array, random_density_matrix, random_hermitian,
-                     random_pure_state, write_csv)
+from .linalg import _format, load_array, write_csv
 from .noise import wiener_path
 
 SEED_ENV = "REDUCTIONLAB_SEED"
@@ -193,59 +192,17 @@ def cmd_ensemble_scaling(args, rep: Reporter, out: Path) -> None:
 
 
 def cmd_cluster_check(args, rep: Reporter, out: Path) -> None:
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    worst = {"anti-mixed": 0.0, "dc-pure": 0.0, "dc-endpoint": 0.0, "anti-degenerate": 0.0}
-    for i in range(args.instances):
-        d1, d2 = rng.integers(2, 5), rng.integers(2, 5)
-        h1 = random_hermitian(d1, rng)
-        h2 = random_hermitian(d2, rng)
-        r1m = random_density_matrix(d1, rng)
-        r2m = random_density_matrix(d2, rng)
-        v1 = random_pure_state(d1, rng)
-        v2 = random_pure_state(d2, rng)
-        p1 = np.outer(v1, v1.conj())
-        p2 = np.outer(v2, v2.conj())
-        worst["anti-mixed"] = max(worst["anti-mixed"],
-                                  composite.clustering_noise_residual(r1m, r2m, h1, h2, "anticommutator"))
-        worst["dc-pure"] = max(worst["dc-pure"],
-                               composite.clustering_noise_residual(p1, p2, h1, h2, "double_commutator"))
-        e2 = np.diag(rng.standard_normal(d2)).astype(complex)
-        worst["dc-endpoint"] = max(worst["dc-endpoint"],
-                                   composite.clustering_drift_residual(p1, np.diag(np.abs(v2)**2 / np.sum(np.abs(v2)**2)), h1, e2, "double_commutator"))
-        # degenerate submanifold of h2: two equal eigenvalues
-        evals = np.sort(rng.standard_normal(d2))
-        evals[1] = evals[0]
-        u = np.linalg.qr(rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2)))[0]
-        hdeg = (u * evals) @ u.conj().T
-        mix = rng.random()
-        rdeg = (mix * np.outer(u[:, 0], u[:, 0].conj())
-                + (1 - mix) * np.outer(u[:, 1], u[:, 1].conj()))
-        worst["anti-degenerate"] = max(worst["anti-degenerate"],
-                                       composite.clustering_drift_residual(p1, rdeg, h1, hdeg, "anticommutator"))
-    generic = composite.clustering_noise_residual(
-        random_density_matrix(2, rng), np.eye(2) / 2,
-        random_hermitian(2, rng), random_hermitian(2, rng), "double_commutator")
+    worst = composite.clustering_survey(np.random.default_rng(args.seed), args.instances)
+    write_csv(out / "cluster-residuals.csv", "case,worst_residual", worst.items())
+    generic = worst.pop("generic-mixed-dc")
     for name, v in worst.items():
-        rows.append((name, v))
         rep.check(f"cluster[{name}]", v <= 1e-12, residual=v)
-    rows.append(("generic-mixed-dc", generic))
     rep.check("cluster[generic-nonzero]", generic > 1e-6, residual=generic)
-    write_csv(out / "cluster-residuals.csv", "case,worst_residual", rows)
 
 
 def cmd_hartree(args, rep: Reporter, out: Path) -> None:
-    rng = np.random.default_rng(args.seed + 101)
-    d = args.dim
-    h1 = random_hermitian(d, rng)
-    h2 = np.diag(np.linspace(0.0, 1.8, d)).astype(complex)
-    dh = random_hermitian(d * d, rng)
-    dh /= np.linalg.norm(dh, 2)
-    system = composite.CompositeSystem(h1, h2, dh)
-    v = random_pure_state(d, rng)
-    rho1 = np.outer(v, v.conj())
-    rho2 = np.zeros((d, d), complex)
-    rho2[1, 1] = 1.0          # eigenstate of h2: equilibrium environment
+    system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(args.seed + 101),
+                                                    args.dim)
     gv = [float(x) for x in args.g_values.split(",")]
     # the g = 0 floor rides along as the last coupling; the exponent fit skips g = 0
     full = composite.hartree_vs_full(system, rho1, rho2, args.sigma, args.dt,
@@ -347,44 +304,16 @@ def cmd_phenom_table(args, rep: Reporter, out: Path) -> None:
     rep.value("phenom-table", rows=len(rows))
 
 
-_PAPER_CHECKS = [
-    # (name, compute, paper value, tolerance factor)
-    ("eq21-proton", lambda: ph.t_reduce(ph.PROTON_MASS).to("s"), 1e-5, 2.0),
-    ("eq21-nitrogen", lambda: ph.t_reduce(ph.NITROGEN_MASS).to("s"), 1e-8, 2.0),
-    ("eq21-squid", lambda: ph.t_reduce(ph.qty(8.6e-6, "eV")).to("s"), 1e23, 2.0),
-    ("eq21-fullerene", lambda: ph.t_reduce(ph.qty(0.23, "eV")).to("s"), 1.5e14, 2.0),
-    ("eq21-hf178", lambda: ph.t_reduce(ph.qty(2.4, "MeV")).to("s"), 1.0, 2.0),
-    ("eq21-ta180", lambda: ph.t_reduce(ph.qty(75, "keV")).to("min"), 23.0, 2.0),
-    ("eq27-air-tr", lambda: ph.accretion_reduction_for_area(ph.AIR_STP, ph.qty(1, "cm2")).t_r.to("s"), 5e-19, 2.0),
-    ("eq27-air-molecules", lambda: ph.accretion_reduction_for_area(ph.AIR_STP, ph.qty(1, "cm2")).molecules, 1.5e5, 2.0),
-    ("eq27-moon-area", lambda: ph.area_for_reduction_time(ph.MOON_SURFACE, ph.qty(1e-8, "s")).area.to("cm2"), 3.0, 2.0),
-    ("eq27-interstellar-area", lambda: ph.area_for_reduction_time(ph.INTERSTELLAR, ph.qty(1e-8, "s")).area.to("m2"), 30.0, 2.0),
-    ("eq27-intergalactic-area", lambda: ph.area_for_reduction_time(ph.INTERGALACTIC, ph.qty(1e-8, "s")).area.to("m2"), 8e5, 2.0),
-    ("eq27-intergalactic-protons", lambda: ph.area_for_reduction_time(ph.INTERGALACTIC, ph.qty(1e-8, "s")).molecules, 28.0, 2.0),
-    ("eq27-interstellar-relaxed", lambda: ph.area_for_reduction_time(ph.INTERSTELLAR, ph.qty(3e-4, "s")).area.to("cm2"), 10.0, 2.0),
-    ("eq27-intergalactic-relaxed", lambda: ph.area_for_reduction_time(ph.INTERGALACTIC, ph.qty(3e-4, "s")).area.to("m2"), 1.0, 2.0),
-    ("eq23-water-14GeV", lambda: ph.thermal_fluctuation(ph.qty(298, "K"), ph.qty(4.18, "J/K")).de_rms.to("GeV"), 14.0, 1.2),
-    ("eq32-air-decoherence", lambda: (ph.decoherence_rate(ph.qty(1e10, "1/s"))
-                                      * ph.accretion_reduction_for_area(ph.AIR_STP, ph.qty(1, "cm2")).molecules).to("1/s"), 0.7e15, 2.0),
-    ("eq32-air-reduction-rate", lambda: (1.0 / ph.accretion_reduction_for_area(ph.AIR_STP, ph.qty(1, "cm2")).t_r).to("1/s"), 2e18, 2.0),
-    ("eq32-crossover-area", lambda: ph.crossover_area().to("cm2"), 4e-11, 2.0),
-    ("shot-delta-n", lambda: ph.shot_noise_energy(6e7, 1e4).delta_n, 8e5, 2.0),
-    ("shot-delta-e", lambda: ph.shot_noise_energy(6e7, 1e4).delta_e.to("GeV"), 4e2, 2.0),
-    ("shot-t-r", lambda: ph.shot_noise_energy(6e7, 1e4).t_r.to("s"), 5e-11, 2.0),
-]
-
-
 def cmd_reproduce_paper(args, rep: Reporter, out: Path) -> None:
     rows = []
     print(f"{'check':<28}{'computed':>14}{'source':>12}{'ratio':>9}  status")
-    for name, fn, target, tol in _PAPER_CHECKS:
-        value = float(fn())
-        ratio = value / target
-        ok = (1.0 / tol) <= ratio <= tol
-        rows.append((name, value, target, ratio, "PASS" if ok else "FAIL"))
-        print(f"{name:<28}{value:>14.4g}{target:>12.3g}{ratio:>9.3f}  "
-              f"{'PASS' if ok else 'FAIL'}")
-        rep.check(f"paper[{name}]", ok, computed=value, source=target, ratio=ratio)
+    for row in ph.PAPER_VALUES:
+        value, ok = row.evaluate()
+        ratio = value / row.source
+        status = "PASS" if ok else "FAIL"
+        rows.append((row.name, value, row.source, ratio, status))
+        print(f"{row.name:<28}{value:>14.4g}{row.source:>12.3g}{ratio:>9.3f}  {status}")
+        rep.check(f"paper[{row.name}]", ok, computed=value, source=row.source, ratio=ratio)
     write_csv(out / "paper-values.csv", "check,computed,source,ratio,status", rows)
 
 

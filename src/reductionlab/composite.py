@@ -33,21 +33,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (ANTICOMMUTATOR, _dag, _embed, _euler_step, _times, check_stability,
-                       noise_coefficient)
+from .dynamics import (ANTICOMMUTATOR, DOUBLE_COMMUTATOR, _dag, _embed, _euler_step, _times,
+                       check_stability, noise_coefficient)
 from .ensemble import (CHUNK, _DensityKernel, _check_input, _noise_chunk, _run_spans,
                        _split, _workers)
-from .linalg import as_matrix, hermiticity_defect, write_csv
+from .linalg import (as_matrix, hermiticity_defect, random_density_matrix, random_hermitian,
+                     random_pure_state, write_csv)
 from .noise import trajectory_generator
 
 __all__ = [
     "CompositeSystem",
     "clustering_noise_residual",
     "clustering_drift_residual",
+    "clustering_survey",
     "partial_expectation",
     "hartree_step",
     "HartreeReport",
     "hartree_vs_full",
+    "hartree_instance",
 ]
 
 
@@ -111,6 +114,45 @@ def clustering_drift_residual(rho1, rho2, h1, h2, form: str = ANTICOMMUTATOR) ->
     c1 = m1 @ r1 - r1 @ m1
     c2 = m2 @ r2 - r2 @ m2
     return float(np.linalg.norm(np.kron(n1, n2) + np.kron(c1, c2)))
+
+
+def clustering_survey(rng: np.random.Generator, n_instances: int) -> dict[str, float]:
+    """Worst residual of each vanishing clustering family over n_instances
+    random instances from rng (d1, d2 in 2..4), keyed "anti-mixed" (two mixed
+    factors), "dc-pure" (two pure factors), "dc-endpoint" (Dirichlet diagonal
+    ρ₂, diagonal H₂) and "anti-degenerate" (ρ₂ a projector mixture on a
+    degenerate level of H₂), then "generic-mixed-dc", a pure 2-level ρ₁ with
+    the maximally mixed ρ₂, where the residual does not vanish.  Raises
+    ValueError when n_instances < 1."""
+    if n_instances < 1:
+        raise ValueError(f"need at least one instance, got {n_instances}")
+    worst = dict.fromkeys(["anti-mixed", "dc-pure", "dc-endpoint", "anti-degenerate"], 0.0)
+    for _ in range(n_instances):
+        d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        h1, h2 = random_hermitian(d1, rng), random_hermitian(d2, rng)
+        r1m, r2m = random_density_matrix(d1, rng), random_density_matrix(d2, rng)
+        v1, v2 = random_pure_state(d1, rng), random_pure_state(d2, rng)
+        p1, p2 = np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
+        h2c = np.diag(rng.standard_normal(d2)).astype(complex)
+        r2c = np.diag(rng.dirichlet(np.ones(d2))).astype(complex)
+        evals = np.sort(rng.standard_normal(d2))
+        evals[1] = evals[0]
+        u = np.linalg.qr(rng.standard_normal((d2, d2)) + 1j * rng.standard_normal((d2, d2)))[0]
+        hdeg = (u * evals) @ u.conj().T
+        mix = rng.random()
+        rdeg = (mix * np.outer(u[:, 0], u[:, 0].conj())
+                + (1 - mix) * np.outer(u[:, 1], u[:, 1].conj()))
+        for name, r in (
+                ("anti-mixed", clustering_noise_residual(r1m, r2m, h1, h2, ANTICOMMUTATOR)),
+                ("dc-pure", clustering_noise_residual(p1, p2, h1, h2, DOUBLE_COMMUTATOR)),
+                ("dc-endpoint", clustering_drift_residual(p1, r2c, h1, h2c, DOUBLE_COMMUTATOR)),
+                ("anti-degenerate", clustering_drift_residual(p1, rdeg, h1, hdeg, ANTICOMMUTATOR))):
+            worst[name] = max(worst[name], r)
+    vg = random_pure_state(2, rng)
+    worst["generic-mixed-dc"] = clustering_noise_residual(
+        np.outer(vg, vg.conj()), np.eye(2) / 2,
+        random_hermitian(2, rng), random_hermitian(2, rng), DOUBLE_COMMUTATOR)
+    return worst
 
 
 def _contractions(op: np.ndarray, dims):
@@ -205,6 +247,23 @@ def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
     new = _mean_field_step(_stacked(r1, r2, (1, 1)), _real_maps(system, [system.g]), sigma,
                            dt, np.array([dW], float))
     return new[0, 0, 0, :d1, :d1], new[1, 0, 0, :d2, :d2]
+
+
+def hartree_instance(rng: np.random.Generator, d: int = 4):
+    """(system, ρ₁, ρ₂) of the mean-field error-scaling check, drawn from rng:
+    a random H₁, H₂ = diag(linspace(0, 1.8, d)), a random ΔH scaled to
+    spectral norm 1, a random pure ρ₁, and ρ₂ = |1⟩⟨1|, an eigenstate of H₂,
+    so the environment starts in equilibrium.  Raises ValueError when d < 2."""
+    if d < 2:
+        raise ValueError(f"the Hartree instance needs d >= 2, got {d}")
+    h1 = random_hermitian(d, rng)
+    dh = random_hermitian(d * d, rng)
+    v = random_pure_state(d, rng)
+    rho2 = np.zeros((d, d), complex)
+    rho2[1, 1] = 1.0
+    system = CompositeSystem(h1, np.diag(np.linspace(0.0, 1.8, d)).astype(complex),
+                             dh / np.linalg.norm(dh, 2))
+    return system, np.outer(v, v.conj()), rho2
 
 
 @dataclass

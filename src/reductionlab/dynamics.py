@@ -146,11 +146,16 @@ class SdeConfig:
         check_stability(self.sigma, self.dt, spectral_range(h))
 
 
+def _array(x) -> np.ndarray:
+    """The complex array of a `linalg` wrapper or array-like."""
+    return np.asarray(x.amplitudes if hasattr(x, "amplitudes") else
+                      x.matrix if hasattr(x, "matrix") else x, dtype=complex)
+
+
 def expectation(state, h) -> float:
     """⟨H⟩ for a state vector or density matrix."""
     m = as_matrix(h)
-    s = np.asarray(state.amplitudes if hasattr(state, "amplitudes") else
-                   state.matrix if hasattr(state, "matrix") else state, dtype=complex)
+    s = _array(state)
     if s.ndim == 1:
         return float(np.vdot(s, m @ s).real)
     return float(np.trace(s @ m).real)
@@ -159,8 +164,7 @@ def expectation(state, h) -> float:
 def energy_variance(state, h) -> float:
     """V = Tr ρH² − (Tr ρH)², clamped at the −1e-12 float floor."""
     m = as_matrix(h)
-    s = np.asarray(state.amplitudes if hasattr(state, "amplitudes") else
-                   state.matrix if hasattr(state, "matrix") else state, dtype=complex)
+    s = _array(state)
     if s.ndim == 1:
         hs = m @ s
         e1 = np.vdot(s, hs).real
@@ -373,8 +377,7 @@ def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
     m = as_matrix(h)
     config.validate_for(m)
     path = wiener_path(seed, config.dt, config.n_steps)
-    raw = np.asarray(init.amplitudes if hasattr(init, "amplitudes") else
-                     init.matrix if hasattr(init, "matrix") else init, dtype=complex)
+    raw = _array(init)
     is_vec = raw.ndim == 1
 
     times, states, means, variances, purities = [], [], [], [], []

@@ -13,6 +13,7 @@ decoherence-rate comparison — is built around it.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .linalg import write_csv
@@ -59,6 +60,8 @@ __all__ = [
     "ScenarioRow",
     "scenario_table",
     "scenario_table_csv",
+    "PaperValue",
+    "PAPER_VALUES",
 ]
 
 # dimension exponents: (energy, time, area, temperature)
@@ -429,3 +432,75 @@ def scenario_table_csv(path, rows=None) -> None:
               ((r.preset, r.area_fast.to("cm2"), r.molecules_fast,
                 r.area_relaxed.to("cm2"), r.molecules_relaxed,
                 r.t_r_at_1cm2.to("s"), r.molecules_at_1cm2) for r in rows))
+
+
+# --- the paper's values ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PaperValue:
+    """One of the paper's values: the acceptance criterion (1–5) that checks
+    it, its name and computation, its rounded source value, and the closed
+    interval [lo, hi] that the criterion accepts, all in the unit the
+    computation returns."""
+
+    criterion: int
+    name: str
+    compute: Callable[[], float]
+    source: float
+    lo: float
+    hi: float
+
+    def evaluate(self) -> tuple[float, bool]:
+        """The computed value, and whether it lies in [lo, hi]."""
+        value = float(self.compute())
+        return value, self.lo <= value <= self.hi
+
+
+def _within_two(criterion: int, name: str, compute, source: float) -> PaperValue:
+    """A value its criterion accepts within a factor of 2 of the source."""
+    return PaperValue(criterion, name, compute, source, source / 2, 2 * source)
+
+
+def _air() -> AccretionEstimate:
+    return accretion_reduction_for_area(AIR_STP, qty(1, "cm2"))
+
+
+def _area(preset: ScenarioPreset, t_r_s: float) -> AreaEstimate:
+    return area_for_reduction_time(preset, qty(t_r_s, "s"))
+
+
+PAPER_VALUES = (
+    PaperValue(1, "eq21-2.8MeV", lambda: t_reduce(qty(2.8, "MeV")).to("s"), 1.0,
+               1 - 1e-12, 1 + 1e-12),
+    _within_two(1, "eq21-proton", lambda: t_reduce(PROTON_MASS).to("s"), 1e-5),
+    _within_two(1, "eq21-nitrogen", lambda: t_reduce(NITROGEN_MASS).to("s"), 1e-8),
+    _within_two(1, "eq21-squid", lambda: t_reduce(qty(8.6e-6, "eV")).to("s"), 1e23),
+    _within_two(1, "eq21-fullerene", lambda: t_reduce(qty(0.23, "eV")).to("s"), 1.5e14),
+    _within_two(1, "eq21-hf178", lambda: t_reduce(qty(2.4, "MeV")).to("s"), 1.0),
+    _within_two(1, "eq21-ta180", lambda: t_reduce(qty(75, "keV")).to("min"), 23.0),
+    _within_two(2, "eq27-air-tr", lambda: _air().t_r.to("s"), 5e-19),
+    _within_two(2, "eq27-air-molecules", lambda: _air().molecules, 1.5e5),
+    _within_two(2, "eq27-moon-area", lambda: _area(MOON_SURFACE, 1e-8).area.to("cm2"), 3.0),
+    _within_two(2, "eq27-interstellar-area",
+                lambda: _area(INTERSTELLAR, 1e-8).area.to("m2"), 30.0),
+    _within_two(2, "eq27-intergalactic-area",
+                lambda: _area(INTERGALACTIC, 1e-8).area.to("m2"), 8e5),
+    _within_two(2, "eq27-intergalactic-protons",
+                lambda: _area(INTERGALACTIC, 1e-8).molecules, 28.0),
+    _within_two(2, "eq27-interstellar-relaxed",
+                lambda: _area(INTERSTELLAR, 3e-4).area.to("cm2"), 10.0),
+    _within_two(2, "eq27-intergalactic-relaxed",
+                lambda: _area(INTERGALACTIC, 3e-4).area.to("m2"), 1.0),
+    PaperValue(3, "eq23-water-14GeV",
+               lambda: thermal_fluctuation(qty(298, "K"), qty(4.18, "J/K")).de_rms.to("GeV"),
+               14.0, 11.2, 16.8),
+    _within_two(4, "eq32-air-decoherence",
+                lambda: (decoherence_rate(qty(1e10, "1/s")) * _air().molecules).to("1/s"),
+                0.7e15),
+    _within_two(4, "eq32-air-reduction-rate", lambda: (1.0 / _air().t_r).to("1/s"), 2e18),
+    _within_two(4, "eq32-crossover-area", lambda: crossover_area().to("cm2"), 4e-11),
+    _within_two(5, "shot-delta-n", lambda: shot_noise_energy(6e7, 1e4).delta_n, 8e5),
+    _within_two(5, "shot-delta-e", lambda: shot_noise_energy(6e7, 1e4).delta_e.to("GeV"), 4e2),
+    _within_two(5, "shot-t-r", lambda: shot_noise_energy(6e7, 1e4).t_r.to("s"), 5e-11),
+)

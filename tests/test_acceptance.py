@@ -15,11 +15,7 @@ from scipy.special import jv
 
 from reductionlab import accretion, composite, ensemble, phenomenology as ph, reduction
 from reductionlab.dynamics import ANTICOMMUTATOR, DOUBLE_COMMUTATOR, noise_coefficient
-from reductionlab.linalg import (
-    random_density_matrix,
-    random_hermitian,
-    random_pure_state,
-)
+from reductionlab.linalg import random_hermitian, random_pure_state
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -27,80 +23,42 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _factor(value: float, target: float, tol: float = 2.0) -> bool:
-    return target / tol <= value <= target * tol
+def _report_paper_values(criterion: int, name: str) -> None:
+    """Check every row of the paper-values table that the criterion owns."""
+    rows = [r for r in ph.PAPER_VALUES if r.criterion == criterion]
+    results = [r.evaluate() for r in rows]
+    _report(name, all(ok for _, ok in results),
+            ", ".join(f"{r.name}={v:.3g}" for r, (v, _) in zip(rows, results)))
 
 
 # 1 ---------------------------------------------------------------------------
 
 def test_criterion_01_reduction_time_formula():
-    exact = ph.t_reduce(ph.qty(2.8, "MeV")).to("s")
-    cases = [
-        ("proton", ph.t_reduce(ph.PROTON_MASS).to("s"), 1e-5),
-        ("nitrogen", ph.t_reduce(ph.NITROGEN_MASS).to("s"), 1e-8),
-        ("squid", ph.t_reduce(ph.qty(8.6e-6, "eV")).to("s"), 1e23),
-        ("fullerene", ph.t_reduce(ph.qty(0.23, "eV")).to("s"), 1.5e14),
-        ("hf178", ph.t_reduce(ph.qty(2.4, "MeV")).to("s"), 1.0),
-        ("ta180", ph.t_reduce(ph.qty(75, "keV")).to("min"), 23.0),
-    ]
-    ok = abs(exact - 1.0) <= 1e-12 and all(_factor(v, t) for _, v, t in cases)
-    detail = ", ".join(f"{n}={v:.3g}" for n, v, _ in cases)
-    _report("01-reduction-times", ok, detail)
+    _report_paper_values(1, "01-reduction-times")
 
 
 # 2 ---------------------------------------------------------------------------
 
 def test_criterion_02_accretion_limited_reduction():
-    air = ph.accretion_reduction_for_area(ph.AIR_STP, ph.qty(1, "cm2"))
-    moon = ph.area_for_reduction_time(ph.MOON_SURFACE, ph.qty(1e-8, "s"))
-    inter = ph.area_for_reduction_time(ph.INTERSTELLAR, ph.qty(1e-8, "s"))
-    galax = ph.area_for_reduction_time(ph.INTERGALACTIC, ph.qty(1e-8, "s"))
-    inter_rx = ph.area_for_reduction_time(ph.INTERSTELLAR, ph.qty(3e-4, "s"))
-    galax_rx = ph.area_for_reduction_time(ph.INTERGALACTIC, ph.qty(3e-4, "s"))
-    checks = [
-        ("air-tr", air.t_r.to("s"), 5e-19),
-        ("air-molecules", air.molecules, 1.5e5),
-        ("moon-area-cm2", moon.area.to("cm2"), 3.0),
-        ("interstellar-area-m2", inter.area.to("m2"), 30.0),
-        ("intergalactic-area-m2", galax.area.to("m2"), 8e5),
-        ("intergalactic-protons", galax.molecules, 28.0),
-        ("interstellar-relaxed-cm2", inter_rx.area.to("cm2"), 10.0),
-        ("intergalactic-relaxed-m2", galax_rx.area.to("m2"), 1.0),
-    ]
-    ok = all(_factor(v, t) for _, v, t in checks)
-    _report("02-accretion-reduction", ok,
-            ", ".join(f"{n}={v:.3g}" for n, v, _ in checks))
+    _report_paper_values(2, "02-accretion-reduction")
 
 
 # 3 ---------------------------------------------------------------------------
 
 def test_criterion_03_thermal_fluctuation():
-    de = ph.thermal_fluctuation(ph.qty(298, "K"), ph.qty(4.18, "J/K")).de_rms.to("GeV")
-    ok = abs(de - 14.0) / 14.0 <= 0.2
-    _report("03-thermal-14GeV", ok, f"dE_rms={de:.4g} GeV")
+    _report_paper_values(3, "03-thermal-14GeV")
 
 
 # 4 ---------------------------------------------------------------------------
 
 def test_criterion_04_decoherence_comparison():
-    air = ph.accretion_reduction_for_area(ph.AIR_STP, ph.qty(1, "cm2"))
-    d_rate = (ph.decoherence_rate(ph.qty(1e10, "1/s")) * air.molecules).to("1/s")
-    r_rate = (1.0 / air.t_r).to("1/s")
-    cross = ph.crossover_area().to("cm2")
-    ok = _factor(d_rate, 0.7e15) and _factor(r_rate, 2e18) and _factor(cross, 4e-11)
-    _report("04-decoherence", ok,
-            f"D={d_rate:.3g}/s, reduction={r_rate:.3g}/s, crossover={cross:.3g} cm2")
+    _report_paper_values(4, "04-decoherence")
 
 
 # 5 ---------------------------------------------------------------------------
 
 def test_criterion_05_shot_noise():
-    est = ph.shot_noise_energy(6e7, 1e4)
-    ok = (_factor(est.delta_n, 8e5) and _factor(est.delta_e.to("GeV"), 4e2)
-          and _factor(est.t_r.to("s"), 5e-11))
-    _report("05-shot-noise", ok,
-            f"dN={est.delta_n:.3g}, dE={est.delta_e.to('GeV'):.3g} GeV, "
-            f"t_R={est.t_r.to('s'):.3g} s")
+    _report_paper_values(5, "05-shot-noise")
 
 
 # 6 ---------------------------------------------------------------------------
@@ -122,39 +80,8 @@ def test_criterion_06_noise_form_identity():
 # 7 ---------------------------------------------------------------------------
 
 def test_criterion_07_clustering_residuals():
-    rng = np.random.default_rng(707)
-    worst = dict.fromkeys(["anti-any", "dc-pure", "dc-endpoint", "anti-degenerate"], 0.0)
-    for _ in range(100):
-        d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        h1, h2 = random_hermitian(d1, rng), random_hermitian(d2, rng)
-        r1m, r2m = random_density_matrix(d1, rng), random_density_matrix(d2, rng)
-        v1, v2 = random_pure_state(d1, rng), random_pure_state(d2, rng)
-        p1, p2 = np.outer(v1, v1.conj()), np.outer(v2, v2.conj())
-        worst["anti-any"] = max(worst["anti-any"], composite.clustering_noise_residual(
-            r1m, r2m, h1, h2, ANTICOMMUTATOR))
-        worst["dc-pure"] = max(worst["dc-pure"], composite.clustering_noise_residual(
-            p1, p2, h1, h2, DOUBLE_COMMUTATOR))
-        # endpoint: [rho2, H2] = 0
-        h2c = np.diag(rng.standard_normal(d2)).astype(complex)
-        r2c = np.diag(rng.dirichlet(np.ones(d2))).astype(complex)
-        worst["dc-endpoint"] = max(worst["dc-endpoint"], composite.clustering_drift_residual(
-            p1, r2c, h1, h2c, DOUBLE_COMMUTATOR))
-        # projector mixture on a degenerate submanifold
-        evals = np.sort(rng.standard_normal(d2))
-        evals[1] = evals[0]
-        u = np.linalg.qr(rng.standard_normal((d2, d2))
-                         + 1j * rng.standard_normal((d2, d2)))[0]
-        hdeg = (u * evals) @ u.conj().T
-        mix = rng.random()
-        rdeg = (mix * np.outer(u[:, 0], u[:, 0].conj())
-                + (1 - mix) * np.outer(u[:, 1], u[:, 1].conj()))
-        worst["anti-degenerate"] = max(worst["anti-degenerate"],
-                                       composite.clustering_drift_residual(
-                                           p1, rdeg, h1, hdeg, ANTICOMMUTATOR))
-    vg = random_pure_state(2, rng)
-    generic = composite.clustering_noise_residual(
-        np.outer(vg, vg.conj()), np.eye(2) / 2,
-        random_hermitian(2, rng), random_hermitian(2, rng), DOUBLE_COMMUTATOR)
+    worst = composite.clustering_survey(np.random.default_rng(707), 100)
+    generic = worst.pop("generic-mixed-dc")
     ok = all(v <= 1e-12 for v in worst.values()) and generic > 1e-6
     _report("07-clustering", ok,
             ", ".join(f"{k}={v:.1e}" for k, v in worst.items())
@@ -245,17 +172,7 @@ def test_criterion_11_reduction_time_scaling():
 # 12 --------------------------------------------------------------------------
 
 def test_criterion_12_hartree_error_scaling():
-    rng = np.random.default_rng(1212)
-    d = 4
-    h1 = random_hermitian(d, rng)
-    h2 = np.diag(np.linspace(0.0, 1.8, d)).astype(complex)
-    dh = random_hermitian(d * d, rng)
-    dh /= np.linalg.norm(dh, 2)
-    system = composite.CompositeSystem(h1, h2, dh)
-    v = random_pure_state(d, rng)
-    rho1 = np.outer(v, v.conj())
-    rho2 = np.zeros((d, d), complex)
-    rho2[1, 1] = 1.0
+    system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(1212))
     rep = composite.hartree_vs_full(system, rho1, rho2, sigma=1.0, dt=2e-4,
                                     horizon=1.0, g_values=[0.0, 0.2, 0.4],
                                     n_traj=24, base_seed=1213)

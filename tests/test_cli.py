@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from reductionlab import composite, reduction
+from reductionlab import composite, phenomenology as ph, reduction
 from reductionlab.cli import _merge_bins, main
-from reductionlab.linalg import random_hermitian, random_pure_state
 
 
 def run_cli(args):
@@ -23,6 +22,29 @@ def test_reproduce_paper_exits_clean(tmp_path, capsys):
     csv = (tmp_path / "r" / "paper-values.csv").read_text()
     assert csv.startswith("check,computed,source,ratio,status")
     assert "FAIL" not in csv
+    assert [ln.split(",")[0] for ln in csv.splitlines()[1:]] == [r.name for r in ph.PAPER_VALUES]
+
+
+def test_cluster_check_reports_the_survey(tmp_path, capsys):
+    assert run_cli(["cluster-check", "--seed", "707", "--instances", "100",
+                    "--out-dir", str(tmp_path / "c")]) == 0
+    out = capsys.readouterr().out
+    worst = composite.clustering_survey(np.random.default_rng(707), 100)
+    assert ((tmp_path / "c" / "cluster-residuals.csv").read_text().splitlines()
+            == ["case,worst_residual"] + [f"{k},{v:.17g}" for k, v in worst.items()])
+    generic = worst.pop("generic-mixed-dc")
+    for k, v in [*worst.items(), ("generic-nonzero", generic)]:
+        assert f"check=cluster[{k}] status=PASS residual={v:.17g}" in out
+
+
+@pytest.mark.parametrize("cmd", [["cluster-check", "--instances", "0"],
+                                 ["cluster-check", "--instances", "-3"],
+                                 ["hartree", "compare", "--dim", "1", "--ntraj", "2"]],
+                         ids=["instances-0", "instances-negative", "hartree-dim-1"])
+def test_empty_or_degenerate_instance_exits_2(cmd, tmp_path, capsys):
+    assert run_cli(cmd + ["--out-dir", str(tmp_path / "x")]) == 2
+    out, err = capsys.readouterr()
+    assert "RESULT" not in out and "ERROR" in err
 
 
 def test_simulate_writes_trajectory(tmp_path):
@@ -135,15 +157,7 @@ def test_hartree_compare_matches_direct_calls(tmp_path, capsys):
     # the command's set-up at seed 0 and its defaults: sigma 1, dt 2e-4, g 0.1,0.2,0.4
     assert run_cli(["hartree", "compare", "--ntraj", "2", "--horizon", "0.01", "--seed", "0",
                     "--out-dir", str(tmp_path / "h")]) == 0
-    rng = np.random.default_rng(101)
-    h1 = random_hermitian(4, rng)
-    dh = random_hermitian(16, rng)
-    system = composite.CompositeSystem(h1, np.diag(np.linspace(0.0, 1.8, 4)).astype(complex),
-                                       dh / np.linalg.norm(dh, 2))
-    v = random_pure_state(4, rng)
-    rho2 = np.zeros((4, 4), complex)
-    rho2[1, 1] = 1.0
-    args = (system, np.outer(v, v.conj()), rho2, 1.0, 2e-4, 0.01)
+    args = (*composite.hartree_instance(np.random.default_rng(101)), 1.0, 2e-4, 0.01)
     composite.hartree_vs_full(*args, [0.1, 0.2, 0.4], 2, 0).csv(tmp_path / "direct.csv")
     assert ((tmp_path / "h" / "hartree-discrepancy.csv").read_bytes()
             == (tmp_path / "direct.csv").read_bytes())
