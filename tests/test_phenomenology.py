@@ -6,6 +6,7 @@ from reductionlab import phenomenology as ph
 from reductionlab.phenomenology import (
     AIR_STP,
     DimensionError,
+    INTERGALACTIC,
     INTERSTELLAR,
     MOON_SURFACE,
     area_for_reduction_time,
@@ -52,6 +53,10 @@ def test_quantity_algebra():
         t ** 0.5  # fractional exponent leaves non-integer dimension
     sq = t * t
     assert abs(sq.sqrt().to("s") - 4.0) < 1e-12
+
+
+def test_t_reduce_formula_fixed_point():
+    assert abs(t_reduce(qty(2.8, "MeV")).to("s") - 1.0) <= 1e-12
 
 
 def test_t_reduce_quadratic_scaling():
@@ -106,6 +111,11 @@ def test_thermal_scalings():
     assert abs(prod.value / kt2.value - 1.0) < 1e-12
 
 
+def test_water_thermal_14_gev():
+    out = thermal_fluctuation(qty(298.0, "K"), qty(4.18, "J/K"))
+    assert abs(out.de_rms.to("GeV") - 14.0) / 14.0 < 0.2
+
+
 def test_decoherence_rates():
     assert decoherence_rate(qty(1e10, "1/s")).to("1/s") == 5e9
     assert decoherence_rate_general(qty(1e10, "1/s"), 1.0).to("1/s") == 0.0
@@ -138,6 +148,12 @@ def test_preset_pressure_scaling_linear():
 def test_moon_area_for_fast_reduction():
     est = area_for_reduction_time(MOON_SURFACE, qty(1e-8, "s"))
     assert 1.5 < est.area.to("cm2") < 6.0
+
+
+def test_intergalactic_numbers():
+    est = area_for_reduction_time(INTERGALACTIC, qty(1e-8, "s"))
+    assert 4e5 < est.area.to("m2") < 1.6e6
+    assert 14 < est.molecules < 56
 
 
 def test_crossover_area_order_of_magnitude():
