@@ -292,12 +292,16 @@ def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma
     kern = _DensityKernel(np.stack([e for e, _ in spectra]),
                           np.stack([u.conj().T @ rho0 @ u for _, u in spectra]), sigma, dt)
     maps = _real_maps(system, g_values)
-    x = kern.start(hi - lo)
-    a = _stacked(rho1, rho2, (len(g_values), hi - lo))
+    b = hi - lo
+    x = kern.start(b)
+    a = _stacked(rho1, rho2, (len(g_values), b))
     gens = [trajectory_generator(base_seed, i) for i in range(lo, hi)]
+    noise, half = np.empty(CHUNK * b), np.empty(CHUNK * b)   # each chunk's dW and (σ/2)·dW
     for done in range(0, n_steps, CHUNK):
-        dws = _noise_chunk(gens, min(CHUNK, n_steps - done), np.sqrt(dt))
-        for dw, u in zip(dws, dws * kern.half_sigma):   # the kernel takes (σ/2)·dW
+        n = min(CHUNK, n_steps - done)
+        dws = _noise_chunk(noise[:n * b].reshape(n, b), gens, np.sqrt(dt))
+        us = np.multiply(dws, kern.half_sigma, out=half[:n * b].reshape(n, b))
+        for dw, u in zip(dws, us):   # the kernel takes (σ/2)·dW
             kern.advance(x, u)
             kern.renorm(x)
             a = _mean_field_step(a, maps, sigma, dt, dw)

@@ -47,12 +47,16 @@ the chunk.  At 64 rows that buffer is 128 KB, so it stays in L2 while it is
 scaled and transposed; a trajectory-major (b, CHUNK) chunk is 4 MB at
 b = 2048, and gathering one strided column of it cost about 15 µs a step,
 against about 3 µs a step for the blocked transpose and 0.1 µs for a row.
+A span allocates one flat CHUNK·b buffer when it starts and draws every
+chunk into its contiguous (n, alive) prefix, so it holds one chunk, 2 KB a
+trajectory, and never the next chunk beside the last one.
 
 A run has two phases: an optional fixed-horizon recording phase in which
 every trajectory keeps evolving (so recorded ensemble means are unbiased),
 followed, when stop_on_reduction is set, by a first-passage phase in which
-trajectories are retired once V ≤ eps·V(0) and a dominant outcome-group
-population is ≥ popmin, so every retired endpoint classifies unambiguously.
+trajectories are retired once V ≤ REDUCTION_EPS·V(0) and a dominant
+outcome-group population is ≥ POPULATION_MIN, so every retired endpoint
+classifies unambiguously.
 
 Trajectories come in blocks of BATCH_SIZE indices.  A worker runs a
 contiguous span of whole blocks as one batch, so its stragglers share one
@@ -287,13 +291,12 @@ class _DensityKernel(_Kernel):
         return self.dense(np.moveaxis(x, 0, -1))
 
 
-def _noise_chunk(gens, n, *scales):
-    """The next n draws of each generator in gens, multiplied by each scale in
-    turn, step-major: shape (n, len(gens)), column k from gens[k].  Drawn and
-    scaled NOISE_GROUP generators at a time in one buffer that stays in cache,
-    then written transposed into the chunk."""
-    dws = np.empty((n, len(gens)))
-    buf = np.empty((min(NOISE_GROUP, len(gens)), n))
+def _noise_chunk(dws, gens, *scales):
+    """Fill dws, shape (n, len(gens)), with the next n draws of each generator
+    in gens, multiplied by each scale in turn, step-major: column k from
+    gens[k]; returns dws.  Drawn and scaled NOISE_GROUP generators at a time in
+    one buffer that stays in cache, then written transposed into dws."""
+    buf = np.empty((min(NOISE_GROUP, len(gens)), dws.shape[0]))
     for lo in range(0, len(gens), NOISE_GROUP):
         part = buf[:len(gens) - lo]
         for row, gen in zip(part, gens[lo:lo + NOISE_GROUP]):
@@ -322,7 +325,7 @@ def _group_sums(pop, index, out):
 
 
 # everything a span needs besides its index range
-_Plan = namedtuple("_Plan", "kernel index dt base_seed v_stop popmin horizon_steps "
+_Plan = namedtuple("_Plan", "kernel index dt base_seed v_stop horizon_steps "
                             "record_stride stop_on_reduction max_steps")
 
 
@@ -332,6 +335,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
     kern, dt = plan.kernel, plan.dt
     b = hi - lo
     gens = [trajectory_generator(plan.base_seed, i) for i in range(lo, hi)]
+    noise = np.empty(CHUNK * b)   # every chunk, in its (n, alive.size) prefix
     x, alive = kern.start(b), np.arange(b)
     tred, outcomes = np.full(b, np.nan), np.full(b, -1, np.int64)
     finals = np.zeros((b,) + kern.shape, complex)
@@ -354,7 +358,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
             raise ValueError(f"negative population at step {step}; dt too large?")
         gp = pop if gsum is None else _group_sums(pop, plan.index, gsum[:, :alive.size])
         hit = v <= plan.v_stop
-        hit &= gp.max(0) >= plan.popmin
+        hit &= gp.max(0) >= POPULATION_MIN
         return hit, gp
 
     def retire(hit, gp):
@@ -381,8 +385,10 @@ def _run_span(plan: _Plan, lo: int, hi: int):
         if step >= end:
             break
         # (σ/2)·dW, rounded as (σ/2)·(z·√dt)
-        dws = _noise_chunk([gens[i] for i in alive], min(CHUNK, end - step), sq, kern.half_sigma)
-        rows = np.arange(alive.size)  # dws columns of the alive trajectories
+        m = alive.size
+        dws = _noise_chunk(noise[:min(CHUNK, end - step) * m].reshape(-1, m),
+                           [gens[i] for i in alive], sq, kern.half_sigma)
+        rows = np.arange(m)  # dws columns of the alive trajectories
         for dw in dws:
             kern.advance(x, dw if rows.size == dw.size else dw.take(rows))
             step += 1
@@ -500,8 +506,8 @@ def _check_reducible(sigma, e, p, stop_on_reduction=True) -> float:
     return v0
 
 
-def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, eps, popmin,
-         horizon_steps, record_stride, stop_on_reduction, max_steps) -> EnsembleRun:
+def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, horizon_steps,
+         record_stride, stop_on_reduction, max_steps) -> EnsembleRun:
     """Split n_traj into spans of whole blocks, run them, merge in order."""
     workers = _workers(workers)
     for name, value, least in (("horizon_steps", horizon_steps, 0),
@@ -514,7 +520,7 @@ def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, eps, popm
     groups = tuple((i,) for i in range(e.shape[0])) if groups is None else tuple(groups)
     v0 = _check_reducible(sigma, e, p0, stop_on_reduction)
     plan = _Plan(kernel, _group_index(groups, e.shape[0]), dt, base_seed,
-                 eps * v0 if v0 > 0 else 0.0, popmin, horizon_steps, record_stride,
+                 REDUCTION_EPS * v0 if v0 > 0 else 0.0, horizon_steps, record_stride,
                  stop_on_reduction, max_steps)
     n_blocks = -(-n_traj // BATCH_SIZE)
     blocks = _split(n_blocks, min(workers, n_blocks))
@@ -535,8 +541,7 @@ def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, eps, popm
 
 
 def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_traj: int, *,
-                       groups=None, eps: float = REDUCTION_EPS, popmin: float = POPULATION_MIN,
-                       horizon_steps: int = 0, record_stride: int = 0,
+                       groups=None, horizon_steps: int = 0, record_stride: int = 0,
                        stop_on_reduction: bool = True, max_steps: int = 10_000_000,
                        workers: int | None = None) -> EnsembleRun:
     """Integrate n_traj state-vector trajectories in the H eigenbasis.
@@ -555,13 +560,12 @@ def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_
     c0 = np.asarray(c0, dtype=complex)
     _check_input(e, c0, 1, sigma, dt, n_traj)
     kernel = _StateKernel(e, c0, sigma, dt)
-    return _run(kernel, e, kernel.x0, sigma, dt, base_seed, n_traj, workers, groups, eps, popmin,
+    return _run(kernel, e, kernel.x0, sigma, dt, base_seed, n_traj, workers, groups,
                 horizon_steps, record_stride, stop_on_reduction, max_steps)
 
 
 def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int, n_traj: int,
-                         *, groups=None, eps: float = REDUCTION_EPS,
-                         popmin: float = POPULATION_MIN, horizon_steps: int = 0,
+                         *, groups=None, horizon_steps: int = 0,
                          record_stride: int = 0, stop_on_reduction: bool = True,
                          max_steps: int = 10_000_000, workers: int | None = None) -> EnsembleRun:
     """Integrate density-matrix trajectories of the anticommutator-form
@@ -580,5 +584,5 @@ def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int
     r0 = np.asarray(rho0, dtype=complex)
     _check_input(e, r0, 2, sigma, dt, n_traj)
     return _run(_DensityKernel(e, r0, sigma, dt), e, np.real(np.diag(r0)), sigma, dt, base_seed,
-                n_traj, workers, groups, eps, popmin, horizon_steps, record_stride,
+                n_traj, workers, groups, horizon_steps, record_stride,
                 stop_on_reduction, max_steps)

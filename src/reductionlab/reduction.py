@@ -344,27 +344,42 @@ def reduction_time_scaling(de_values, sigma_values, *, sigma_ref: float = 1.0,
     """Scan two-level systems and fit median reduction time power laws.
 
     Expected exponents are −2 in both σ (at fixed splitting de_ref) and the
-    splitting ΔE (at fixed sigma_ref).  Raises ValueError, before the first
-    run, when a run would pair σ = 0 with a nonzero splitting.
+    splitting ΔE (at fixed sigma_ref).  The scan's points run as contiguous
+    spans on min(workers, points) forked processes, workers=None meaning
+    every CPU, each point on one worker, so the medians are the same bytes
+    for any worker count.  Raises ValueError, before the first run, when a
+    run would pair σ = 0 with a nonzero splitting, on fewer than two distinct
+    σ or ΔE values, which fit no exponent, and on workers other than None or
+    an integer ≥ 1.
     """
+    workers = ensemble._workers(workers)
     sv = np.asarray(sigma_values, float)
     dv = np.asarray(de_values, float)
+    if min(np.unique(sv).size, np.unique(dv).size) < 2:
+        raise ValueError(f"the power-law fits need two distinct sigma values and two distinct "
+                         f"splittings, got {sv.tolist()} and {dv.tolist()}")
     scan = ([(s, de_ref, base_seed + 1000 + i) for i, s in enumerate(sv)]
             + [(sigma_ref, de, base_seed + 2000 + i) for i, de in enumerate(dv)])
     for s, de, _ in scan:
         ensemble._check_reducible(s, [0.0, de], [0.5, 0.5])
-    medians, unred = [], 0
-    for s, de, seed in scan:
-        _, stats = _run_scenario(np.array([0.0, de]), np.sqrt(np.array([0.5, 0.5], complex)),
-                                 s, n_traj, seed, dt=None, max_steps=max_steps,
-                                 budget_fraction=1.0, workers=workers)
-        medians.append(float(np.nanmedian(stats.reduction_times)))
-        unred += stats.n_unreduced
+
+    def points(lo, hi):
+        """(median reduction time, unreduced count) of scan points lo..hi−1."""
+        out = []
+        for s, de, seed in scan[lo:hi]:
+            _, stats = _run_scenario(np.array([0.0, de]), np.sqrt(np.array([0.5, 0.5], complex)),
+                                     s, n_traj, seed, dt=None, max_steps=max_steps,
+                                     budget_fraction=1.0, workers=1)
+            out.append((float(np.nanmedian(stats.reduction_times)), stats.n_unreduced))
+        return out
+
+    spans = ensemble._split(len(scan), min(workers, len(scan)))
+    medians, unred = zip(*(p for part in ensemble._run_spans(points, spans) for p in part))
     med_s, med_d = np.asarray(medians[:len(sv)]), np.asarray(medians[len(sv):])
     exp_s = float(np.polyfit(np.log(sv), np.log(med_s), 1)[0])
     exp_d = float(np.polyfit(np.log(dv), np.log(med_d), 1)[0])
     return ScalingReport(
         sigma_values=sv, sigma_medians=med_s, sigma_exponent=exp_s,
         de_values=dv, de_medians=med_d, de_exponent=exp_d,
-        n_unreduced=unred,
+        n_unreduced=sum(unred),
     )

@@ -3,11 +3,12 @@ import dataclasses
 import math
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from reductionlab import ensemble
+from reductionlab import ensemble, noise
 
 
 def _complex_step(c, e, sigma, dt, dw):
@@ -479,6 +480,30 @@ def test_member_equals_its_one_member_span(name, monkeypatch):
         assert outcomes[0] == run.outcomes[i]
         assert tred.tobytes() == run.reduction_times[i:i + 1].tobytes()
         assert finals.tobytes() == run.final_states[i:i + 1].tobytes()
+
+
+def test_serial_span_holds_one_noise_chunk(monkeypatch):
+    # every chunk of a span is drawn into one reused buffer, so a serial span
+    # at b = 1024 holds one 2 MB (CHUNK, b) chunk, never the next beside it
+    b = 1024
+    chunk_bytes = ensemble.CHUNK * b * 8
+    _, plan = _capture_plan(lambda: ensemble.run_state_ensemble(
+        [0.0, 1.0], np.sqrt(np.array([0.5, 0.5], complex)), 1.0, 1e-3, 5, 2,
+        horizon_steps=3 * ensemble.CHUNK, stop_on_reduction=False, workers=1), monkeypatch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gens = [noise.trajectory_generator(plan.base_seed, i) for i in range(b)]
+        generators = tracemalloc.get_traced_memory()[0] - before
+        del gens
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, _, tred, _ = ensemble._run_span(plan, 0, b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert tred.size == b and generators > 0
+    assert peak - generators < 1.5 * chunk_bytes, (peak, generators)
 
 
 def _coherent_run(n_traj):

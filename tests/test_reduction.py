@@ -129,6 +129,37 @@ def test_scaling_two_point_smoke():
     assert 2.5 < rep.sigma_medians[0] / rep.sigma_medians[1] < 6.5
 
 
+def test_scaling_points_run_on_every_cpu_with_identical_medians(monkeypatch):
+    # workers=None runs the four points as min(cpus, 4) spans of whole points,
+    # each point on one worker, so the medians keep their bytes
+    calls, run_spans = [], ensemble._run_spans
+
+    def spy(work, spans):
+        calls.append(spans)
+        return run_spans(work, spans)
+
+    monkeypatch.setattr(ensemble, "_run_spans", spy)
+    reps = []
+    for workers in (None, 1):
+        calls.clear()
+        reps.append(reduction_time_scaling([1.0, 2.0], [1.0, 2.0], n_traj=64, base_seed=6,
+                                           workers=workers))
+        assert len(calls[0]) == (min(4, os.cpu_count() or 1) if workers is None else 1)
+    for key in ("sigma_medians", "de_medians"):
+        assert getattr(reps[0], key).tobytes() == getattr(reps[1], key).tobytes()
+    assert reps[0].n_unreduced == reps[1].n_unreduced == 0
+
+
+
+@pytest.mark.parametrize("sigmas, des", [([], []), ([1.0], [1.0, 2.0]), ([1.0, 2.0], [2.0, 2.0])])
+def test_scaling_rejects_too_few_points_before_the_first_run(sigmas, des, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a scan point started")
+
+    monkeypatch.setattr(reduction.ensemble, "_run_spans", no_run)
+    with pytest.raises(ValueError, match="two distinct"):
+        reduction_time_scaling(des, sigmas, n_traj=64)
+
 def test_budget_error_raised():
     h = np.diag([0.0, 1.0]).astype(complex)
     chi = np.sqrt(np.array([0.5, 0.5], complex))
