@@ -458,16 +458,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(ap: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Resolve parameters: CLI flags beat the config file beat defaults."""
+    """Resolve parameters: CLI flags beat the config file beat defaults.  Each
+    config key of the command goes in as --key=value (true: a bare switch;
+    null, false: no flag) before the command line's own flags, which win."""
     args = ap.parse_args(argv)
     if getattr(args, "config", None):
-        overrides = json.loads(Path(args.config).read_text())
-        explicit = {tok.split("=", 1)[0].lstrip("-").replace("-", "_")
-                    for tok in argv if tok.startswith("--")}
-        for key, val in overrides.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in explicit:
-                setattr(args, attr, val)
+        flags = []
+        for key, val in json.loads(Path(args.config).read_text()).items():
+            flag = "--" + key.replace("_", "-")
+            if hasattr(args, key.replace("-", "_")) and val is not None and val is not False:
+                flags.append(flag if val is True else f"{flag}={val}")
+        words = next((k for k, tok in enumerate(argv) if tok.startswith("-")), len(argv))
+        args = ap.parse_known_args(argv[:words] + flags + argv[words:])[0]
     return args
 
 

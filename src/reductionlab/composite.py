@@ -5,10 +5,12 @@ terms for product states, and the mean-field (Hartree) factorized
 evolution for a system weakly coupled to an equilibrium environment, with
 an error-scaling harness against the full product-space evolution driven
 by the identical noise path.  The harness sweeps every coupling g in one
-pass: each trajectory's noise is drawn once and shared by all g.  The full
-systems run in the eigenbases of their Hamiltonians as one stack of spectra
-on the ensemble density kernel, where the Euler step is elementwise; the
-mean-field pairs take one batched step for all couplings and trajectories.
+pass: each trajectory's noise is drawn once, as u = (σ/2)·dW into one
+chunk buffer, and the same row drives the full and the mean-field step at
+every g.  The full systems run in the eigenbases of their Hamiltonians as
+one stack of spectra on the ensemble density kernel, where the Euler step
+is elementwise; the mean-field pairs take one batched step for all
+couplings and trajectories.
 Both factors live in one C-contiguous (2, G, b, D, D) array, D = max(d1, d2),
 the smaller factor zero-padded: its padded rows and columns stay exactly 0
 and its trace is unchanged, so every step is one code path whatever the
@@ -211,11 +213,11 @@ def _image(x, t):
     return (x.view(float).reshape(x.shape[:-2] + (-1,)) @ t).reshape(x.shape[:-2] + (2 * n,) * 2)
 
 
-def _mean_field_step(a, maps, sigma, dt, dws):
+def _mean_field_step(a, maps, sigma, dt, us):
     """One Hartree step of the C-contiguous (2, G, b, D, D) stack a of both
     factors, a[0] the system and a[1] the environment, zero-padded to D,
     coupling g_values[k] on row k of maps = _real_maps(system, g_values),
-    sharing one dW per trajectory column.
+    sharing one u = (σ/2)·dW per trajectory column.
 
     Every product is one real stacked matmul on x.view(float), over both
     factors at once: each factor's effective Hamiltonian h is its own H plus
@@ -231,7 +233,7 @@ def _mean_field_step(a, maps, sigma, dt, dws):
     comm = _dag(rh) - rh
     ch = _times(comm, r)
     ch[1] += _times(a[1], _image(comm[0], t[0]))
-    return _euler_step(a, rh, ch, sigma, dt, dws)
+    return _euler_step(a, rh, ch, sigma, dt, us)
 
 
 def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
@@ -245,7 +247,7 @@ def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
     """
     (d1, d2), r1, r2 = system.dims, as_matrix(rho1), as_matrix(rho2)
     new = _mean_field_step(_stacked(r1, r2, (1, 1)), _real_maps(system, [system.g]), sigma,
-                           dt, np.array([dW], float))
+                           dt, 0.5 * sigma * np.array([dW], float))
     return new[0, 0, 0, :d1, :d1], new[1, 0, 0, :d2, :d2]
 
 
@@ -296,15 +298,13 @@ def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma
     x = kern.start(b)
     a = _stacked(rho1, rho2, (len(g_values), b))
     gens = [trajectory_generator(base_seed, i) for i in range(lo, hi)]
-    noise, half = np.empty(CHUNK * b), np.empty(CHUNK * b)   # each chunk's dW and (σ/2)·dW
+    noise = np.empty(CHUNK * b)   # each chunk's (σ/2)·dW, shared by both steps
     for done in range(0, n_steps, CHUNK):
         n = min(CHUNK, n_steps - done)
-        dws = _noise_chunk(noise[:n * b].reshape(n, b), gens, np.sqrt(dt))
-        us = np.multiply(dws, kern.half_sigma, out=half[:n * b].reshape(n, b))
-        for dw, u in zip(dws, us):   # the kernel takes (σ/2)·dW
+        for u in _noise_chunk(noise[:n * b].reshape(n, b), gens, np.sqrt(dt), kern.half_sigma):
             kern.advance(x, u)
             kern.renorm(x)
-            a = _mean_field_step(a, maps, sigma, dt, dw)
+            a = _mean_field_step(a, maps, sigma, dt, u)
     finals = kern.final(x, n_steps * dt)
     d1, d2 = system.dims
     return (np.stack([u @ f @ u.conj().T for (_, u), f in zip(spectra, finals)]),

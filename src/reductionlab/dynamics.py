@@ -16,6 +16,7 @@ Every density-matrix Euler step, here and in the mean-field step of
 `composite`, is one batched update over (…, b, d, d) stacks: it builds
 ρ′ = M + M†, which is exactly Hermitian, and multiplies it by its reciprocal
 trace.  Its products ρH right-multiply by the real 2d×2d embedding of H.
+It takes u = (σ/2)·dW per column; the single-state steppers convert dW.
 
 All steppers take and return plain complex ndarrays; the wrappers from
 `linalg` are accepted anywhere an operator or state is expected.
@@ -92,15 +93,19 @@ def default_dt(sigma: float, h_or_range) -> float:
     return STABILITY_TARGET / (sigma * sigma * rng * rng)
 
 
-def check_stability(sigma: float, dt: float, h_range: float) -> None:
-    """Raise ValueError on a non-finite or negative sigma or a dt that is not
-    finite and positive, and StabilityError when sigma²·ΔE²·dt exceeds the
-    hard bound; warn above the comfort bound, at the first caller outside
-    the package."""
+def check_sigma_dt(sigma: float, dt: float) -> None:
+    """Raise ValueError unless sigma ≥ 0 and dt > 0 are both finite."""
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
+
+
+def check_stability(sigma: float, dt: float, h_range: float) -> None:
+    """check_sigma_dt, then StabilityError when sigma²·ΔE²·dt exceeds the
+    hard bound; warn above the comfort bound, at the first caller outside
+    the package."""
+    check_sigma_dt(sigma, dt)
     product = sigma * sigma * h_range * h_range * dt
     if product > STABILITY_HARD:
         raise StabilityError(
@@ -129,10 +134,7 @@ class SdeConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        check_sigma_dt(self.sigma, self.dt)
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.scheme not in (EULER_MARUYAMA, EULER_RENORMALIZED):
@@ -244,14 +246,14 @@ def _times(x, rm):
     return (x.view(float) @ rm).view(complex)
 
 
-def _euler_step(rho, rh, ch, sigma, dt, dws, noise=None):
-    """One Euler step of C-contiguous (…, b, d, d) stacks rho, one dW per
-    column b, given rh = ρh and ch = [h, ρ]h for each state's Hamiltonian h:
-    (M + M†)/Tr(M + M†) with M = ρ/2 + dt(iρh + (σ²/8)ch) + (σ/2)dW·X, which
-    is exactly Hermitian.  X is ρh − ρ Tr ρh (anticommutator form) or the
-    given noise (ρ·ρh − ρh·ρ for the double-commutator form); a further drift
+def _euler_step(rho, rh, ch, sigma, dt, us, noise=None):
+    """One Euler step of C-contiguous (…, b, d, d) stacks rho, one u = (σ/2)dW
+    per column b, given rh = ρh and ch = [h, ρ]h for each state's Hamiltonian
+    h: (M + M†)/Tr(M + M†) with M = ρ/2 + dt(iρh + (σ²/8)ch) + u·X, which is
+    exactly Hermitian.  X is ρh − ρ Tr ρh (anticommutator form) or the given
+    noise (ρ·ρh − ρh·ρ for the double-commutator form); a further drift
     enters as its M-part through ch."""
-    q = ((0.5 * sigma) * dws)[:, None, None]
+    q = us[:, None, None]
     k = 0.125 * sigma * sigma * dt
     if noise is None:
         m = rho * (0.5 - q * _trace(rh)) + rh * (q + 1j * dt) + k * ch
@@ -264,7 +266,7 @@ def _euler_step(rho, rh, ch, sigma, dt, dws, noise=None):
 
 
 def _single_step(rho, h, sigma, dt, dW, noise_form):
-    """_euler_step on a batch of one state."""
+    """_euler_step on a batch of one state, driven by dW."""
     if noise_form not in (ANTICOMMUTATOR, DOUBLE_COMMUTATOR):
         raise ValueError(f"unknown noise form {noise_form!r}")
     r = np.ascontiguousarray(as_matrix(rho))[None]
@@ -272,7 +274,7 @@ def _single_step(rho, h, sigma, dt, dW, noise_form):
     rh = _times(r, rm)
     noise = r @ rh - rh @ r if noise_form == DOUBLE_COMMUTATOR else None
     ch = _times(_dag(rh) - rh, rm) if dt else 0.0   # the step adds (σ²/8)·dt·ch
-    return _euler_step(r, rh, ch, sigma, dt, np.array([dW], float), noise)[0]
+    return _euler_step(r, rh, ch, sigma, dt, 0.5 * sigma * np.array([dW], float), noise)[0]
 
 
 def step_density(rho, h, sigma: float, dt: float, dW: float,

@@ -34,29 +34,32 @@ with out=: at these sizes a broadcast operand costs numpy about twice a
 same-shape one (a (4, 1024)·(4, 1) multiply about 6–7 µs, against 3.5 µs
 with a (4, 1024) operand), and no step allocates an array of the batch's
 shape.  start(b) builds the workspace; compact(x, keep) drops the retired
-columns from x and resizes the workspace with it.  advance(x, u) takes
-u = (σ/2)·dW per column: the runner scales each noise chunk once, by √dt
-and then by σ/2, the same two roundings as (σ/2)·dW.
+columns from x and resizes the workspace with it.
 
-The noise comes in step-major chunks of CHUNK steps, shape (CHUNK, b): row j
-holds every trajectory's step-j increment, so each step reads one contiguous
-row (after a retirement inside the chunk, the row's alive columns).  Each
-trajectory's Philox stream fills a row of a (NOISE_GROUP, CHUNK) buffer,
-which is scaled in place and written transposed into NOISE_GROUP columns of
-the chunk.  At 64 rows that buffer is 128 KB, so it stays in L2 while it is
-scaled and transposed; a trajectory-major (b, CHUNK) chunk is 4 MB at
-b = 2048, and gathering one strided column of it cost about 15 µs a step,
-against about 3 µs a step for the blocked transpose and 0.1 µs for a row.
-A span allocates one flat CHUNK·b buffer when it starts and draws every
-chunk into its contiguous (n, alive) prefix, so it holds one chunk, 2 KB a
-trajectory, and never the next chunk beside the last one.
+Every batched step, advance(x, u) here as in `dynamics` and `composite`,
+takes u = (σ/2)·dW per column, drawn as (z·√dt)·(σ/2) in step-major chunks
+of CHUNK steps, shape (CHUNK, b): row j holds every trajectory's step-j u,
+so each step reads one contiguous row (after a retirement inside the chunk,
+the row's alive columns).  Each trajectory's Philox stream fills a row of a
+(NOISE_GROUP, CHUNK) buffer, which is scaled in place and written
+transposed into NOISE_GROUP columns of the chunk.  At 64 rows that buffer
+is 128 KB, so it stays in L2 while it is scaled and transposed; a
+trajectory-major (b, CHUNK) chunk is 4 MB at b = 2048, and gathering one
+strided column of it cost about 15 µs a step, against about 3 µs a step
+for the blocked transpose and 0.1 µs for a row.  A span allocates one flat
+CHUNK·b buffer when it starts and draws every chunk into its contiguous
+(n, alive) prefix, so it holds one chunk, 2 KB a trajectory, and never the
+next chunk beside the last one.
 
 A run has two phases: an optional fixed-horizon recording phase in which
 every trajectory keeps evolving (so recorded ensemble means are unbiased),
 followed, when stop_on_reduction is set, by a first-passage phase in which
 trajectories are retired once V ≤ REDUCTION_EPS·V(0) and a dominant
 outcome-group population is ≥ POPULATION_MIN, so every retired endpoint
-classifies unambiguously.
+classifies unambiguously.  Both phases run one stepping loop, which checks
+that rule every CHECK_STRIDE steps, and at the horizon.  A trajectory's
+reduction time is the first check it meets, in either phase; it retires at
+the first it meets in the first-passage phase.
 
 Trajectories come in blocks of BATCH_SIZE indices.  A worker runs a
 contiguous span of whole blocks as one batch, so its stragglers share one
@@ -64,9 +67,9 @@ first-passage tail; recorded sums are taken per block and added in block
 order.  workers=None means every CPU, for the runners as for the scenarios
 and the Hartree harness.  With workers > 1 the spans run in forked
 processes, which inherit the inputs without a re-import; without the fork
-start method they run serially.  The pool, _run_spans, takes its work as a callable of (lo, hi):
-the eigenbasis runner passes _run_span bound to its plan, and
-composite.hartree_vs_full passes its paired full and mean-field run.  The
+start method they run serially.  The pool, _run_spans, takes its work as a
+callable of (lo, hi): the eigenbasis runner passes _run_span bound to its
+plan, and composite.hartree_vs_full its paired full and mean-field run.  The
 eigenbasis kernels call no BLAS, but the mean-field step's matmuls do, so a
 Hartree worker runs BLAS after the fork.  A test checks that forked workers
 get correct BLAS matmuls after the parent has run a threaded 800×800 one.
@@ -85,6 +88,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .dynamics import check_sigma_dt
 from .noise import trajectory_generator
 
 __all__ = ["EnsembleRun", "run_state_ensemble", "run_density_ensemble"]
@@ -223,7 +227,7 @@ class _DensityKernel(_Kernel):
     def __init__(self, e, r0, sigma, dt):
         d = e.shape[-1]
         iu, ju = np.triu_indices(d, 1)
-        on = (r0[..., iu, ju] != 0).reshape(-1, iu.size).any(0)
+        on = (r0[..., iu, ju] != 0).any(tuple(range(r0.ndim - 2)))  # over the stack
         self.shape, self.d, self.iu, self.ju = r0.shape[-2:], d, iu[on], ju[on]
         i, j = np.r_[np.arange(d), self.iu], np.r_[np.arange(d), self.ju]
         x0 = r0[..., i, j]
@@ -291,20 +295,20 @@ class _DensityKernel(_Kernel):
         return self.dense(np.moveaxis(x, 0, -1))
 
 
-def _noise_chunk(dws, gens, *scales):
-    """Fill dws, shape (n, len(gens)), with the next n draws of each generator
-    in gens, multiplied by each scale in turn, step-major: column k from
-    gens[k]; returns dws.  Drawn and scaled NOISE_GROUP generators at a time in
-    one buffer that stays in cache, then written transposed into dws."""
-    buf = np.empty((min(NOISE_GROUP, len(gens)), dws.shape[0]))
+def _noise_chunk(us, gens, sqrt_dt, half_sigma):
+    """Fill us, shape (n, len(gens)), with the next n draws z of each generator
+    in gens as u = (z·√dt)·(σ/2), the bits of (σ/2)·dW, step-major: column k
+    from gens[k]; returns us.  Drawn and scaled NOISE_GROUP generators at a
+    time in one buffer that stays in cache, then written transposed into us."""
+    buf = np.empty((min(NOISE_GROUP, len(gens)), us.shape[0]))
     for lo in range(0, len(gens), NOISE_GROUP):
         part = buf[:len(gens) - lo]
         for row, gen in zip(part, gens[lo:lo + NOISE_GROUP]):
             gen.standard_normal(out=row)
-        for s in scales:
-            part *= s
-        dws[:, lo:lo + len(part)] = part.T
-    return dws
+        part *= sqrt_dt
+        part *= half_sigma
+        us[:, lo:lo + len(part)] = part.T
+    return us
 
 
 def _group_index(groups, d):
@@ -332,11 +336,12 @@ _Plan = namedtuple("_Plan", "kernel index dt base_seed v_stop horizon_steps "
 def _run_span(plan: _Plan, lo: int, hi: int):
     """Both phases for trajectories lo..hi−1 as one batch: the recorded sums
     of each block, then the span's outcomes, reduction times and finals."""
-    kern, dt = plan.kernel, plan.dt
+    kern, dt, sq = plan.kernel, plan.dt, np.sqrt(plan.dt)
     b = hi - lo
     gens = [trajectory_generator(plan.base_seed, i) for i in range(lo, hi)]
     noise = np.empty(CHUNK * b)   # every chunk, in its (n, alive.size) prefix
-    x, alive = kern.start(b), np.arange(b)
+    x, alive, step = kern.start(b), np.arange(b), 0
+    rows = alive   # the noise-chunk column of each alive trajectory
     tred, outcomes = np.full(b, np.nan), np.full(b, -1, np.int64)
     finals = np.zeros((b,) + kern.shape, complex)
     blocks = range(0, b, BATCH_SIZE)
@@ -349,7 +354,9 @@ def _run_span(plan: _Plan, lo: int, hi: int):
         for rec, s in zip(recs, blocks):
             rec.append([t[..., s:s + BATCH_SIZE].sum(-1) for t in terms])
 
-    def check():
+    def check(retire):   # the stopping rule: first hits, and with retire set, retirement
+        nonlocal x, alive, rows
+        kern.renorm(x)
         pop, _, v = kern.moments(x)
         low, high = float(pop.min()), float(pop.max())   # a NaN propagates into both
         if not (math.isfinite(low) and math.isfinite(high)):
@@ -359,51 +366,40 @@ def _run_span(plan: _Plan, lo: int, hi: int):
         gp = pop if gsum is None else _group_sums(pop, plan.index, gsum[:, :alive.size])
         hit = v <= plan.v_stop
         hit &= gp.max(0) >= POPULATION_MIN
-        return hit, gp
+        if not hit.any():
+            return
+        tred[alive[hit & np.isnan(tred[alive])]] = step * dt
+        if retire:
+            gi = alive[hit]
+            outcomes[gi] = gp[:, hit].argmax(0)
+            finals[gi] = kern.final(np.compress(hit, x, axis=1), step * dt)
+            keep = ~hit
+            x, alive, rows = kern.compact(x, keep), alive[keep], rows[keep]
 
-    def retire(hit, gp):
-        idx = np.nonzero(hit)[0]
-        gi = alive[idx]
-        outcomes[gi] = gp[:, idx].argmax(0)
-        tred[gi] = np.where(np.isnan(tred[gi]), step * dt, tred[gi])
-        finals[gi] = kern.final(np.take(x, idx, axis=1), step * dt)
-        return ~hit
+    def run_to(end, retire):   # step every alive trajectory to step `end`
+        nonlocal rows, step
+        stride = 0 if retire else plan.record_stride
+        while alive.size and step < end:
+            m = alive.size
+            us = _noise_chunk(noise[:min(CHUNK, end - step) * m].reshape(-1, m),
+                              [gens[i] for i in alive], sq, kern.half_sigma)
+            rows = np.arange(m)
+            for u in us:
+                kern.advance(x, u if rows.size == m else u.take(rows))
+                step += 1
+                if step % CHECK_STRIDE == 0:
+                    check(retire)
+                    if not alive.size:
+                        return
+                if stride and step % stride == 0:
+                    record()
 
-    step, retiring, sq = 0, False, np.sqrt(dt)
     if plan.record_stride:
         record()
-    while alive.size:
-        if step == plan.horizon_steps and not retiring:
-            if not plan.stop_on_reduction:
-                break
-            retiring = True
-            kern.renorm(x)
-            keep = retire(*check())
-            x, alive = kern.compact(x, keep), alive[keep]
-            continue
-        end = plan.max_steps if retiring else plan.horizon_steps
-        if step >= end:
-            break
-        # (σ/2)·dW, rounded as (σ/2)·(z·√dt)
-        m = alive.size
-        dws = _noise_chunk(noise[:min(CHUNK, end - step) * m].reshape(-1, m),
-                           [gens[i] for i in alive], sq, kern.half_sigma)
-        rows = np.arange(m)  # dws columns of the alive trajectories
-        for dw in dws:
-            kern.advance(x, dw if rows.size == dw.size else dw.take(rows))
-            step += 1
-            if step % CHECK_STRIDE == 0:
-                kern.renorm(x)
-                hit, gp = check()
-                if not retiring:
-                    tred[hit & np.isnan(tred)] = step * dt
-                elif hit.any():
-                    keep = retire(hit, gp)
-                    x, alive, rows = kern.compact(x, keep), alive[keep], rows[keep]
-                    if not alive.size:
-                        break
-            if not retiring and plan.record_stride and step % plan.record_stride == 0:
-                record()
+    run_to(plan.horizon_steps, False)
+    if plan.stop_on_reduction:
+        check(True)
+        run_to(plan.max_steps, True)
     finals[alive] = kern.final(x, step * dt)
     sums = [[np.array(col) for col in zip(*rec)] for rec in recs]
     return sums, outcomes, tred, finals
@@ -474,8 +470,7 @@ def _run_spans(work, spans):
 
 def _check_input(e, state, ndim, sigma, dt, n_traj):
     """Reject input that could never meet the stopping rule."""
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    check_sigma_dt(sigma, dt)
     if e.ndim != 1 or not np.isfinite(e).all():
         raise ValueError("energies must be a finite 1-D array")
     if state.shape != (e.shape[0],) * ndim or not np.isfinite(state).all():
@@ -488,8 +483,6 @@ def _check_input(e, state, ndim, sigma, dt, n_traj):
     if not abs(mass - 1.0) <= NORM_TOL:
         raise ValueError(f"initial state must have unit {'norm' if ndim == 1 else 'trace'}, "
                          f"got {mass:.17g}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
 
@@ -506,7 +499,7 @@ def _check_reducible(sigma, e, p, stop_on_reduction=True) -> float:
     return v0
 
 
-def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, horizon_steps,
+def _run(kernel, e, sigma, dt, base_seed, n_traj, workers, groups, horizon_steps,
          record_stride, stop_on_reduction, max_steps) -> EnsembleRun:
     """Split n_traj into spans of whole blocks, run them, merge in order."""
     workers = _workers(workers)
@@ -518,7 +511,7 @@ def _run(kernel, e, p0, sigma, dt, base_seed, n_traj, workers, groups, horizon_s
         raise ValueError(f"max_steps must be >= horizon_steps with stop_on_reduction, "
                          f"got max_steps = {max_steps} < horizon_steps = {horizon_steps}")
     groups = tuple((i,) for i in range(e.shape[0])) if groups is None else tuple(groups)
-    v0 = _check_reducible(sigma, e, p0, stop_on_reduction)
+    v0 = _check_reducible(sigma, e, kernel.populations(kernel.x0), stop_on_reduction)
     plan = _Plan(kernel, _group_index(groups, e.shape[0]), dt, base_seed,
                  REDUCTION_EPS * v0 if v0 > 0 else 0.0, horizon_steps, record_stride,
                  stop_on_reduction, max_steps)
@@ -551,7 +544,7 @@ def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_
     blocks run on min(workers, blocks) processes, workers=None meaning every
     CPU, with the same results for any worker count.  Raises ValueError on
     non-finite, wrongly sized or unnormalized input, a non-finite or
-    negative sigma, dt ≤ 0, workers other than None or an integer ≥ 1, or
+    negative sigma or dt ≤ 0, workers other than None or an integer ≥ 1, or
     populations that turn non-finite; with stop_on_reduction, also on
     max_steps < horizon_steps and on sigma = 0 with V(0) > 0, which could
     never stop.
@@ -559,9 +552,8 @@ def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_
     e = np.asarray(energies, dtype=float)
     c0 = np.asarray(c0, dtype=complex)
     _check_input(e, c0, 1, sigma, dt, n_traj)
-    kernel = _StateKernel(e, c0, sigma, dt)
-    return _run(kernel, e, kernel.x0, sigma, dt, base_seed, n_traj, workers, groups,
-                horizon_steps, record_stride, stop_on_reduction, max_steps)
+    return _run(_StateKernel(e, c0, sigma, dt), e, sigma, dt, base_seed, n_traj, workers,
+                groups, horizon_steps, record_stride, stop_on_reduction, max_steps)
 
 
 def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int, n_traj: int,
@@ -583,6 +575,5 @@ def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int
     e = np.asarray(energies, dtype=float)
     r0 = np.asarray(rho0, dtype=complex)
     _check_input(e, r0, 2, sigma, dt, n_traj)
-    return _run(_DensityKernel(e, r0, sigma, dt), e, np.real(np.diag(r0)), sigma, dt, base_seed,
-                n_traj, workers, groups, horizon_steps, record_stride,
-                stop_on_reduction, max_steps)
+    return _run(_DensityKernel(e, r0, sigma, dt), e, sigma, dt, base_seed, n_traj, workers,
+                groups, horizon_steps, record_stride, stop_on_reduction, max_steps)

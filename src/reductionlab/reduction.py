@@ -105,8 +105,9 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     amplitudes or a density matrix `state`: dt from the spectral range when
     None, the stability and σ = 0 checks before the first step, the ensemble
     run to reduction after a recorded horizon (None: 20/(σ²ΔE²), which covers
-    the bulk of the reduction; stragglers retire afterwards), the outcome
-    tally, and the budget check, whose message ends in `stall` when given.
+    the bulk of the reduction, stragglers retiring afterwards; 0 when
+    σ·ΔE = 0, where nothing evolves), the outcome tally, and the budget
+    check, whose message ends in `stall` when given.
     workers=None runs on every CPU, as the CLI does.  Returns the run and
     its EnsembleStats."""
     workers = ensemble._workers(workers)
@@ -115,8 +116,9 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     check_stability(sigma, dt, rng)
     density = state.ndim == 2
     ensemble._check_reducible(sigma, e, np.real(np.diag(state)) if density else np.abs(state) ** 2)
-    if horizon is None:
-        horizon = 20.0 / (sigma * sigma * max(rng, 1e-12) ** 2)
+    if horizon is None:   # nothing evolves when σ·ΔE = 0
+        rate = sigma * sigma * rng ** 2
+        horizon = 20.0 / rate if rate > 0 else 0.0
     runner = ensemble.run_density_ensemble if density else ensemble.run_state_ensemble
     run = runner(e, state, sigma, dt, base_seed, n_traj, groups=groups,
                  horizon_steps=max(record_stride, int(round(horizon / dt))),

@@ -206,6 +206,37 @@ def test_config_workers_key_ignored_where_no_pool_runs(tmp_path):
     assert len((tmp_path / "s" / "trajectory.csv").read_text().splitlines()) == 7
 
 
+@pytest.mark.parametrize("extra", [["--dim", "1", "--energies", "0"],
+                                   ["--sigma", "0", "--beta", "1000"]],
+                         ids=["one-level", "sigma-zero"])
+def test_statdist_of_a_reduced_state_exits_0(extra, tmp_path, capsys):
+    rc = run_cli(["ensemble", "statdist", "--ntraj", "32", "--workers", "1",
+                  "--out-dir", str(tmp_path / "s")] + extra)
+    assert rc == 0
+    assert "status=FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config", [{"dt": "0.001"}, {"ntraj": "64"}], ids=["dt", "ntraj"])
+def test_config_values_parsed_as_their_flags(config, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ntraj": 64, "dt": 0.001, **config}))
+    assert run_cli(["ensemble", "born", "--config", str(cfg), "--workers", "1",
+                    "--out-dir", str(tmp_path / "c")]) == 0
+    resolved = json.loads((tmp_path / "c" / "config-resolved.json").read_text())
+    assert resolved["ntraj"] == 64 and resolved["dt"] == 0.001
+
+
+@pytest.mark.parametrize("config, message", [({"dt": "fast"}, "invalid float value: 'fast'"),
+                                             ({"ntraj": 64.5}, "invalid int value: '64.5'")])
+def test_config_value_that_does_not_parse_exits_2(config, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ensemble", "born", "--config", str(cfg), "--out-dir", str(tmp_path / "c")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_phenom_t_reduce_quantity_parsing(tmp_path, capsys):
     rc = run_cli(["phenom", "t-reduce", "--delta-e", "2.8MeV",
                   "--out-dir", str(tmp_path / "p")])

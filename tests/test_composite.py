@@ -361,7 +361,7 @@ def test_hartree_step_is_a_row_of_the_batched_step(rng):
     a2 = np.stack([random_density_matrix(d2, rng) for _ in range(b)])
     dws = rng.standard_normal(b) * 0.03
     new = composite._mean_field_step(composite._stacked(a1, a2, (1, b)),
-                                     composite._real_maps(sys, [sys.g]), 1.0, 1e-3, dws)
+                                     composite._real_maps(sys, [sys.g]), 1.0, 1e-3, 0.5 * dws)
     new1, new2 = new[0, 0, :, :d1, :d1], new[1, 0, :, :d2, :d2]
 
     def layouts(a):   # the same matrix as a C array, a Fortran array and a transposed view
@@ -386,7 +386,7 @@ def test_mean_field_step_properties(d1, d2, seed, g, dw, dt):
                            random_hermitian(d1 * d2, rng), g=g)
     a1, a2 = random_density_matrix(d1, rng), random_density_matrix(d2, rng)
     maps, dws = composite._real_maps(sysg, [g]), np.array([dw])
-    a = composite._mean_field_step(composite._stacked(a1, a2, (1, 1)), maps, 1.0, dt, dws)
+    a = composite._mean_field_step(composite._stacked(a1, a2, (1, 1)), maps, 1.0, dt, 0.5 * dws)
     ref = _ref_mean_field_step(sysg, a1[None], a2[None], 1.0, dt, dws)
     for n, r, d in zip(a[:, 0, 0], ref, (d1, d2)):
         assert (n == n.conj().T).all()   # exactly Hermitian (±0 compare equal)
@@ -394,7 +394,7 @@ def test_mean_field_step_properties(d1, d2, seed, g, dw, dt):
         assert np.abs(n[:d, :d] - r[0]).max() <= 1e-13
     # the smaller factor's padded rows and columns stay exactly 0
     for dwj in rng.standard_normal(50) * np.sqrt(dt):
-        a = composite._mean_field_step(a, maps, 1.0, dt, np.array([dwj]))
+        a = composite._mean_field_step(a, maps, 1.0, dt, np.array([0.5 * dwj]))
     for n, d in zip(a[:, 0, 0], (d1, d2)):
         assert not n[d:].any() and not n[:, d:].any()
         assert abs(np.trace(n) - 1.0) <= 1e-12

@@ -317,6 +317,15 @@ def test_stability_check_rejects_bad_dt(dt):
         dynamics.check_stability(0.0, dt, 1.0)
 
 
+@pytest.mark.parametrize("sigma, dt, message", [
+    (float("nan"), float("inf"), "sigma must be finite and nonnegative"),
+    (1.0, float("inf"), "dt must be finite and positive"),
+    (1.0, float("nan"), "dt must be finite and positive")])
+def test_sde_config_rejects_non_finite_sigma_and_dt(sigma, dt, message):
+    with pytest.raises(ValueError, match=message):
+        SdeConfig(sigma=sigma, dt=dt, n_steps=5)
+
+
 def test_variance_helper(rng):
     h = np.diag([0.0, 1.0]).astype(complex)
     assert energy_variance(np.array([1, 0], complex), h) == 0.0
@@ -363,7 +372,7 @@ def _batched_step(rhos, h, sigma, dt, dws, form):
     rh = dynamics._times(rhos, rm)
     noise = rhos @ rh - rh @ rhos if form == DOUBLE_COMMUTATOR else None
     return dynamics._euler_step(rhos, rh, dynamics._times(dynamics._dag(rh) - rh, rm),
-                                sigma, dt, dws, noise)
+                                sigma, dt, 0.5 * sigma * dws, noise)
 
 
 def _check_step(out, row, ref):

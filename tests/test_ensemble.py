@@ -239,6 +239,60 @@ def test_sigma_zero_rejected_when_nothing_can_reduce(density, monkeypatch):
         run([0.5, 0.5], max_steps=200_000)
 
 
+@pytest.mark.parametrize("dt", [math.inf, math.nan])
+def test_non_finite_dt_rejected_up_front(dt, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a span started")
+
+    monkeypatch.setattr(ensemble, "_run_spans", no_run)
+    c0 = np.sqrt(np.array([0.5, 0.5], complex))
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, dt, 0, 8)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), 1.0, dt, 0, 8)
+
+
+def test_one_level_runs_reduce_at_once():
+    # d = 1: V = 0 from the start, so every trajectory retires at step 0
+    runs = [ensemble.run_state_ensemble([2.5], np.ones(1, complex), 1.0, 1e-3, 0, 5,
+                                        workers=1),
+            ensemble.run_density_ensemble([2.5], [[1.0]], 1.0, 1e-3, 0, 5, horizon_steps=16,
+                                          record_stride=8, workers=1)]
+    for run in runs:
+        assert run.outcomes.tolist() == [0] * 5
+    assert runs[0].reduction_times.tolist() == [0.0] * 5
+    assert runs[1].mean_rho.tolist() == [[[1.0]]] * 3
+
+
+def test_recording_phase_hits_keep_their_first_hit_step():
+    args = ([0.0, 1.0], np.sqrt(np.array([0.5, 0.5], complex)), 2.0, 2e-3, 7, 64)
+    horizon = 1000
+    run = ensemble.run_state_ensemble(*args, horizon_steps=horizon, record_stride=100,
+                                      workers=1)
+    fixed = ensemble.run_state_ensemble(*args, horizon_steps=horizon, record_stride=100,
+                                        stop_on_reduction=False, workers=1)
+    assert run.mean_v.tobytes() == fixed.mean_v.tobytes()
+    steps = np.round(run.reduction_times / run.dt)
+    assert run.n_unreduced == 0 and fixed.n_unreduced == 64
+    assert (run.reduction_times == steps * run.dt).all()
+    assert (steps % ensemble.CHECK_STRIDE == 0).all()
+    # a first hit while recording is the reduction time, with or without a first-passage phase
+    early = steps <= horizon
+    assert run.reduction_times[early].tobytes() == fixed.reduction_times[early].tobytes()
+    assert np.isnan(fixed.reduction_times[~early]).all()
+    # one that meets the rule at the horizon retires there, with the outcome of its state
+    # there; one that has left it since retires at a later check
+    pop = np.abs(fixed.final_states) ** 2
+    v, v0 = pop[:, 0] * pop[:, 1], 0.25   # V of two levels at energies 0 and 1
+    there = early & (v <= ensemble.REDUCTION_EPS * v0) & (pop.max(1) >= ensemble.POPULATION_MIN)
+    assert 0 < there.sum() < early.sum()
+    assert run.final_states[there].tobytes() == fixed.final_states[there].tobytes()
+    assert (run.outcomes[there] == pop[there].argmax(1)).all()
+    later = np.abs(run.final_states[early & ~there]) ** 2
+    assert (later.max(1) >= ensemble.POPULATION_MIN).all()
+    assert not np.allclose(later, pop[early & ~there])
+
+
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
 def test_bad_sigma_rejected_up_front(sigma):
     c0 = np.sqrt(np.array([0.5, 0.5], complex))

@@ -214,6 +214,19 @@ def test_sigma_zero_accepted_for_an_eigenstate():
     assert list(st.frequencies) == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("h, beta, sigma, dt", [
+    (np.diag([0.0, 1.0]), 1000.0, 0.0, None),   # σ = 0, and the Gibbs state is |0⟩⟨0|
+    (np.eye(2), 1.0, 1.0, 1e-3),                 # ΔE = 0: H ∝ I
+], ids=["sigma-zero", "delta-e-zero"])
+def test_statdist_default_horizon_is_zero_when_nothing_evolves(h, beta, sigma, dt):
+    # σ·ΔE = 0: nothing evolves, so the default horizon is 0 and the run records
+    # one record_stride before its first check
+    rep = statdist_martingale_run(h, beta, sigma, 32, 0, dt=dt, workers=1)
+    assert rep.stats.n_unreduced == 0 and rep.stats.frequencies[0] == 1.0
+    assert rep.stats.times.size == 2
+    assert rep.sup_mean_deviation <= 1e-15
+
+
 @pytest.mark.parametrize("workers", [0, -2, 2.5])
 def test_born_statistics_rejects_a_bad_worker_count(workers):
     with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
