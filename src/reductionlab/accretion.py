@@ -89,26 +89,22 @@ def fock_ladder(n_max: int):
 
 @dataclass
 class OccupancyResult:
-    """Trace and stationary statistics of the occupancy chain."""
+    """Stationary statistics of the occupancy chain."""
 
-    times: np.ndarray          # event times
-    counts: np.ndarray         # occupancy after each event
     samples: np.ndarray        # occupancy sampled on a regular grid
-    sample_dt: float
     histogram: np.ndarray      # counts of samples per occupancy value
     mean: float
     std: float
-    stationary_warning: bool
 
 
 def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
-                       sample_dt: float | None = None,
-                       burn_in: float | None = None) -> OccupancyResult:
+                       sample_dt: float | None = None) -> OccupancyResult:
     """Simulate the per-site fill/evaporate chain with exact waiting times.
 
     Samples taken every sample_dt (default: five relaxation times 5/(s+e),
-    so successive samples decorrelate) after a burn-in; warns when the
-    horizon is too short for the sampled halves to agree on the mean.
+    so successive samples decorrelate) after a burn-in of ten relaxation
+    times; warns when the horizon is too short for the sampled halves to
+    agree on the mean.
     """
     if model.coherent_amplitude != 0:
         raise ValueError("occupancy chain applies to the incoherent model only")
@@ -116,12 +112,10 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
     relax = 1.0 / (s + ev)
     if sample_dt is None:
         sample_dt = 5.0 * relax
-    if burn_in is None:
-        burn_in = 10.0 * relax
     rng = np.random.default_rng(seed)
     t, n = 0.0, 0
-    times, counts, samples = [0.0], [0], []
-    next_sample = burn_in
+    samples = []
+    next_sample = 10.0 * relax
     while t < horizon:
         rate_up = s * (n_sites - n)
         rate_dn = ev * n
@@ -135,8 +129,6 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
         if t >= horizon:
             break
         n += 1 if rng.random() < rate_up / total else -1
-        times.append(t)
-        counts.append(n)
     samples = np.asarray(samples, int)
     warn = False
     if len(samples) < 100:
@@ -152,14 +144,10 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
                       RuntimeWarning, stacklevel=2)
     hist = np.bincount(samples, minlength=model.n_sites + 1)
     return OccupancyResult(
-        times=np.asarray(times),
-        counts=np.asarray(counts, int),
         samples=samples,
-        sample_dt=sample_dt,
         histogram=hist,
         mean=float(samples.mean()) if len(samples) else 0.0,
         std=float(samples.std(ddof=1)) if len(samples) > 1 else 0.0,
-        stationary_warning=warn,
     )
 
 
@@ -256,12 +244,11 @@ def default_truncation(n: int, z: complex, k: int = 0) -> int:
     return int(math.ceil(top + margin))
 
 
-def pnk_exact(n: int, k: int, z: complex, n_max: int | None = None,
-              leak_tol: float = 1e-10) -> float:
+def pnk_exact(n: int, k: int, z: complex, n_max: int | None = None) -> float:
     """Probability of finding n−k quanta in the a-number basis for the
     n-th displaced-oscillator eigenstate, by brute-force matrix exponential.
 
-    Errors out if the truncated eigenstate leaks more than leak_tol of its
+    Errors out if the truncated eigenstate leaks more than 1e-10 of its
     norm past the boundary.
     """
     if n < 0 or n - k < 0:
@@ -275,10 +262,10 @@ def pnk_exact(n: int, k: int, z: complex, n_max: int | None = None,
     # exactly 1 regardless of truncation; faithfulness shows up as vanishing
     # weight near the boundary instead.
     tail = float(np.sum(np.abs(col[max(n_max - 4, 0):]) ** 2))
-    if tail > leak_tol:
+    if tail > 1e-10:
         raise TruncationError(
             f"probability {tail:.2e} piled against the truncation boundary "
-            f"(> {leak_tol}); increase n_max")
+            f"(> 1e-10); increase n_max")
     return float(abs(col[n - k]) ** 2)
 
 
@@ -339,11 +326,12 @@ class EnvelopeValue:
     region: str
 
 
-def pnk_envelope(n: int, k: int, z: complex, edge_tol: float = 1e-9) -> EnvelopeValue:
-    """(1/π)(4n|z|² − k²)^{−1/2} inside the band."""
+def pnk_envelope(n: int, k: int, z: complex) -> EnvelopeValue:
+    """(1/π)(4n|z|² − k²)^{−1/2} inside the band; "edge" where |4n|z|² − k²|
+    is within 1e-9 of max(4n|z|², 1)."""
     band2 = 4.0 * n * abs(z) ** 2
     gap = band2 - float(k) ** 2
-    if abs(gap) <= edge_tol * max(band2, 1.0):
+    if abs(gap) <= 1e-9 * max(band2, 1.0):
         return EnvelopeValue(value=math.inf, region="edge")
     if gap < 0:
         return EnvelopeValue(value=0.0, region="tail")

@@ -297,20 +297,20 @@ def step_density(rho, h, sigma: float, dt: float, dW: float,
     return out
 
 
-def step_commuting_martingale(rho, h, sigma: float, dt: float, dW: float,
-                              comm_tol: float = 1e-10) -> np.ndarray:
+def step_commuting_martingale(rho, h, sigma: float, dt: float, dW: float) -> np.ndarray:
     """One step of the pure-noise evolution valid when [ρ, H] = 0.
 
     For commuting (e.g. equilibrium) initial data the drift terms of the
     full equation vanish identically and only the anticommutator noise
     remains, so this is the density step with its drift removed (dt = 0);
     it keeps ρ diagonal in the H eigenbasis and preserves the trace.
+    Raises NonCommutingError when max|[ρ, H]| exceeds 1e-10 of max|ρ|·max|H|.
     """
     r = as_matrix(rho)
     m = as_matrix(h)
     scale = max(np.abs(r).max() * np.abs(m).max(), 1e-300)
     defect = np.abs(r @ m - m @ r).max() / scale
-    if defect > comm_tol:
+    if defect > 1e-10:
         raise NonCommutingError(
             f"[rho,H] relative defect {defect:.2e}; this specialization needs commuting input"
         )
@@ -342,10 +342,10 @@ class Trajectory:
     kind: str = "state_vector"          # or "density"
     dt: float = 0.0
 
-    def validate(self, c: float = 100.0) -> None:
-        """Check stored states against their type invariants at tolerance C·dt;
-        a non-finite state fails every invariant."""
-        tol = max(c * self.dt, 1e-10)
+    def validate(self) -> None:
+        """Check stored states against their type invariants at tolerance
+        max(100·dt, 1e-10); a non-finite state fails every invariant."""
+        tol = max(100.0 * self.dt, 1e-10)
         for k, s in enumerate(self.states):
             if not np.isfinite(s).all():
                 raise ValueError(f"state {k} is not finite")

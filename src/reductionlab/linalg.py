@@ -234,23 +234,22 @@ def partial_trace(rho, dims: tuple, keep: str = "first") -> DensityMatrix:
     return DensityMatrix(hermitize(out))
 
 
-def eig_hermitian(h, degeneracy_tol: float | None = None) -> Spectrum:
+def eig_hermitian(h) -> Spectrum:
     """Eigendecomposition with degeneracy groups.
 
-    degeneracy_tol defaults to 1e-9 × spectral range; consecutive eigenvalues
-    within it are chained into one group.
+    Consecutive eigenvalues within 1e-9 × the spectral range (1e-15 when the
+    range is 0) are chained into one group.
     """
     m = as_matrix(h)
     if hermiticity_defect(m) > HERMITIAN_RTOL:
         raise LinalgError("eig_hermitian requires a Hermitian matrix")
     w, u = np.linalg.eigh(m)
     spread = float(w[-1] - w[0])
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * spread if spread > 0 else 1e-15
+    tol = 1e-9 * spread if spread > 0 else 1e-15
     groups = []
     cur = [0]
     for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= degeneracy_tol:
+        if w[i] - w[i - 1] <= tol:
             cur.append(i)
         else:
             groups.append(tuple(cur))
@@ -259,9 +258,9 @@ def eig_hermitian(h, degeneracy_tol: float | None = None) -> Spectrum:
     return Spectrum(w, u, tuple(groups))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitize(a) * scale
+    return hermitize(a)
 
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -269,10 +268,9 @@ def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random mixed state from a Wishart-style construction."""
-    rank = dim if rank is None else rank
-    a = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank mixed state from a Wishart-style construction."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = a @ a.conj().T
     return m / np.trace(m).real
 

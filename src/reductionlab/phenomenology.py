@@ -308,23 +308,20 @@ class ScenarioPreset:
     cm² and the mass of the accreting species."""
 
     name: str
-    pressure_torr: float | None
     accretion_time_cm2: Quantity     # dimension time·area
     species_mass: Quantity
 
 
-def preset_from_pressure(torr: float, name: str = "custom",
-                         species_mass: Quantity = NITROGEN_MASS) -> ScenarioPreset:
-    """Scale the single-molecule accretion time linearly in pressure from
-    the nearest tabulated anchor."""
+def preset_from_pressure(torr: float, name: str = "custom") -> ScenarioPreset:
+    """Nitrogen at the given pressure: the single-molecule accretion time
+    scaled linearly in pressure from the nearest tabulated anchor."""
     if torr <= 0:
         raise ValueError("pressure must be positive")
     anchor = min((_ANCHOR_HIGH, _ANCHOR_LOW),
                  key=lambda a: abs(math.log10(torr / a[0])))
     tau = anchor[1] * anchor[0] / torr
-    return ScenarioPreset(name=name, pressure_torr=torr,
-                          accretion_time_cm2=qty(tau, "s*cm2"),
-                          species_mass=species_mass)
+    return ScenarioPreset(name=name, accretion_time_cm2=qty(tau, "s*cm2"),
+                          species_mass=NITROGEN_MASS)
 
 
 def _intergalactic_preset() -> ScenarioPreset:
@@ -335,8 +332,7 @@ def _intergalactic_preset() -> ScenarioPreset:
     kt = (K_BOLTZMANN * qty(1e4, "K")).value          # eV
     v_rms = _LIGHT_SPEED_CM_S * math.sqrt(3.0 * kt / PROTON_MASS.value)
     tau = 1.0 / (density_cm3 * v_rms)
-    return ScenarioPreset(name="intergalactic", pressure_torr=None,
-                          accretion_time_cm2=qty(tau, "s*cm2"),
+    return ScenarioPreset(name="intergalactic", accretion_time_cm2=qty(tau, "s*cm2"),
                           species_mass=PROTON_MASS)
 
 
@@ -381,18 +377,17 @@ def accretion_reduction_for_area(preset: ScenarioPreset, area: Quantity) -> Accr
                               species_mass=preset.species_mass)
 
 
-def crossover_area(preset: ScenarioPreset = AIR_STP,
-                   collision_rate: Quantity = qty(1e10, "1/s"),
-                   reference_area: Quantity = qty(1.0, "cm2")) -> Quantity:
-    """Area at which the reduction rate meets the decoherence rate.
+def crossover_area() -> Quantity:
+    """Area at which the reduction rate meets the decoherence rate in air.
 
     The decoherence rate of the accreted molecules is half the ambient
-    collision rate per molecule times their number; the ratio of reduction
-    to decoherence rate scales as area^{1/3}, so the crossover follows from
-    scaling the reference-area ratio down to one.
+    collision rate, 10¹⁰/s, per molecule times their number; the ratio of
+    reduction to decoherence rate scales as area^{1/3}, so the crossover
+    follows from scaling the 1 cm² ratio down to one.
     """
-    est = accretion_reduction_for_area(preset, reference_area)
-    d_rate = decoherence_rate(collision_rate) * est.molecules
+    reference_area = qty(1.0, "cm2")
+    est = accretion_reduction_for_area(AIR_STP, reference_area)
+    d_rate = decoherence_rate(qty(1e10, "1/s")) * est.molecules
     reduction_rate = 1.0 / est.t_r
     ratio = (reduction_rate / d_rate).value
     return reference_area * ratio ** (-3.0)
@@ -409,10 +404,10 @@ class ScenarioRow:
     molecules_at_1cm2: float
 
 
-def scenario_table(presets=None) -> list[ScenarioRow]:
-    """Reduction-time table across environments."""
+def scenario_table() -> list[ScenarioRow]:
+    """Reduction-time table across the PRESETS environments."""
     rows = []
-    for p in (presets or PRESETS.values()):
+    for p in PRESETS.values():
         fast = area_for_reduction_time(p, qty(1e-8, "s"))
         relaxed = area_for_reduction_time(p, qty(3e-4, "s"))
         ref = accretion_reduction_for_area(p, qty(1.0, "cm2"))

@@ -216,6 +216,33 @@ def test_statdist_of_a_reduced_state_exits_0(extra, tmp_path, capsys):
     assert "status=FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra", [["--energies", "1,1", "--weights", "0.5,0.5"],
+                                   ["--energies", "1,1", "--weights", "1,0"],
+                                   ["--weights", "1,0"],
+                                   ["--energies", "0,1,2", "--weights", "0.5,0.5,0"]],
+                         ids=["one-group", "one-group-zero-weight", "zero-weight",
+                              "three-levels-zero-weight"])
+def test_born_over_zero_weights_or_one_group_passes(extra, tmp_path, capsys):
+    # a group's weight can sum to 1 + 2⁻⁵², and a zero-weight outcome has no χ² term
+    rc = run_cli(["ensemble", "born", "--ntraj", "200", "--workers", "1",
+                  "--out-dir", str(tmp_path / "b")] + extra)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "status=FAIL" not in out and "check=born-chi2 status=PASS" in out
+
+
+def test_born_count_in_a_zero_weight_outcome_fails(tmp_path, capsys, monkeypatch):
+    st = reduction.EnsembleStats(n_traj=100, outcome_labels=["E=0", "E=1"],
+                                 frequencies=np.array([0.99, 0.01]), ci_lo=np.zeros(2),
+                                 ci_hi=np.ones(2), expected=np.array([1.0, 0.0]))
+    monkeypatch.setattr(reduction, "born_statistics", lambda *a, **k: st)
+    assert run_cli(["ensemble", "born", "--weights", "1,0", "--workers", "1",
+                    "--out-dir", str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert "check=born-chi2 status=FAIL p_value=0" in out
+    assert "check=born[E=1] status=FAIL" in out
+
+
 @pytest.mark.parametrize("config", [{"dt": "0.001"}, {"ntraj": "64"}], ids=["dt", "ntraj"])
 def test_config_values_parsed_as_their_flags(config, tmp_path):
     cfg = tmp_path / "cfg.json"

@@ -20,6 +20,7 @@ from reductionlab.dynamics import (
     step_density,
     step_state_vector,
 )
+from reductionlab.ensemble import _DensityKernel
 from reductionlab.linalg import random_density_matrix, random_hermitian, random_pure_state
 from reductionlab.reduction import born_statistics
 
@@ -240,30 +241,30 @@ def test_trajectory_purity_residual_convergence():
     # all three resolutions ride the same Brownian path.  The pathwise
     # maximum of ‖ρ²−ρ‖ converges at order ~1/2 (the per-step Itô-table
     # fluctuation S²(dW²−dt) accumulates diffusively); the ensemble-mean
-    # defect ‖E[ρ²−ρ]‖ converges at order ~1.
+    # defect ‖E[ρ²−ρ]‖ converges at order ~1.  The paths are stepped by the
+    # ensemble runner's density kernel, fed u = (σ/2)·dW.
     e = np.array([0.0, 1.0])
     sigma, horizon, fine_dt = 1.0, 1.0, 2.5e-4
     n_paths = 4000
     gen = np.random.default_rng(99)
     fine = gen.standard_normal((n_paths, int(horizon / fine_dt))) * np.sqrt(fine_dt)
 
+    def defect_norm(x):
+        # ρ = [[a, c], [c*, b]]: ρ² − ρ = [[a² + |c|² − a, c(a + b − 1)], [·, b² + |c|² − b]]
+        a, b, c2 = x[0].real, x[1].real, np.abs(x[2]) ** 2
+        return np.sqrt((a * a + c2 - a) ** 2 + (b * b + c2 - b) ** 2 + 2 * c2 * (a + b - 1) ** 2)
+
     def run(level):
         dt = fine_dt * 2**level
-        inc = fine.reshape(n_paths, -1, 2**level).sum(axis=2)
-        rho = np.zeros((n_paths, 2, 2), complex)
-        rho[:] = 0.5
-        ei, ej = e[:, None], e[None, :]
-        drift = 1.0 + dt * (-1j * (ei - ej) - 0.125 * sigma**2 * (ei - ej) ** 2)
-        anti = ei + ej
+        us = 0.5 * sigma * fine.reshape(n_paths, -1, 2**level).sum(axis=2).T
+        kern = _DensityKernel(e, np.full((2, 2), 0.5, complex), sigma, dt)
+        x = kern.start(n_paths)
         worst = np.zeros(n_paths)
-        for k in range(inc.shape[1]):
-            tr_h = np.einsum("bii->bi", rho).real @ e
-            rho = rho * (drift[None] + 0.5 * sigma * inc[:, k][:, None, None]
-                         * (anti[None] - 2 * tr_h[:, None, None]))
-            defect = np.einsum("bij,bjk->bik", rho, rho) - rho
-            worst = np.maximum(worst, np.linalg.norm(defect, axis=(1, 2)))
-        final_defect = np.einsum("bij,bjk->bik", rho, rho) - rho
-        return worst.mean(), np.linalg.norm(final_defect.mean(axis=0))
+        for u in us:
+            kern.advance(x, u)
+            np.maximum(worst, defect_norm(x), out=worst)
+        rho = kern.final(x, horizon)
+        return worst.mean(), np.linalg.norm((rho @ rho - rho).mean(axis=0))
 
     (w4, m4), (w2, m2), (w1, m1) = run(2), run(1), run(0)
     assert w4 > w2 > w1           # pathwise residual shrinks with dt
