@@ -210,11 +210,11 @@ def cmd_cluster_check(args, rep: Reporter, out: Path) -> None:
 def cmd_hartree(args, rep: Reporter, out: Path) -> None:
     system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(args.seed + 101),
                                                     args.dim)
-    gv = [float(x) for x in args.g_values.split(",")]
     # the g = 0 floor rides along as the last coupling; the exponent fit skips g = 0
-    full = composite.hartree_vs_full(system, rho1, rho2, args.sigma, args.dt,
-                                     args.horizon, gv + [0.0], args.ntraj, args.seed,
-                                     workers=args.workers)
+    gv = [float(x) for x in args.g_values.split(",")] + [0.0]
+    dt = composite.hartree_default_dt(system, args.sigma, gv) if args.dt is None else args.dt
+    full = composite.hartree_vs_full(system, rho1, rho2, args.sigma, dt, args.horizon, gv,
+                                     args.ntraj, args.seed, workers=args.workers)
     report = composite.HartreeReport(full.g_values[:-1], full.mean_discrepancy[:-1],
                                      full.sem[:-1], full.exponent)
     report.csv(out / "hartree-discrepancy.csv")
@@ -420,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = hsub.add_parser("compare")
     p.add_argument("--dim", type=int, default=4)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=2e-4)
+    p.add_argument("--dt", type=float, default=None,
+                   help="default: the largest at or below the comfort bound at every g")
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--g-values", default="0.1,0.2,0.4")
     _add_common(p, ntraj=12)

@@ -91,7 +91,7 @@ import numpy as np
 from .dynamics import check_sigma_dt
 from .noise import trajectory_generator
 
-__all__ = ["EnsembleRun", "run_state_ensemble", "run_density_ensemble"]
+__all__ = ["EnsembleRun", "run_ensemble"]
 
 BATCH_SIZE = 1024
 CHUNK = 256
@@ -468,20 +468,21 @@ def _run_spans(work, spans):
             p.join()
 
 
-def _check_input(e, state, ndim, sigma, dt, n_traj):
+def _check_input(e, state, sigma, dt, n_traj):
     """Reject input that could never meet the stopping rule."""
     check_sigma_dt(sigma, dt)
     if e.ndim != 1 or not np.isfinite(e).all():
         raise ValueError("energies must be a finite 1-D array")
-    if state.shape != (e.shape[0],) * ndim or not np.isfinite(state).all():
-        raise ValueError(f"initial state must be finite with {e.shape[0]} levels, "
-                         f"got shape {state.shape}")
-    if ndim == 2 and (np.linalg.norm(state - state.conj().T) > NORM_TOL
-                      or np.linalg.eigvalsh(state).min() < -NORM_TOL):
+    d, vector = e.shape[0], state.ndim == 1
+    if state.shape not in ((d,), (d, d)) or not np.isfinite(state).all():
+        raise ValueError(f"initial state must be finite amplitudes of shape ({d},) or a "
+                         f"density matrix of shape ({d}, {d}), got shape {state.shape}")
+    if not vector and (np.linalg.norm(state - state.conj().T) > NORM_TOL
+                       or np.linalg.eigvalsh(state).min() < -NORM_TOL):
         raise ValueError("initial density matrix must be Hermitian and positive semidefinite")
-    mass = np.sum(np.abs(state) ** 2) if ndim == 1 else np.trace(state)
+    mass = np.sum(np.abs(state) ** 2) if vector else np.trace(state)
     if not abs(mass - 1.0) <= NORM_TOL:
-        raise ValueError(f"initial state must have unit {'norm' if ndim == 1 else 'trace'}, "
+        raise ValueError(f"initial state must have unit {'norm' if vector else 'trace'}, "
                          f"got {mass:.17g}")
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
@@ -499,9 +500,33 @@ def _check_reducible(sigma, e, p, stop_on_reduction=True) -> float:
     return v0
 
 
-def _run(kernel, e, sigma, dt, base_seed, n_traj, workers, groups, horizon_steps,
-         record_stride, stop_on_reduction, max_steps) -> EnsembleRun:
-    """Split n_traj into spans of whole blocks, run them, merge in order."""
+def run_ensemble(energies, state, sigma: float, dt: float, base_seed: int, n_traj: int, *,
+                 groups=None, horizon_steps: int = 0, record_stride: int = 0,
+                 stop_on_reduction: bool = True, max_steps: int = 10_000_000,
+                 workers: int | None = None) -> EnsembleRun:
+    """Integrate n_traj trajectories in the H eigenbasis, energies its
+    eigenvalues: state vectors for amplitudes `state` of shape (d,) and unit
+    norm, density matrices for a Hermitian, positive, unit-trace `state` of
+    shape (d, d), under the anticommutator-form equation, elementwise there:
+
+        ρ′_ij = ρ_ij · [1 + dt(−i(Eᵢ−Eⱼ) − (σ²/8)(Eᵢ−Eⱼ)²)
+                          + (σ/2)(Eᵢ+Eⱼ − 2 Tr ρH) dW].
+
+    For [ρ0, H] = 0 the drift factors are inert on the populated entries and
+    this is exactly the pure-noise martingale evolution.  groups: outcome
+    classes (default: one per level).  The blocks run on min(workers, blocks)
+    processes, workers=None meaning every CPU, with the same results for any
+    worker count.  Raises ValueError on a state of any other shape, or one
+    that is not finite or breaks the above, a non-finite or negative sigma
+    or dt ≤ 0, workers other than None or an integer ≥ 1, or populations
+    that turn non-finite or negative; with stop_on_reduction, also on
+    max_steps < horizon_steps and on sigma = 0 with V(0) > 0, which could
+    never stop.
+    """
+    e = np.asarray(energies, dtype=float)
+    state = np.asarray(state, dtype=complex)
+    _check_input(e, state, sigma, dt, n_traj)
+    kernel = (_StateKernel if state.ndim == 1 else _DensityKernel)(e, state, sigma, dt)
     workers = _workers(workers)
     for name, value, least in (("horizon_steps", horizon_steps, 0),
                                ("record_stride", record_stride, 0), ("max_steps", max_steps, 1)):
@@ -531,49 +556,3 @@ def _run(kernel, e, sigma, dt, base_seed, n_traj, workers, groups, horizon_steps
         out.sem_e = np.sqrt(np.maximum(s_e2 / n - out.mean_e**2, 0.0) / n)
         kernel.summarize(out, sums[4:], n)
     return out
-
-
-def run_state_ensemble(energies, c0, sigma: float, dt: float, base_seed: int, n_traj: int, *,
-                       groups=None, horizon_steps: int = 0, record_stride: int = 0,
-                       stop_on_reduction: bool = True, max_steps: int = 10_000_000,
-                       workers: int | None = None) -> EnsembleRun:
-    """Integrate n_traj state-vector trajectories in the H eigenbasis.
-
-    energies: eigenvalues of H; c0: initial amplitudes in the eigenbasis,
-    of unit norm; groups: outcome classes (default: one per level).  The
-    blocks run on min(workers, blocks) processes, workers=None meaning every
-    CPU, with the same results for any worker count.  Raises ValueError on
-    non-finite, wrongly sized or unnormalized input, a non-finite or
-    negative sigma or dt ≤ 0, workers other than None or an integer ≥ 1, or
-    populations that turn non-finite; with stop_on_reduction, also on
-    max_steps < horizon_steps and on sigma = 0 with V(0) > 0, which could
-    never stop.
-    """
-    e = np.asarray(energies, dtype=float)
-    c0 = np.asarray(c0, dtype=complex)
-    _check_input(e, c0, 1, sigma, dt, n_traj)
-    return _run(_StateKernel(e, c0, sigma, dt), e, sigma, dt, base_seed, n_traj, workers,
-                groups, horizon_steps, record_stride, stop_on_reduction, max_steps)
-
-
-def run_density_ensemble(energies, rho0, sigma: float, dt: float, base_seed: int, n_traj: int,
-                         *, groups=None, horizon_steps: int = 0,
-                         record_stride: int = 0, stop_on_reduction: bool = True,
-                         max_steps: int = 10_000_000, workers: int | None = None) -> EnsembleRun:
-    """Integrate density-matrix trajectories of the anticommutator-form
-    equation in the H eigenbasis, where the update is elementwise:
-
-        ρ′_ij = ρ_ij · [1 + dt(−i(Eᵢ−Eⱼ) − (σ²/8)(Eᵢ−Eⱼ)²)
-                          + (σ/2)(Eᵢ+Eⱼ − 2 Tr ρH) dW].
-
-    For [ρ0, H] = 0 the drift factors are inert on the populated entries
-    and this is exactly the pure-noise martingale evolution.  Workers as for
-    run_state_ensemble.  Raises the errors of run_state_ensemble, with unit
-    trace in place of unit norm, and on a non-Hermitian or non-positive ρ0
-    or populations that turn negative.
-    """
-    e = np.asarray(energies, dtype=float)
-    r0 = np.asarray(rho0, dtype=complex)
-    _check_input(e, r0, 2, sigma, dt, n_traj)
-    return _run(_DensityKernel(e, r0, sigma, dt), e, sigma, dt, base_seed, n_traj, workers,
-                groups, horizon_steps, record_stride, stop_on_reduction, max_steps)

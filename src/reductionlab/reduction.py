@@ -102,27 +102,27 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
                   workers, groups=None, labels=(), expected=None, horizon=0.0,
                   record_stride=0, stall=None):
     """What every scenario shares, for energies e and, in their eigenbasis,
-    amplitudes or a density matrix `state`: dt from the spectral range when
-    None, the stability and σ = 0 checks before the first step, the ensemble
-    run to reduction after a recorded horizon (None: 20/(σ²ΔE²), which covers
-    the bulk of the reduction, stragglers retiring afterwards; 0 when
-    σ·ΔE = 0, where nothing evolves), the outcome tally, and the budget
-    check, whose message ends in `stall` when given.
-    workers=None runs on every CPU, as the CLI does.  Returns the run and
-    its EnsembleStats."""
+    amplitudes or a density matrix `state`: ΔE over the occupied levels
+    (nonzero |amplitude|² or diagonal entry), dt from it when None, the
+    stability and σ = 0 checks before the first step, the ensemble run to
+    reduction after a recorded horizon (None: 20/(σ²ΔE²), which covers the
+    bulk of the reduction, stragglers retiring afterwards; 0 when σ·ΔE = 0,
+    where nothing evolves), the outcome tally, and the budget check, whose
+    message ends in `stall` when given.  workers=None runs on every CPU, as
+    the CLI does.  Returns the run and its EnsembleStats."""
     workers = ensemble._workers(workers)
-    rng = float(e.max() - e.min())
+    pop = np.real(np.diag(state)) if state.ndim == 2 else np.abs(state) ** 2
+    occupied = e[pop != 0]   # a zero population stays exactly 0 in the ensemble kernels
+    rng = float(occupied.max() - occupied.min()) if occupied.size else 0.0
     dt = default_dt(sigma, rng) if dt is None else dt
     check_stability(sigma, dt, rng)
-    density = state.ndim == 2
-    ensemble._check_reducible(sigma, e, np.real(np.diag(state)) if density else np.abs(state) ** 2)
+    ensemble._check_reducible(sigma, e, pop)
     if horizon is None:   # nothing evolves when σ·ΔE = 0
         rate = sigma * sigma * rng ** 2
         horizon = 20.0 / rate if rate > 0 else 0.0
-    runner = ensemble.run_density_ensemble if density else ensemble.run_state_ensemble
-    run = runner(e, state, sigma, dt, base_seed, n_traj, groups=groups,
-                 horizon_steps=max(record_stride, int(round(horizon / dt))),
-                 record_stride=record_stride, max_steps=max_steps, workers=workers)
+    run = ensemble.run_ensemble(e, state, sigma, dt, base_seed, n_traj, groups=groups,
+                                horizon_steps=max(record_stride, int(round(horizon / dt))),
+                                record_stride=record_stride, max_steps=max_steps, workers=workers)
     stats = _stats_from_run(run, labels, expected)
     if stats.n_unreduced > budget_fraction * n_traj:
         raise ReductionBudgetError(f"{stats.n_unreduced}/{n_traj} trajectories unreduced "

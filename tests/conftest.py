@@ -8,7 +8,9 @@ in its result (fields of dataclasses, nested ones included; float fields are
 written exactly, as float.hex).  Calls made in forked workers are not
 written.  Run the same tests in two trees and `diff` the two files to see
 whether their results are byte-identical.  Without the option nothing is
-wrapped.
+wrapped.  Each wrapper runs with globals named inside the package, so that
+`dynamics.check_stability`, which warns at the first caller outside the
+package, passes over it to the test.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import functools
 import hashlib
 import inspect
 import os
+import types
 
 import numpy as np
 import pytest
@@ -69,14 +72,15 @@ class _Digest:
     def _wrap(self, label, fn):
         pid = os.getpid()
 
-        @functools.wraps(fn)
         def call(*args, **kwargs):
             out = fn(*args, **kwargs)
             if os.getpid() == pid:
                 fields = " ".join(f"{k}={v}" for k, v in _fields(out))
                 self.lines.append(f"{self.test} {label} {fields}\n")
             return out
-        return call
+        inside = types.FunctionType(call.__code__, dict(globals(), __name__="reductionlab._digest"),
+                                    call.__name__, None, call.__closure__)
+        return functools.wraps(fn)(inside)
 
     def close(self):
         for mod, name, fn in self.saved:

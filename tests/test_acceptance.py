@@ -109,7 +109,7 @@ def test_criterion_08_born_rule_dim4():
 # 9 ---------------------------------------------------------------------------
 
 def test_criterion_09_variance_decay_law():
-    run = ensemble.run_state_ensemble(
+    run = ensemble.run_ensemble(
         np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
         sigma=1.0, dt=1e-3, base_seed=909, n_traj=10_000,
         horizon_steps=2000, record_stride=40, stop_on_reduction=False)

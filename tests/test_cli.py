@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -152,12 +153,18 @@ def test_simulate_non_finite_dt_exits_2_fast(tmp_path, capsys, extra):
     assert "dt must be finite and positive" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:sigma²·ΔE²·dt:RuntimeWarning")
 def test_hartree_compare_matches_direct_calls(tmp_path, capsys):
-    # the command's set-up at seed 0 and its defaults: sigma 1, dt 2e-4, g 0.1,0.2,0.4
-    assert run_cli(["hartree", "compare", "--ntraj", "2", "--horizon", "0.01", "--seed", "0",
-                    "--out-dir", str(tmp_path / "h")]) == 0
-    args = (*composite.hartree_instance(np.random.default_rng(101)), 1.0, 2e-4, 0.01)
+    # the command's set-up at seed 0 and its defaults: sigma 1, g 0.1,0.2,0.4, and dt the
+    # largest at which σ²ΔE²dt stays at the comfort bound over those g and g = 0
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert run_cli(["hartree", "compare", "--ntraj", "2", "--horizon", "0.01", "--seed",
+                        "0", "--out-dir", str(tmp_path / "h")]) == 0
+    assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
+    system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(101))
+    dt = composite.hartree_default_dt(system, 1.0, [0.1, 0.2, 0.4, 0.0])
+    assert 1.5e-4 < dt < 1.6e-4 and composite.hartree_default_dt(system, 0.0, [0.1]) == 1e-3
+    args = (system, rho1, rho2, 1.0, dt, 0.01)
     composite.hartree_vs_full(*args, [0.1, 0.2, 0.4], 2, 0).csv(tmp_path / "direct.csv")
     assert ((tmp_path / "h" / "hartree-discrepancy.csv").read_bytes()
             == (tmp_path / "direct.csv").read_bytes())
@@ -165,7 +172,6 @@ def test_hartree_compare_matches_direct_calls(tmp_path, capsys):
     assert f"check=hartree-g0 status=PASS discrepancy={floor:.17g}" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:sigma²·ΔE²·dt:RuntimeWarning")
 def test_hartree_compare_identical_for_any_worker_count(tmp_path, capsys):
     # four trajectories: one span at --workers 1, two forked spans at --workers 2
     outs = []

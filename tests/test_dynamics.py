@@ -84,9 +84,9 @@ def test_eigenstate_is_fixed_point(rng):
 
 def test_energy_expectation_is_martingale():
     # E[<H>] stays at its initial value over the ensemble
-    from reductionlab.ensemble import run_state_ensemble
+    from reductionlab.ensemble import run_ensemble
 
-    run = run_state_ensemble(
+    run = run_ensemble(
         np.array([0.0, 1.0]), np.sqrt([0.3, 0.7]).astype(complex),
         sigma=1.0, dt=1e-3, base_seed=77, n_traj=2000,
         horizon_steps=1000, record_stride=100, stop_on_reduction=False)
@@ -164,20 +164,19 @@ def test_martingale_step_two_level_hand_expansion(rng):
 
 def test_martingale_step_preserves_gibbs_expectation():
     # ensemble mean of the pure-noise evolution stays at the initial
-    # equilibrium state at every time
+    # equilibrium state at every time; the paths step as one stack through the
+    # batched density step at dt = 0, which step_commuting_martingale runs
     from reductionlab.reduction import gibbs_state
 
     h = np.diag([0.0, 1.0]).astype(complex)
     g = gibbs_state(h, 1.1).matrix
     n_paths, n_steps, dt = 400, 200, 1e-3
-    gen = np.random.default_rng(31)
-    acc = np.zeros_like(g)
-    for _ in range(n_paths):
-        rho = g.copy()
-        for dw in gen.standard_normal(n_steps) * np.sqrt(dt):
-            rho = step_commuting_martingale(rho, h, 1.0, dt, dw)
-        acc += rho
-    mean = acc / n_paths
+    dws = np.random.default_rng(31).standard_normal((n_paths, n_steps)) * np.sqrt(dt)
+    rm = dynamics._embed(h)
+    rho = np.repeat(g[None], n_paths, axis=0)
+    for dw in dws.T:
+        rho = dynamics._euler_step(rho, dynamics._times(rho, rm), 0.0, 1.0, 0.0, 0.5 * dw)
+    mean = rho.mean(axis=0)
     sem = 1.0 / np.sqrt(n_paths)  # population spread is O(1)
     assert np.abs(mean - g).max() < 4.0 * 0.25 * sem
 

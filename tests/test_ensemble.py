@@ -132,7 +132,7 @@ def test_renorm_is_division_by_the_population_sum(e, rho0, dtype):
 def _state_run(workers):
     e = np.array([0.0, 1.0, 1.0, 2.0])
     c0 = np.sqrt(np.array([0.3, 0.2, 0.2, 0.3], complex))
-    return ensemble.run_state_ensemble(
+    return ensemble.run_ensemble(
         e, c0, sigma=2.0, dt=2e-3, base_seed=31, n_traj=1100,
         groups=((0,), (1, 2), (3,)), horizon_steps=120, record_stride=40,
         max_steps=20_000, workers=workers)
@@ -142,7 +142,7 @@ def _density_run(workers):
     e = np.array([0.0, 1.0, 2.0])
     rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
     rho0[0, 1] = rho0[1, 0] = 0.1
-    return ensemble.run_density_ensemble(
+    return ensemble.run_ensemble(
         e, rho0, sigma=2.0, dt=2e-3, base_seed=32, n_traj=1100,
         horizon_steps=120, record_stride=40, max_steps=20_000, workers=workers)
 
@@ -151,7 +151,7 @@ def _gibbs_run(workers):
     # diagonal ρ0 with a degenerate pair: the float64 support kernel
     e = np.array([0.0, 1.0, 1.0, 2.0])
     rho0 = np.diag([0.4, 0.2, 0.2, 0.2]).astype(complex)
-    return ensemble.run_density_ensemble(
+    return ensemble.run_ensemble(
         e, rho0, sigma=2.0, dt=2e-3, base_seed=33, n_traj=1100,
         groups=((0,), (1, 2), (3,)), horizon_steps=120, record_stride=40,
         max_steps=20_000, workers=workers)
@@ -187,9 +187,9 @@ BAD_STATES = [
 def test_bad_input_rejected_up_front(energies, amps, dt):
     c0 = np.asarray(amps, complex)
     with pytest.raises(ValueError):
-        ensemble.run_state_ensemble(energies, c0, 1.0, dt, 0, 8)
+        ensemble.run_ensemble(energies, c0, 1.0, dt, 0, 8)
     with pytest.raises(ValueError):
-        ensemble.run_density_ensemble(energies, np.diag(c0), 1.0, dt, 0, 8)
+        ensemble.run_ensemble(energies, np.diag(c0), 1.0, dt, 0, 8)
 
 
 @pytest.mark.parametrize("option, value", [("horizon_steps", -5), ("record_stride", -10),
@@ -197,10 +197,10 @@ def test_bad_input_rejected_up_front(energies, amps, dt):
 def test_bad_step_counts_rejected_up_front(option, value):
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
     with pytest.raises(ValueError, match=option):
-        ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, **{option: value})
+        ensemble.run_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, **{option: value})
     with pytest.raises(ValueError, match=option):
-        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), 1.0, 1e-3, 0, 8,
-                                      **{option: value})
+        ensemble.run_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), 1.0, 1e-3, 0, 8,
+                              **{option: value})
 
 
 def test_max_steps_below_horizon_rejected_up_front():
@@ -209,12 +209,12 @@ def test_max_steps_below_horizon_rejected_up_front():
     rho0 = np.diag([0.5, 0.5])
     steps = {"horizon_steps": 100, "max_steps": 50}
     with pytest.raises(ValueError, match="max_steps = 50 < horizon_steps = 100"):
-        ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, **steps)
+        ensemble.run_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, **steps)
     with pytest.raises(ValueError, match="max_steps = 50 < horizon_steps = 100"):
-        ensemble.run_density_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8, **steps)
+        ensemble.run_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8, **steps)
     # without it the run ends at the horizon and max_steps bounds nothing
-    run = ensemble.run_density_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8,
-                                        stop_on_reduction=False, **steps)
+    run = ensemble.run_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8,
+                                stop_on_reduction=False, **steps)
     assert run.n_unreduced == 8
 
 
@@ -222,9 +222,9 @@ def test_max_steps_below_horizon_rejected_up_front():
 def test_sigma_zero_rejected_when_nothing_can_reduce(density, monkeypatch):
     def run(p, **options):
         if density:
-            return ensemble.run_density_ensemble([0.0, 1.0], np.diag(p), 0.0, 1e-3, 0, 8,
-                                                 **options)
-        return ensemble.run_state_ensemble([0.0, 1.0], np.sqrt(p), 0.0, 1e-3, 0, 8, **options)
+            return ensemble.run_ensemble([0.0, 1.0], np.diag(p), 0.0, 1e-3, 0, 8,
+                                         **options)
+        return ensemble.run_ensemble([0.0, 1.0], np.sqrt(p), 0.0, 1e-3, 0, 8, **options)
 
     # accepted: V(0) = 0 is reduced at once, and a fixed horizon ends by itself
     assert list(run([0.0, 1.0]).outcomes) == [1] * 8
@@ -247,17 +247,17 @@ def test_non_finite_dt_rejected_up_front(dt, monkeypatch):
     monkeypatch.setattr(ensemble, "_run_spans", no_run)
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
     with pytest.raises(ValueError, match="dt must be finite and positive"):
-        ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, dt, 0, 8)
+        ensemble.run_ensemble([0.0, 1.0], c0, 1.0, dt, 0, 8)
     with pytest.raises(ValueError, match="dt must be finite and positive"):
-        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), 1.0, dt, 0, 8)
+        ensemble.run_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), 1.0, dt, 0, 8)
 
 
 def test_one_level_runs_reduce_at_once():
     # d = 1: V = 0 from the start, so every trajectory retires at step 0
-    runs = [ensemble.run_state_ensemble([2.5], np.ones(1, complex), 1.0, 1e-3, 0, 5,
-                                        workers=1),
-            ensemble.run_density_ensemble([2.5], [[1.0]], 1.0, 1e-3, 0, 5, horizon_steps=16,
-                                          record_stride=8, workers=1)]
+    runs = [ensemble.run_ensemble([2.5], np.ones(1, complex), 1.0, 1e-3, 0, 5,
+                                  workers=1),
+            ensemble.run_ensemble([2.5], [[1.0]], 1.0, 1e-3, 0, 5, horizon_steps=16,
+                                  record_stride=8, workers=1)]
     for run in runs:
         assert run.outcomes.tolist() == [0] * 5
     assert runs[0].reduction_times.tolist() == [0.0] * 5
@@ -267,10 +267,10 @@ def test_one_level_runs_reduce_at_once():
 def test_recording_phase_hits_keep_their_first_hit_step():
     args = ([0.0, 1.0], np.sqrt(np.array([0.5, 0.5], complex)), 2.0, 2e-3, 7, 64)
     horizon = 1000
-    run = ensemble.run_state_ensemble(*args, horizon_steps=horizon, record_stride=100,
-                                      workers=1)
-    fixed = ensemble.run_state_ensemble(*args, horizon_steps=horizon, record_stride=100,
-                                        stop_on_reduction=False, workers=1)
+    run = ensemble.run_ensemble(*args, horizon_steps=horizon, record_stride=100,
+                                workers=1)
+    fixed = ensemble.run_ensemble(*args, horizon_steps=horizon, record_stride=100,
+                                  stop_on_reduction=False, workers=1)
     assert run.mean_v.tobytes() == fixed.mean_v.tobytes()
     steps = np.round(run.reduction_times / run.dt)
     assert run.n_unreduced == 0 and fixed.n_unreduced == 64
@@ -297,16 +297,16 @@ def test_recording_phase_hits_keep_their_first_hit_step():
 def test_bad_sigma_rejected_up_front(sigma):
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
     with pytest.raises(ValueError, match="sigma"):
-        ensemble.run_state_ensemble([0.0, 1.0], c0, sigma, 1e-3, 0, 8)
+        ensemble.run_ensemble([0.0, 1.0], c0, sigma, 1e-3, 0, 8)
     with pytest.raises(ValueError, match="sigma"):
-        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), sigma, 1e-3, 0, 8)
+        ensemble.run_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), sigma, 1e-3, 0, 8)
 
 
 @pytest.mark.parametrize("rho0", [[[0.5, 0.3], [0.1, 0.5]],    # not Hermitian
                                   [[0.5, 0.9], [0.9, 0.5]]])   # eigenvalue −0.4
 def test_bad_density_rejected_up_front(rho0):
     with pytest.raises(ValueError, match="Hermitian and positive"):
-        ensemble.run_density_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8)
+        ensemble.run_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8)
 
 
 @pytest.mark.parametrize("workers", [0, -2, 2.5, True, "2"])
@@ -317,10 +317,10 @@ def test_bad_worker_count_rejected_up_front(workers, monkeypatch):
     monkeypatch.setattr(ensemble, "_run_spans", no_run)
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
     with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
-        ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, workers=workers)
+        ensemble.run_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, workers=workers)
     with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
-        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), 1.0, 1e-3, 0, 8,
-                                      workers=workers)
+        ensemble.run_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), 1.0, 1e-3, 0, 8,
+                              workers=workers)
 
 
 def test_runners_default_to_every_cpu(monkeypatch):
@@ -333,8 +333,8 @@ def test_runners_default_to_every_cpu(monkeypatch):
 
     monkeypatch.setattr(ensemble, "_run_spans", spy)
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
-    runs = [ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, n, horizon_steps=40,
-                                        record_stride=20, stop_on_reduction=False, workers=w)
+    runs = [ensemble.run_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, n, horizon_steps=40,
+                                  record_stride=20, stop_on_reduction=False, workers=w)
             for w in (None, 1)]
     assert widths == [min(2, os.cpu_count() or 1), 1]
     assert runs[0].mean_v.tobytes() == runs[1].mean_v.tobytes()
@@ -343,7 +343,7 @@ def test_runners_default_to_every_cpu(monkeypatch):
 
 def test_numpy_integer_worker_count_accepted():
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
-    run = ensemble.run_state_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, workers=np.int64(2))
+    run = ensemble.run_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, workers=np.int64(2))
     assert run.n_unreduced == 0
 
 
@@ -401,17 +401,17 @@ def test_negative_populations_raise(workers):
     # σ²ΔE²dt = 0.45: the Euler factor turns negative within the first checks
     rho0 = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(ValueError, match="negative population"):
-        ensemble.run_density_ensemble([0.0, 3.0], rho0, 1.0, 0.05, 0, 2048, workers=workers)
+        ensemble.run_ensemble([0.0, 3.0], rho0, 1.0, 0.05, 0, 2048, workers=workers)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_nonfinite_populations_raise(workers):
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-        ensemble.run_state_ensemble([0.0, 1.0], c0, 1e200, 1e-3, 0, 2048, workers=workers)
+        ensemble.run_ensemble([0.0, 1.0], c0, 1e200, 1e-3, 0, 2048, workers=workers)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-        ensemble.run_density_ensemble([0.0, 1.0], np.diag([0.5, 0.5]).astype(complex),
-                                      1e200, 1e-3, 0, 16)
+        ensemble.run_ensemble([0.0, 1.0], np.diag([0.5, 0.5]).astype(complex),
+                              1e200, 1e-3, 0, 16)
 
 
 KERNELS = {
@@ -503,12 +503,12 @@ def _capture_plan(run, monkeypatch):
 
 
 MEMBER_RUNS = {
-    "state": lambda: ensemble.run_state_ensemble(
+    "state": lambda: ensemble.run_ensemble(
         [0.0, 1.0, 1.0, 2.0], np.sqrt(np.array([0.3, 0.2, 0.2, 0.3], complex)), 2.0, 2e-3, 41,
         150, groups=((0,), (1, 2), (3,)), workers=1),
-    "float64": lambda: ensemble.run_density_ensemble(
+    "float64": lambda: ensemble.run_ensemble(
         [0.0, 1.0, 2.0], np.diag([0.5, 0.3, 0.2]), 2.0, 2e-3, 42, 150, workers=1),
-    "complex": lambda: ensemble.run_density_ensemble(
+    "complex": lambda: ensemble.run_ensemble(
         [0.0, 1.0, 2.0], _coherent_rho0()[1:, 1:] / 0.7, 2.0, 2e-3, 43, 150,
         groups=((0, 2), (1,)), workers=1),
 }
@@ -541,7 +541,7 @@ def test_serial_span_holds_one_noise_chunk(monkeypatch):
     # at b = 1024 holds one 2 MB (CHUNK, b) chunk, never the next beside it
     b = 1024
     chunk_bytes = ensemble.CHUNK * b * 8
-    _, plan = _capture_plan(lambda: ensemble.run_state_ensemble(
+    _, plan = _capture_plan(lambda: ensemble.run_ensemble(
         [0.0, 1.0], np.sqrt(np.array([0.5, 0.5], complex)), 1.0, 1e-3, 5, 2,
         horizon_steps=3 * ensemble.CHUNK, stop_on_reduction=False, workers=1), monkeypatch)
     tracemalloc.start()
@@ -563,14 +563,14 @@ def test_serial_span_holds_one_noise_chunk(monkeypatch):
 def _coherent_run(n_traj):
     rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
     rho0[0, 1] = rho0[1, 0] = 0.1
-    return ensemble.run_density_ensemble([0.0, 1.0, 2.0], rho0, 1.0, 1e-3, 3, n_traj, workers=1)
+    return ensemble.run_ensemble([0.0, 1.0, 2.0], rho0, 1.0, 1e-3, 3, n_traj, workers=1)
 
 
 BAD_RUNS = [
-    (ensemble._StateKernel, lambda n: ensemble.run_state_ensemble(
+    (ensemble._StateKernel, lambda n: ensemble.run_ensemble(
         [0.0, 1.0, 2.0], np.sqrt(np.array([0.5, 0.3, 0.2], complex)), 1.0, 1e-3, 1, n,
         workers=1)),
-    (ensemble._DensityKernel, lambda n: ensemble.run_density_ensemble(
+    (ensemble._DensityKernel, lambda n: ensemble.run_ensemble(
         [0.0, 1.0, 2.0], np.diag([0.5, 0.3, 0.2]), 1.0, 1e-3, 2, n, workers=1)),
     (ensemble._DensityKernel, _coherent_run),
 ]
@@ -596,3 +596,16 @@ def test_bad_population_stops_the_run(cls, run, n_traj, value, message, monkeypa
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=message):
         run(n_traj)
     assert len(calls) == ensemble.CHECK_STRIDE
+
+
+def test_run_ensemble_reads_the_kind_of_state_from_its_shape():
+    # amplitudes (d,) step on the state kernel, whose finals are amplitudes, and
+    # a density matrix (d, d) on the density kernel; any other shape is an error
+    assert ensemble.__all__ == ["EnsembleRun", "run_ensemble"]
+    amps = np.sqrt(np.array([0.5, 0.5], complex))
+    for state in (amps, np.outer(amps, amps.conj())):
+        run = ensemble.run_ensemble([0.0, 1.0], state, 1.0, 1e-3, 0, 4, workers=1)
+        assert run.final_states.shape == (4,) + state.shape
+    for state in (np.array(1.0), np.full((2, 2, 2), 0.125), np.full((2, 3), 0.5)):
+        with pytest.raises(ValueError, match="initial state must be finite amplitudes"):
+            ensemble.run_ensemble([0.0, 1.0], state, 1.0, 1e-3, 0, 4)

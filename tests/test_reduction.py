@@ -67,12 +67,12 @@ def test_decay_check_requires_trajectories():
 
 
 def test_decay_sigma_zero_trivial():
-    from reductionlab.ensemble import run_state_ensemble
+    from reductionlab.ensemble import run_ensemble
 
-    run = run_state_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
-                             sigma=0.0, dt=1e-3, base_seed=0, n_traj=200,
-                             horizon_steps=400, record_stride=100,
-                             stop_on_reduction=False)
+    run = run_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
+                       sigma=0.0, dt=1e-3, base_seed=0, n_traj=200,
+                       horizon_steps=400, record_stride=100,
+                       stop_on_reduction=False)
     stats = EnsembleStats(n_traj=200, outcome_labels=[], frequencies=np.array([]),
                           ci_lo=np.array([]), ci_hi=np.array([]),
                           times=run.times, e_v=run.mean_v,
@@ -110,13 +110,13 @@ def test_luders_validation():
 
 
 def test_scaling_sigma_zero_reports_unreduced():
-    from reductionlab.ensemble import run_state_ensemble
+    from reductionlab.ensemble import run_ensemble
 
     # σ = 0 with V(0) > 0 is rejected under stop_on_reduction; over a fixed
     # horizon every trajectory comes back unreduced
-    run = run_state_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
-                             sigma=0.0, dt=1e-3, base_seed=0, n_traj=16,
-                             horizon_steps=2000, stop_on_reduction=False)
+    run = run_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
+                       sigma=0.0, dt=1e-3, base_seed=0, n_traj=16,
+                       horizon_steps=2000, stop_on_reduction=False)
     assert run.n_unreduced == 16
     assert np.all(np.isnan(run.reduction_times))
 
@@ -202,10 +202,18 @@ def test_scenarios_reject_sigma_zero_before_the_first_step(scenario, monkeypatch
     def no_run(*args, **kwargs):
         raise AssertionError("an ensemble run started")
 
-    monkeypatch.setattr(reduction.ensemble, "run_state_ensemble", no_run)
-    monkeypatch.setattr(reduction.ensemble, "run_density_ensemble", no_run)
+    monkeypatch.setattr(reduction.ensemble, "run_ensemble", no_run)
     with pytest.raises(ValueError, match="sigma = 0 never reduces"):
         scenario()
+
+
+def test_zero_weight_level_sets_neither_the_step_nor_the_outcomes():
+    # a zero population stays exactly 0, so an unoccupied third level leaves
+    # the default dt, every reduction time and the frequencies as they are
+    three = born_statistics(np.diag([0.0, 1.0, 2.0]), np.sqrt([0.5, 0.5, 0.0]), 1.0, 64, 5)
+    two = born_statistics(np.diag([0.0, 1.0]), np.sqrt([0.5, 0.5]), 1.0, 64, 5)
+    assert three.reduction_times.tobytes() == two.reduction_times.tobytes()
+    assert three.frequencies.tolist() == two.frequencies.tolist() + [0.0]
 
 
 def test_sigma_zero_accepted_for_an_eigenstate():
