@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,7 @@ def _resolve_out_dir(args, subname: str) -> Path:
 
 
 def _dump_config(out_dir: Path, args) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "resolve", "config")}
     cfg_json = json.dumps(cfg, indent=2, sort_keys=True, default=str)
     (out_dir / "config-resolved.json").write_text(cfg_json + "\n", newline="\n")
     print(f"config: {cfg_json}")
@@ -207,13 +208,30 @@ def cmd_cluster_check(args, rep: Reporter, out: Path) -> None:
     rep.check("cluster[generic-nonzero]", generic > 1e-6, residual=generic)
 
 
-def cmd_hartree(args, rep: Reporter, out: Path) -> None:
+def _hartree_setup(args):
+    """hartree compare's instance, and its couplings with the g = 0 floor last."""
     system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(args.seed + 101),
                                                     args.dim)
-    # the g = 0 floor rides along as the last coupling; the exponent fit skips g = 0
-    gv = [float(x) for x in args.g_values.split(",")] + [0.0]
-    dt = composite.hartree_default_dt(system, args.sigma, gv) if args.dt is None else args.dt
-    full = composite.hartree_vs_full(system, rho1, rho2, args.sigma, dt, args.horizon, gv,
+    return system, rho1, rho2, [float(x) for x in args.g_values.split(",")] + [0.0]
+
+
+def _resolve_hartree(args) -> None:
+    """Without --dt, step at the largest dt at which σ²ΔE²dt, ΔE the total
+    Hamiltonian's spectral range, stays at or below `dynamics.STABILITY_WARN`
+    at every coupling; 1e-3 when σ·ΔE is 0 or not finite."""
+    if args.dt is None:
+        system, _, _, gv = _hartree_setup(args)
+        rng = max(np.ptp(np.linalg.eigh(replace(system, g=g).total_hamiltonian())[0])
+                  for g in gv)   # the bits of hartree_vs_full's range
+        scale = args.sigma * args.sigma * rng * rng   # the product as check_stability forms it
+        args.dt = float(dynamics.STABILITY_WARN / scale) if 0 < scale < np.inf else 1e-3
+        while 0 < scale < np.inf and scale * args.dt > dynamics.STABILITY_WARN:   # rounded up
+            args.dt = float(np.nextafter(args.dt, 0.0))
+
+
+def cmd_hartree(args, rep: Reporter, out: Path) -> None:
+    system, rho1, rho2, gv = _hartree_setup(args)
+    full = composite.hartree_vs_full(system, rho1, rho2, args.sigma, args.dt, args.horizon, gv,
                                      args.ntraj, args.seed, workers=args.workers)
     report = composite.HartreeReport(full.g_values[:-1], full.mean_discrepancy[:-1],
                                      full.sem[:-1], full.exponent)
@@ -425,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--g-values", default="0.1,0.2,0.4")
     _add_common(p, ntraj=12)
-    p.set_defaults(func=cmd_hartree, subname="hartree-compare")
+    p.set_defaults(func=cmd_hartree, resolve=_resolve_hartree, subname="hartree-compare")
 
     acc = sub.add_parser("accretion", help="occupancy chain / coherent spectra")
     asub = acc.add_subparsers(dest="mode", required=True)
@@ -487,8 +505,9 @@ def main(argv=None) -> int:
     args = _apply_config_file(ap, sys.argv[1:] if argv is None else argv)
     rep = Reporter()
     out = _resolve_out_dir(args, args.subname)
-    _dump_config(out, args)
     try:
+        getattr(args, "resolve", lambda _: None)(args)   # defaults worked out from other flags
+        _dump_config(out, args)
         args.func(args, rep, out)
     except (ValueError, RuntimeError) as exc:
         print(f"ERROR module={args.subname} detail={exc}", file=sys.stderr)

@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (ANTICOMMUTATOR, DOUBLE_COMMUTATOR, STABILITY_WARN, _dag, _embed,
-                       _euler_step, _times, check_stability, noise_coefficient)
+from .dynamics import (ANTICOMMUTATOR, DOUBLE_COMMUTATOR, _dag, _embed, _euler_step, _times,
+                       check_stability, noise_coefficient)
 from .ensemble import (CHUNK, _DensityKernel, _check_input, _noise_chunk, _run_spans,
                        _split, _workers)
 from .linalg import (as_matrix, hermiticity_defect, random_density_matrix, random_hermitian,
@@ -52,7 +52,6 @@ __all__ = [
     "hartree_step",
     "HartreeReport",
     "hartree_vs_full",
-    "hartree_default_dt",
     "hartree_instance",
 ]
 
@@ -79,11 +78,6 @@ class CompositeSystem:
     @property
     def dims(self):
         return self.h1.shape[0], self.h2.shape[0]
-
-    @functools.cached_property
-    def _maps(self):
-        """_real_maps(self, [self.g]), built on first use: hartree_step's maps."""
-        return _real_maps(self, [self.g])
 
     def total_hamiltonian(self) -> np.ndarray:
         d1, d2 = self.dims
@@ -252,8 +246,8 @@ def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
     has reduced.
     """
     (d1, d2), r1, r2 = system.dims, as_matrix(rho1), as_matrix(rho2)
-    new = _mean_field_step(_stacked(r1, r2, (1, 1)), system._maps, sigma, dt,
-                           0.5 * sigma * np.array([dW], float))
+    new = _mean_field_step(_stacked(r1, r2, (1, 1)), _real_maps(system, [system.g]), sigma,
+                           dt, 0.5 * sigma * np.array([dW], float))
     return new[0, 0, 0, :d1, :d1], new[1, 0, 0, :d2, :d2]
 
 
@@ -286,19 +280,6 @@ class HartreeReport:
     def csv(self, path) -> None:
         write_csv(path, "g,mean_discrepancy,sem",
                   zip(self.g_values, self.mean_discrepancy, self.sem))
-
-
-def hartree_default_dt(system: CompositeSystem, sigma: float, g_values) -> float:
-    """The largest dt at which σ²ΔE²dt, ΔE the total Hamiltonian's spectral
-    range, stays at or below `dynamics.STABILITY_WARN` at every g in g_values;
-    1e-3 when σ·ΔE is 0 or not finite.  `hartree compare`'s default step."""
-    rng = max(np.ptp(np.linalg.eigh(replace(system, g=g).total_hamiltonian())[0])
-              for g in g_values)   # the bits of hartree_vs_full's range
-    scale = sigma * sigma * rng * rng   # the product is scale·dt, as check_stability forms it
-    if not 0 < scale < np.inf:
-        return 1e-3
-    dt = STABILITY_WARN / scale
-    return float(dt if scale * dt <= STABILITY_WARN else np.nextafter(dt, 0.0))
 
 
 def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma, dt,

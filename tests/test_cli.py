@@ -1,19 +1,28 @@
+import argparse
 import json
 import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from reductionlab import composite, phenomenology as ph, reduction
-from reductionlab.cli import _merge_bins, main
+from reductionlab import composite, dynamics, phenomenology as ph, reduction
+from reductionlab.cli import _merge_bins, _resolve_hartree, main
 
 
 def run_cli(args):
     return main(args)
+
+
+def hartree_default_dt(seed, sigma):
+    """The dt `hartree compare --seed seed --sigma sigma` takes by default."""
+    args = argparse.Namespace(dt=None, seed=seed, dim=4, sigma=sigma, g_values="0.1,0.2,0.4")
+    _resolve_hartree(args)
+    return args.dt
 
 
 def test_reproduce_paper_exits_clean(tmp_path, capsys):
@@ -162,14 +171,33 @@ def test_hartree_compare_matches_direct_calls(tmp_path, capsys):
                         "0", "--out-dir", str(tmp_path / "h")]) == 0
     assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
     system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(101))
-    dt = composite.hartree_default_dt(system, 1.0, [0.1, 0.2, 0.4, 0.0])
-    assert 1.5e-4 < dt < 1.6e-4 and composite.hartree_default_dt(system, 0.0, [0.1]) == 1e-3
+    dt = hartree_default_dt(0, 1.0)
+    assert 1.5e-4 < dt < 1.6e-4
+    assert hartree_default_dt(0, 0.0) == hartree_default_dt(0, float("inf")) == 1e-3
+    resolved = json.loads((tmp_path / "h" / "config-resolved.json").read_text())
+    assert resolved["dt"] == dt and "resolve" not in resolved
     args = (system, rho1, rho2, 1.0, dt, 0.01)
     composite.hartree_vs_full(*args, [0.1, 0.2, 0.4], 2, 0).csv(tmp_path / "direct.csv")
     assert ((tmp_path / "h" / "hartree-discrepancy.csv").read_bytes()
             == (tmp_path / "direct.csv").read_bytes())
     floor = composite.hartree_vs_full(*args, [0.0], 2, 0).mean_discrepancy[0]
     assert f"check=hartree-g0 status=PASS discrepancy={floor:.17g}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed,sigma", [(0, 1.0), (1, 1.0), (78, 1.0), (50, 0.7)])
+def test_hartree_default_dt_is_the_largest_at_the_comfort_bound(seed, sigma):
+    # at seeds 78 and 50 the division rounds the product above the bound by one ulp
+    system, _, _ = composite.hartree_instance(np.random.default_rng(seed + 101))
+    gv = [0.1, 0.2, 0.4, 0.0]
+    dt = hartree_default_dt(seed, sigma)
+    spectra = [np.linalg.eigh(replace(system, g=g).total_hamiltonian())[0] for g in gv]
+    h_range = max(e[-1] - e[0] for e in spectra)   # as hartree_vs_full forms it
+    product = sigma * sigma * h_range * h_range   # as check_stability forms it
+    assert product * dt <= dynamics.STABILITY_WARN < product * np.nextafter(dt, 1.0)
+    assert (dynamics.STABILITY_WARN / product > dt) == (seed in (78, 50))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dynamics.check_stability(sigma, dt, h_range)
 
 
 def test_hartree_compare_identical_for_any_worker_count(tmp_path, capsys):

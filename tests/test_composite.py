@@ -376,22 +376,6 @@ def test_hartree_step_is_a_row_of_the_batched_step(rng):
             assert np.abs(n2 - new2[k]).max() <= 1e-14
 
 
-def test_hartree_step_builds_its_maps_once_per_system(rng, monkeypatch):
-    calls, real_maps = [], composite._real_maps
-
-    def spy(*args):
-        calls.append(args)
-        return real_maps(*args)
-
-    monkeypatch.setattr(composite, "_real_maps", spy)
-    sys = CompositeSystem(random_hermitian(2, rng), random_hermitian(3, rng),
-                          random_hermitian(6, rng), g=0.2)
-    r1, r2 = random_density_matrix(2, rng), random_density_matrix(3, rng)
-    for dw in (0.01, -0.02, 0.005):
-        r1, r2 = hartree_step(r1, r2, sys, 1.0, 1e-3, dw)
-    assert len(calls) == 1
-
-
 @settings(max_examples=100, deadline=None)
 @given(d1=st.sampled_from([2, 3, 4]), d2=st.sampled_from([2, 3, 4]),
        seed=st.integers(0, 2**32 - 1), g=st.floats(0.0, 1.0),
