@@ -1,0 +1,124 @@
+"""Compare what the CLI writes in two checkouts.
+
+    python3 bench/parity.py --parent DIR --change DIR
+
+DIR is a checkout of each commit, as for bench/record.py.  Each of the
+INVOCATIONS runs as `python -m reductionlab.cli` from the checkout's src/,
+with PYTHONDONTWRITEBYTECODE=1 and no REDUCTIONLAB_SEED, into a fresh
+out-dir of its own.  For each invocation the two sides must agree on:
+
+* the exit status;
+* the bytes of every file in the out-dir: the CSV artifacts as written, and
+  config-resolved.json with the out-dir path replaced by <OUT>;
+* stdout, with the out-dir replaced by <OUT>;
+* stderr, with the out-dir replaced by <OUT>, the checkout path by <TREE>,
+  and the line number of `cli.py:<line>` masked, which moves with any
+  edit to cli.py; nothing else is masked.
+
+Each invocation prints `same` or `DIFF` and, for each part that differs,
+its first differing line.  The exit status is 1 on any difference, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ENV = {k: v for k, v in os.environ.items() if k != "REDUCTIONLAB_SEED"}
+ENV["PYTHONDONTWRITEBYTECODE"] = "1"
+
+# every subcommand at small sizes; --workers 1 and 2 where a command takes it
+INVOCATIONS = {
+    "simulate": ["simulate", "--steps", "500"],
+    "simulate-dump-noise": ["simulate", "--steps", "200", "--dump-noise"],
+    "simulate-density": ["simulate", "--steps", "200", "--density"],
+    "born": ["ensemble", "born", "--ntraj", "200", "--workers", "1"],
+    "born-d3-workers2": ["ensemble", "born", "--dim", "3", "--weights", "0.2,0.3,0.5",
+                         "--ntraj", "1100", "--workers", "2", "--seed", "5"],
+    "statdist-d3": ["ensemble", "statdist", "--dim", "3", "--ntraj", "200", "--workers", "2"],
+    "luders": ["ensemble", "luders", "--ntraj", "200", "--workers", "1"],
+    "scaling": ["ensemble", "scaling", "--ntraj", "64", "--workers", "2"],
+    "cluster-check": ["cluster-check", "--instances", "10"],
+    "hartree-compare": ["hartree", "compare", "--ntraj", "4", "--horizon", "0.2",
+                        "--dt", "2e-4", "--workers", "2"],
+    "accretion-occupancy": ["accretion", "occupancy", "--horizon", "2000"],
+    "accretion-coherent": ["accretion", "coherent"],
+    "phenom-t-reduce": ["phenom", "t-reduce", "--delta-e", "8.6e-6eV"],
+    "phenom-accretion": ["phenom", "accretion"],
+    "phenom-table": ["phenom", "table"],
+    "reproduce-paper": ["reproduce-paper"],
+}
+
+
+def run(checkout: Path, argv, out: Path) -> dict:
+    """Exit status, masked stdout and stderr, and every file of one invocation."""
+    proc = subprocess.run([sys.executable, "-m", "reductionlab.cli", *argv, "--out-dir", str(out)],
+                          capture_output=True, text=True, cwd=out.parent,
+                          env={**ENV, "PYTHONPATH": str(checkout / "src")})
+    files = {}
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        data = path.read_bytes()
+        files[path.name] = data if path.suffix == ".csv" else data.replace(
+            str(out).encode(), b"<OUT>")
+    stderr = proc.stderr.replace(str(out), "<OUT>").replace(str(checkout), "<TREE>")
+    return {"exit status": str(proc.returncode), "stdout": proc.stdout.replace(str(out), "<OUT>"),
+            "stderr": re.sub(r"cli\.py:\d+", "cli.py:<line>", stderr), "files": files}
+
+
+def first_difference(name: str, a, b) -> str:
+    """The first differing line of a and b (str or bytes), as text."""
+    if isinstance(a, bytes):
+        a, b = a.decode(errors="replace"), b.decode(errors="replace")
+    la, lb = a.splitlines(), b.splitlines()
+    for k, (x, y) in enumerate(zip(la, lb), 1):
+        if x != y:
+            return f"{name} line {k}:\n  parent: {x}\n  change: {y}"
+    k = min(len(la), len(lb)) + 1
+    if len(la) != len(lb):
+        return f"{name} line {k}: only {'parent' if len(la) > len(lb) else 'change'} has it"
+    return f"{name}: line endings differ"
+
+
+def compare(parent: dict, change: dict) -> list:
+    """The first difference of each part that differs between two invocation
+    records: exit status, stdout, stderr, then each file by name."""
+    diffs = [first_difference(key, parent[key], change[key])
+             for key in ("exit status", "stdout", "stderr") if parent[key] != change[key]]
+    for name in sorted(set(parent["files"]) | set(change["files"])):
+        a, b = parent["files"].get(name), change["files"].get(name)
+        if a is None or b is None:
+            diffs.append(f"{name}: only {'parent' if b is None else 'change'} wrote it")
+        elif a != b:
+            diffs.append(first_difference(name, a, b))
+    return diffs
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cmd in INVOCATIONS.items():
+            rec = {}
+            for side, checkout in sides.items():
+                (Path(tmp) / side).mkdir(exist_ok=True)
+                rec[side] = run(checkout, cmd, Path(tmp) / side / name)
+            diffs = compare(rec["parent"], rec["change"])
+            differ += bool(diffs)
+            print(f"{'DIFF' if diffs else 'same'} {name}: {' '.join(cmd)}", flush=True)
+            for diff in diffs:
+                print("  " + diff.replace("\n", "\n  "), flush=True)
+    print(f"{differ} of {len(INVOCATIONS)} invocations differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,13 +44,13 @@ class Reporter:
     def value(self, name: str, **info) -> None:
         print(f"VALUE name={name} {_details(info)}")
 
-    def bands(self, prefix: str, stats, expected, key: str) -> None:
-        """Check each outcome frequency against its expected probability p,
-        clipped to [0, 1], within 4 binomial standard deviations; key names p
-        in the line."""
-        for lab, f, p in zip(stats.outcome_labels, stats.frequencies, expected):
+    def bands(self, prefix: str, run, key: str) -> None:
+        """Check each outcome frequency of a scenario's run against its expected
+        probability p, clipped to [0, 1], within 4 binomial standard
+        deviations; key names p in the line."""
+        for lab, f, p in zip(run.outcome_labels, run.frequencies, run.expected):
             p = min(max(float(p), 0.0), 1.0)   # a sum of weights can round past 1
-            band = 4.0 * math.sqrt(p * (1 - p) / stats.n_traj)
+            band = 4.0 * math.sqrt(p * (1 - p) / run.n_traj)
             self.check(f"{prefix}[{lab}]", abs(f - p) <= band, freq=f, **{key: p}, band=band)
 
 
@@ -74,6 +74,14 @@ def _dump_config(out_dir: Path, args) -> None:
     cfg_json = json.dumps(cfg, indent=2, sort_keys=True, default=str)
     (out_dir / "config-resolved.json").write_text(cfg_json + "\n", newline="\n")
     print(f"config: {cfg_json}")
+
+
+def _record_dt(out_dir: Path, args, run) -> None:
+    """Without --dt, main leaves the config to the command: write it with the
+    dt the scenario's run took."""
+    if args.dt is None:
+        args.dt = run.dt
+        _dump_config(out_dir, args)
 
 
 def _parse_hamiltonian(spec: str) -> np.ndarray:
@@ -138,14 +146,15 @@ def cmd_ensemble_born(args, rep: Reporter, out: Path) -> None:
         raise SystemExit("need one weight per energy")
     h = np.diag(np.array(energies, float)).astype(complex)
     chi0 = np.sqrt(w / w.sum()).astype(complex)
-    st = reduction.born_statistics(h, chi0, args.sigma, args.ntraj, args.seed,
-                                   dt=args.dt, workers=args.workers)
-    st.outcome_csv(out / "born-frequencies.csv")
-    rep.bands("born", st, st.expected, "born_weight")
-    counts = np.round(st.frequencies * (st.n_traj - st.n_unreduced))
-    pos = st.expected > 0   # the test runs over the outcomes that can occur
+    run = reduction.born_statistics(h, chi0, args.sigma, args.ntraj, args.seed,
+                                    dt=args.dt, workers=args.workers)
+    _record_dt(out, args, run)
+    run.outcome_csv(out / "born-frequencies.csv")
+    rep.bands("born", run, "born_weight")
+    counts = np.bincount(run.outcomes[run.outcomes >= 0], minlength=len(run.groups))
+    pos = run.expected > 0   # the test runs over the outcomes that can occur
     if pos.sum() > 1:
-        expected = st.expected[pos] * counts[pos].sum()
+        expected = run.expected[pos] * counts[pos].sum()
         pval = _chi2_pvalue(((counts[pos] - expected) ** 2 / expected).sum(),
                             int(pos.sum()) - 1)
     else:   # one possible outcome: every count must land in it
@@ -160,11 +169,12 @@ def cmd_ensemble_statdist(args, rep: Reporter, out: Path) -> None:
     report = reduction.statdist_martingale_run(
         h, args.beta, args.sigma, args.ntraj, args.seed,
         dt=args.dt, workers=args.workers)
+    _record_dt(out, args, report.stats)
     report.stats.outcome_csv(out / "statdist-frequencies.csv")
     report.stats.series_csv(out / "statdist-series.csv")
     rep.check("statdist-mean", report.mean_dev_ratio <= 1.0,
               sup_dev=report.sup_mean_deviation, allowed=report.sup_allowed)
-    rep.bands("statdist", report.stats, report.gibbs_weights, "gibbs")
+    rep.bands("statdist", report.stats, "gibbs")
 
 
 def cmd_ensemble_luders(args, rep: Reporter, out: Path) -> None:
@@ -176,8 +186,9 @@ def cmd_ensemble_luders(args, rep: Reporter, out: Path) -> None:
     rp = reduction.luders_scenario(alpha, bamp, mw / mw.sum(), me,
                                    args.sigma, args.ntraj, args.seed,
                                    dt=args.dt, workers=args.workers)
+    _record_dt(out, args, rp.stats)
     rp.stats.outcome_csv(out / "luders-frequencies.csv")
-    rep.bands("luders", rp.stats, rp.expected, "expected")
+    rep.bands("luders", rp.stats, "expected")
     rep.check("luders-fidelity", rp.transmission_fidelity_min >= 0.99,
               min_fidelity=rp.transmission_fidelity_min)
     rep.check("luders-phase", rp.phase_error_max <= 1e-2,
@@ -507,11 +518,15 @@ def main(argv=None) -> int:
     out = _resolve_out_dir(args, args.subname)
     try:
         getattr(args, "resolve", lambda _: None)(args)   # defaults worked out from other flags
-        _dump_config(out, args)
+        if getattr(args, "dt", 0.0) is not None:   # else the scenario derives it: _record_dt
+            _dump_config(out, args)
         args.func(args, rep, out)
     except (ValueError, RuntimeError) as exc:
         print(f"ERROR module={args.subname} detail={exc}", file=sys.stderr)
         return 2
+    finally:
+        if getattr(args, "dt", 0.0) is None:   # the command stopped before its run took a dt
+            _dump_config(out, args)
     print(f"artifacts: {out}")
     return 0 if rep.failures == 0 else 1
 

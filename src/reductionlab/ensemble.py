@@ -89,6 +89,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dynamics import check_sigma_dt
+from .linalg import write_csv
 from .noise import trajectory_generator
 
 __all__ = ["EnsembleRun", "run_ensemble"]
@@ -105,7 +106,9 @@ NORM_TOL = 1e-8
 
 @dataclass
 class EnsembleRun:
-    """Aggregated result of an ensemble integration."""
+    """Aggregated result of an ensemble integration, and the result of every
+    ensemble scenario of `reduction`, which also names each outcome group in
+    outcome_labels and gives its expected probability in expected."""
 
     n_traj: int
     dt: float
@@ -122,16 +125,43 @@ class EnsembleRun:
     outcomes: np.ndarray | None = None
     reduction_times: np.ndarray | None = None
     final_states: np.ndarray | None = None
+    outcome_labels: list | None = None
+    expected: np.ndarray | None = None
 
     @property
     def n_unreduced(self) -> int:
         return int(np.sum(self.outcomes < 0))
 
-    def outcome_frequencies(self) -> np.ndarray:
+    @property
+    def frequencies(self) -> np.ndarray:
+        """Each group's share of the reduced trajectories (all 0 when none reduced)."""
         ok = self.outcomes >= 0
         if not ok.any():
             return np.zeros(len(self.groups))
         return np.bincount(self.outcomes[ok], minlength=len(self.groups)) / ok.sum()
+
+    @property
+    def ci_lo(self) -> np.ndarray:
+        return self._binomial_ci()[0]
+
+    @property
+    def ci_hi(self) -> np.ndarray:
+        return self._binomial_ci()[1]
+
+    def _binomial_ci(self):
+        """The frequencies ± 4 binomial standard deviations over the reduced
+        trajectories, clipped to [0, 1]."""
+        freq = self.frequencies
+        half = 4.0 * np.sqrt(np.maximum(freq * (1 - freq), 0.0)
+                             / max(self.n_traj - self.n_unreduced, 1))
+        return np.clip(freq - half, 0, 1), np.clip(freq + half, 0, 1)
+
+    def outcome_csv(self, path) -> None:
+        write_csv(path, "outcome,frequency,ci_lo,ci_hi",
+                  zip(self.outcome_labels, self.frequencies, self.ci_lo, self.ci_hi))
+
+    def series_csv(self, path) -> None:
+        write_csv(path, "t,EV,EV_sem,EV2", zip(self.times, self.mean_v, self.sem_v, self.mean_v2))
 
 
 def _colsum(x):

@@ -16,11 +16,10 @@ import numpy as np
 
 from . import ensemble
 from .dynamics import check_stability, default_dt
-from .linalg import DensityMatrix, as_matrix, as_vector, eig_hermitian, write_csv
+from .linalg import DensityMatrix, as_matrix, as_vector, eig_hermitian
 
 __all__ = [
     "gibbs_state",
-    "EnsembleStats",
     "ReductionBudgetError",
     "born_statistics",
     "DecayFit",
@@ -47,59 +46,15 @@ def gibbs_state(h, beta: float) -> DensityMatrix:
     return DensityMatrix((u * w) @ u.conj().T, purity_tag="mixed")
 
 
-@dataclass
-class EnsembleStats:
-    """Outcome frequencies with binomial confidence intervals plus the
-    recorded E[V], E[V²] series and per-trajectory first-passage times."""
-
-    n_traj: int
-    outcome_labels: list
-    frequencies: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-    expected: np.ndarray | None = None
-    times: np.ndarray | None = None
-    e_v: np.ndarray | None = None
-    e_v_sem: np.ndarray | None = None
-    e_v2: np.ndarray | None = None
-    reduction_times: np.ndarray | None = None
-    n_unreduced: int = 0
-
-    def outcome_csv(self, path) -> None:
-        write_csv(path, "outcome,frequency,ci_lo,ci_hi",
-                  zip(self.outcome_labels, self.frequencies, self.ci_lo, self.ci_hi))
-
-    def series_csv(self, path) -> None:
-        write_csv(path, "t,EV,EV_sem,EV2",
-                  zip(self.times, self.e_v, self.e_v_sem, self.e_v2))
-
-
-def _binomial_ci(freq: np.ndarray, n: int):
-    half = 4.0 * np.sqrt(np.maximum(freq * (1 - freq), 0.0) / n)
-    return np.clip(freq - half, 0, 1), np.clip(freq + half, 0, 1)
-
-
-def _stats_from_run(run: ensemble.EnsembleRun, labels, expected=None) -> EnsembleStats:
-    freq = run.outcome_frequencies()
-    lo, hi = _binomial_ci(freq, max(run.n_traj - run.n_unreduced, 1))
-    return EnsembleStats(
-        n_traj=run.n_traj,
-        outcome_labels=list(labels),
-        frequencies=freq,
-        ci_lo=lo,
-        ci_hi=hi,
-        expected=None if expected is None else np.asarray(expected, float),
-        times=run.times,
-        e_v=run.mean_v,
-        e_v_sem=run.sem_v,
-        e_v2=run.mean_v2,
-        reduction_times=run.reduction_times,
-        n_unreduced=run.n_unreduced,
-    )
+def _energy_classes(spec):
+    """The outcome classes of a scenario on H's spectrum, as keywords of
+    _run_scenario: its degeneracy groups, each labelled by its energy."""
+    return {"groups": spec.degeneracy_groups,
+            "labels": [f"E={eg:.6g}" for eg in spec.group_energies()]}
 
 
 def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_fraction,
-                  workers, groups=None, labels=(), expected=None, horizon=0.0,
+                  workers, groups=None, labels=None, expected=None, horizon=0.0,
                   record_stride=0, stall=None):
     """What every scenario shares, for energies e and, in their eigenbasis,
     amplitudes or a density matrix `state`: ΔE over the occupied levels
@@ -107,9 +62,10 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     stability and σ = 0 checks before the first step, the ensemble run to
     reduction after a recorded horizon (None: 20/(σ²ΔE²), which covers the
     bulk of the reduction, stragglers retiring afterwards; 0 when σ·ΔE = 0,
-    where nothing evolves), the outcome tally, and the budget check, whose
-    message ends in `stall` when given.  workers=None runs on every CPU, as
-    the CLI does.  Returns the run and its EnsembleStats."""
+    where nothing evolves), and the budget check, whose message ends in
+    `stall` when given.  workers=None runs on every CPU, as the CLI does.
+    Returns the run, its outcome groups named by labels and their expected
+    probabilities in expected."""
     workers = ensemble._workers(workers)
     pop = np.real(np.diag(state)) if state.ndim == 2 else np.abs(state) ** 2
     occupied = e[pop != 0]   # a zero population stays exactly 0 in the ensemble kernels
@@ -123,22 +79,23 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     run = ensemble.run_ensemble(e, state, sigma, dt, base_seed, n_traj, groups=groups,
                                 horizon_steps=max(record_stride, int(round(horizon / dt))),
                                 record_stride=record_stride, max_steps=max_steps, workers=workers)
-    stats = _stats_from_run(run, labels, expected)
-    if stats.n_unreduced > budget_fraction * n_traj:
-        raise ReductionBudgetError(f"{stats.n_unreduced}/{n_traj} trajectories unreduced "
+    run.outcome_labels, run.expected = labels, expected
+    if run.n_unreduced > budget_fraction * n_traj:
+        raise ReductionBudgetError(f"{run.n_unreduced}/{n_traj} trajectories unreduced "
                                    + (stall or f"after {max_steps} steps"))
-    return run, stats
+    return run
 
 
 def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
                     dt: float | None = None, max_steps: int = 10_000_000,
                     budget_fraction: float = 0.01,
-                    workers: int | None = None) -> EnsembleStats:
+                    workers: int | None = None) -> ensemble.EnsembleRun:
     """Run state-vector trajectories to reduction and tally the outcomes.
 
     Endpoints are classified by the dominant eigenvalue (or degenerate
-    group) population; frequencies come back with 4-sigma binomial
-    intervals.  Raises ReductionBudgetError when more than
+    group) population; the run's frequencies come with 4-sigma binomial
+    intervals, and its expected probabilities are the groups' initial
+    weights.  Raises ReductionBudgetError when more than
     budget_fraction of the trajectories fail to reduce in max_steps,
     StabilityError when σ²ΔE²dt exceeds the hard bound, and ValueError, before
     the first step, when σ = 0 and V(0) > 0.
@@ -149,8 +106,8 @@ def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
         [sum(abs(c0[i]) ** 2 for i in g) for g in spec.degeneracy_groups])
     return _run_scenario(
         spec.eigenvalues, c0, sigma, n_traj, base_seed, dt=dt, max_steps=max_steps,
-        budget_fraction=budget_fraction, workers=workers, groups=spec.degeneracy_groups,
-        labels=[f"E={eg:.6g}" for eg in spec.group_energies()], expected=weights)[1]
+        budget_fraction=budget_fraction, workers=workers, expected=weights,
+        **_energy_classes(spec))
 
 
 @dataclass
@@ -165,17 +122,17 @@ class DecayFit:
         return (self.slope - 1.96 * self.stderr, self.slope + 1.96 * self.stderr)
 
 
-def variance_decay_check(stats: EnsembleStats, sigma: float) -> DecayFit:
-    """Fit the decay law on a recorded ensemble series.
+def variance_decay_check(run: ensemble.EnsembleRun, sigma: float) -> DecayFit:
+    """Fit the decay law on the recorded series of an ensemble run.
 
     Uses centered finite differences of E[V] on the record grid versus the
     grid-midpoint average of −σ²E[V²]; the law predicts slope 1.
     """
-    if stats.n_traj < 100:
+    if run.n_traj < 100:
         raise ValueError("need at least 100 trajectories for a stable estimate")
-    if stats.times is None or stats.e_v is None:
-        raise ValueError("stats carry no recorded E[V] series")
-    t, ev, ev2 = stats.times, stats.e_v, stats.e_v2
+    if run.times is None or run.mean_v is None:
+        raise ValueError("the run recorded no E[V] series")
+    t, ev, ev2 = run.times, run.mean_v, run.mean_v2
     y = np.diff(ev) / np.diff(t)
     x = -(sigma**2) * 0.5 * (ev2[1:] + ev2[:-1])
     if not np.any(x != 0):
@@ -191,7 +148,7 @@ def variance_decay_check(stats: EnsembleStats, sigma: float) -> DecayFit:
 class StatdistReport:
     """Result of an equilibrium-martingale ensemble run."""
 
-    stats: EnsembleStats
+    stats: ensemble.EnsembleRun
     gibbs_weights: np.ndarray          # per degeneracy group
     sup_mean_deviation: float          # sup_t ‖mean ρ(t) − f(H)‖_F
     sup_allowed: float                 # 5 × max Frobenius SEM over the grid
@@ -218,11 +175,10 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
     w = np.exp(-beta * (e - e.min()))
     w /= w.sum()
     gw = np.array([w[list(g)].sum() for g in spec.degeneracy_groups])
-    run, stats = _run_scenario(
+    run = _run_scenario(
         e, np.diag(w).astype(complex), sigma, n_traj, base_seed, dt=dt, max_steps=max_steps,
-        budget_fraction=budget_fraction, workers=workers, groups=spec.degeneracy_groups,
-        labels=[f"E={eg:.6g}" for eg in spec.group_energies()], expected=gw,
-        horizon=horizon, record_stride=record_stride)
+        budget_fraction=budget_fraction, workers=workers, expected=gw, horizon=horizon,
+        record_stride=record_stride, **_energy_classes(spec))
 
     target = np.diag(w)
     dev = np.linalg.norm(run.mean_rho - target[None], axis=(1, 2))
@@ -240,7 +196,7 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
         else:
             splits.append(np.zeros(len(g)))
     return StatdistReport(
-        stats=stats,
+        stats=run,
         gibbs_weights=gw,
         sup_mean_deviation=float(dev.max()),
         sup_allowed=float(allowed.max()),
@@ -253,8 +209,7 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
 class LudersReport:
     """Outcome statistics for the partial-measurement scenario."""
 
-    stats: EnsembleStats
-    expected: np.ndarray
+    stats: ensemble.EnsembleRun
     transmission_fidelity_min: float
     phase_error_max: float
 
@@ -289,7 +244,7 @@ def luders_scenario(alpha: complex, branch_amplitudes, measured_weights,
     e = np.concatenate([np.zeros(nb), me])
     c0 = np.concatenate([alpha * bamp, beta * np.sqrt(mw)])
     expected = np.concatenate([[abs(alpha) ** 2], beta**2 * mw])
-    run, stats = _run_scenario(
+    run = _run_scenario(
         e, c0, sigma, n_traj, base_seed, dt=dt, max_steps=max_steps,
         budget_fraction=budget_fraction, workers=workers,
         groups=(tuple(range(nb)),) + tuple((nb + i,) for i in range(nm)),
@@ -310,8 +265,7 @@ def luders_scenario(alpha: complex, branch_amplitudes, measured_weights,
             phase_err = 0.0
     else:
         fmin, phase_err = 0.0, float("nan")
-    return LudersReport(stats=stats, expected=expected, transmission_fidelity_min=fmin,
-                        phase_error_max=phase_err)
+    return LudersReport(stats=run, transmission_fidelity_min=fmin, phase_error_max=phase_err)
 
 
 @dataclass
@@ -357,10 +311,10 @@ def reduction_time_scaling(de_values, sigma_values, *, sigma_ref: float = 1.0,
         """(median reduction time, unreduced count) of scan points lo..hi−1."""
         out = []
         for s, de, seed in scan[lo:hi]:
-            _, stats = _run_scenario(np.array([0.0, de]), np.sqrt(np.array([0.5, 0.5], complex)),
-                                     s, n_traj, seed, dt=None, max_steps=max_steps,
-                                     budget_fraction=1.0, workers=1)
-            out.append((float(np.nanmedian(stats.reduction_times)), stats.n_unreduced))
+            run = _run_scenario(np.array([0.0, de]), np.sqrt(np.array([0.5, 0.5], complex)),
+                                s, n_traj, seed, dt=None, max_steps=max_steps,
+                                budget_fraction=1.0, workers=1)
+            out.append((float(np.nanmedian(run.reduction_times)), run.n_unreduced))
         return out
 
     spans = ensemble._split(len(scan), min(workers, len(scan)))

@@ -4,13 +4,13 @@ With ``--digest PATH`` the session wraps the entry points that perfbench's
 tracer wraps (every public function of `reduction`, `ensemble.run_*_ensemble`
 and `composite.hartree_vs_full`) and writes one line per call made in the
 pytest process: the test id, the entry point, and a sha256 of every ndarray
-in its result (fields of dataclasses, nested ones included; float fields are
-written exactly, as float.hex).  Calls made in forked workers are not
-written.  Run the same tests in two trees and `diff` the two files to see
-whether their results are byte-identical.  Without the option nothing is
-wrapped.  Each wrapper runs with globals named inside the package, so that
-`dynamics.check_stability`, which warns at the first caller outside the
-package, passes over it to the test.
+in its result (fields and properties of dataclasses, nested ones included;
+float values are written exactly, as float.hex).  Calls made in forked
+workers are not written.  Run the same tests in two trees and `diff` the two
+files to see whether their results are byte-identical.  Without the option
+nothing is wrapped.  Each wrapper runs with globals named inside the package,
+so that `dynamics.check_stability`, which warns at the first caller outside
+the package, passes over it to the test.
 """
 
 import dataclasses
@@ -42,7 +42,7 @@ def _entry_points():
 
 def _fields(value, name=""):
     """(name, digest) of every ndarray and float in value, through dataclass
-    fields, lists and tuples."""
+    fields and properties, lists and tuples."""
     if isinstance(value, np.ndarray):
         h = hashlib.sha256(f"{value.dtype} {value.shape} ".encode())
         h.update(repr(value.tolist()).encode() if value.dtype == object
@@ -51,8 +51,10 @@ def _fields(value, name=""):
     elif isinstance(value, float):
         yield name, value.hex()
     elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _fields(getattr(value, f.name), f"{name}.{f.name}".lstrip("."))
+        names = [f.name for f in dataclasses.fields(value)]
+        names += [k for k, _ in inspect.getmembers(type(value), lambda a: isinstance(a, property))]
+        for k in names:
+            yield from _fields(getattr(value, k), f"{name}.{k}".lstrip("."))
     elif isinstance(value, (list, tuple)):
         for k, v in enumerate(value):
             yield from _fields(v, f"{name}[{k}]")

@@ -113,11 +113,7 @@ def test_criterion_09_variance_decay_law():
         np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
         sigma=1.0, dt=1e-3, base_seed=909, n_traj=10_000,
         horizon_steps=2000, record_stride=40, stop_on_reduction=False)
-    stats = reduction.EnsembleStats(
-        n_traj=run.n_traj, outcome_labels=[], frequencies=np.array([]),
-        ci_lo=np.array([]), ci_hi=np.array([]), times=run.times,
-        e_v=run.mean_v, e_v_sem=run.sem_v, e_v2=run.mean_v2)
-    fit = reduction.variance_decay_check(stats, sigma=1.0)
+    fit = reduction.variance_decay_check(run, sigma=1.0)
     monotone = np.all(np.diff(run.mean_v) <= 5.0 * (run.sem_v[1:] + run.sem_v[:-1]))
     ok = abs(fit.slope - 1.0) <= 0.1 and bool(monotone)
     _report("09-variance-decay", ok,
@@ -194,12 +190,12 @@ def test_criterion_13_luders_scenario():
                                     base_seed=1313, dt=5e-4)
     freq_ok = all(
         abs(f - p) <= 4.0 * math.sqrt(p * (1 - p) / rep.stats.n_traj)
-        for f, p in zip(rep.stats.frequencies, rep.expected))
+        for f, p in zip(rep.stats.frequencies, rep.stats.expected))
     ok = (freq_ok and rep.transmission_fidelity_min >= 0.99
           and rep.phase_error_max <= 1e-2)
     _report("13-luders", ok,
             f"freqs={np.round(rep.stats.frequencies, 4).tolist()} vs "
-            f"{np.round(rep.expected, 4).tolist()}, "
+            f"{np.round(rep.stats.expected, 4).tolist()}, "
             f"min fidelity={rep.transmission_fidelity_min:.5f}, "
             f"phase err={rep.phase_error_max:.2e} rad")
 

@@ -15,8 +15,8 @@ import pytest
 from reductionlab import phenomenology as ph
 from reductionlab.composite import HartreeReport
 from reductionlab.dynamics import Trajectory
+from reductionlab.ensemble import EnsembleRun
 from reductionlab.noise import NoisePath
-from reductionlab.reduction import EnsembleStats
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reductionlab"
 WRITERS = ("linalg.py", "cli.py")
@@ -43,22 +43,22 @@ def _noise(n):
     return NoisePath(seed=0, dt=1e-3, increments=inc).to_csv, "step,dW", list(enumerate(inc))
 
 
-def _stats(n):
-    cols = [_floats(n, s) for s in range(5, 12)]
-    labels = [f"E={k}" for k in range(n)]
-    return EnsembleStats(n_traj=n, outcome_labels=labels, frequencies=cols[0],
-                         ci_lo=cols[1], ci_hi=cols[2], times=cols[3], e_v=cols[4],
-                         e_v_sem=cols[5], e_v2=cols[6]), labels, cols
-
-
 def _outcomes(n):
-    st, labels, cols = _stats(n)
-    return st.outcome_csv, "outcome,frequency,ci_lo,ci_hi", list(zip(labels, *cols[:3]))
+    # n outcome groups over 7n trajectories, a few unreduced: the frequencies
+    # and their bands are derived from the outcomes
+    outcomes = np.random.default_rng(5).integers(-1, n, 7 * n)
+    run = EnsembleRun(n_traj=7 * n, dt=1e-3, energies=np.arange(n, dtype=float),
+                      groups=tuple((k,) for k in range(n)), outcomes=outcomes,
+                      outcome_labels=[f"E={k}" for k in range(n)])
+    return run.outcome_csv, "outcome,frequency,ci_lo,ci_hi", list(
+        zip(run.outcome_labels, run.frequencies, run.ci_lo, run.ci_hi))
 
 
 def _series(n):
-    st, _, cols = _stats(n)
-    return st.series_csv, "t,EV,EV_sem,EV2", list(zip(*cols[3:]))
+    cols = [_floats(n, s) for s in range(8, 12)]
+    run = EnsembleRun(n_traj=n, dt=1e-3, energies=np.zeros(1), groups=((0,),), times=cols[0],
+                      mean_v=cols[1], sem_v=cols[2], mean_v2=cols[3])
+    return run.series_csv, "t,EV,EV_sem,EV2", list(zip(*cols))
 
 
 def _hartree(n):

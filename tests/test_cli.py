@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from reductionlab import composite, dynamics, phenomenology as ph, reduction
+from reductionlab import composite, dynamics, ensemble, phenomenology as ph, reduction
 from reductionlab.cli import _merge_bins, _resolve_hartree, main
 
 
@@ -266,15 +266,44 @@ def test_born_over_zero_weights_or_one_group_passes(extra, tmp_path, capsys):
 
 
 def test_born_count_in_a_zero_weight_outcome_fails(tmp_path, capsys, monkeypatch):
-    st = reduction.EnsembleStats(n_traj=100, outcome_labels=["E=0", "E=1"],
-                                 frequencies=np.array([0.99, 0.01]), ci_lo=np.zeros(2),
-                                 ci_hi=np.ones(2), expected=np.array([1.0, 0.0]))
-    monkeypatch.setattr(reduction, "born_statistics", lambda *a, **k: st)
+    run = ensemble.EnsembleRun(n_traj=100, dt=1e-3, energies=np.array([0.0, 1.0]),
+                               groups=((0,), (1,)), outcomes=np.array([0] * 99 + [1]),
+                               outcome_labels=["E=0", "E=1"], expected=np.array([1.0, 0.0]))
+    monkeypatch.setattr(reduction, "born_statistics", lambda *a, **k: run)
     assert run_cli(["ensemble", "born", "--weights", "1,0", "--workers", "1",
                     "--out-dir", str(tmp_path / "b")]) == 1
     out = capsys.readouterr().out
     assert "check=born-chi2 status=FAIL p_value=0" in out
     assert "check=born[E=1] status=FAIL" in out
+
+
+@pytest.mark.parametrize("command, csv", [(["born"], "born-frequencies.csv"),
+                                          (["statdist", "--dim", "3"], "statdist-series.csv"),
+                                          (["luders"], "luders-frequencies.csv")],
+                         ids=["born", "statdist", "luders"])
+def test_ensemble_records_the_dt_its_run_took(command, csv, tmp_path, capsys):
+    # without --dt the scenario derives the step; the config records it, and a
+    # rerun from that config takes the same step and writes the same bytes
+    argv = ["ensemble"] + command + ["--ntraj", "50", "--workers", "1"]
+    assert run_cli(argv + ["--out-dir", str(tmp_path / "a")]) == 0
+    config = tmp_path / "a" / "config-resolved.json"
+    resolved = json.loads(config.read_text())
+    assert resolved["dt"] is not None and resolved["dt"] > 0
+    assert capsys.readouterr().out.count(f'"dt": {resolved["dt"]!r}') == 1
+    assert run_cli(["ensemble", command[0], "--config", str(config),
+                    "--out-dir", str(tmp_path / "b")]) == 0
+    again = json.loads((tmp_path / "b" / "config-resolved.json").read_text())
+    assert again == {**resolved, "out_dir": str(tmp_path / "b")}
+    assert (tmp_path / "b" / csv).read_bytes() == (tmp_path / "a" / csv).read_bytes()
+
+
+def test_ensemble_run_that_fails_still_writes_its_config(tmp_path, capsys):
+    # the command stops before its run takes a dt: the config keeps dt null, as given
+    assert run_cli(["ensemble", "luders", "--energies", "1.0,1.0", "--ntraj", "10",
+                    "--out-dir", str(tmp_path / "x")]) == 2
+    resolved = json.loads((tmp_path / "x" / "config-resolved.json").read_text())
+    assert resolved["dt"] is None and resolved["energies"] == "1.0,1.0"
+    assert capsys.readouterr().out.startswith("config: {")
 
 
 @pytest.mark.parametrize("config", [{"dt": "0.001"}, {"ntraj": "64"}], ids=["dt", "ntraj"])

@@ -8,7 +8,6 @@ from reductionlab import ensemble, reduction
 from reductionlab.dynamics import StabilityError
 from reductionlab.linalg import random_hermitian
 from reductionlab.reduction import (
-    EnsembleStats,
     born_statistics,
     gibbs_state,
     luders_scenario,
@@ -60,26 +59,21 @@ def test_born_nontrivial_basis(rng):
 
 
 def test_decay_check_requires_trajectories():
-    stats = EnsembleStats(n_traj=50, outcome_labels=[], frequencies=np.array([]),
-                          ci_lo=np.array([]), ci_hi=np.array([]))
-    with pytest.raises(ValueError):
-        variance_decay_check(stats, sigma=1.0)
+    run = ensemble.run_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
+                                sigma=1.0, dt=1e-3, base_seed=0, n_traj=50,
+                                horizon_steps=100, record_stride=50, stop_on_reduction=False)
+    with pytest.raises(ValueError, match="at least 100 trajectories"):
+        variance_decay_check(run, sigma=1.0)
 
 
 def test_decay_sigma_zero_trivial():
-    from reductionlab.ensemble import run_ensemble
-
-    run = run_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
-                       sigma=0.0, dt=1e-3, base_seed=0, n_traj=200,
-                       horizon_steps=400, record_stride=100,
-                       stop_on_reduction=False)
-    stats = EnsembleStats(n_traj=200, outcome_labels=[], frequencies=np.array([]),
-                          ci_lo=np.array([]), ci_hi=np.array([]),
-                          times=run.times, e_v=run.mean_v,
-                          e_v_sem=run.sem_v, e_v2=run.mean_v2)
+    run = ensemble.run_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
+                                sigma=0.0, dt=1e-3, base_seed=0, n_traj=200,
+                                horizon_steps=400, record_stride=100,
+                                stop_on_reduction=False)
     # deterministic Euler drift of the populations is O(dt²) per step
     assert np.abs(np.diff(run.mean_v)).max() < 1e-4
-    fit = variance_decay_check(stats, sigma=0.0)
+    fit = variance_decay_check(run, sigma=0.0)
     assert fit.slope == 0.0
 
 
@@ -239,6 +233,22 @@ def test_statdist_default_horizon_is_zero_when_nothing_evolves(h, beta, sigma, d
 def test_born_statistics_rejects_a_bad_worker_count(workers):
     with pytest.raises(ValueError, match="workers must be None or an integer >= 1"):
         born_statistics(np.diag([0.0, 1.0]), np.sqrt([0.3, 0.7]), 1.0, 16, 0, workers=workers)
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda: born_statistics(np.diag([0.0, 1.0, 2.0]), np.sqrt([0.2, 0.5, 0.3]), 1.0, 200, 31),
+    lambda: statdist_martingale_run(np.diag([0.0, 1.0, 1.0]), 0.5, 1.0, 200, 32).stats,
+    lambda: luders_scenario(0.6, [1.0, 1.0], [0.5, 0.5], [1.0, 2.0], 1.0, 200, 33).stats,
+], ids=["born", "statdist", "luders"])
+def test_scenario_frequencies_tally_its_outcomes(scenario):
+    # the run a scenario returns is the one it tallied: each group's count of
+    # reduced outcomes is its frequency times the reduced count
+    run = scenario()
+    reduced = run.outcomes[run.outcomes >= 0]
+    assert reduced.size == run.n_traj - run.n_unreduced
+    counts = np.bincount(reduced, minlength=len(run.groups))
+    assert counts.tolist() == np.round(run.frequencies * reduced.size).tolist()
+    assert len(run.outcome_labels) == len(run.expected) == len(run.groups)
 
 
 @pytest.mark.parametrize("scenario", [
