@@ -1,4 +1,4 @@
-"""Compare what the CLI writes in two checkouts.
+"""Compare what the CLI writes, and what the test suite digests, in two checkouts.
 
     python3 bench/parity.py --parent DIR --change DIR
 
@@ -16,7 +16,19 @@ out-dir of its own.  For each invocation the two sides must agree on:
   edit to cli.py; nothing else is masked.
 
 Each invocation prints `same` or `DIFF` and, for each part that differs,
-its first differing line.  The exit status is 1 on any difference, else 0.
+its first differing line.
+
+Then `pytest tests -q -p no:cacheprovider --digest FILE` runs in each
+checkout, with the same environment, and the two digest files are compared
+line by line within each (test id, entry point): every parent line must
+reappear in the change's file.  Each parent line that does not is printed,
+as `changed` beside the change's unmatched line of the same test and entry
+point, or else as `missing`; the change's unmatched lines are counted as
+added (new tests, and calls made in forked workers, which the change's
+tests/conftest.py may digest where the parent's did not).  The pytest exit
+statuses are compared too.
+
+The exit status is 1 on any difference, else 0.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ENV = {k: v for k, v in os.environ.items() if k != "REDUCTIONLAB_SEED"}
@@ -98,6 +111,38 @@ def compare(parent: dict, change: dict) -> list:
     return diffs
 
 
+def digest(checkout: Path, path: Path) -> tuple:
+    """The pytest exit status, its last output line, and the digest lines of the
+    checkout's test suite."""
+    proc = subprocess.run([sys.executable, "-m", "pytest", "tests", "-q", "-p", "no:cacheprovider",
+                           "--digest", str(path)], capture_output=True, text=True, cwd=checkout,
+                          env={**ENV, "PYTHONPATH": str(checkout / "src")})
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    lines = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    return proc.returncode, last, lines
+
+
+def compare_digests(parent: list, change: list) -> tuple:
+    """Each parent digest line that the change lacks, as (kind, parent line,
+    change line or None), and the count of the change's added lines.  Lines
+    are matched within one (test id, entry point), whatever their order."""
+    def grouped(lines):
+        out = defaultdict(list)
+        for line in lines:
+            test, label = line.split(" ", 2)[:2]
+            out[test, label].append(line)
+        return out
+
+    theirs, diffs, added = grouped(change), [], 0
+    for key, mine in grouped(parent).items():
+        a, b = Counter(mine), Counter(theirs.pop(key, []))
+        lost, new = list((a - b).elements()), list((b - a).elements())
+        diffs += [("changed", line, new[k]) if k < len(new) else ("missing", line, None)
+                  for k, line in enumerate(lost)]
+        added += max(len(new) - len(lost), 0)
+    return diffs, added + sum(map(len, theirs.values()))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -116,8 +161,17 @@ def main(argv=None) -> int:
             print(f"{'DIFF' if diffs else 'same'} {name}: {' '.join(cmd)}", flush=True)
             for diff in diffs:
                 print("  " + diff.replace("\n", "\n  "), flush=True)
-    print(f"{differ} of {len(INVOCATIONS)} invocations differ")
-    return 1 if differ else 0
+        print(f"{differ} of {len(INVOCATIONS)} invocations differ", flush=True)
+        runs = {side: digest(checkout, Path(tmp) / f"{side}.digest")
+                for side, checkout in sides.items()}
+    for side, (status, last, lines) in runs.items():
+        print(f"pytest {side}: exit status {status}, {len(lines)} digest lines: {last}")
+    diffs, added = compare_digests(runs["parent"][2], runs["change"][2])
+    for kind, line, theirs in diffs:
+        print(f"{kind}: {line}" + (f"\n  change: {theirs}" if theirs else ""))
+    print(f"digest: {len(diffs)} parent lines missing or changed, {added} lines added")
+    statuses = runs["parent"][0] != runs["change"][0]
+    return 1 if differ or diffs or statuses else 0
 
 
 if __name__ == "__main__":

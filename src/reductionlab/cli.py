@@ -89,7 +89,7 @@ def _parse_hamiltonian(spec: str) -> np.ndarray:
         return np.diag([float(x) for x in spec[5:].split(",")]).astype(complex)
     m = load_array(spec)
     if m.ndim != 2:
-        raise SystemExit(f"{spec} does not hold a matrix")
+        raise ValueError(f"{spec} does not hold a matrix")
     return m
 
 
@@ -97,7 +97,7 @@ def _parse_state(spec: str) -> np.ndarray:
     if spec.startswith("weights:"):
         w = np.array([float(x) for x in spec[8:].split(",")])
         if abs(w.sum() - 1.0) > 1e-9:
-            raise SystemExit("weights must sum to 1")
+            raise ValueError("weights must sum to 1")
         return np.sqrt(w).astype(complex)
     if spec.startswith("amps:"):
         pairs = [p.split("/") for p in spec[5:].split(",")]
@@ -105,7 +105,7 @@ def _parse_state(spec: str) -> np.ndarray:
         return v / np.linalg.norm(v)
     v = load_array(spec)
     if v.ndim != 1:
-        raise SystemExit(f"{spec} does not hold a vector")
+        raise ValueError(f"{spec} does not hold a vector")
     return v
 
 
@@ -115,7 +115,7 @@ def _parse_quantity(text: str) -> ph.Quantity:
     m = re.fullmatch(
         r"\s*([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z0-9/*]*)\s*", text)
     if not m:
-        raise SystemExit(f"cannot parse quantity {text!r}")
+        raise ValueError(f"cannot parse quantity {text!r}")
     return ph.qty(float(m.group(1)), m.group(2))
 
 
@@ -143,7 +143,7 @@ def cmd_ensemble_born(args, rep: Reporter, out: Path) -> None:
                 else list(range(args.dim)))
     w = np.array([float(x) for x in args.weights.split(",")])
     if len(w) != len(energies):
-        raise SystemExit("need one weight per energy")
+        raise ValueError("need one weight per energy")
     h = np.diag(np.array(energies, float)).astype(complex)
     chi0 = np.sqrt(w / w.sum()).astype(complex)
     run = reduction.born_statistics(h, chi0, args.sigma, args.ntraj, args.seed,
@@ -260,7 +260,10 @@ def cmd_accretion_occupancy(args, rep: Reporter, out: Path) -> None:
     n = np.arange(len(res.histogram))
     expected = accretion.stationary_binomial_pmf(model, n) * res.samples.size
     obs, exp = _merge_bins(res.histogram, expected)
-    pval = _chi2_pvalue(float(((obs - exp) ** 2 / exp).sum()), max(len(obs) - 1, 1))
+    if len(obs) < 2:
+        raise ValueError(f"the chi-squared test needs two bins of 5 expected counts; "
+                         f"{res.samples.size} samples fill {len(obs)}; raise --horizon")
+    pval = _chi2_pvalue(float(((obs - exp) ** 2 / exp).sum()), len(obs) - 1)
     rep.check("occupancy-binomial", pval > 1e-3, p_value=pval,
               mean=res.mean, expected_mean=model.mean_occupancy)
     rep.value("occupancy-rms", sampled=res.std,

@@ -56,10 +56,13 @@ every trajectory keeps evolving (so recorded ensemble means are unbiased),
 followed, when stop_on_reduction is set, by a first-passage phase in which
 trajectories are retired once V ≤ REDUCTION_EPS·V(0) and a dominant
 outcome-group population is ≥ POPULATION_MIN, so every retired endpoint
-classifies unambiguously.  Both phases run one stepping loop, which checks
-that rule every CHECK_STRIDE steps, and at the horizon.  A trajectory's
-reduction time is the first check it meets, in either phase; it retires at
-the first it meets in the first-passage phase.
+classifies unambiguously.  One stepping loop runs both phases and checks
+that rule every CHECK_STRIDE steps and at the horizon: V over the batch,
+then the group sums of only the columns that pass.  A trajectory's reduction
+time is the first check it meets, in either phase.  At the first it meets in
+the first-passage phase it retires, recording only its step and its kernel
+column; the span's end records the alive columns at its last step, then
+derives every outcome (−1 where nothing retired) and final from them.
 
 Trajectories come in blocks of BATCH_SIZE indices.  A worker runs a
 contiguous span of whole blocks as one batch, so its stragglers share one
@@ -181,20 +184,17 @@ class _Kernel:
     that shape per name in self.scratch; start and compact rebuild it."""
 
     def start(self, b):
-        x = np.repeat(self.x0[..., None], b, axis=-1)
-        self._build(x)
-        return x
+        return self._build(np.repeat(self.x0[..., None], b, axis=-1))
 
     def compact(self, x, keep):
         """The columns of x where keep is true; the workspace follows."""
-        x = np.compress(keep, x, axis=-1)
-        self._build(x)
-        return x
+        return self._build(np.compress(keep, x, axis=-1))
 
     def _build(self, x):
         w = {k: np.repeat(c, x.shape[-1], axis=-1) for k, c in self.rows.items()}
         w.update((k, np.empty(x.shape)) for k in self.scratch)
         self.w = SimpleNamespace(pe=w["t"][:len(w["e"])], **w)   # pe: t's first d rows
+        return x
 
     def moments(self, x):
         """The populations, ⟨H⟩ and V of every column."""
@@ -243,8 +243,8 @@ class _StateKernel(_Kernel):
     def summarize(self, out, sums, n):
         pass
 
-    def final(self, p, t):
-        return self.phase0 * np.exp(-1j * self.energies * t) * np.sqrt(p.T)
+    def final(self, p, t):   # t: each column's time
+        return self.phase0 * np.exp(-1j * self.energies * t[:, None]) * np.sqrt(p.T)
 
 
 class _DensityKernel(_Kernel):
@@ -281,6 +281,7 @@ class _DensityKernel(_Kernel):
             w.g = np.empty_like(x)
             np.copyto(w.g.imag, self.drift_imag)
             w.f = w.g.real
+        return x
 
     def populations(self, x):
         return x[:self.d].real
@@ -321,7 +322,7 @@ class _DensityKernel(_Kernel):
         var_elem = np.maximum(self.dense(sums[1] / n).real - np.abs(out.mean_rho) ** 2, 0.0)
         out.sem_rho_frob = np.sqrt(var_elem.sum(axis=(1, 2)) / n)
 
-    def final(self, x, t):
+    def final(self, x, t):   # t, the columns' times, leaves a density matrix unchanged
         return self.dense(np.moveaxis(x, 0, -1))
 
 
@@ -351,11 +352,11 @@ def _group_index(groups, d):
             for g in groups]
 
 
-def _group_sums(pop, index, out):
-    """Each group's population sum into its row of out, levels added in index order."""
-    for row, g in zip(out, index):
-        row[...] = _colsum(pop[g])
-    return out
+def _group_sums(pop, index):
+    """One row per group: its levels' populations added in index order (pop if index is None)."""
+    if index is None:
+        return pop
+    return np.array([_colsum(pop[g]) for g in index])
 
 
 # everything a span needs besides its index range
@@ -366,17 +367,14 @@ _Plan = namedtuple("_Plan", "kernel index dt base_seed v_stop horizon_steps "
 def _run_span(plan: _Plan, lo: int, hi: int):
     """Both phases for trajectories lo..hi−1 as one batch: the recorded sums
     of each block, then the span's outcomes, reduction times and finals."""
-    kern, dt, sq = plan.kernel, plan.dt, np.sqrt(plan.dt)
-    b = hi - lo
+    kern, dt, sq, b = plan.kernel, plan.dt, np.sqrt(plan.dt), hi - lo
     gens = [trajectory_generator(plan.base_seed, i) for i in range(lo, hi)]
     noise = np.empty(CHUNK * b)   # every chunk, in its (n, alive.size) prefix
     x, alive, step = kern.start(b), np.arange(b), 0
     rows = alive   # the noise-chunk column of each alive trajectory
-    tred, outcomes = np.full(b, np.nan), np.full(b, -1, np.int64)
-    finals = np.zeros((b,) + kern.shape, complex)
+    tred, stop, xs = np.full(b, np.nan), np.full(b, -1), np.empty_like(x)   # x at each stop
     blocks = range(0, b, BATCH_SIZE)
     recs = [[] for _ in blocks]
-    gsum = None if plan.index is None else np.empty((len(plan.index), b))
 
     def record():
         _, eh, v = kern.moments(x)
@@ -393,17 +391,16 @@ def _run_span(plan: _Plan, lo: int, hi: int):
             raise ValueError(f"non-finite populations at step {step}; dt too large?")
         if low < 0:
             raise ValueError(f"negative population at step {step}; dt too large?")
-        gp = pop if gsum is None else _group_sums(pop, plan.index, gsum[:, :alive.size])
-        hit = v <= plan.v_stop
-        hit &= gp.max(0) >= POPULATION_MIN
-        if not hit.any():
+        hit = np.flatnonzero(v <= plan.v_stop)   # the variance half over the batch
+        if hit.size:   # the dominance half over its candidates
+            hit = hit[_group_sums(pop[:, hit], plan.index).max(0) >= POPULATION_MIN]
+        if not hit.size:
             return
-        tred[alive[hit & np.isnan(tred[alive])]] = step * dt
+        gi = alive[hit]
+        tred[gi[np.isnan(tred[gi])]] = step * dt
         if retire:
-            gi = alive[hit]
-            outcomes[gi] = gp[:, hit].argmax(0)
-            finals[gi] = kern.final(np.compress(hit, x, axis=1), step * dt)
-            keep = ~hit
+            stop[gi], xs[..., gi] = step, x[..., hit]
+            keep = np.bincount(hit, minlength=alive.size) == 0   # the columns not hit
             x, alive, rows = kern.compact(x, keep), alive[keep], rows[keep]
 
     def run_to(end, retire):   # step every alive trajectory to step `end`
@@ -430,9 +427,11 @@ def _run_span(plan: _Plan, lo: int, hi: int):
     if plan.stop_on_reduction:
         check(True)
         run_to(plan.max_steps, True)
-    finals[alive] = kern.final(x, step * dt)
+    retired = stop >= 0
+    stop[alive], xs[..., alive] = step, x
+    outcomes = np.where(retired, _group_sums(kern.populations(xs), plan.index).argmax(0), -1)
     sums = [[np.array(col) for col in zip(*rec)] for rec in recs]
-    return sums, outcomes, tred, finals
+    return sums, outcomes, tred, kern.final(xs, stop * dt)
 
 
 def _fork_context():

@@ -5,18 +5,25 @@ tracer wraps (every public function of `reduction`, `ensemble.run_*_ensemble`
 and `composite.hartree_vs_full`) and writes one line per call made in the
 pytest process: the test id, the entry point, and a sha256 of every ndarray
 in its result (fields and properties of dataclasses, nested ones included;
-float values are written exactly, as float.hex).  Calls made in forked
-workers are not written.  Run the same tests in two trees and `diff` the two
-files to see whether their results are byte-identical.  Without the option
-nothing is wrapped.  Each wrapper runs with globals named inside the package,
+float values are written exactly, as float.hex).  A call made in a forked
+worker is written to ``PATH.<pid>`` with its place: the parent's line count
+at the fork and the worker's multiprocessing identity.  close() merges those
+lines in, each worker's after the parent lines written before its fork, in
+the order the workers were started, so a pool's calls land where a serial
+run writes them and the file is the same for any worker count.  Run the
+same tests in two trees and compare the two files (bench/parity.py does) to
+see whether their results are byte-identical.  Without the option nothing
+is wrapped.  Each wrapper runs with globals named inside the package,
 so that `dynamics.check_stability`, which warns at the first caller outside
 the package, passes over it to the test.
 """
 
 import dataclasses
 import functools
+import glob
 import hashlib
 import inspect
+import multiprocessing
 import os
 import types
 
@@ -62,10 +69,12 @@ def _fields(value, name=""):
 
 class _Digest:
     """The --digest record: wraps the entry points until close(), which
-    restores them and writes one line per call made in this process."""
+    restores them and writes one line per call, forked workers' included."""
 
     def __init__(self, path):
         self.path, self.lines, self.test, self.saved = path, [], "<collection>", []
+        for stale in self._forked_files():   # left by a session that did not close
+            os.remove(stale)
         for mod, name in _entry_points():
             fn = getattr(mod, name)
             self.saved.append((mod, name, fn))
@@ -76,19 +85,38 @@ class _Digest:
 
         def call(*args, **kwargs):
             out = fn(*args, **kwargs)
+            fields = " ".join(f"{k}={v}" for k, v in _fields(out))
+            line = f"{self.test} {label} {fields}\n"
             if os.getpid() == pid:
-                fields = " ".join(f"{k}={v}" for k, v in _fields(out))
-                self.lines.append(f"{self.test} {label} {fields}\n")
+                self.lines.append(line)
+            else:   # a forked worker: the parent's line count at the fork, then its identity
+                place = (len(self.lines),) + multiprocessing.current_process()._identity
+                with open(f"{self.path}.{os.getpid()}", "a", encoding="utf-8") as f:
+                    f.write(" ".join(map(str, place)) + f"\t{line}")
             return out
         inside = types.FunctionType(call.__code__, dict(globals(), __name__="reductionlab._digest"),
                                     call.__name__, None, call.__closure__)
         return functools.wraps(fn)(inside)
 
+    def _forked_files(self):
+        return [p for p in glob.glob(glob.escape(self.path) + ".*") if p.rsplit(".", 1)[1].isdigit()]
+
     def close(self):
         for mod, name, fn in self.saved:
             setattr(mod, name, fn)
+        forked = []   # (place, line) of every worker's call
+        for path in self._forked_files():
+            with open(path, encoding="utf-8") as f:
+                for entry in f:
+                    place, line = entry.split("\t", 1)
+                    forked.append((tuple(map(int, place.split())), line))
+            os.remove(path)
+        lines, done = [], 0
+        for place, line in sorted(forked, key=lambda e: e[0]):   # stable: a worker's own order
+            lines += self.lines[done:place[0]] + [line]
+            done = place[0]
         with open(self.path, "w", encoding="utf-8") as f:
-            f.writelines(self.lines)
+            f.writelines(lines + self.lines[done:])
 
 
 def pytest_configure(config):

@@ -130,6 +130,25 @@ def test_bad_ensemble_input_exits_2_fast(tmp_path, capsys, extra):
     assert "ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, detail", [
+    (["ensemble", "born", "--energies", "0,1", "--weights", "1"], "need one weight per energy"),
+    (["phenom", "t-reduce", "--delta-e", "abc"], "cannot parse quantity 'abc'"),
+    (["simulate", "--init", "weights:0.5,0.6"], "weights must sum to 1"),
+    (["simulate", "--hamiltonian", "{vector}"], "does not hold a matrix"),
+    (["simulate", "--init", "{matrix}"], "does not hold a vector"),
+], ids=["born-weight-count", "quantity", "weights-sum", "vector-as-hamiltonian",
+        "matrix-as-init"])
+def test_bad_cli_input_exits_2_with_its_error_line(cmd, detail, tmp_path, capsys):
+    (tmp_path / "vector.txt").write_text("2\n1 0\n0 0\n")
+    (tmp_path / "matrix.txt").write_text("2\n1 0\n0 0\n0 0\n0 0\n")
+    cmd = [a.format(vector=tmp_path / "vector.txt", matrix=tmp_path / "matrix.txt") for a in cmd]
+    t0 = time.monotonic()
+    assert run_cli(cmd + ["--out-dir", str(tmp_path / "x")]) == 2
+    assert time.monotonic() - t0 < 5.0
+    err = capsys.readouterr().err.splitlines()
+    assert any(ln.startswith("ERROR module=") and detail in ln for ln in err), err
+
+
 def test_negative_population_exits_2_fast(tmp_path, capsys):
     # σ²ΔE²dt = 0.099 passes the hard stability bound; populations still go negative
     t0 = time.monotonic()
@@ -372,6 +391,23 @@ def test_born_p_value_matches_scipy_chisquare(tmp_path, capsys):
     counts = np.round(st.frequencies * (st.n_traj - st.n_unreduced))
     ref = sstats.chisquare(counts, st.expected * counts.sum()).pvalue
     assert abs(pval - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5", "20"])
+def test_occupancy_with_fewer_than_two_bins_exits_2(horizon, tmp_path, capsys):
+    # 20 time units give 3 samples; 0 and -5 give none: no bin expects 5 counts
+    with pytest.warns(RuntimeWarning, match="horizon may be too short"):
+        rc = run_cli(["accretion", "occupancy", "--horizon", horizon,
+                      "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert "occupancy-binomial" not in out
+    assert "ERROR module=accretion-occupancy detail=the chi-squared test needs two bins" in err
+
+
+def test_occupancy_default_run_passes(tmp_path, capsys):
+    assert run_cli(["accretion", "occupancy", "--out-dir", str(tmp_path / "o")]) == 0
+    assert "RESULT check=occupancy-binomial status=PASS" in capsys.readouterr().out
 
 
 def test_occupancy_p_value_matches_scipy_chi2(tmp_path, capsys):

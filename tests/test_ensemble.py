@@ -37,7 +37,7 @@ def test_population_kernel_matches_complex_step():
         kern.advance(p, kern.half_sigma * dw)
         worst = max(worst, float(np.abs(p.T - (c.real**2 + c.imag**2)).max()))
     assert worst <= 1e-12
-    final = kern.final(p, n_steps * dt)
+    final = kern.final(p, np.full(b, n_steps * dt))
     assert np.abs(np.abs(final) - np.abs(c)).max() <= 1e-12
     # the degenerate pair keeps its initial relative phase
     rel0 = np.angle(c0[2] / c0[1])
@@ -475,12 +475,34 @@ def test_group_sums_add_levels_in_row_order(strided, groups, b):
          + 1j * rng.standard_normal((4, b)))
     pop = z.real if strided else z.real.copy()
     index = ensemble._group_index(groups, 4)
-    got = ensemble._group_sums(pop, index, np.empty((len(groups) + 1, b))[:len(groups)])
+    got = ensemble._group_sums(pop, index)
     for g, row in zip(groups, got):
         ref = pop[g[0]].copy()
         for i in g[1:]:
             ref = ref + pop[i]
         assert row.tobytes() == ref.tobytes(), g
+
+
+def test_variance_without_a_dominant_group_never_retires():
+    # the degenerate pair's populations get the same factor each step, so they
+    # stay equal bit for bit: a trajectory that settles in the pair meets
+    # V ≤ v_stop but no level reaches POPULATION_MIN, until its group is (1, 2)
+    e, c0 = [0.0, 1.0, 1.0], np.sqrt(np.array([0.4, 0.3, 0.3], complex))
+    levels, pair = (ensemble.run_ensemble(e, c0, 2.0, 2e-3, 23, 64, groups=groups,
+                                          max_steps=10_000, workers=1)
+                    for groups in (None, ((0,), (1, 2))))
+    settled = levels.outcomes < 0
+    assert set(levels.outcomes.tolist()) == {-1, 0} and 0 < settled.sum() < 64
+    assert np.isnan(levels.reduction_times[settled]).all()
+    final = levels.final_states[settled]
+    assert np.array_equal(final[:, 1], final[:, 2])
+    p = np.abs(final) ** 2
+    v = p @ np.square(e) - (p @ e) ** 2
+    v0 = 0.6 - 0.6 ** 2   # ⟨E²⟩ − ⟨E⟩² at the start
+    assert v.max() <= ensemble.REDUCTION_EPS * v0 and p.max() < ensemble.POPULATION_MIN
+    assert pair.n_unreduced == 0
+    assert np.array_equal(pair.outcomes, np.where(settled, 1, 0))
+    assert np.array_equal(pair.reduction_times[~settled], levels.reduction_times[~settled])
 
 
 def test_group_index_of_levels_in_order_is_none():
