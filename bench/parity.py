@@ -59,6 +59,8 @@ INVOCATIONS = {
     "cluster-check": ["cluster-check", "--instances", "10"],
     "hartree-compare": ["hartree", "compare", "--ntraj", "4", "--horizon", "0.2",
                         "--dt", "2e-4", "--workers", "2"],
+    "hartree-compare-default-dt": ["hartree", "compare", "--ntraj", "4", "--horizon", "0.02",
+                                   "--workers", "2"],
     "accretion-occupancy": ["accretion", "occupancy", "--horizon", "2000"],
     "accretion-coherent": ["accretion", "coherent"],
     "phenom-t-reduce": ["phenom", "t-reduce", "--delta-e", "8.6e-6eV"],

@@ -65,8 +65,10 @@ class AccretionModel:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("need at least one site")
-        if self.sticking_rate < 0 or self.evaporation_rate < 0:
-            raise ValueError("rates must be nonnegative")
+        rates = (self.sticking_rate, self.evaporation_rate)
+        if not all(np.isfinite(r) and r >= 0 for r in rates):
+            raise ValueError(f"rates must be finite and nonnegative, got sticking rate "
+                             f"{rates[0]} and evaporation rate {rates[1]}")
         if self.sticking_rate + self.evaporation_rate == 0:
             raise ValueError("at least one rate must be positive")
 
@@ -104,10 +106,13 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
     Samples taken every sample_dt (default: five relaxation times 5/(s+e),
     so successive samples decorrelate) after a burn-in of ten relaxation
     times; warns when the horizon is too short for the sampled halves to
-    agree on the mean.
+    agree on the mean.  Raises ValueError unless the horizon is finite and
+    positive.
     """
     if model.coherent_amplitude != 0:
         raise ValueError("occupancy chain applies to the incoherent model only")
+    if not (np.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
     s, ev, n_sites = model.sticking_rate, model.evaporation_rate, model.n_sites
     relax = 1.0 / (s + ev)
     if sample_dt is None:

@@ -70,7 +70,7 @@ def _resolve_out_dir(args, subname: str) -> Path:
 
 
 def _dump_config(out_dir: Path, args) -> None:
-    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "resolve", "config")}
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
     cfg_json = json.dumps(cfg, indent=2, sort_keys=True, default=str)
     (out_dir / "config-resolved.json").write_text(cfg_json + "\n", newline="\n")
     print(f"config: {cfg_json}")
@@ -78,7 +78,7 @@ def _dump_config(out_dir: Path, args) -> None:
 
 def _record_dt(out_dir: Path, args, run) -> None:
     """Without --dt, main leaves the config to the command: write it with the
-    dt the scenario's run took."""
+    dt its run took."""
     if args.dt is None:
         args.dt = run.dt
         _dump_config(out_dir, args)
@@ -219,33 +219,15 @@ def cmd_cluster_check(args, rep: Reporter, out: Path) -> None:
     rep.check("cluster[generic-nonzero]", generic > 1e-6, residual=generic)
 
 
-def _hartree_setup(args):
-    """hartree compare's instance, and its couplings with the g = 0 floor last."""
+def cmd_hartree(args, rep: Reporter, out: Path) -> None:
     system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(args.seed + 101),
                                                     args.dim)
-    return system, rho1, rho2, [float(x) for x in args.g_values.split(",")] + [0.0]
-
-
-def _resolve_hartree(args) -> None:
-    """Without --dt, step at the largest dt at which σ²ΔE²dt, ΔE the total
-    Hamiltonian's spectral range, stays at or below `dynamics.STABILITY_WARN`
-    at every coupling; 1e-3 when σ·ΔE is 0 or not finite."""
-    if args.dt is None:
-        system, _, _, gv = _hartree_setup(args)
-        rng = max(np.ptp(np.linalg.eigh(replace(system, g=g).total_hamiltonian())[0])
-                  for g in gv)   # the bits of hartree_vs_full's range
-        scale = args.sigma * args.sigma * rng * rng   # the product as check_stability forms it
-        args.dt = float(dynamics.STABILITY_WARN / scale) if 0 < scale < np.inf else 1e-3
-        while 0 < scale < np.inf and scale * args.dt > dynamics.STABILITY_WARN:   # rounded up
-            args.dt = float(np.nextafter(args.dt, 0.0))
-
-
-def cmd_hartree(args, rep: Reporter, out: Path) -> None:
-    system, rho1, rho2, gv = _hartree_setup(args)
+    gv = [float(x) for x in args.g_values.split(",")] + [0.0]   # the g = 0 floor last
     full = composite.hartree_vs_full(system, rho1, rho2, args.sigma, args.dt, args.horizon, gv,
                                      args.ntraj, args.seed, workers=args.workers)
-    report = composite.HartreeReport(full.g_values[:-1], full.mean_discrepancy[:-1],
-                                     full.sem[:-1], full.exponent)
+    _record_dt(out, args, full)
+    report = replace(full, g_values=full.g_values[:-1],
+                     mean_discrepancy=full.mean_discrepancy[:-1], sem=full.sem[:-1])
     report.csv(out / "hartree-discrepancy.csv")
     rep.check("hartree-exponent", report.exponent >= 1.7, exponent=report.exponent)
     floor = full.mean_discrepancy[-1]
@@ -457,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--g-values", default="0.1,0.2,0.4")
     _add_common(p, ntraj=12)
-    p.set_defaults(func=cmd_hartree, resolve=_resolve_hartree, subname="hartree-compare")
+    p.set_defaults(func=cmd_hartree, subname="hartree-compare")
 
     acc = sub.add_parser("accretion", help="occupancy chain / coherent spectra")
     asub = acc.add_subparsers(dest="mode", required=True)
@@ -520,8 +502,7 @@ def main(argv=None) -> int:
     rep = Reporter()
     out = _resolve_out_dir(args, args.subname)
     try:
-        getattr(args, "resolve", lambda _: None)(args)   # defaults worked out from other flags
-        if getattr(args, "dt", 0.0) is not None:   # else the scenario derives it: _record_dt
+        if getattr(args, "dt", 0.0) is not None:   # else the run derives it: _record_dt
             _dump_config(out, args)
         args.func(args, rep, out)
     except (ValueError, RuntimeError) as exc:

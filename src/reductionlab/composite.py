@@ -35,8 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (ANTICOMMUTATOR, DOUBLE_COMMUTATOR, _dag, _embed, _euler_step, _times,
-                       check_stability, noise_coefficient)
+from .dynamics import (ANTICOMMUTATOR, DOUBLE_COMMUTATOR, STABILITY_WARN, _dag, _embed,
+                       _euler_step, _times, check_stability, noise_coefficient)
 from .ensemble import (CHUNK, _DensityKernel, _check_input, _noise_chunk, _run_spans,
                        _split, _workers)
 from .linalg import (as_matrix, hermiticity_defect, random_density_matrix, random_hermitian,
@@ -270,12 +270,14 @@ def hartree_instance(rng: np.random.Generator, d: int = 4):
 
 @dataclass
 class HartreeReport:
-    """Mean-field error versus coupling strength, on paired noise paths."""
+    """Mean-field error versus coupling strength, on paired noise paths, and
+    the step dt the run took."""
 
     g_values: np.ndarray
     mean_discrepancy: np.ndarray
     sem: np.ndarray
     exponent: float
+    dt: float
 
     def csv(self, path) -> None:
         write_csv(path, "g,mean_discrepancy,sem",
@@ -312,7 +314,7 @@ def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma
 
 
 def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
-                    dt: float, horizon: float, g_values, n_traj: int,
+                    dt: float | None, horizon: float, g_values, n_traj: int,
                     base_seed: int = 0, workers: int | None = None) -> HartreeReport:
     """Compare the reduced full-system state with the mean-field state.
 
@@ -327,8 +329,11 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     report; mean-field theory predicts p = 2 for an equilibrium environment.
     The trajectories run in min(workers, n_traj // 2) spans (at least one)
     on that many forked processes, workers=None meaning every CPU; the
-    report is the same bytes for any worker count.  Raises ValueError on
-    bad input (an empty or non-finite g list, a non-finite or negative σ, a
+    report is the same bytes for any worker count.  dt=None steps at the
+    largest dt at which σ²ΔE²dt, ΔE the total Hamiltonian's spectral range,
+    stays at or below `dynamics.STABILITY_WARN` at every g (1e-3 when σ·ΔE
+    is 0); the report's dt is the step taken.  Raises ValueError on bad
+    input (an empty or non-finite g list, a non-finite or negative σ, a
     horizon that rounds to no step and workers other than None or an
     integer ≥ 1 included) or non-finite finals, and StabilityError when
     σ²ΔE²dt exceeds the hard bound at some g.
@@ -336,12 +341,18 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     workers = _workers(workers)
     r1, r2, (d1, d2) = as_matrix(rho1_0), as_matrix(rho2_0), system.dims
     gv = np.asarray(g_values, float)
-    for h, r in ((system.h1, r1), (system.h2, r2)):
-        _check_input(np.linalg.eigvalsh(h), r, sigma, dt, n_traj)
+    for h, r in ((system.h1, r1), (system.h2, r2)):   # σ is checked before dt is derived
+        _check_input(np.linalg.eigvalsh(h), r, sigma, 1.0 if dt is None else dt, n_traj)
     if not gv.size or not np.isfinite(gv).all():
         raise ValueError(f"g values must be a nonempty list of finite numbers, got {gv}")
     spectra = [np.linalg.eigh(replace(system, g=g).total_hamiltonian()) for g in gv]
-    check_stability(sigma, dt, max(e[-1] - e[0] for e, _ in spectra))
+    h_range = max(e[-1] - e[0] for e, _ in spectra)
+    if dt is None:
+        scale = sigma * sigma * h_range * h_range   # the product as check_stability forms it
+        dt = float(STABILITY_WARN / scale) if 0 < scale < np.inf else 1e-3
+        while 0 < scale < np.inf and scale * dt > STABILITY_WARN:   # the division rounded up
+            dt = float(np.nextafter(dt, 0.0))
+    check_stability(sigma, dt, h_range)
     n_steps = int(round(horizon / dt)) if np.isfinite(horizon) else 0
     if n_steps < 1:
         raise ValueError(f"horizon must be finite and round to at least one step of "
@@ -362,5 +373,5 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     pos = (gv > 0) & (means > 0)
     exponent = (float(np.polyfit(np.log(gv[pos]), np.log(means[pos]), 1)[0])
                 if pos.sum() >= 2 else float("nan"))
-    return HartreeReport(g_values=gv, mean_discrepancy=means, sem=sems,
-                         exponent=exponent)
+    return HartreeReport(g_values=gv, mean_discrepancy=means, sem=sems, exponent=exponent,
+                         dt=dt)

@@ -85,12 +85,11 @@ def spectral_range(h) -> float:
     return float(w[-1] - w[0])
 
 
-def default_dt(sigma: float, h_or_range) -> float:
-    """Step size making sigma²·ΔE_max²·dt equal the 1e-3 design target."""
-    rng = h_or_range if np.isscalar(h_or_range) else spectral_range(h_or_range)
-    if sigma == 0.0 or rng == 0.0:
+def default_dt(sigma: float, h_range: float) -> float:
+    """Step size making sigma²·h_range²·dt equal the 1e-3 design target."""
+    if sigma == 0.0 or h_range == 0.0:
         return 1e-3
-    return STABILITY_TARGET / (sigma * sigma * rng * rng)
+    return STABILITY_TARGET / (sigma * sigma * h_range * h_range)
 
 
 def check_sigma_dt(sigma: float, dt: float) -> None:
@@ -143,9 +142,6 @@ class SdeConfig:
             raise ValueError(f"unknown noise form {self.noise_form!r}")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-
-    def validate_for(self, h) -> None:
-        check_stability(self.sigma, self.dt, spectral_range(h))
 
 
 def _array(x) -> np.ndarray:
@@ -377,7 +373,8 @@ def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
     differ on mixed ones).
     """
     m = as_matrix(h)
-    config.validate_for(m)
+    h_rng = spectral_range(m)
+    check_stability(config.sigma, config.dt, h_rng)
     path = wiener_path(seed, config.dt, config.n_steps)
     raw = _array(init)
     is_vec = raw.ndim == 1
@@ -396,7 +393,6 @@ def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
 
     s = raw.copy()
     record(0, s)
-    h_rng = spectral_range(m)
     for k in range(config.n_steps):
         dW = path.increments[k]
         try:

@@ -209,7 +209,7 @@ class _StateKernel(_Kernel):
     scratch = ("k", "t", "s")
 
     def __init__(self, e, c0, sigma, dt):
-        self.shape, self.x0, self.energies = c0.shape, np.abs(c0) ** 2, e
+        self.x0, self.energies = np.abs(c0) ** 2, e
         self.phase0 = np.exp(1j * np.angle(c0))
         self.rows = {"e": e[:, None], "e2": e[:, None] ** 2, "edt2": (e * dt)[:, None] ** 2}
         self.half_sigma, self.drift = 0.5 * sigma, 0.125 * sigma * sigma * dt
@@ -258,7 +258,7 @@ class _DensityKernel(_Kernel):
         d = e.shape[-1]
         iu, ju = np.triu_indices(d, 1)
         on = (r0[..., iu, ju] != 0).any(tuple(range(r0.ndim - 2)))  # over the stack
-        self.shape, self.d, self.iu, self.ju = r0.shape[-2:], d, iu[on], ju[on]
+        self.d, self.iu, self.ju = d, iu[on], ju[on]
         i, j = np.r_[np.arange(d), self.iu], np.r_[np.arange(d), self.ju]
         x0 = r0[..., i, j]
         x0[..., :d] = x0[..., :d].real

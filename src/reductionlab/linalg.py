@@ -102,10 +102,6 @@ class Operator:
             )
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -119,10 +115,6 @@ class StateVector:
         if abs(nrm2 - 1.0) > NORM_ATOL:
             raise LinalgError(f"state norm² = {nrm2!r}, off unity by {abs(nrm2-1):.2e}")
         object.__setattr__(self, "amplitudes", v)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
     def density(self) -> "DensityMatrix":
         v = self.amplitudes
@@ -156,10 +148,6 @@ class DensityMatrix:
                 raise LinalgError(f"purity residual ‖ρ²−ρ‖_F = {res:.2e} for pure tag")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def purity_residual(rho) -> float:
     """Frobenius norm of ρ² − ρ."""
@@ -186,10 +174,6 @@ class Spectrum:
         u = _freeze(self.eigenvectors)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", u)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def group_energies(self) -> np.ndarray:
         return np.array([self.eigenvalues[list(g)].mean() for g in self.degeneracy_groups])

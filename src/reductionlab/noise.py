@@ -36,10 +36,6 @@ class NoisePath:
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
-
     def to_csv(self, path) -> None:
         write_csv(path, "step,dW", enumerate(self.increments))
 

@@ -63,7 +63,8 @@ def _series(n):
 
 def _hartree(n):
     cols = [_floats(n, s) for s in range(12, 15)]
-    rec = HartreeReport(g_values=cols[0], mean_discrepancy=cols[1], sem=cols[2], exponent=2.0)
+    rec = HartreeReport(g_values=cols[0], mean_discrepancy=cols[1], sem=cols[2], exponent=2.0,
+                        dt=1e-3)
     return rec.csv, "g,mean_discrepancy,sem", list(zip(*cols))
 
 

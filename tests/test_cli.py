@@ -1,4 +1,3 @@
-import argparse
 import json
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import pytest
 from scipy import stats as sstats
 
 from reductionlab import composite, dynamics, ensemble, phenomenology as ph, reduction
-from reductionlab.cli import _merge_bins, _resolve_hartree, main
+from reductionlab.cli import _merge_bins, main
 
 
 def run_cli(args):
@@ -20,9 +19,9 @@ def run_cli(args):
 
 def hartree_default_dt(seed, sigma):
     """The dt `hartree compare --seed seed --sigma sigma` takes by default."""
-    args = argparse.Namespace(dt=None, seed=seed, dim=4, sigma=sigma, g_values="0.1,0.2,0.4")
-    _resolve_hartree(args)
-    return args.dt
+    system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(seed + 101))
+    return composite.hartree_vs_full(system, rho1, rho2, sigma, None, 1e-3, [0.1, 0.2, 0.4, 0.0],
+                                     2, workers=1).dt
 
 
 def test_reproduce_paper_exits_clean(tmp_path, capsys):
@@ -192,11 +191,13 @@ def test_hartree_compare_matches_direct_calls(tmp_path, capsys):
     system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(101))
     dt = hartree_default_dt(0, 1.0)
     assert 1.5e-4 < dt < 1.6e-4
-    assert hartree_default_dt(0, 0.0) == hartree_default_dt(0, float("inf")) == 1e-3
+    assert hartree_default_dt(0, 0.0) == 1e-3
     resolved = json.loads((tmp_path / "h" / "config-resolved.json").read_text())
     assert resolved["dt"] == dt and "resolve" not in resolved
     args = (system, rho1, rho2, 1.0, dt, 0.01)
-    composite.hartree_vs_full(*args, [0.1, 0.2, 0.4], 2, 0).csv(tmp_path / "direct.csv")
+    direct = composite.hartree_vs_full(*args, [0.1, 0.2, 0.4], 2, 0)
+    assert direct.dt == dt
+    direct.csv(tmp_path / "direct.csv")
     assert ((tmp_path / "h" / "hartree-discrepancy.csv").read_bytes()
             == (tmp_path / "direct.csv").read_bytes())
     floor = composite.hartree_vs_full(*args, [0.0], 2, 0).mean_discrepancy[0]
@@ -217,6 +218,14 @@ def test_hartree_default_dt_is_the_largest_at_the_comfort_bound(seed, sigma):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dynamics.check_stability(sigma, dt, h_range)
+
+
+def test_hartree_compare_bad_sigma_records_no_dt(tmp_path, capsys):
+    # sigma is rejected before a step is derived, so the config keeps dt null
+    assert run_cli(["hartree", "compare", "--sigma", "inf", "--ntraj", "2", "--horizon", "0.01",
+                    "--out-dir", str(tmp_path / "x")]) == 2
+    assert "sigma must be finite and nonnegative, got inf" in capsys.readouterr().err
+    assert json.loads((tmp_path / "x" / "config-resolved.json").read_text())["dt"] is None
 
 
 def test_hartree_compare_identical_for_any_worker_count(tmp_path, capsys):
@@ -296,21 +305,23 @@ def test_born_count_in_a_zero_weight_outcome_fails(tmp_path, capsys, monkeypatch
     assert "check=born[E=1] status=FAIL" in out
 
 
-@pytest.mark.parametrize("command, csv", [(["born"], "born-frequencies.csv"),
-                                          (["statdist", "--dim", "3"], "statdist-series.csv"),
-                                          (["luders"], "luders-frequencies.csv")],
-                         ids=["born", "statdist", "luders"])
+@pytest.mark.parametrize("command, csv", [
+    (["ensemble", "born"], "born-frequencies.csv"),
+    (["ensemble", "statdist", "--dim", "3"], "statdist-series.csv"),
+    (["ensemble", "luders"], "luders-frequencies.csv"),
+    (["hartree", "compare", "--horizon", "0.01"], "hartree-discrepancy.csv")],
+    ids=["born", "statdist", "luders", "hartree"])
 def test_ensemble_records_the_dt_its_run_took(command, csv, tmp_path, capsys):
-    # without --dt the scenario derives the step; the config records it, and a
+    # without --dt the run derives the step; the config records it, and a
     # rerun from that config takes the same step and writes the same bytes
-    argv = ["ensemble"] + command + ["--ntraj", "50", "--workers", "1"]
+    argv = command + ["--ntraj", "50", "--workers", "1"]
     assert run_cli(argv + ["--out-dir", str(tmp_path / "a")]) == 0
     config = tmp_path / "a" / "config-resolved.json"
     resolved = json.loads(config.read_text())
     assert resolved["dt"] is not None and resolved["dt"] > 0
     assert capsys.readouterr().out.count(f'"dt": {resolved["dt"]!r}') == 1
-    assert run_cli(["ensemble", command[0], "--config", str(config),
-                    "--out-dir", str(tmp_path / "b")]) == 0
+    assert run_cli(command[:2] + ["--config", str(config),
+                                  "--out-dir", str(tmp_path / "b")]) == 0
     again = json.loads((tmp_path / "b" / "config-resolved.json").read_text())
     assert again == {**resolved, "out_dir": str(tmp_path / "b")}
     assert (tmp_path / "b" / csv).read_bytes() == (tmp_path / "a" / csv).read_bytes()
@@ -393,9 +404,9 @@ def test_born_p_value_matches_scipy_chisquare(tmp_path, capsys):
     assert abs(pval - ref) <= 1e-12 * ref
 
 
-@pytest.mark.parametrize("horizon", ["0", "-5", "20"])
+@pytest.mark.parametrize("horizon", ["20"])
 def test_occupancy_with_fewer_than_two_bins_exits_2(horizon, tmp_path, capsys):
-    # 20 time units give 3 samples; 0 and -5 give none: no bin expects 5 counts
+    # 20 time units give 3 samples: no bin expects 5 counts
     with pytest.warns(RuntimeWarning, match="horizon may be too short"):
         rc = run_cli(["accretion", "occupancy", "--horizon", horizon,
                       "--out-dir", str(tmp_path / "o")])
@@ -403,6 +414,24 @@ def test_occupancy_with_fewer_than_two_bins_exits_2(horizon, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert "occupancy-binomial" not in out
     assert "ERROR module=accretion-occupancy detail=the chi-squared test needs two bins" in err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", "inf", "horizon must be finite and positive, got inf"),
+    ("--horizon", "0", "horizon must be finite and positive, got 0.0"),
+    ("--horizon", "-5", "horizon must be finite and positive, got -5.0"),
+    ("--stick", "inf", "rates must be finite and nonnegative, got sticking rate inf"),
+    ("--stick", "nan", "rates must be finite and nonnegative, got sticking rate nan"),
+    ("--evap", "inf", "rates must be finite and nonnegative, got sticking rate 0.005 and "
+                      "evaporation rate inf")],
+    ids=["horizon-inf", "horizon-0", "horizon--5", "stick-inf", "stick-nan", "evap-inf"])
+def test_occupancy_bad_input_exits_2(flag, value, message, tmp_path):
+    # in a child process, so that input which would hang the chain fails the test instead
+    proc = subprocess.run([sys.executable, "-m", "reductionlab.cli", "accretion", "occupancy",
+                           flag, value, "--out-dir", str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=5.0)
+    assert proc.returncode == 2
+    assert f"ERROR module=accretion-occupancy detail={message}" in proc.stderr
 
 
 def test_occupancy_default_run_passes(tmp_path, capsys):

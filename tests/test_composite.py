@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from reductionlab import composite
@@ -14,7 +14,7 @@ from reductionlab.composite import (
     hartree_vs_full,
     partial_expectation,
 )
-from reductionlab.dynamics import StabilityError, step_density
+from reductionlab.dynamics import STABILITY_HARD, StabilityError, spectral_range, step_density
 from reductionlab.linalg import (
     random_density_matrix,
     random_hermitian,
@@ -384,6 +384,8 @@ def test_mean_field_step_properties(d1, d2, seed, g, dw, dt):
     rng = np.random.default_rng(seed)
     sysg = CompositeSystem(random_hermitian(d1, rng), random_hermitian(d2, rng),
                            random_hermitian(d1 * d2, rng), g=g)
+    # hartree_vs_full steps only at or below the hard bound (its stability guard)
+    assume(spectral_range(sysg.total_hamiltonian()) ** 2 * dt <= STABILITY_HARD)
     a1, a2 = random_density_matrix(d1, rng), random_density_matrix(d2, rng)
     maps, dws = composite._real_maps(sysg, [g]), np.array([dw])
     a = composite._mean_field_step(composite._stacked(a1, a2, (1, 1)), maps, 1.0, dt, 0.5 * dws)
@@ -471,6 +473,19 @@ def test_hartree_vs_full_identical_for_any_worker_count(seed, monkeypatch):
             assert len(widths[0]) == max(1, min(w, n_traj // 2))
             assert n_traj < 2 or min(widths[0]) >= 2   # no one-row gemv span
         assert reports[1:] == reports[:-1], n_traj
+
+
+def test_hartree_vs_full_rejects_a_draw_above_the_hard_bound():
+    # a draw of test_mean_field_step_properties whose mean-field steps turn to NaN within
+    # 50 steps: σ²ΔE²dt = 1.64 there, so hartree_vs_full refuses to step it at all
+    d, g, dt = 3, 1.0, 0.009765625
+    rng = np.random.default_rng(1643)
+    sysg = CompositeSystem(random_hermitian(d, rng), random_hermitian(d, rng),
+                           random_hermitian(d * d, rng), g=g)
+    a1, a2 = random_density_matrix(d, rng), random_density_matrix(d, rng)
+    assert spectral_range(sysg.total_hamiltonian()) ** 2 * dt > 1.6
+    with pytest.raises(StabilityError, match="exceeds hard bound"):
+        hartree_vs_full(sysg, a1, a2, sigma=1.0, dt=dt, horizon=50 * dt, g_values=[g], n_traj=2)
 
 
 def test_hartree_vs_full_stability_guard():

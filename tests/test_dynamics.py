@@ -282,6 +282,34 @@ def test_trajectory_records_and_csv(tmp_path, rng):
     assert len(lines) == 8
 
 
+def test_density_trajectory_keeps_trace_and_hermiticity(rng):
+    # the dense density path: each step builds M + M† and divides by its trace
+    h = random_hermitian(3, rng)
+    chi = random_pure_state(3, rng)
+    cfg = SdeConfig(sigma=0.6, dt=2e-4, n_steps=300, record_stride=50)
+    traj = evolve_trajectory(np.outer(chi, chi.conj()), h, cfg, seed=12)
+    assert traj.kind == "density" and len(traj.times) == len(traj.states) == 7
+    for s in traj.states:
+        assert abs(np.trace(s) - 1.0) <= 1e-12
+        assert np.abs(s - s.conj().T).max() <= 1e-15
+    assert all((s == s.conj().T).all() for s in traj.states[1:])   # every stepped state exactly
+
+
+@pytest.mark.parametrize("defect, reported", [
+    (lambda s: 1.1 * s, "trace drift 1.00e-01"),
+    (lambda s: s + np.array([[0, 0.1, 0], [0, 0, 0], [0, 0, 0]]), "hermiticity 1.00e-01"),
+    (lambda s: np.diag([1.1, 0.0, -0.1]).astype(complex), "eigmin -1.00e-01")],
+    ids=["trace", "hermiticity", "eigmin"])
+def test_density_trajectory_validate_names_the_bad_state(defect, reported, rng):
+    # each defect is beyond the tolerance max(100·dt, 1e-10) = 0.02
+    chi = random_pure_state(3, rng)
+    cfg = SdeConfig(sigma=0.6, dt=2e-4, n_steps=100, record_stride=50)
+    traj = evolve_trajectory(np.outer(chi, chi.conj()), random_hermitian(3, rng), cfg, seed=5)
+    traj.states[1] = defect(traj.states[1])
+    with pytest.raises(ValueError, match=f"state 1: .*{reported}"):
+        traj.validate()
+
+
 def test_stability_bound_errors():
     h = np.diag([0.0, 10.0]).astype(complex)
     with pytest.raises(StabilityError):
@@ -338,9 +366,8 @@ def test_variance_helper(rng):
 
 
 def test_default_dt_rule(rng):
-    h = random_hermitian(4, rng)
-    dt = dynamics.default_dt(0.7, h)
-    rng_h = dynamics.spectral_range(h)
+    rng_h = dynamics.spectral_range(random_hermitian(4, rng))
+    dt = dynamics.default_dt(0.7, rng_h)
     assert abs(0.7**2 * rng_h**2 * dt - 1e-3) < 1e-12
 
 
