@@ -50,6 +50,9 @@ INVOCATIONS = {
     "simulate": ["simulate", "--steps", "500"],
     "simulate-dump-noise": ["simulate", "--steps", "200", "--dump-noise"],
     "simulate-density": ["simulate", "--steps", "200", "--density"],
+    "simulate-euler-maruyama": ["simulate", "--steps", "500", "--scheme", "euler_maruyama"],
+    "simulate-density-double-commutator": ["simulate", "--steps", "200", "--density",
+                                           "--noise-form", "double_commutator"],
     "born": ["ensemble", "born", "--ntraj", "200", "--workers", "1"],
     "born-d3-workers2": ["ensemble", "born", "--dim", "3", "--weights", "0.2,0.3,0.5",
                          "--ntraj", "1100", "--workers", "2", "--seed", "5"],

@@ -59,7 +59,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CompositeSystem:
     """Two tensor factors with Hamiltonians h1, h2 and a coupling delta_h
-    on the product space, scaled by g."""
+    on the product space, scaled by g.  Each matrix must be finite and
+    Hermitian; ValueError names the one that is not."""
 
     h1: np.ndarray
     h2: np.ndarray
@@ -69,6 +70,8 @@ class CompositeSystem:
     def __post_init__(self):
         for name in ("h1", "h2", "delta_h"):
             m = as_matrix(getattr(self, name))
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} is not finite")
             if hermiticity_defect(m) > 1e-12:
                 raise ValueError(f"{name} is not Hermitian")
             object.__setattr__(self, name, m)

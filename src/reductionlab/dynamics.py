@@ -18,8 +18,7 @@ Every density-matrix Euler step, here and in the mean-field step of
 trace.  Its products ρH right-multiply by the real 2d×2d embedding of H.
 It takes u = (σ/2)·dW per column; the single-state steppers convert dW.
 
-All steppers take and return plain complex ndarrays; the wrappers from
-`linalg` are accepted anywhere an operator or state is expected.
+All steppers take array-likes and return plain complex ndarrays.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, hermitize, purity_residual, write_csv
+from .linalg import (HERMITIAN_RTOL, as_matrix, as_vector, hermiticity_defect, hermitize,
+                     purity_residual, write_csv)
 from .noise import wiener_path
 
 __all__ = [
@@ -144,16 +144,10 @@ class SdeConfig:
             raise ValueError("record_stride must be >= 1")
 
 
-def _array(x) -> np.ndarray:
-    """The complex array of a `linalg` wrapper or array-like."""
-    return np.asarray(x.amplitudes if hasattr(x, "amplitudes") else
-                      x.matrix if hasattr(x, "matrix") else x, dtype=complex)
-
-
 def expectation(state, h) -> float:
     """⟨H⟩ for a state vector or density matrix."""
     m = as_matrix(h)
-    s = _array(state)
+    s = np.asarray(state, complex)
     if s.ndim == 1:
         return float(np.vdot(s, m @ s).real)
     return float(np.trace(s @ m).real)
@@ -162,7 +156,7 @@ def expectation(state, h) -> float:
 def energy_variance(state, h) -> float:
     """V = Tr ρH² − (Tr ρH)², clamped at the −1e-12 float floor."""
     m = as_matrix(h)
-    s = _array(state)
+    s = np.asarray(state, complex)
     if s.ndim == 1:
         hs = m @ s
         e1 = np.vdot(s, hs).real
@@ -341,42 +335,58 @@ class Trajectory:
     def validate(self) -> None:
         """Check stored states against their type invariants at tolerance
         max(100·dt, 1e-10); a non-finite state fails every invariant."""
-        tol = max(100.0 * self.dt, 1e-10)
         for k, s in enumerate(self.states):
-            if not np.isfinite(s).all():
-                raise ValueError(f"state {k} is not finite")
-            if self.kind == "state_vector":
-                drift = abs(float(np.vdot(s, s).real) - 1.0)
-                if drift > tol:
-                    raise ValueError(f"state {k}: norm² drift {drift:.2e} > {tol:.2e}")
-            else:
-                tr_drift = abs(np.trace(s).real - 1.0)
-                herm = np.abs(s - s.conj().T).max()
-                low = np.linalg.eigvalsh(hermitize(s))[0]
-                if tr_drift > tol or herm > tol or low < -tol:
-                    raise ValueError(
-                        f"state {k}: trace drift {tr_drift:.2e}, hermiticity {herm:.2e}, "
-                        f"eigmin {low:.2e} outside ±{tol:.2e}"
-                    )
+            _check_state(s, self.dt, f"state {k}")
 
     def to_csv(self, path) -> None:
         write_csv(path, "t,reH_exp,V,purity_residual",
                   zip(self.times, self.energy_mean, self.variance, self.purity_residual))
 
 
+def _check_state(s, dt, label) -> None:
+    """Raise ValueError naming `label` unless state vector or density matrix s
+    is finite and keeps its invariants (unit norm; unit trace, Hermiticity
+    and positivity) within max(100·dt, 1e-10)."""
+    tol = max(100.0 * dt, 1e-10)
+    if not np.isfinite(s).all():
+        raise ValueError(f"{label} is not finite")
+    if s.ndim == 1:
+        drift = abs(float(np.vdot(s, s).real) - 1.0)
+        if drift > tol:
+            raise ValueError(f"{label}: norm² drift {drift:.2e} > {tol:.2e}")
+    else:
+        tr_drift = abs(np.trace(s).real - 1.0)
+        herm = np.abs(s - s.conj().T).max()
+        low = np.linalg.eigvalsh(hermitize(s))[0]
+        if tr_drift > tol or herm > tol or low < -tol:
+            raise ValueError(
+                f"{label}: trace drift {tr_drift:.2e}, hermiticity {herm:.2e}, "
+                f"eigmin {low:.2e} outside ±{tol:.2e}"
+            )
+
+
 def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
     """Integrate a full sample path, recording ⟨H⟩, V and the purity residual.
 
-    `init` may be a state vector or a density matrix (wrapper or ndarray);
-    density evolution follows the anticommutator-form equation unless the
-    config selects the double-commutator form (pure states only — the two
-    differ on mixed ones).
+    `init` may be a state vector or a density matrix; density evolution
+    follows the anticommutator-form equation unless the config selects the
+    double-commutator form (pure states only — the two differ on mixed ones).
+    Before the first step, raises ValueError when H is not finite or not
+    Hermitian (relative defect above HERMITIAN_RTOL), when the state's shape
+    does not match H, or when the state fails `Trajectory.validate`'s rule.
     """
     m = as_matrix(h)
+    if not np.isfinite(m).all():
+        raise ValueError("H is not finite")
+    if hermiticity_defect(m) > HERMITIAN_RTOL:
+        raise ValueError(f"H is not Hermitian: relative defect {hermiticity_defect(m):.2e}")
+    raw, d = np.asarray(init, complex), m.shape[0]
+    if raw.shape not in ((d,), (d, d)):
+        raise ValueError(f"the state has shape {raw.shape}, which does not match H's {d}×{d}")
+    _check_state(raw, config.dt, "initial state")
     h_rng = spectral_range(m)
     check_stability(config.sigma, config.dt, h_rng)
     path = wiener_path(seed, config.dt, config.n_steps)
-    raw = _array(init)
     is_vec = raw.ndim == 1
 
     times, states, means, variances, purities = [], [], [], [], []

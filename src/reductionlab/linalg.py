@@ -1,9 +1,8 @@
 """Dense complex Hermitian linear algebra at small dimension.
 
-Everything is plain numpy under the hood: the dataclasses below are thin
-validated wrappers around ndarrays, and every function also accepts bare
-arrays.  All simulation-side quantities are dimensionless (hbar = 1,
-energies in an arbitrary unit); physical units live in `phenomenology`.
+Every function takes array-likes and returns plain complex ndarrays.  All
+simulation-side quantities are dimensionless (hbar = 1, energies in an
+arbitrary unit); physical units live in `phenomenology`.
 """
 
 from __future__ import annotations
@@ -15,15 +14,11 @@ import numpy as np
 
 __all__ = [
     "LinalgError",
-    "Operator",
-    "StateVector",
-    "DensityMatrix",
     "Spectrum",
     "hermitize",
     "hermiticity_defect",
     "tensor_product",
     "partial_trace",
-    "partial_trace_matrix",
     "eig_hermitian",
     "random_hermitian",
     "random_pure_state",
@@ -33,13 +28,10 @@ __all__ = [
     "write_csv",
 ]
 
-# Construction-time tolerances.  Trajectory storage uses scheme-dependent
-# relaxed tolerances (see dynamics.Trajectory), not these.
+# Largest relative Hermiticity defect that eig_hermitian and
+# dynamics.evolve_trajectory accept in H.  Trajectory storage uses
+# scheme-dependent tolerances (see dynamics.Trajectory).
 HERMITIAN_RTOL = 1e-12
-TRACE_ATOL = 1e-10
-NORM_ATOL = 1e-10
-PSD_ATOL = 1e-9
-PURITY_ATOL = 1e-8
 
 MAX_DIM = 4096
 
@@ -48,16 +40,8 @@ class LinalgError(ValueError):
     """Raised when an operator or state violates its contract."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 def as_matrix(op) -> np.ndarray:
-    """Coerce Operator / DensityMatrix / array-like to a complex 2-D array."""
-    if isinstance(op, (Operator, DensityMatrix)):
-        return op.matrix
+    """Coerce an array-like to a complex square matrix."""
     m = np.asarray(op, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {m.shape}")
@@ -65,9 +49,7 @@ def as_matrix(op) -> np.ndarray:
 
 
 def as_vector(state) -> np.ndarray:
-    """Coerce StateVector / array-like to a complex 1-D array."""
-    if isinstance(state, StateVector):
-        return state.amplitudes
+    """Coerce an array-like to a complex 1-D array."""
     v = np.asarray(state, dtype=complex)
     if v.ndim != 1:
         raise LinalgError(f"expected a vector, got shape {v.shape}")
@@ -85,68 +67,6 @@ def hermiticity_defect(a: np.ndarray) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.abs(a - a.conj().T).max() / scale)
-
-
-@dataclass(frozen=True)
-class Operator:
-    """Square complex matrix; set hermitian=True to enforce self-adjointness."""
-
-    matrix: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        m = _freeze(as_matrix(self.matrix))
-        if self.hermitian and hermiticity_defect(m) > HERMITIAN_RTOL:
-            raise LinalgError(
-                f"operator tagged Hermitian has defect {hermiticity_defect(m):.2e}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Unit-norm complex amplitude vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        v = _freeze(as_vector(self.amplitudes))
-        nrm2 = float(np.vdot(v, v).real)
-        if abs(nrm2 - 1.0) > NORM_ATOL:
-            raise LinalgError(f"state norm² = {nrm2!r}, off unity by {abs(nrm2-1):.2e}")
-        object.__setattr__(self, "amplitudes", v)
-
-    def density(self) -> "DensityMatrix":
-        v = self.amplitudes
-        return DensityMatrix(np.outer(v, v.conj()), purity_tag="pure")
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, trace-one, positive-semidefinite operator."""
-
-    matrix: np.ndarray
-    purity_tag: str = "unknown"
-
-    def __post_init__(self):
-        if self.purity_tag not in ("pure", "mixed", "unknown"):
-            raise LinalgError(f"unknown purity tag {self.purity_tag!r}")
-        m = _freeze(as_matrix(self.matrix))
-        defect = hermiticity_defect(m)
-        if defect > HERMITIAN_RTOL:
-            raise LinalgError(f"density matrix Hermiticity defect {defect:.2e}")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise LinalgError(f"density matrix trace {tr!r} differs from 1")
-        evals = np.linalg.eigvalsh(hermitize(m))
-        if evals[0] < -PSD_ATOL:
-            # Deliberately a hard error: clipping would mask integrator defects.
-            raise LinalgError(f"density matrix has eigenvalue {evals[0]:.3e} < -{PSD_ATOL}")
-        if self.purity_tag == "pure":
-            res = purity_residual(m)
-            if res > PURITY_ATOL:
-                raise LinalgError(f"purity residual ‖ρ²−ρ‖_F = {res:.2e} for pure tag")
-        object.__setattr__(self, "matrix", m)
 
 
 def purity_residual(rho) -> float:
@@ -170,8 +90,9 @@ class Spectrum:
 
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=float)
+        u = np.array(self.eigenvectors, dtype=complex)
         w.setflags(write=False)
-        u = _freeze(self.eigenvectors)
+        u.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", u)
 
@@ -182,23 +103,16 @@ class Spectrum:
 def tensor_product(a, b, max_dim: int = MAX_DIM):
     """Kronecker product of two operators; first factor varies slowest.
 
-    Rejects results larger than max_dim (default 4096).  Wrapper inputs give
-    a wrapper output; bare arrays give a bare array.
+    Rejects results larger than max_dim (default 4096).
     """
     ma, mb = as_matrix(a), as_matrix(b)
     dim = ma.shape[0] * mb.shape[0]
     if dim > max_dim:
         raise LinalgError(f"tensor product dimension {dim} exceeds maximum {max_dim}")
-    out = np.kron(ma, mb)
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(out, hermitian=a.hermitian and b.hermitian)
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        tag = "pure" if a.purity_tag == b.purity_tag == "pure" else "unknown"
-        return DensityMatrix(out, purity_tag=tag)
-    return out
+    return np.kron(ma, mb)
 
 
-def partial_trace_matrix(m: np.ndarray, dims: tuple, keep: str = "first") -> np.ndarray:
+def partial_trace(m, dims: tuple, keep: str = "first") -> np.ndarray:
     """Partial trace of a (d1*d2)×(d1*d2) matrix over the discarded factor."""
     d1, d2 = dims
     m = as_matrix(m)
@@ -210,12 +124,6 @@ def partial_trace_matrix(m: np.ndarray, dims: tuple, keep: str = "first") -> np.
     if keep == "second":
         return np.einsum("kikj->ij", r)
     raise LinalgError(f"keep must be 'first' or 'second', got {keep!r}")
-
-
-def partial_trace(rho, dims: tuple, keep: str = "first") -> DensityMatrix:
-    """Reduced density matrix over one tensor factor."""
-    out = partial_trace_matrix(as_matrix(rho), dims, keep)
-    return DensityMatrix(hermitize(out))
 
 
 def eig_hermitian(h) -> Spectrum:
@@ -264,10 +172,6 @@ def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 # square matrix.
 
 def save_array(path, arr) -> None:
-    if isinstance(arr, (Operator, DensityMatrix)):
-        arr = arr.matrix
-    elif isinstance(arr, StateVector):
-        arr = arr.amplitudes
     a = np.asarray(arr, dtype=complex)
     if a.ndim not in (1, 2) or a.shape[0] != a.shape[-1]:
         raise LinalgError("can only serialize vectors and square matrices")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ensemble
 from .dynamics import check_stability, default_dt
-from .linalg import DensityMatrix, as_matrix, as_vector, eig_hermitian
+from .linalg import as_matrix, as_vector, eig_hermitian
 
 __all__ = [
     "gibbs_state",
@@ -37,13 +37,13 @@ class ReductionBudgetError(RuntimeError):
     """More than the allowed fraction of trajectories failed to reduce."""
 
 
-def gibbs_state(h, beta: float) -> DensityMatrix:
+def gibbs_state(h, beta: float) -> np.ndarray:
     """exp(−βH)/Z, computed in the eigenbasis (commutes with H by construction)."""
     spec = eig_hermitian(as_matrix(h))
     w = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues.min()))
     w /= w.sum()
     u = spec.eigenvectors
-    return DensityMatrix((u * w) @ u.conj().T, purity_tag="mixed")
+    return (u * w) @ u.conj().T
 
 
 def _energy_classes(spec):
@@ -116,10 +116,6 @@ class DecayFit:
 
     slope: float
     stderr: float
-
-    @property
-    def ci95(self):
-        return (self.slope - 1.96 * self.stderr, self.slope + 1.96 * self.stderr)
 
 
 def variance_decay_check(run: ensemble.EnsembleRun, sigma: float) -> DecayFit:

@@ -171,6 +171,25 @@ def test_unstable_dt_exits_2_fast(tmp_path, capsys, mode):
     assert "exceeds hard bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--hamiltonian", "diag:nan,1"], "H is not finite"),
+    (["--init", "weights:-0.5,1.5"], "initial state is not finite"),
+    (["--hamiltonian", "{skew}"], "H is not Hermitian: relative defect 1.00e+00"),
+    (["--hamiltonian", "{skew}", "--density"], "H is not Hermitian: relative defect 1.00e+00"),
+    (["--hamiltonian", "diag:0,1,2"], "the state has shape (2,), which does not match H's 3×3")],
+    ids=["nan-hamiltonian", "negative-weight", "non-hermitian", "non-hermitian-density",
+         "dimension-mismatch"])
+def test_simulate_bad_input_exits_2_before_the_first_step(extra, message, tmp_path):
+    # a million steps would take minutes: in a child process, with a timeout
+    (tmp_path / "skew.txt").write_text("2\n0 0\n1 0\n0 0\n1 0\n")   # [[0, 1], [0, 1]]
+    extra = [a.format(skew=tmp_path / "skew.txt") for a in extra]
+    proc = subprocess.run([sys.executable, "-m", "reductionlab.cli", "simulate", *extra,
+                           "--steps", "1000000", "--out-dir", str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=5.0)
+    assert proc.returncode == 2
+    assert f"ERROR module=simulate detail={message}" in proc.stderr
+
+
 @pytest.mark.parametrize("extra", [["--dt", "nan"], ["--dt", "inf", "--sigma", "0"]])
 def test_simulate_non_finite_dt_exits_2_fast(tmp_path, capsys, extra):
     t0 = time.monotonic()

@@ -104,6 +104,17 @@ def test_composite_system_validation(rng):
         CompositeSystem(h1 + 1j * np.eye(2), h2, dh)
 
 
+@pytest.mark.parametrize("field, bad", [("delta_h", lambda m: np.full_like(m, np.nan)),
+                                        ("h1", lambda m: m + np.diag([np.inf, 0.0]))],
+                         ids=["nan-delta_h", "inf-h1"])
+def test_composite_system_rejects_non_finite_matrices(field, bad, rng):
+    parts = {"h1": random_hermitian(2, rng), "h2": random_hermitian(2, rng),
+             "delta_h": random_hermitian(4, rng)}
+    parts[field] = bad(parts[field])
+    with pytest.raises(ValueError, match=f"^{field} is not finite$"):
+        CompositeSystem(**parts)
+
+
 def test_hartree_g_zero_decouples(rng):
     d = 3
     h1 = random_hermitian(d, rng)

@@ -9,6 +9,7 @@ from reductionlab.composite import CompositeSystem, hartree_vs_full
 from reductionlab.dynamics import (
     ANTICOMMUTATOR,
     DOUBLE_COMMUTATOR,
+    EULER_MARUYAMA,
     NonCommutingError,
     SdeConfig,
     StabilityError,
@@ -70,6 +71,20 @@ def test_sigma_zero_matches_schroedinger(rng):
     # global phase free; Euler error is O(dt) over the horizon
     overlap = abs(np.vdot(exact, s))
     assert overlap > 1.0 - 5.0 * dt
+
+
+def test_euler_maruyama_is_the_renormalized_step_before_its_division(rng):
+    h = random_hermitian(3, rng)
+    v = random_pure_state(3, rng)
+    for dw in (-0.04, 0.02):
+        raw = step_state_vector(v, h, 0.8, 1e-3, dw, scheme=EULER_MARUYAMA)
+        renormalized = step_state_vector(v, h, 0.8, 1e-3, dw)
+        assert (raw / np.linalg.norm(raw)).tobytes() == renormalized.tobytes()
+        assert abs(np.vdot(raw, raw).real - 1.0) > 1e-9
+    cfg = SdeConfig(sigma=0.8, dt=1e-3, n_steps=2000, scheme=EULER_MARUYAMA, record_stride=100)
+    traj = evolve_trajectory(v, h, cfg, seed=4)
+    traj.validate()
+    assert traj.purity_residual[-1] > 0.0   # the norm² drifts: nothing renormalizes
 
 
 def test_eigenstate_is_fixed_point(rng):
@@ -169,7 +184,7 @@ def test_martingale_step_preserves_gibbs_expectation():
     from reductionlab.reduction import gibbs_state
 
     h = np.diag([0.0, 1.0]).astype(complex)
-    g = gibbs_state(h, 1.1).matrix
+    g = gibbs_state(h, 1.1)
     n_paths, n_steps, dt = 400, 200, 1e-3
     dws = np.random.default_rng(31).standard_normal((n_paths, n_steps)) * np.sqrt(dt)
     rm = dynamics._embed(h)
@@ -201,7 +216,7 @@ def test_evolve_expectation_fixed_point(rng):
     h = random_hermitian(3, rng)
     from reductionlab.reduction import gibbs_state
 
-    g = gibbs_state(h, 0.9).matrix
+    g = gibbs_state(h, 0.9)
     out = evolve_expectation(g, h, sigma=1.2, t=2.0)
     assert np.linalg.norm(out - g) < 1e-9
 

@@ -3,15 +3,11 @@ import pytest
 
 from reductionlab import linalg
 from reductionlab.linalg import (
-    DensityMatrix,
     LinalgError,
-    Operator,
-    StateVector,
     eig_hermitian,
     hermitize,
     load_array,
     partial_trace,
-    partial_trace_matrix,
     random_density_matrix,
     random_hermitian,
     random_pure_state,
@@ -41,11 +37,7 @@ def test_tensor_eigenvalues_are_products(rng):
     assert np.allclose(big, products, atol=1e-10)
 
 
-def test_tensor_hermitian_tag_and_overflow(rng):
-    a = Operator(random_hermitian(2, rng), hermitian=True)
-    b = Operator(random_hermitian(3, rng), hermitian=True)
-    out = tensor_product(a, b)
-    assert out.hermitian
+def test_tensor_overflow():
     with pytest.raises(LinalgError):
         tensor_product(np.eye(70), np.eye(70), max_dim=4096)
 
@@ -54,9 +46,9 @@ def test_partial_trace_product_state(rng):
     r1 = random_density_matrix(3, rng)
     r2 = random_density_matrix(2, rng)
     red = partial_trace(np.kron(r1, r2), (3, 2), keep="first")
-    assert np.allclose(red.matrix, r1, atol=1e-12)
+    assert np.allclose(red, r1, atol=1e-12)
     red2 = partial_trace(np.kron(r1, r2), (3, 2), keep="second")
-    assert np.allclose(red2.matrix, r2, atol=1e-12)
+    assert np.allclose(red2, r2, atol=1e-12)
 
 
 def test_partial_trace_maximally_entangled():
@@ -64,12 +56,12 @@ def test_partial_trace_maximally_entangled():
     bell[0] = bell[3] = 1 / np.sqrt(2)
     rho = np.outer(bell, bell.conj())
     red = partial_trace(rho, (2, 2), keep="second")
-    assert np.allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_index_loop_oracle(rng):
     rho = random_density_matrix(4, rng)
-    red = partial_trace_matrix(rho, (2, 2), keep="first")
+    red = partial_trace(rho, (2, 2), keep="first")
     oracle = np.zeros((2, 2), complex)
     r4 = rho.reshape(2, 2, 2, 2)
     for i in range(2):
@@ -83,8 +75,8 @@ def test_partial_trace_linear_and_trace_preserving(rng):
     b = random_density_matrix(6, rng)
     lam = 0.37
     mix = lam * a + (1 - lam) * b
-    red_mix = partial_trace_matrix(mix, (2, 3))
-    red_split = lam * partial_trace_matrix(a, (2, 3)) + (1 - lam) * partial_trace_matrix(b, (2, 3))
+    red_mix = partial_trace(mix, (2, 3))
+    red_split = lam * partial_trace(a, (2, 3)) + (1 - lam) * partial_trace(b, (2, 3))
     assert np.allclose(red_mix, red_split, atol=1e-13)
     assert abs(np.trace(red_mix) - 1.0) < 1e-12
 
@@ -117,39 +109,6 @@ def test_eig_rejects_non_hermitian(rng):
         eig_hermitian(m)
 
 
-def test_state_vector_norm_enforced():
-    StateVector(np.array([1.0, 0.0]))
-    with pytest.raises(LinalgError):
-        StateVector(np.array([1.0, 0.5]))
-
-
-def test_state_vector_density_projector(rng):
-    sv = StateVector(random_pure_state(3, rng))
-    rho = sv.density()
-    assert rho.purity_tag == "pure"
-    assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
-    assert np.allclose(rho.matrix @ rho.matrix, rho.matrix, atol=1e-12)
-
-
-def test_density_matrix_invariants(rng):
-    DensityMatrix(random_density_matrix(3, rng))
-    with pytest.raises(LinalgError):
-        DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]]))  # not Hermitian
-    with pytest.raises(LinalgError):
-        DensityMatrix(np.eye(2))  # trace 2
-    with pytest.raises(LinalgError):
-        DensityMatrix(np.diag([1.2, -0.2]))  # negative eigenvalue
-    v = random_pure_state(3, rng)
-    DensityMatrix(np.outer(v, v.conj()), purity_tag="pure")
-    with pytest.raises(LinalgError):
-        DensityMatrix(np.eye(3) / 3, purity_tag="pure")
-
-
-def test_operator_hermitian_tag(rng):
-    with pytest.raises(LinalgError):
-        Operator(rng.standard_normal((3, 3)) + 1j * np.eye(3), hermitian=True)
-
-
 def test_hermitize_defect(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert linalg.hermiticity_defect(hermitize(m)) < 1e-15
@@ -167,16 +126,5 @@ def test_serialization_roundtrip(tmp_path, rng):
     save_array(tmp_path / "vec.txt", v)
     vb = load_array(tmp_path / "vec.txt")
     assert vb.ndim == 1 and np.array_equal(vb, v)
-
-
-def test_serialization_accepts_wrappers(tmp_path, rng):
-    m = random_hermitian(3, rng)
-    v = random_pure_state(3, rng)
-    for name, wrapped, raw in [("op", Operator(m, hermitian=True), m),
-                               ("rho", StateVector(v).density(), np.outer(v, v.conj())),
-                               ("vec", StateVector(v), v)]:
-        save_array(tmp_path / f"{name}.txt", wrapped)
-        save_array(tmp_path / f"{name}-raw.txt", raw)
-        assert (tmp_path / f"{name}.txt").read_bytes() == (tmp_path / f"{name}-raw.txt").read_bytes()
     with pytest.raises(LinalgError, match="square"):
         save_array(tmp_path / "wide.txt", np.ones((2, 3)))     # load_array could not read it

@@ -6,7 +6,7 @@ import pytest
 
 from reductionlab import ensemble, reduction
 from reductionlab.dynamics import StabilityError
-from reductionlab.linalg import random_hermitian
+from reductionlab.linalg import hermiticity_defect, random_hermitian
 from reductionlab.reduction import (
     born_statistics,
     gibbs_state,
@@ -19,11 +19,13 @@ from reductionlab.reduction import (
 
 def test_gibbs_state_properties(rng):
     h = random_hermitian(4, rng)
-    g = gibbs_state(h, 0.8).matrix
+    g = gibbs_state(h, 0.8)
     assert abs(np.trace(g).real - 1.0) < 1e-12
+    assert hermiticity_defect(g) <= 1e-12
+    assert np.linalg.eigvalsh(g)[0] >= -1e-9
     assert np.linalg.norm(g @ h - h @ g) < 1e-12
     # infinite temperature: maximally mixed
-    g0 = gibbs_state(h, 0.0).matrix
+    g0 = gibbs_state(h, 0.0)
     assert np.allclose(g0, np.eye(4) / 4, atol=1e-12)
 
 
