@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* linalg         — operators, states, tensor algebra, spectra
+* linalg         — array coercion, Hermiticity, spectra, serialization
 * noise          — reproducible Wiener-increment streams
 * dynamics       — single-step and trajectory integrators
 * ensemble       — vectorized reproducible ensemble runner

@@ -5,10 +5,11 @@ single-occupancy surface sites as a continuous-time birth-death chain with
 exact exponential waiting times; the stationary total count is
 Binomial(N, s/(s+e)), which approaches Poisson in the dilute limit.  The
 coherent side treats one multiply-occupiable site driven by a c-number
-environment amplitude: the Hamiltonian is a displaced harmonic oscillator,
-and the occupation statistics of its eigenstates are computed exactly on a
-truncated Fock space, via a Laguerre closed form, and in the
-large-quantum-number Bessel approximation with its smooth envelope.
+environment amplitude λ: the Hamiltonian is a harmonic oscillator displaced
+by z = −λ/m, m the molecule mass, and the occupation statistics of its
+eigenstates are computed exactly on a truncated Fock space, via a Laguerre
+closed form, and in the large-quantum-number Bessel approximation with its
+smooth envelope.
 
 scipy is imported inside the functions that use it (the pmfs, the matrix
 exponential and the Bessel approximation), so importing this module costs
@@ -24,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import MAX_DIM
+
 __all__ = [
     "AccretionModel",
-    "DisplacedOscillator",
     "fock_ladder",
     "OccupancyResult",
     "occupancy_simulate",
@@ -53,14 +55,12 @@ class TruncationError(ValueError):
 class AccretionModel:
     """Surface with n_sites accretion sites for molecules of mass
     molecule_mass, filling at sticking_rate and emptying at
-    evaporation_rate (per site); coherent_amplitude is the c-number
-    environment drive, zero in the incoherent case."""
+    evaporation_rate (per site)."""
 
     n_sites: int
     molecule_mass: float
     sticking_rate: float
     evaporation_rate: float
-    coherent_amplitude: complex = 0j
 
     def __post_init__(self):
         if self.n_sites < 1:
@@ -109,8 +109,6 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
     agree on the mean.  Raises ValueError unless the horizon is finite and
     positive.
     """
-    if model.coherent_amplitude != 0:
-        raise ValueError("occupancy chain applies to the incoherent model only")
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     s, ev, n_sites = model.sticking_rate, model.evaporation_rate, model.n_sites
@@ -217,19 +215,6 @@ def energy_fluctuation_accretion(model: AccretionModel) -> float:
 # --- coherent case -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DisplacedOscillator:
-    """Single site with a c-number drive: displacement z = −λ/m."""
-
-    z: complex
-
-    @classmethod
-    def from_model(cls, model: AccretionModel) -> "DisplacedOscillator":
-        if model.molecule_mass <= 0:
-            raise ValueError("coherent case needs a positive molecule mass")
-        return cls(z=-model.coherent_amplitude / model.molecule_mass)
-
-
 @functools.lru_cache(maxsize=32)
 def displacement_matrix(z: complex, n_max: int) -> np.ndarray:
     """exp(z a† − z* a) on the truncated Fock space."""
@@ -253,14 +238,18 @@ def pnk_exact(n: int, k: int, z: complex, n_max: int | None = None) -> float:
     """Probability of finding n−k quanta in the a-number basis for the
     n-th displaced-oscillator eigenstate, by brute-force matrix exponential.
 
-    Errors out if the truncated eigenstate leaks more than 1e-10 of its
-    norm past the boundary.
+    Errors out, before anything is allocated, if the truncation holds more
+    than linalg.MAX_DIM levels, and afterwards if the truncated eigenstate
+    leaks more than 1e-10 of its norm past the boundary.
     """
     if n < 0 or n - k < 0:
         raise ValueError("need n ≥ 0 and n−k ≥ 0")
     n_max = default_truncation(n, z, k) if n_max is None else n_max
     if n_max < max(n, n - k):
         raise TruncationError(f"n_max={n_max} below requested occupation index")
+    if n_max + 1 > MAX_DIM:
+        raise TruncationError(f"n = {n}, k = {k} and |z| = {abs(z):.6g} need {n_max + 1} Fock "
+                              f"levels, above the cap of {MAX_DIM}")
     d = displacement_matrix(complex(z), n_max)
     col = d[:, n]
     # The truncated generator is still anti-Hermitian, so the column norm is

@@ -93,9 +93,19 @@ def _parse_hamiltonian(spec: str) -> np.ndarray:
     return m
 
 
+def _weights(text: str) -> np.ndarray:
+    """Comma-separated weights, rejected unless finite and nonnegative with a
+    positive sum, before anything takes their square roots."""
+    w = np.array([float(x) for x in text.split(",")])
+    if not (np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+        raise ValueError(f"weights must be finite and nonnegative with a positive sum, "
+                         f"got {text}")
+    return w
+
+
 def _parse_state(spec: str) -> np.ndarray:
     if spec.startswith("weights:"):
-        w = np.array([float(x) for x in spec[8:].split(",")])
+        w = _weights(spec[8:])
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
         return np.sqrt(w).astype(complex)
@@ -141,7 +151,7 @@ def cmd_simulate(args, rep: Reporter, out: Path) -> None:
 def cmd_ensemble_born(args, rep: Reporter, out: Path) -> None:
     energies = ([float(x) for x in args.energies.split(",")] if args.energies
                 else list(range(args.dim)))
-    w = np.array([float(x) for x in args.weights.split(",")])
+    w = _weights(args.weights)
     if len(w) != len(energies):
         raise ValueError("need one weight per energy")
     h = np.diag(np.array(energies, float)).astype(complex)
@@ -180,7 +190,7 @@ def cmd_ensemble_statdist(args, rep: Reporter, out: Path) -> None:
 def cmd_ensemble_luders(args, rep: Reporter, out: Path) -> None:
     alpha = math.sqrt(args.alpha2)
     bamp = _parse_state(args.branch)
-    mw = np.array([float(x) for x in args.weights.split(",")])
+    mw = _weights(args.weights)
     me = ([float(x) for x in args.energies.split(",")] if args.energies
           else [1.0 + i for i in range(len(mw))])
     rp = reduction.luders_scenario(alpha, bamp, mw / mw.sum(), me,
@@ -222,7 +232,11 @@ def cmd_cluster_check(args, rep: Reporter, out: Path) -> None:
 def cmd_hartree(args, rep: Reporter, out: Path) -> None:
     system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(args.seed + 101),
                                                     args.dim)
-    gv = [float(x) for x in args.g_values.split(",")] + [0.0]   # the g = 0 floor last
+    gv = [float(x) for x in args.g_values.split(",")]
+    if np.unique([g for g in gv if g > 0]).size < 2:
+        raise ValueError(f"--g-values needs two distinct positive couplings to fit an "
+                         f"exponent, got {args.g_values}")
+    gv.append(0.0)   # the g = 0 floor last
     full = composite.hartree_vs_full(system, rho1, rho2, args.sigma, args.dt, args.horizon, gv,
                                      args.ntraj, args.seed, workers=args.workers)
     _record_dt(out, args, full)

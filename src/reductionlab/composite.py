@@ -49,7 +49,6 @@ __all__ = [
     "clustering_drift_residual",
     "clustering_survey",
     "partial_expectation",
-    "hartree_step",
     "HartreeReport",
     "hartree_vs_full",
     "hartree_instance",
@@ -237,21 +236,6 @@ def _mean_field_step(a, maps, sigma, dt, us):
     ch = _times(comm, r)
     ch[1] += _times(a[1], _image(comm[0], t[0]))
     return _euler_step(a, rh, ch, sigma, dt, us)
-
-
-def hartree_step(rho1, rho2, system: CompositeSystem, sigma: float, dt: float,
-                 dW: float):
-    """One mean-field step for both subsystems, sharing the single dW.
-
-    Each factor evolves under its Hamiltonian augmented by the partner's
-    expectation of the coupling; the environment picks up the additional
-    −(σ²/8)[Tr₁(ΔH[H₁′,ρ₁]), ρ₂]dt drift, which dies off once subsystem 1
-    has reduced.
-    """
-    (d1, d2), r1, r2 = system.dims, as_matrix(rho1), as_matrix(rho2)
-    new = _mean_field_step(_stacked(r1, r2, (1, 1)), _real_maps(system, [system.g]), sigma,
-                           dt, 0.5 * sigma * np.array([dW], float))
-    return new[0, 0, 0, :d1, :d1], new[1, 0, 0, :d2, :d2]
 
 
 def hartree_instance(rng: np.random.Generator, d: int = 4):

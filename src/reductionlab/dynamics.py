@@ -7,8 +7,10 @@ Implements Euler–Maruyama single steps and full trajectories for
 * the density-matrix equation
   dρ = −i[H,ρ]dt − (σ²/8)[H,[H,ρ]]dt + (σ/2) N(ρ,H) dW
   with the noise coefficient in either of its two forms,
-* the pure-noise specialization for states commuting with H
-  (dρ = (σ/2)({ρ,H} − 2ρ Tr ρH) dW, a matrix martingale),
+* the pure-noise evolution of states commuting with H
+  (dρ = (σ/2)({ρ,H} − 2ρ Tr ρH) dW, a matrix martingale), which has no
+  stepper of its own: the density step at dt = 0 is its Euler step, and
+  `ensemble.run_ensemble` runs it for any [ρ0, H] = 0,
 * the deterministic flow of the stochastic expectation
   dE[ρ]/dt = −i[H,E[ρ]] − (σ²/8)[H,[H,E[ρ]]], solved in closed form.
 
@@ -41,7 +43,6 @@ __all__ = [
     "SdeConfig",
     "StabilityError",
     "PositivityError",
-    "NonCommutingError",
     "default_dt",
     "spectral_range",
     "expectation",
@@ -49,7 +50,6 @@ __all__ = [
     "noise_coefficient",
     "step_state_vector",
     "step_density",
-    "step_commuting_martingale",
     "evolve_expectation",
     "evolve_trajectory",
     "Trajectory",
@@ -73,10 +73,6 @@ class StabilityError(RuntimeError):
 
 class PositivityError(RuntimeError):
     """A density matrix left the PSD cone by more than the step tolerance."""
-
-
-class NonCommutingError(ValueError):
-    """The commuting-martingale step was applied to a non-commuting state."""
 
 
 def spectral_range(h) -> float:
@@ -255,18 +251,6 @@ def _euler_step(rho, rh, ch, sigma, dt, us, noise=None):
     return m
 
 
-def _single_step(rho, h, sigma, dt, dW, noise_form):
-    """_euler_step on a batch of one state, driven by dW."""
-    if noise_form not in (ANTICOMMUTATOR, DOUBLE_COMMUTATOR):
-        raise ValueError(f"unknown noise form {noise_form!r}")
-    r = np.ascontiguousarray(as_matrix(rho))[None]
-    rm = _embed(as_matrix(h))
-    rh = _times(r, rm)
-    noise = r @ rh - rh @ r if noise_form == DOUBLE_COMMUTATOR else None
-    ch = _times(_dag(rh) - rh, rm) if dt else 0.0   # the step adds (σ²/8)·dt·ch
-    return _euler_step(r, rh, ch, sigma, dt, 0.5 * sigma * np.array([dW], float), noise)[0]
-
-
 def step_density(rho, h, sigma: float, dt: float, dW: float,
                  noise_form: str = ANTICOMMUTATOR,
                  psd_tol: float | None = None) -> np.ndarray:
@@ -277,7 +261,14 @@ def step_density(rho, h, sigma: float, dt: float, dW: float,
     The smallest eigenvalue must stay above −psd_tol (default 100·dt); a
     violation means dt is too large for this Hamiltonian and sigma.
     """
-    out = _single_step(rho, h, sigma, dt, dW, noise_form)
+    if noise_form not in (ANTICOMMUTATOR, DOUBLE_COMMUTATOR):
+        raise ValueError(f"unknown noise form {noise_form!r}")
+    r = np.ascontiguousarray(as_matrix(rho))[None]   # a batch of one
+    rm = _embed(as_matrix(h))
+    rh = _times(r, rm)
+    noise = r @ rh - rh @ r if noise_form == DOUBLE_COMMUTATOR else None
+    out = _euler_step(r, rh, _times(_dag(rh) - rh, rm), sigma, dt,
+                      0.5 * sigma * np.array([dW], float), noise)[0]
     tol = 100.0 * dt if psd_tol is None else psd_tol
     low = np.linalg.eigvalsh(out)[0]
     if low < -tol:
@@ -285,26 +276,6 @@ def step_density(rho, h, sigma: float, dt: float, dW: float,
             f"eigenvalue {low:.3e} below -{tol:.1e}; decrease dt"
         )
     return out
-
-
-def step_commuting_martingale(rho, h, sigma: float, dt: float, dW: float) -> np.ndarray:
-    """One step of the pure-noise evolution valid when [ρ, H] = 0.
-
-    For commuting (e.g. equilibrium) initial data the drift terms of the
-    full equation vanish identically and only the anticommutator noise
-    remains, so this is the density step with its drift removed (dt = 0);
-    it keeps ρ diagonal in the H eigenbasis and preserves the trace.
-    Raises NonCommutingError when max|[ρ, H]| exceeds 1e-10 of max|ρ|·max|H|.
-    """
-    r = as_matrix(rho)
-    m = as_matrix(h)
-    scale = max(np.abs(r).max() * np.abs(m).max(), 1e-300)
-    defect = np.abs(r @ m - m @ r).max() / scale
-    if defect > 1e-10:
-        raise NonCommutingError(
-            f"[rho,H] relative defect {defect:.2e}; this specialization needs commuting input"
-        )
-    return _single_step(r, m, sigma, 0.0, dW, ANTICOMMUTATOR)
 
 
 def evolve_expectation(rho0, h, sigma: float, t: float) -> np.ndarray:

@@ -17,8 +17,6 @@ __all__ = [
     "Spectrum",
     "hermitize",
     "hermiticity_defect",
-    "tensor_product",
-    "partial_trace",
     "eig_hermitian",
     "random_hermitian",
     "random_pure_state",
@@ -33,6 +31,7 @@ __all__ = [
 # scheme-dependent tolerances (see dynamics.Trajectory).
 HERMITIAN_RTOL = 1e-12
 
+# Largest dense dimension a truncated space may take (accretion.pnk_exact).
 MAX_DIM = 4096
 
 
@@ -98,32 +97,6 @@ class Spectrum:
 
     def group_energies(self) -> np.ndarray:
         return np.array([self.eigenvalues[list(g)].mean() for g in self.degeneracy_groups])
-
-
-def tensor_product(a, b, max_dim: int = MAX_DIM):
-    """Kronecker product of two operators; first factor varies slowest.
-
-    Rejects results larger than max_dim (default 4096).
-    """
-    ma, mb = as_matrix(a), as_matrix(b)
-    dim = ma.shape[0] * mb.shape[0]
-    if dim > max_dim:
-        raise LinalgError(f"tensor product dimension {dim} exceeds maximum {max_dim}")
-    return np.kron(ma, mb)
-
-
-def partial_trace(m, dims: tuple, keep: str = "first") -> np.ndarray:
-    """Partial trace of a (d1*d2)×(d1*d2) matrix over the discarded factor."""
-    d1, d2 = dims
-    m = as_matrix(m)
-    if m.shape[0] != d1 * d2:
-        raise LinalgError(f"dimension {m.shape[0]} does not factor as {d1}×{d2}")
-    r = m.reshape(d1, d2, d1, d2)
-    if keep == "first":
-        return np.einsum("ikjk->ij", r)
-    if keep == "second":
-        return np.einsum("kikj->ij", r)
-    raise LinalgError(f"keep must be 'first' or 'second', got {keep!r}")
 
 
 def eig_hermitian(h) -> Spectrum:

@@ -67,6 +67,8 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     Returns the run, its outcome groups named by labels and their expected
     probabilities in expected."""
     workers = ensemble._workers(workers)
+    if not np.isfinite(e).all():   # before dt is derived from them
+        raise ValueError(f"energies must be finite, got {e}")
     pop = np.real(np.diag(state)) if state.ndim == 2 else np.abs(state) ** 2
     occupied = e[pop != 0]   # a zero population stays exactly 0 in the ensemble kernels
     rng = float(occupied.max() - occupied.min()) if occupied.size else 0.0
@@ -163,9 +165,11 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
 
     Verifies that the ensemble mean stays at the Gibbs state on the record
     grid, then lets every trajectory run to its reduction endpoint and
-    tallies the outcome frequencies against the Gibbs weights.  Raises the
-    errors of born_statistics.
+    tallies the outcome frequencies against the Gibbs weights.  Raises
+    ValueError on a non-finite beta, and the errors of born_statistics.
     """
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     spec = eig_hermitian(as_matrix(h))
     e = spec.eigenvalues
     w = np.exp(-beta * (e - e.min()))

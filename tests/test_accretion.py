@@ -7,7 +7,6 @@ from scipy.special import jv
 
 from reductionlab.accretion import (
     AccretionModel,
-    DisplacedOscillator,
     TruncationError,
     default_truncation,
     displacement_matrix,
@@ -78,12 +77,6 @@ def test_energy_fluctuation():
     assert abs(energy_fluctuation_accretion(m) - 5.0) < 1e-12
 
 
-def test_displaced_oscillator_from_model():
-    m = AccretionModel(1, 2.0, 0.1, 0.9, coherent_amplitude=0.3 + 0.4j)
-    osc = DisplacedOscillator.from_model(m)
-    assert osc.z == -(0.3 + 0.4j) / 2.0
-
-
 def test_displacement_ground_state_is_coherent():
     z = 0.4
     n_max = 30
@@ -130,6 +123,15 @@ def test_truncation_error_raised():
         pnk_exact(40, 0, 2.0, n_max=42)
     with pytest.raises(TruncationError):
         pnk_exact(40, 0, 0.05, n_max=10)
+
+
+def test_truncation_cap_raises_before_allocating():
+    misses = displacement_matrix.cache_info().misses
+    with pytest.raises(TruncationError, match="100570 Fock levels, above the cap of 4096"):
+        pnk_exact(400, -100000, 0.05)   # a (100570, 100570) array is 75 GiB
+    with pytest.raises(TruncationError, match="4097 Fock levels"):
+        pnk_exact(0, 0, 0.0, n_max=4096)
+    assert displacement_matrix.cache_info().misses == misses
 
 
 def test_bessel_addition_formula():

@@ -129,23 +129,38 @@ def test_bad_ensemble_input_exits_2_fast(tmp_path, capsys, extra):
     assert "ERROR" in capsys.readouterr().err
 
 
+WEIGHTS = "weights must be finite and nonnegative with a positive sum, got -0.5,1.5"
+
+
 @pytest.mark.parametrize("cmd, detail", [
     (["ensemble", "born", "--energies", "0,1", "--weights", "1"], "need one weight per energy"),
     (["phenom", "t-reduce", "--delta-e", "abc"], "cannot parse quantity 'abc'"),
     (["simulate", "--init", "weights:0.5,0.6"], "weights must sum to 1"),
     (["simulate", "--hamiltonian", "{vector}"], "does not hold a matrix"),
     (["simulate", "--init", "{matrix}"], "does not hold a vector"),
+    (["ensemble", "born", "--weights=-0.5,1.5"], WEIGHTS),
+    (["ensemble", "luders", "--branch", "weights:-0.5,1.5"], WEIGHTS),
+    (["ensemble", "born", "--energies", "0,nan"], "energies must be finite, got [ 0. nan]"),
+    (["ensemble", "statdist", "--beta", "nan"], "beta must be finite, got nan"),
+    (["accretion", "coherent", "--kmax", "100000"],   # unchecked, a 75 GiB array
+     "n = 400, k = -100000 and |z| = 0.05 need 100570 Fock levels, above the cap of 4096"),
+    (["hartree", "compare", "--g-values", "0", "--workers", "1"],
+     "--g-values needs two distinct positive couplings to fit an exponent, got 0"),
 ], ids=["born-weight-count", "quantity", "weights-sum", "vector-as-hamiltonian",
-        "matrix-as-init"])
+        "matrix-as-init", "born-negative-weight", "luders-negative-branch-weight",
+        "born-nan-energy", "statdist-nan-beta", "coherent-kmax-past-the-cap",
+        "hartree-one-coupling"])
 def test_bad_cli_input_exits_2_with_its_error_line(cmd, detail, tmp_path, capsys):
     (tmp_path / "vector.txt").write_text("2\n1 0\n0 0\n")
     (tmp_path / "matrix.txt").write_text("2\n1 0\n0 0\n0 0\n0 0\n")
     cmd = [a.format(vector=tmp_path / "vector.txt", matrix=tmp_path / "matrix.txt") for a in cmd]
     t0 = time.monotonic()
-    assert run_cli(cmd + ["--out-dir", str(tmp_path / "x")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a RuntimeWarning on the way fails the test
+        assert run_cli(cmd + ["--out-dir", str(tmp_path / "x")]) == 2
     assert time.monotonic() - t0 < 5.0
     err = capsys.readouterr().err.splitlines()
-    assert any(ln.startswith("ERROR module=") and detail in ln for ln in err), err
+    assert len(err) == 1 and err[0].startswith("ERROR module=") and detail in err[0], err
 
 
 def test_negative_population_exits_2_fast(tmp_path, capsys):
@@ -173,7 +188,8 @@ def test_unstable_dt_exits_2_fast(tmp_path, capsys, mode):
 
 @pytest.mark.parametrize("extra, message", [
     (["--hamiltonian", "diag:nan,1"], "H is not finite"),
-    (["--init", "weights:-0.5,1.5"], "initial state is not finite"),
+    (["--init", "weights:-0.5,1.5"],
+     "weights must be finite and nonnegative with a positive sum, got -0.5,1.5"),
     (["--hamiltonian", "{skew}"], "H is not Hermitian: relative defect 1.00e+00"),
     (["--hamiltonian", "{skew}", "--density"], "H is not Hermitian: relative defect 1.00e+00"),
     (["--hamiltonian", "diag:0,1,2"], "the state has shape (2,), which does not match H's 3×3")],
@@ -188,6 +204,7 @@ def test_simulate_bad_input_exits_2_before_the_first_step(extra, message, tmp_pa
                           capture_output=True, text=True, timeout=5.0)
     assert proc.returncode == 2
     assert f"ERROR module=simulate detail={message}" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize("extra", [["--dt", "nan"], ["--dt", "inf", "--sigma", "0"]])

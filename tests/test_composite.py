@@ -10,7 +10,6 @@ from reductionlab.composite import (
     CompositeSystem,
     clustering_drift_residual,
     clustering_noise_residual,
-    hartree_step,
     hartree_vs_full,
     partial_expectation,
 )
@@ -91,6 +90,19 @@ def test_partial_expectation_kron_oracle(rng):
     assert np.allclose(out1, b * np.trace(r1 @ a), atol=1e-12)
 
 
+def test_total_hamiltonian_is_the_kron_sum(rng):
+    # the first factor varies slowest: diag(1, 2) ⊗ I₃ + I₂ ⊗ diag(0, 10, 20)
+    sys = CompositeSystem(np.diag([1.0, 2.0]), np.diag([0.0, 10.0, 20.0]), np.zeros((6, 6)))
+    assert np.array_equal(sys.total_hamiltonian(), np.diag([1.0, 11, 21, 2, 12, 22]))
+    # at g = 0 the spectrum is every sum of a factor's eigenvalues
+    h1, h2, dh = random_hermitian(2, rng), random_hermitian(3, rng), random_hermitian(6, rng)
+    sums = np.add.outer(np.linalg.eigvalsh(h1), np.linalg.eigvalsh(h2)).ravel()
+    total0 = CompositeSystem(h1, h2, dh, g=0.0).total_hamiltonian()
+    assert np.allclose(np.linalg.eigvalsh(total0), np.sort(sums), atol=1e-12)
+    assert np.allclose(CompositeSystem(h1, h2, dh, g=0.3).total_hamiltonian(), total0 + 0.3 * dh,
+                       atol=1e-15)
+
+
 def test_composite_system_validation(rng):
     h1 = random_hermitian(2, rng)
     h2 = random_hermitian(3, rng)
@@ -124,7 +136,10 @@ def test_hartree_g_zero_decouples(rng):
     r1 = _pure(rng, d)
     r2 = random_density_matrix(d, rng)
     dt, dw = 1e-3, 0.02
-    n1, n2 = hartree_step(r1, r2, sys0, 1.0, dt, dw)
+    new = composite._mean_field_step(composite._stacked(r1, r2, (1, 1)),
+                                     composite._real_maps(sys0, [sys0.g]), 1.0, dt,
+                                     np.array([0.5 * dw]))
+    n1, n2 = new[0, 0, 0], new[1, 0, 0]
     assert np.allclose(n1, step_density(r1, h1, 1.0, dt, dw), atol=1e-13)
     assert np.allclose(n2, step_density(r2, h2, 1.0, dt, dw), atol=1e-13)
 
@@ -141,7 +156,10 @@ def test_hartree_incoherent_environment_bare_hamiltonian(rng):
     sys = CompositeSystem(h1, h2, np.kron(a, b), g=0.7)
     r1 = _pure(rng, d)
     dt, dw = 1e-3, -0.013
-    n1, _ = hartree_step(r1, r2, sys, 1.0, dt, dw)
+    new = composite._mean_field_step(composite._stacked(r1, r2, (1, 1)),
+                                     composite._real_maps(sys, [sys.g]), 1.0, dt,
+                                     np.array([0.5 * dw]))
+    n1 = new[0, 0, 0]
     assert np.allclose(n1, step_density(r1, h1, 1.0, dt, dw), atol=1e-13)
 
 
@@ -149,9 +167,11 @@ def test_hartree_step_preserves_traces(rng):
     d = 3
     sys = CompositeSystem(random_hermitian(d, rng), random_hermitian(d, rng),
                           random_hermitian(d * d, rng), g=0.4)
-    r1, r2 = _pure(rng, d), random_density_matrix(d, rng)
+    a = composite._stacked(_pure(rng, d), random_density_matrix(d, rng), (1, 1))
+    maps = composite._real_maps(sys, [sys.g])
     for dw in np.random.default_rng(0).standard_normal(5) * 0.03:
-        r1, r2 = hartree_step(r1, r2, sys, 1.0, 1e-3, dw)
+        a = composite._mean_field_step(a, maps, 1.0, 1e-3, np.array([0.5 * dw]))
+        r1, r2 = a[0, 0, 0], a[1, 0, 0]
         assert abs(np.trace(r1).real - 1.0) < 1e-12
         assert abs(np.trace(r2).real - 1.0) < 1e-12
         assert np.abs(r1 - r1.conj().T).max() < 1e-12
@@ -371,16 +391,19 @@ def test_hartree_step_is_a_row_of_the_batched_step(rng):
     a1 = np.stack([_pure(rng, d1) for _ in range(b)])
     a2 = np.stack([random_density_matrix(d2, rng) for _ in range(b)])
     dws = rng.standard_normal(b) * 0.03
-    new = composite._mean_field_step(composite._stacked(a1, a2, (1, b)),
-                                     composite._real_maps(sys, [sys.g]), 1.0, 1e-3, 0.5 * dws)
+    maps = composite._real_maps(sys, [sys.g])
+    new = composite._mean_field_step(composite._stacked(a1, a2, (1, b)), maps, 1.0, 1e-3,
+                                     0.5 * dws)
     new1, new2 = new[0, 0, :, :d1, :d1], new[1, 0, :, :d2, :d2]
 
     def layouts(a):   # the same matrix as a C array, a Fortran array and a transposed view
         return a, np.asfortranarray(a), np.ascontiguousarray(a.T).T
 
-    for k in range(b):
-        steps = [hartree_step(r1, r2, sys, 1.0, 1e-3, dws[k])
+    for k in range(b):   # each column alone, as a batch of one
+        steps = [composite._mean_field_step(composite._stacked(r1, r2, (1, 1)), maps, 1.0, 1e-3,
+                                            0.5 * dws[k:k + 1])
                  for r1, r2 in zip(layouts(a1[k]), layouts(a2[k]))]
+        steps = [(s[0, 0, 0, :d1, :d1], s[1, 0, 0, :d2, :d2]) for s in steps]
         for n1, n2 in steps:
             assert n1.tobytes() == steps[0][0].tobytes() and n2.tobytes() == steps[0][1].tobytes()
             assert np.abs(n1 - new1[k]).max() <= 1e-14

@@ -10,14 +10,12 @@ from reductionlab.dynamics import (
     ANTICOMMUTATOR,
     DOUBLE_COMMUTATOR,
     EULER_MARUYAMA,
-    NonCommutingError,
     SdeConfig,
     StabilityError,
     energy_variance,
     evolve_expectation,
     evolve_trajectory,
     noise_coefficient,
-    step_commuting_martingale,
     step_density,
     step_state_vector,
 )
@@ -159,28 +157,31 @@ def test_density_step_maximally_mixed_pure_noise(rng):
     assert np.allclose(out, 0.5 * (expected + expected.conj().T), atol=1e-14)
 
 
+# The martingale step is the density step at dt = 0: for [ρ, H] = 0 both
+# drift terms vanish and only the anticommutator noise moves ρ.
+
 def test_martingale_step_projector_fixed_point(rng):
     rho = np.diag([0.0, 1.0, 0.0]).astype(complex)
     h = np.diag([0.0, 1.0, 2.0]).astype(complex)
-    for dw in rng.standard_normal(4) * 0.05:
-        out = step_commuting_martingale(rho, h, 1.0, 1e-3, dw)
-        assert np.allclose(out, rho, atol=1e-15)
+    dws = rng.standard_normal(4) * 0.05
+    out = _batched_step(np.repeat(rho[None], 4, axis=0), h, 1.0, 0.0, dws, ANTICOMMUTATOR)
+    assert np.allclose(out, rho, atol=1e-15)
 
 
 def test_martingale_step_two_level_hand_expansion(rng):
     e1, e2, p, sigma, dt = 0.3, 1.7, 0.42, 0.8, 1e-3
     rho = np.diag([p, 1 - p]).astype(complex)
     h = np.diag([e1, e2]).astype(complex)
-    for dw in rng.standard_normal(5) * np.sqrt(dt):
-        out = step_commuting_martingale(rho, h, sigma, dt, dw)
-        dp = sigma * p * (1 - p) * (e1 - e2) * dw  # hand expansion for d=2
-        assert abs(out[0, 0].real - (p + dp)) < 1e-12
+    dws = rng.standard_normal(5) * np.sqrt(dt)
+    out = _batched_step(np.repeat(rho[None], 5, axis=0), h, sigma, 0.0, dws, ANTICOMMUTATOR)
+    dp = sigma * p * (1 - p) * (e1 - e2) * dws  # hand expansion for d=2
+    assert np.abs(out[:, 0, 0].real - (p + dp)).max() < 1e-12
 
 
 def test_martingale_step_preserves_gibbs_expectation():
     # ensemble mean of the pure-noise evolution stays at the initial
     # equilibrium state at every time; the paths step as one stack through the
-    # batched density step at dt = 0, which step_commuting_martingale runs
+    # batched density step at dt = 0
     from reductionlab.reduction import gibbs_state
 
     h = np.diag([0.0, 1.0]).astype(complex)
@@ -203,13 +204,6 @@ def test_trajectory_variance_collapses_for_positive_sigma():
     traj = evolve_trajectory(chi0, h, cfg, seed=41)
     assert traj.variance[0] > 0.1
     assert traj.variance[-1] < 0.01 * traj.variance[0]
-
-
-def test_martingale_step_rejects_noncommuting(rng):
-    h = random_hermitian(2, rng)
-    v = random_pure_state(2, rng)
-    with pytest.raises(NonCommutingError):
-        step_commuting_martingale(np.outer(v, v.conj()), h, 1.0, 1e-3, 0.0)
 
 
 def test_evolve_expectation_fixed_point(rng):
@@ -448,7 +442,7 @@ def test_martingale_step_is_the_driftless_density_step(d, seed, dw):
     u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
     h = (u * rng.standard_normal(d)) @ u.conj().T
     rhos = np.stack([(u * rng.dirichlet(np.ones(d))) @ u.conj().T for _ in range(3)])
-    out = step_commuting_martingale(rhos[1], h, 1.0, 1e-3, dw)
+    batch = _batched_step(rhos, h, 1.0, 0.0, np.array([-0.07, dw, 0.03]), ANTICOMMUTATOR)
+    one = _batched_step(rhos[1:2], h, 1.0, 0.0, np.array([dw]), ANTICOMMUTATOR)[0]
     ref = rhos[1] + 0.5 * dw * noise_coefficient(rhos[1], h, ANTICOMMUTATOR)
-    _check_step(out, _batched_step(rhos, h, 1.0, 0.0, np.array([-0.07, dw, 0.03]),
-                                   ANTICOMMUTATOR)[1], ref / np.trace(ref).real)
+    _check_step(one, batch[1], ref / np.trace(ref).real)

@@ -2,52 +2,28 @@ import numpy as np
 import pytest
 
 from reductionlab import linalg
+from reductionlab.composite import partial_expectation
 from reductionlab.linalg import (
     LinalgError,
     eig_hermitian,
     hermitize,
     load_array,
-    partial_trace,
     random_density_matrix,
     random_hermitian,
     random_pure_state,
     save_array,
-    tensor_product,
 )
 
-
-def test_tensor_identity_case():
-    out = tensor_product(np.eye(2), np.eye(3))
-    assert np.array_equal(out, np.eye(6))
-
-
-def test_tensor_kron_structure():
-    out = tensor_product(np.diag([1.0, 2.0]), np.eye(2))
-    assert np.allclose(out, np.diag([1.0, 1.0, 2.0, 2.0]))
-
-
-def test_tensor_eigenvalues_are_products(rng):
-    a = random_hermitian(2, rng)
-    b = random_hermitian(2, rng)
-    # independent oracle: brute-force eigensolve of the 4x4 product
-    big = np.sort(np.linalg.eigvalsh(tensor_product(a, b)))
-    la = np.linalg.eigvalsh(a)
-    lb = np.linalg.eigvalsh(b)
-    products = np.sort(np.array([x * y for x in la for y in lb]))
-    assert np.allclose(big, products, atol=1e-10)
-
-
-def test_tensor_overflow():
-    with pytest.raises(LinalgError):
-        tensor_product(np.eye(70), np.eye(70), max_dim=4096)
+# The partial trace over a factor is composite.partial_expectation against
+# that factor's identity: over=2 keeps the first factor, over=1 the second.
 
 
 def test_partial_trace_product_state(rng):
     r1 = random_density_matrix(3, rng)
     r2 = random_density_matrix(2, rng)
-    red = partial_trace(np.kron(r1, r2), (3, 2), keep="first")
+    red = partial_expectation(np.kron(r1, r2), np.eye(2), (3, 2), over=2)
     assert np.allclose(red, r1, atol=1e-12)
-    red2 = partial_trace(np.kron(r1, r2), (3, 2), keep="second")
+    red2 = partial_expectation(np.kron(r1, r2), np.eye(3), (3, 2), over=1)
     assert np.allclose(red2, r2, atol=1e-12)
 
 
@@ -55,13 +31,13 @@ def test_partial_trace_maximally_entangled():
     bell = np.zeros(4, complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     rho = np.outer(bell, bell.conj())
-    red = partial_trace(rho, (2, 2), keep="second")
+    red = partial_expectation(rho, np.eye(2), (2, 2), over=1)
     assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_index_loop_oracle(rng):
     rho = random_density_matrix(4, rng)
-    red = partial_trace(rho, (2, 2), keep="first")
+    red = partial_expectation(rho, np.eye(2), (2, 2), over=2)
     oracle = np.zeros((2, 2), complex)
     r4 = rho.reshape(2, 2, 2, 2)
     for i in range(2):
@@ -74,16 +50,20 @@ def test_partial_trace_linear_and_trace_preserving(rng):
     a = random_density_matrix(6, rng)
     b = random_density_matrix(6, rng)
     lam = 0.37
+
+    def red(m):
+        return partial_expectation(m, np.eye(3), (2, 3), over=2)
+
     mix = lam * a + (1 - lam) * b
-    red_mix = partial_trace(mix, (2, 3))
-    red_split = lam * partial_trace(a, (2, 3)) + (1 - lam) * partial_trace(b, (2, 3))
+    red_mix = red(mix)
+    red_split = lam * red(a) + (1 - lam) * red(b)
     assert np.allclose(red_mix, red_split, atol=1e-13)
     assert abs(np.trace(red_mix) - 1.0) < 1e-12
 
 
 def test_partial_trace_bad_factorization():
-    with pytest.raises(LinalgError):
-        partial_trace(np.eye(6) / 6, (4, 2))
+    with pytest.raises(ValueError):
+        partial_expectation(np.eye(6) / 6, np.eye(2), (4, 2), over=2)
 
 
 def test_eig_sorted_and_degenerate():
