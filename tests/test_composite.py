@@ -90,10 +90,19 @@ def test_partial_expectation_kron_oracle(rng):
     assert np.allclose(out1, b * np.trace(r1 @ a), atol=1e-12)
 
 
-def test_total_hamiltonian_is_the_kron_sum(rng):
+def test_total_hamiltonian_identity_case():
+    # I₂ ⊗ I₃ + I₂ ⊗ 0 is the identity on the product space
+    sys = CompositeSystem(np.eye(2), np.zeros((3, 3)), np.eye(6), g=0.0)
+    assert np.array_equal(sys.total_hamiltonian(), np.eye(6))
+
+
+def test_total_hamiltonian_kron_order():
     # the first factor varies slowest: diag(1, 2) ⊗ I₃ + I₂ ⊗ diag(0, 10, 20)
     sys = CompositeSystem(np.diag([1.0, 2.0]), np.diag([0.0, 10.0, 20.0]), np.zeros((6, 6)))
     assert np.array_equal(sys.total_hamiltonian(), np.diag([1.0, 11, 21, 2, 12, 22]))
+
+
+def test_total_hamiltonian_spectrum_is_the_sums(rng):
     # at g = 0 the spectrum is every sum of a factor's eigenvalues
     h1, h2, dh = random_hermitian(2, rng), random_hermitian(3, rng), random_hermitian(6, rng)
     sums = np.add.outer(np.linalg.eigvalsh(h1), np.linalg.eigvalsh(h2)).ravel()
