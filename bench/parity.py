@@ -66,6 +66,7 @@ INVOCATIONS = {
                                    "--workers", "2"],
     "accretion-occupancy": ["accretion", "occupancy", "--horizon", "2000"],
     "accretion-coherent": ["accretion", "coherent"],
+    "accretion-coherent-wide": ["accretion", "coherent", "--z", "0.3", "--kmax", "60"],
     "phenom-t-reduce": ["phenom", "t-reduce", "--delta-e", "8.6e-6eV"],
     "phenom-accretion": ["phenom", "accretion"],
     "phenom-table": ["phenom", "table"],

@@ -46,9 +46,8 @@ print("\ncoherent case: occupation spectrum of eigenstate n = 400, z = 0.05")
 n, z = 400, 0.05
 n_max = default_truncation(n, z)
 print(f"{'k':>4}{'exact':>12}{'bessel':>12}")
-for k in range(0, 7):
-    print(f"{k:>4}{pnk_exact(n, k, z, n_max=n_max):>12.5f}"
-          f"{pnk_bessel(n, k, z):>12.5f}")
+for k, pe in enumerate(pnk_exact(n, range(7), z, n_max=n_max)):
+    print(f"{k:>4}{pe:>12.5f}{pnk_bessel(n, k, z):>12.5f}")
 print(f"band edge at |k| = 2 sqrt(n) |z| = {envelope_band(n, z):.1f}; beyond it "
       "the exact probabilities decay exponentially")
 

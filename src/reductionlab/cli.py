@@ -292,20 +292,19 @@ def _merge_bins(observed, expected):
 
 def cmd_accretion_coherent(args, rep: Reporter, out: Path) -> None:
     n, z = args.n, complex(args.z)
-    rows = []
-    for k in range(-args.kmax, args.kmax + 1):
-        if n - k < 0:
-            continue
-        pe = accretion.pnk_exact(n, k, z)
-        pb = accretion.pnk_bessel(n, k, z)
-        env = accretion.pnk_envelope(n, k, z)
-        rows.append((k, pe, pb, env.value if env.region == "band" else 0.0))
+    if args.kmax < 0:
+        raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
+    ks = range(-args.kmax, min(args.kmax, n) + 1)
+    rows = [(k, pe, accretion.pnk_bessel(n, k, z), env.value if env.region == "band" else 0.0)
+            for k, pe in zip(ks, accretion.pnk_exact(n, ks, z))
+            for env in [accretion.pnk_envelope(n, k, z)]]
     write_csv(out / "coherent-spectrum.csv", "k,p_exact,p_bessel,envelope", rows)
     n_max = accretion.default_truncation(n, z)
-    total = sum(accretion.pnk_exact(n, n - m, z, n_max=n_max) for m in range(n_max + 1))
+    total = sum(accretion.pnk_exact(n, n - np.arange(n_max + 1), z, n_max=n_max).tolist())
     rep.check("coherent-sum", abs(total - 1.0) <= 1e-10, total=total)
-    cross = max(abs(accretion.pnk_exact(n, k, z) - accretion.pnk_laguerre(n, k, z))
-                for k in range(-5, 6))
+    ks = range(-5, min(5, n) + 1)
+    cross = max(abs(pe - accretion.pnk_laguerre(n, k, z))
+                for k, pe in zip(ks, accretion.pnk_exact(n, ks, z)))
     rep.check("coherent-crosscheck", cross <= 1e-10, max_diff=cross)
 
 

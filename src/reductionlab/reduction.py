@@ -40,9 +40,9 @@ class ReductionBudgetError(RuntimeError):
 def gibbs_state(h, beta: float) -> np.ndarray:
     """exp(−βH)/Z, computed in the eigenbasis (commutes with H by construction)."""
     spec = eig_hermitian(as_matrix(h))
-    w = np.exp(-beta * (spec.eigenvalues - spec.eigenvalues.min()))
+    e, u = spec.eigenvalues, spec.eigenvectors
+    w = np.exp(-beta * (e - (e.min() if beta >= 0 else e.max())))   # every exponent ≤ 0
     w /= w.sum()
-    u = spec.eigenvectors
     return (u * w) @ u.conj().T
 
 
@@ -172,7 +172,7 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
         raise ValueError(f"beta must be finite, got {beta}")
     spec = eig_hermitian(as_matrix(h))
     e = spec.eigenvalues
-    w = np.exp(-beta * (e - e.min()))
+    w = np.exp(-beta * (e - (e.min() if beta >= 0 else e.max())))   # every exponent ≤ 0
     w /= w.sum()
     gw = np.array([w[list(g)].sum() for g in spec.degeneracy_groups])
     run = _run_scenario(

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats as sstats
 from scipy.special import jv
 
+from reductionlab import accretion
 from reductionlab.accretion import (
     AccretionModel,
     TruncationError,
@@ -104,6 +105,18 @@ def test_pnk_coherent_ground_state_poisson():
         assert abs(pnk_laguerre(0, -k, z) - expected) < 1e-12
 
 
+def test_pnk_exact_array_matches_scalar():
+    n, z = 50, 0.3
+    ks = np.arange(-30, n + 1)
+    n_max = default_truncation(n, z, ks.min())
+    scalar = [pnk_exact(n, k, z, n_max=n_max) for k in ks.tolist()]
+    assert all(type(p) is float for p in scalar)
+    assert np.array_equal(pnk_exact(n, ks, z, n_max=n_max), scalar)
+    assert np.array_equal(pnk_exact(n, ks, z), scalar)   # the default covers min(k)
+    with pytest.raises(ValueError, match="n−k ≥ 0"):
+        pnk_exact(n, [0, n + 1], z)   # a negative index would wrap around
+
+
 def test_pnk_exact_vs_laguerre(rng):
     z = 0.05
     n = 50
@@ -114,7 +127,7 @@ def test_pnk_exact_vs_laguerre(rng):
 def test_pnk_sums_to_one():
     n, z = 50, 0.05
     n_max = default_truncation(n, z)
-    total = sum(pnk_exact(n, n - m, z, n_max=n_max) for m in range(n_max + 1))
+    total = sum(pnk_exact(n, n - np.arange(n_max + 1), z, n_max=n_max).tolist())
     assert abs(total - 1.0) <= 1e-10
 
 
@@ -125,13 +138,25 @@ def test_truncation_error_raised():
         pnk_exact(40, 0, 0.05, n_max=10)
 
 
-def test_truncation_cap_raises_before_allocating():
-    misses = displacement_matrix.cache_info().misses
+def test_truncation_cap_raises_before_allocating(monkeypatch):
+    def unreachable(z, n_max):
+        raise AssertionError(f"displacement_matrix called with n_max={n_max}")
+
+    monkeypatch.setattr(accretion, "displacement_matrix", unreachable)
     with pytest.raises(TruncationError, match="100570 Fock levels, above the cap of 4096"):
         pnk_exact(400, -100000, 0.05)   # a (100570, 100570) array is 75 GiB
+    with pytest.raises(TruncationError, match="k = -100000 .* 100570 Fock levels"):
+        pnk_exact(400, np.arange(-100000, 401), 0.05)
     with pytest.raises(TruncationError, match="4097 Fock levels"):
         pnk_exact(0, 0, 0.0, n_max=4096)
-    assert displacement_matrix.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("z", [math.inf, math.nan, complex(0.1, math.inf)])
+def test_nonfinite_z_raises_before_truncation(z):
+    with pytest.raises(ValueError, match="z must be finite"):
+        pnk_exact(4, 0, z)
+    with pytest.raises(ValueError, match="z must be finite"):
+        pnk_exact(4, [-1, 0, 1], z, n_max=30)
 
 
 def test_bessel_addition_formula():
@@ -147,8 +172,9 @@ def test_bessel_converges_to_exact():
     for n in (50, 200):
         z = w / (2.0 * math.sqrt(n))
         n_max = default_truncation(n, z) + 25
-        d = sum(abs(pnk_exact(n, k, z, n_max=n_max) - pnk_bessel(n, k, z))
-                for k in range(-20, 21))
+        ks = range(-20, 21)
+        d = sum(abs(pe - pnk_bessel(n, k, z))
+                for k, pe in zip(ks, pnk_exact(n, ks, z, n_max=n_max)))
         dists.append(d)
     assert dists[1] < 0.5 * dists[0]
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from reductionlab import composite, dynamics, ensemble, phenomenology as ph, reduction
+from reductionlab import accretion, composite, dynamics, ensemble, phenomenology as ph, reduction
 from reductionlab.cli import _merge_bins, main
 
 
@@ -146,10 +146,13 @@ WEIGHTS = "weights must be finite and nonnegative with a positive sum, got -0.5,
      "n = 400, k = -100000 and |z| = 0.05 need 100570 Fock levels, above the cap of 4096"),
     (["hartree", "compare", "--g-values", "0", "--workers", "1"],
      "--g-values needs two distinct positive couplings to fit an exponent, got 0"),
+    (["accretion", "coherent", "--z", "inf"], "z must be finite, got (inf+0j)"),
+    (["accretion", "coherent", "--z", "nan"], "z must be finite, got (nan+0j)"),
+    (["accretion", "coherent", "--kmax", "-1"], "--kmax must be nonnegative, got -1"),
 ], ids=["born-weight-count", "quantity", "weights-sum", "vector-as-hamiltonian",
         "matrix-as-init", "born-negative-weight", "luders-negative-branch-weight",
         "born-nan-energy", "statdist-nan-beta", "coherent-kmax-past-the-cap",
-        "hartree-one-coupling"])
+        "hartree-one-coupling", "coherent-z-inf", "coherent-z-nan", "coherent-negative-kmax"])
 def test_bad_cli_input_exits_2_with_its_error_line(cmd, detail, tmp_path, capsys):
     (tmp_path / "vector.txt").write_text("2\n1 0\n0 0\n")
     (tmp_path / "matrix.txt").write_text("2\n1 0\n0 0\n0 0\n0 0\n")
@@ -468,6 +471,36 @@ def test_occupancy_bad_input_exits_2(flag, value, message, tmp_path):
                           capture_output=True, text=True, timeout=5.0)
     assert proc.returncode == 2
     assert f"ERROR module=accretion-occupancy detail={message}" in proc.stderr
+
+
+def test_coherent_wide_kmax_exits_0_fast(tmp_path):
+    # in a child process: one matrix exponential per k took minutes here
+    proc = subprocess.run([sys.executable, "-m", "reductionlab.cli", "accretion", "coherent",
+                           "--kmax", "200", "--out-dir", str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=10.0)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "o" / "coherent-spectrum.csv").read_text().splitlines()
+    assert rows[1].startswith("-200,") and rows[-1].startswith("200,")
+
+
+@pytest.mark.parametrize("kmax", ["20", "200"])
+def test_coherent_builds_at_most_three_matrices(kmax, tmp_path, monkeypatch):
+    calls = []
+    build = accretion.displacement_matrix
+    monkeypatch.setattr(accretion, "displacement_matrix",
+                        lambda z, n_max: calls.append(n_max) or build(z, n_max))
+    assert run_cli(["accretion", "coherent", "--kmax", kmax,
+                    "--out-dir", str(tmp_path / "o")]) == 0
+    assert len(calls) <= 3, calls
+
+
+@pytest.mark.parametrize("n", ["2", "0"])
+def test_coherent_below_the_crosscheck_range_passes(n, tmp_path, capsys):
+    # the crosscheck's k reaches 5, past n: it runs over k ≤ n only
+    assert run_cli(["accretion", "coherent", "--n", n, "--out-dir", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "RESULT check=coherent-sum status=PASS" in out
+    assert "RESULT check=coherent-crosscheck status=PASS" in out
 
 
 def test_occupancy_default_run_passes(tmp_path, capsys):

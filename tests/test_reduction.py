@@ -1,5 +1,6 @@
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,18 @@ def test_gibbs_state_properties(rng):
     # infinite temperature: maximally mixed
     g0 = gibbs_state(h, 0.0)
     assert np.allclose(g0, np.eye(4) / 4, atol=1e-12)
+
+
+def test_gibbs_weights_at_large_negative_beta_do_not_overflow():
+    # exp(1000) overflows unless the exponent is shifted by the highest energy
+    h = np.diag([0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gibbs_state(h, -1000.0)
+        rep = statdist_martingale_run(h, -1000.0, 1.0, 16, 0, workers=1)
+    assert np.array_equal(g, np.diag([0.0, 1.0]))
+    assert np.array_equal(rep.gibbs_weights, [0.0, 1.0])
+    assert np.array_equal(rep.stats.expected, [0.0, 1.0])
 
 
 def test_born_eigenstate_initial_state():
