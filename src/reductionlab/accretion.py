@@ -36,6 +36,7 @@ __all__ = [
     "energy_fluctuation_accretion",
     "TruncationError",
     "displacement_matrix",
+    "checked_truncation",
     "default_truncation",
     "pnk_exact",
     "pnk_laguerre",
@@ -132,12 +133,15 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
             break
         n += 1 if rng.random() < rate_up / total else -1
     samples = np.asarray(samples, int)
-    warn = len(samples) < 100
-    if not warn:
+    warn = False
+    if len(samples) < 100:
+        warn = True
+    else:
         half = len(samples) // 2
         m1, m2 = samples[:half].mean(), samples[half:].mean()
         pooled = samples.std(ddof=1) / math.sqrt(half) if samples.std() > 0 else 0.0
-        warn = pooled > 0 and abs(m1 - m2) > 6.0 * pooled
+        if pooled > 0 and abs(m1 - m2) > 6.0 * pooled:
+            warn = True
     if warn:
         warnings.warn("horizon may be too short for stationary statistics",
                       RuntimeWarning, stacklevel=2)
@@ -227,6 +231,24 @@ def default_truncation(n: int, z: complex, k: int = 0) -> int:
     return int(math.ceil(top + margin))
 
 
+def checked_truncation(n: int, k_lo: int, k_hi: int, z: complex,
+                       n_max: int | None = None) -> int:
+    """pnk_exact's truncation for every k from k_lo to k_hi (n_max, by default
+    default_truncation(n, z, k_lo)), checked as pnk_exact documents; it
+    allocates nothing, so a caller can check a range of k before building it."""
+    if n < 0 or n - k_hi < 0:
+        raise ValueError("need n ≥ 0 and n−k ≥ 0")
+    if not np.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
+    n_max = default_truncation(n, z, k_lo) if n_max is None else n_max
+    if n_max < max(n, n - k_lo):
+        raise TruncationError(f"n_max={n_max} below requested occupation index")
+    if n_max + 1 > MAX_DIM:
+        raise TruncationError(f"n = {n}, k = {k_lo} and |z| = {abs(z):.6g} need {n_max + 1} "
+                              f"Fock levels, above the cap of {MAX_DIM}")
+    return n_max
+
+
 def pnk_exact(n: int, k, z: complex, n_max: int | None = None):
     """Probability of finding n−k quanta in the a-number basis for the
     n-th displaced-oscillator eigenstate, by brute-force matrix exponential.
@@ -234,22 +256,13 @@ def pnk_exact(n: int, k, z: complex, n_max: int | None = None):
     k is an int, giving a float, or an integer array, giving an array: every
     k reads column n of one displacement matrix, by default truncated to
     cover the smallest k.  Raises ValueError unless n ≥ 0, every n−k ≥ 0 and
-    z is finite; errors out, before anything is allocated, if the truncation
-    holds more than linalg.MAX_DIM levels, and afterwards if the truncated
-    eigenstate leaks more than 1e-10 of its norm past the boundary.
+    z is finite; errors out, before the matrix is built, if the truncation
+    misses occupation n − min(k) or holds more than linalg.MAX_DIM levels,
+    and afterwards if the truncated eigenstate leaks more than 1e-10 of its
+    norm past the boundary.
     """
     ks = np.asarray(k)
-    if n < 0 or (n - ks < 0).any():
-        raise ValueError("need n ≥ 0 and n−k ≥ 0")
-    if not np.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    k_lo = int(ks.min())
-    n_max = default_truncation(n, z, k_lo) if n_max is None else n_max
-    if n_max < max(n, n - k_lo):
-        raise TruncationError(f"n_max={n_max} below requested occupation index")
-    if n_max + 1 > MAX_DIM:
-        raise TruncationError(f"n = {n}, k = {k_lo} and |z| = {abs(z):.6g} need {n_max + 1} "
-                              f"Fock levels, above the cap of {MAX_DIM}")
+    n_max = checked_truncation(n, int(ks.min()), int(ks.max()), z, n_max)
     col = displacement_matrix(complex(z), n_max)[:, n]
     p = np.hypot(col.real, col.imag) ** 2   # rounds as abs() of one entry; np.abs may not
     # The truncated generator is still anti-Hermitian, so the column norm is

@@ -294,10 +294,14 @@ def cmd_accretion_coherent(args, rep: Reporter, out: Path) -> None:
     n, z = args.n, complex(args.z)
     if args.kmax < 0:
         raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
-    ks = range(-args.kmax, min(args.kmax, n) + 1)
-    rows = [(k, pe, accretion.pnk_bessel(n, k, z), env.value if env.region == "band" else 0.0)
-            for k, pe in zip(ks, accretion.pnk_exact(n, ks, z))
-            for env in [accretion.pnk_envelope(n, k, z)]]
+    k_hi = min(args.kmax, n)
+    accretion.checked_truncation(n, -args.kmax, k_hi, z)   # before the k array is built
+    ks = range(-args.kmax, k_hi + 1)
+    rows = []
+    for k, pe in zip(ks, accretion.pnk_exact(n, ks, z)):
+        pb = accretion.pnk_bessel(n, k, z)
+        env = accretion.pnk_envelope(n, k, z)
+        rows.append((k, pe, pb, env.value if env.region == "band" else 0.0))
     write_csv(out / "coherent-spectrum.csv", "k,p_exact,p_bessel,envelope", rows)
     n_max = accretion.default_truncation(n, z)
     total = sum(accretion.pnk_exact(n, n - np.arange(n_max + 1), z, n_max=n_max).tolist())

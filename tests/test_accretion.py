@@ -111,6 +111,9 @@ def test_pnk_exact_array_matches_scalar():
     n_max = default_truncation(n, z, ks.min())
     scalar = [pnk_exact(n, k, z, n_max=n_max) for k in ks.tolist()]
     assert all(type(p) is float for p in scalar)
+    col = displacement_matrix(complex(z), n_max)[:, n]
+    # abs() of one complex entry, squared, as the per-k form always rounded it
+    assert scalar == [float(abs(col[n - k]) ** 2) for k in ks.tolist()]
     assert np.array_equal(pnk_exact(n, ks, z, n_max=n_max), scalar)
     assert np.array_equal(pnk_exact(n, ks, z), scalar)   # the default covers min(k)
     with pytest.raises(ValueError, match="n−k ≥ 0"):

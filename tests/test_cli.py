@@ -149,10 +149,13 @@ WEIGHTS = "weights must be finite and nonnegative with a positive sum, got -0.5,
     (["accretion", "coherent", "--z", "inf"], "z must be finite, got (inf+0j)"),
     (["accretion", "coherent", "--z", "nan"], "z must be finite, got (nan+0j)"),
     (["accretion", "coherent", "--kmax", "-1"], "--kmax must be nonnegative, got -1"),
+    (["accretion", "coherent", "--kmax", "1000000000"],   # an 8 GB k array if built first
+     "k = -1000000000 and |z| = 0.05 need 1000016223 Fock levels, above the cap of 4096"),
 ], ids=["born-weight-count", "quantity", "weights-sum", "vector-as-hamiltonian",
         "matrix-as-init", "born-negative-weight", "luders-negative-branch-weight",
         "born-nan-energy", "statdist-nan-beta", "coherent-kmax-past-the-cap",
-        "hartree-one-coupling", "coherent-z-inf", "coherent-z-nan", "coherent-negative-kmax"])
+        "hartree-one-coupling", "coherent-z-inf", "coherent-z-nan", "coherent-negative-kmax",
+        "coherent-kmax-past-the-cap-before-allocating"])
 def test_bad_cli_input_exits_2_with_its_error_line(cmd, detail, tmp_path, capsys):
     (tmp_path / "vector.txt").write_text("2\n1 0\n0 0\n")
     (tmp_path / "matrix.txt").write_text("2\n1 0\n0 0\n0 0\n0 0\n")
