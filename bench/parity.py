@@ -71,6 +71,11 @@ INVOCATIONS = {
     "phenom-accretion": ["phenom", "accretion"],
     "phenom-table": ["phenom", "table"],
     "reproduce-paper": ["reproduce-paper"],
+    # bad input, exit 2: the ERROR line on stderr is compared too
+    "error-simulate-nan-hamiltonian": ["simulate", "--hamiltonian", "diag:nan,1"],
+    "error-simulate-dimension-mismatch": ["simulate", "--hamiltonian", "diag:0,1,2"],
+    "error-born-inf-energy": ["ensemble", "born", "--energies", "0,inf", "--workers", "1"],
+    "error-coherent-z-past-the-cap": ["accretion", "coherent", "--z", "1e200"],
 }
 
 

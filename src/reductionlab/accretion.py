@@ -240,6 +240,9 @@ def checked_truncation(n: int, k_lo: int, k_hi: int, z: complex,
         raise ValueError("need n ≥ 0 and n−k ≥ 0")
     if not np.isfinite(z):
         raise ValueError(f"z must be finite, got {z}")
+    if n_max is None and abs(z) > MAX_DIM:   # |z|² alone passes the cap, and may overflow
+        raise TruncationError(f"|z| = {abs(z):.6g} needs more Fock levels than the cap of "
+                              f"{MAX_DIM}")
     n_max = default_truncation(n, z, k_lo) if n_max is None else n_max
     if n_max < max(n, n - k_lo):
         raise TruncationError(f"n_max={n_max} below requested occupation index")

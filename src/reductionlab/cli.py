@@ -103,6 +103,18 @@ def _weights(text: str) -> np.ndarray:
     return w
 
 
+def _energies(text: str) -> np.ndarray:
+    """--energies: comma-separated finite numbers, rejected naming the flag
+    before anything is derived from them."""
+    try:
+        e = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        e = None
+    if e is None or not np.isfinite(e).all():
+        raise ValueError(f"--energies must be comma-separated finite numbers, got {text}")
+    return e
+
+
 def _parse_state(spec: str) -> np.ndarray:
     if spec.startswith("weights:"):
         w = _weights(spec[8:])
@@ -149,12 +161,11 @@ def cmd_simulate(args, rep: Reporter, out: Path) -> None:
 
 
 def cmd_ensemble_born(args, rep: Reporter, out: Path) -> None:
-    energies = ([float(x) for x in args.energies.split(",")] if args.energies
-                else list(range(args.dim)))
+    energies = _energies(args.energies) if args.energies else np.arange(args.dim, dtype=float)
     w = _weights(args.weights)
     if len(w) != len(energies):
         raise ValueError("need one weight per energy")
-    h = np.diag(np.array(energies, float)).astype(complex)
+    h = np.diag(energies).astype(complex)
     chi0 = np.sqrt(w / w.sum()).astype(complex)
     run = reduction.born_statistics(h, chi0, args.sigma, args.ntraj, args.seed,
                                     dt=args.dt, workers=args.workers)
@@ -173,9 +184,8 @@ def cmd_ensemble_born(args, rep: Reporter, out: Path) -> None:
 
 
 def cmd_ensemble_statdist(args, rep: Reporter, out: Path) -> None:
-    energies = ([float(x) for x in args.energies.split(",")] if args.energies
-                else list(range(args.dim)))
-    h = np.diag(np.array(energies, float)).astype(complex)
+    energies = _energies(args.energies) if args.energies else np.arange(args.dim, dtype=float)
+    h = np.diag(energies).astype(complex)
     report = reduction.statdist_martingale_run(
         h, args.beta, args.sigma, args.ntraj, args.seed,
         dt=args.dt, workers=args.workers)
@@ -188,11 +198,12 @@ def cmd_ensemble_statdist(args, rep: Reporter, out: Path) -> None:
 
 
 def cmd_ensemble_luders(args, rep: Reporter, out: Path) -> None:
+    if not 0 < args.alpha2 <= 1:   # at 0 no trajectory is transmitted, so no check could measure
+        raise ValueError(f"--alpha2 must be in (0, 1], got {args.alpha2}")
     alpha = math.sqrt(args.alpha2)
     bamp = _parse_state(args.branch)
     mw = _weights(args.weights)
-    me = ([float(x) for x in args.energies.split(",")] if args.energies
-          else [1.0 + i for i in range(len(mw))])
+    me = _energies(args.energies) if args.energies else 1.0 + np.arange(len(mw))
     rp = reduction.luders_scenario(alpha, bamp, mw / mw.sum(), me,
                                    args.sigma, args.ntraj, args.seed,
                                    dt=args.dt, workers=args.workers)
@@ -291,7 +302,11 @@ def _merge_bins(observed, expected):
 
 
 def cmd_accretion_coherent(args, rep: Reporter, out: Path) -> None:
-    n, z = args.n, complex(args.z)
+    n = args.n
+    try:
+        z = complex(args.z)
+    except ValueError:
+        raise ValueError(f"--z must be a complex number, got {args.z!r}") from None
     if args.kmax < 0:
         raise ValueError(f"--kmax must be nonnegative, got {args.kmax}")
     k_hi = min(args.kmax, n)
@@ -393,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default=dynamics.EULER_RENORMALIZED,
                    choices=[dynamics.EULER_MARUYAMA, dynamics.EULER_RENORMALIZED])
     p.add_argument("--noise-form", default=dynamics.ANTICOMMUTATOR,
-                   choices=[dynamics.ANTICOMMUTATOR, dynamics.DOUBLE_COMMUTATOR])
+                   choices=[dynamics.ANTICOMMUTATOR, dynamics.DOUBLE_COMMUTATOR],
+                   help="noise coefficient of the density step; the two forms agree on "
+                        "state vectors")
     p.add_argument("--dump-noise", action="store_true",
                    help="also write the consumed Wiener increments (step,dW)")
     _add_common(p)

@@ -31,16 +31,16 @@ therefore byte-identical for any worker count.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (ANTICOMMUTATOR, DOUBLE_COMMUTATOR, STABILITY_WARN, _dag, _embed,
                        _euler_step, _times, check_stability, noise_coefficient)
-from .ensemble import (CHUNK, _DensityKernel, _check_input, _noise_chunk, _run_spans,
-                       _split, _workers)
-from .linalg import (as_matrix, hermiticity_defect, random_density_matrix, random_hermitian,
-                     random_pure_state, write_csv)
+from .ensemble import (CHUNK, NORM_TOL, _DensityKernel, _check_input, _noise_chunk,
+                       _run_spans, _split, _workers)
+from .linalg import (as_matrix, check_hermitian, check_state, random_density_matrix,
+                     random_hermitian, random_pure_state, write_csv)
 from .noise import trajectory_generator
 
 __all__ = [
@@ -58,8 +58,8 @@ __all__ = [
 @dataclass(frozen=True)
 class CompositeSystem:
     """Two tensor factors with Hamiltonians h1, h2 and a coupling delta_h
-    on the product space, scaled by g.  Each matrix must be finite and
-    Hermitian; ValueError names the one that is not."""
+    on the product space, scaled by g.  Each matrix must pass
+    `linalg.check_hermitian`; ValueError names the one that does not."""
 
     h1: np.ndarray
     h2: np.ndarray
@@ -68,12 +68,7 @@ class CompositeSystem:
 
     def __post_init__(self):
         for name in ("h1", "h2", "delta_h"):
-            m = as_matrix(getattr(self, name))
-            if not np.isfinite(m).all():
-                raise ValueError(f"{name} is not finite")
-            if hermiticity_defect(m) > 1e-12:
-                raise ValueError(f"{name} is not Hermitian")
-            object.__setattr__(self, name, m)
+            object.__setattr__(self, name, check_hermitian(getattr(self, name), name))
         if self.delta_h.shape[0] != self.h1.shape[0] * self.h2.shape[0]:
             raise ValueError("delta_h must act on the product space")
 
@@ -81,10 +76,11 @@ class CompositeSystem:
     def dims(self):
         return self.h1.shape[0], self.h2.shape[0]
 
-    def total_hamiltonian(self) -> np.ndarray:
+    def total_hamiltonian(self, g: float | None = None) -> np.ndarray:
+        """H1⊗1 + 1⊗H2 + g·ΔH, at coupling g (default self.g)."""
         d1, d2 = self.dims
         return (np.kron(self.h1, np.eye(d2)) + np.kron(np.eye(d1), self.h2)
-                + self.g * self.delta_h)
+                + (self.g if g is None else g) * self.delta_h)
 
 
 def clustering_noise_residual(rho1, rho2, h1, h2, form: str = ANTICOMMUTATOR) -> float:
@@ -320,19 +316,21 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     largest dt at which σ²ΔE²dt, ΔE the total Hamiltonian's spectral range,
     stays at or below `dynamics.STABILITY_WARN` at every g (1e-3 when σ·ΔE
     is 0); the report's dt is the step taken.  Raises ValueError on bad
-    input (an empty or non-finite g list, a non-finite or negative σ, a
-    horizon that rounds to no step and workers other than None or an
+    input (an empty or non-finite g list, a non-finite or negative σ, an
+    initial state that fails `linalg.check_state` within `ensemble.NORM_TOL`,
+    a horizon that rounds to no step and workers other than None or an
     integer ≥ 1 included) or non-finite finals, and StabilityError when
     σ²ΔE²dt exceeds the hard bound at some g.
     """
     workers = _workers(workers)
-    r1, r2, (d1, d2) = as_matrix(rho1_0), as_matrix(rho2_0), system.dims
+    _check_input(sigma, 1.0 if dt is None else dt, n_traj)   # σ before dt is derived from it
+    d1, d2 = system.dims
+    r1 = check_state(as_matrix(rho1_0), d1, NORM_TOL, "rho1_0")
+    r2 = check_state(as_matrix(rho2_0), d2, NORM_TOL, "rho2_0")
     gv = np.asarray(g_values, float)
-    for h, r in ((system.h1, r1), (system.h2, r2)):   # σ is checked before dt is derived
-        _check_input(np.linalg.eigvalsh(h), r, sigma, 1.0 if dt is None else dt, n_traj)
     if not gv.size or not np.isfinite(gv).all():
         raise ValueError(f"g values must be a nonempty list of finite numbers, got {gv}")
-    spectra = [np.linalg.eigh(replace(system, g=g).total_hamiltonian()) for g in gv]
+    spectra = [np.linalg.eigh(system.total_hamiltonian(g)) for g in gv]   # no re-check per g
     h_range = max(e[-1] - e[0] for e, _ in spectra)
     if dt is None:
         scale = sigma * sigma * h_range * h_range   # the product as check_stability forms it

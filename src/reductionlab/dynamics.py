@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (HERMITIAN_RTOL, as_matrix, as_vector, hermiticity_defect, hermitize,
+from .linalg import (as_matrix, as_vector, check_hermitian, check_state, hermitize,
                      purity_residual, write_csv)
 from .noise import wiener_path
 
@@ -304,36 +304,19 @@ class Trajectory:
     dt: float = 0.0
 
     def validate(self) -> None:
-        """Check stored states against their type invariants at tolerance
+        """Check stored states with linalg.check_state at tolerance
         max(100·dt, 1e-10); a non-finite state fails every invariant."""
         for k, s in enumerate(self.states):
-            _check_state(s, self.dt, f"state {k}")
+            check_state(s, len(s), _state_tol(self.dt), f"state {k}")
 
     def to_csv(self, path) -> None:
         write_csv(path, "t,reH_exp,V,purity_residual",
                   zip(self.times, self.energy_mean, self.variance, self.purity_residual))
 
 
-def _check_state(s, dt, label) -> None:
-    """Raise ValueError naming `label` unless state vector or density matrix s
-    is finite and keeps its invariants (unit norm; unit trace, Hermiticity
-    and positivity) within max(100·dt, 1e-10)."""
-    tol = max(100.0 * dt, 1e-10)
-    if not np.isfinite(s).all():
-        raise ValueError(f"{label} is not finite")
-    if s.ndim == 1:
-        drift = abs(float(np.vdot(s, s).real) - 1.0)
-        if drift > tol:
-            raise ValueError(f"{label}: norm² drift {drift:.2e} > {tol:.2e}")
-    else:
-        tr_drift = abs(np.trace(s).real - 1.0)
-        herm = np.abs(s - s.conj().T).max()
-        low = np.linalg.eigvalsh(hermitize(s))[0]
-        if tr_drift > tol or herm > tol or low < -tol:
-            raise ValueError(
-                f"{label}: trace drift {tr_drift:.2e}, hermiticity {herm:.2e}, "
-                f"eigmin {low:.2e} outside ±{tol:.2e}"
-            )
+def _state_tol(dt) -> float:
+    """Trajectory.validate's tolerance."""
+    return max(100.0 * dt, 1e-10)
 
 
 def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
@@ -342,19 +325,17 @@ def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
     `init` may be a state vector or a density matrix; density evolution
     follows the anticommutator-form equation unless the config selects the
     double-commutator form (pure states only — the two differ on mixed ones).
-    Before the first step, raises ValueError when H is not finite or not
-    Hermitian (relative defect above HERMITIAN_RTOL), when the state's shape
-    does not match H, or when the state fails `Trajectory.validate`'s rule.
+    Before the first step, raises ValueError when H fails
+    `linalg.check_hermitian`, when the state fails `linalg.check_state` for
+    H's dimension at `Trajectory.validate`'s tolerance, or when a density
+    matrix comes with the euler_maruyama scheme: the density step always
+    renormalizes its trace.
     """
-    m = as_matrix(h)
-    if not np.isfinite(m).all():
-        raise ValueError("H is not finite")
-    if hermiticity_defect(m) > HERMITIAN_RTOL:
-        raise ValueError(f"H is not Hermitian: relative defect {hermiticity_defect(m):.2e}")
-    raw, d = np.asarray(init, complex), m.shape[0]
-    if raw.shape not in ((d,), (d, d)):
-        raise ValueError(f"the state has shape {raw.shape}, which does not match H's {d}×{d}")
-    _check_state(raw, config.dt, "initial state")
+    m = check_hermitian(h)
+    raw = check_state(init, m.shape[0], _state_tol(config.dt), "initial state")
+    if raw.ndim == 2 and config.scheme != EULER_RENORMALIZED:
+        raise ValueError(f"scheme {config.scheme!r} steps state vectors only: the density "
+                         f"step always renormalizes its trace")
     h_rng = spectral_range(m)
     check_stability(config.sigma, config.dt, h_rng)
     path = wiener_path(seed, config.dt, config.n_steps)

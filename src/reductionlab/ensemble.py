@@ -92,7 +92,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dynamics import check_sigma_dt
-from .linalg import write_csv
+from .linalg import check_state, write_csv
 from .noise import trajectory_generator
 
 __all__ = ["EnsembleRun", "run_ensemble"]
@@ -497,22 +497,9 @@ def _run_spans(work, spans):
             p.join()
 
 
-def _check_input(e, state, sigma, dt, n_traj):
-    """Reject input that could never meet the stopping rule."""
+def _check_input(sigma, dt, n_traj):
+    """Reject a σ, dt or trajectory count that no run can take."""
     check_sigma_dt(sigma, dt)
-    if e.ndim != 1 or not np.isfinite(e).all():
-        raise ValueError("energies must be a finite 1-D array")
-    d, vector = e.shape[0], state.ndim == 1
-    if state.shape not in ((d,), (d, d)) or not np.isfinite(state).all():
-        raise ValueError(f"initial state must be finite amplitudes of shape ({d},) or a "
-                         f"density matrix of shape ({d}, {d}), got shape {state.shape}")
-    if not vector and (np.linalg.norm(state - state.conj().T) > NORM_TOL
-                       or np.linalg.eigvalsh(state).min() < -NORM_TOL):
-        raise ValueError("initial density matrix must be Hermitian and positive semidefinite")
-    mass = np.sum(np.abs(state) ** 2) if vector else np.trace(state)
-    if not abs(mass - 1.0) <= NORM_TOL:
-        raise ValueError(f"initial state must have unit {'norm' if vector else 'trace'}, "
-                         f"got {mass:.17g}")
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
 
@@ -545,16 +532,18 @@ def run_ensemble(energies, state, sigma: float, dt: float, base_seed: int, n_tra
     this is exactly the pure-noise martingale evolution.  groups: outcome
     classes (default: one per level).  The blocks run on min(workers, blocks)
     processes, workers=None meaning every CPU, with the same results for any
-    worker count.  Raises ValueError on a state of any other shape, or one
-    that is not finite or breaks the above, a non-finite or negative sigma
+    worker count.  Raises ValueError on a state that fails `linalg.check_state`
+    within NORM_TOL, non-finite energies, a non-finite or negative sigma
     or dt ≤ 0, workers other than None or an integer ≥ 1, or populations
     that turn non-finite or negative; with stop_on_reduction, also on
     max_steps < horizon_steps and on sigma = 0 with V(0) > 0, which could
     never stop.
     """
     e = np.asarray(energies, dtype=float)
-    state = np.asarray(state, dtype=complex)
-    _check_input(e, state, sigma, dt, n_traj)
+    _check_input(sigma, dt, n_traj)
+    if e.ndim != 1 or not np.isfinite(e).all():
+        raise ValueError("energies must be a finite 1-D array")
+    state = check_state(state, e.shape[0], NORM_TOL, "initial state")
     kernel = (_StateKernel if state.ndim == 1 else _DensityKernel)(e, state, sigma, dt)
     workers = _workers(workers)
     for name, value, least in (("horizon_steps", horizon_steps, 0),

@@ -17,6 +17,8 @@ __all__ = [
     "Spectrum",
     "hermitize",
     "hermiticity_defect",
+    "check_hermitian",
+    "check_state",
     "eig_hermitian",
     "random_hermitian",
     "random_pure_state",
@@ -26,9 +28,7 @@ __all__ = [
     "write_csv",
 ]
 
-# Largest relative Hermiticity defect that eig_hermitian and
-# dynamics.evolve_trajectory accept in H.  Trajectory storage uses
-# scheme-dependent tolerances (see dynamics.Trajectory).
+# Largest relative Hermiticity defect that check_hermitian accepts.
 HERMITIAN_RTOL = 1e-12
 
 # Largest dense dimension a truncated space may take (accretion.pnk_exact).
@@ -68,6 +68,42 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max() / scale)
 
 
+def check_hermitian(h, name: str = "H") -> np.ndarray:
+    """h as a complex square matrix.  Raises LinalgError naming it unless h is
+    finite and its hermiticity_defect is at most HERMITIAN_RTOL."""
+    m = as_matrix(h)
+    if not np.isfinite(m).all():
+        raise LinalgError(f"{name} is not finite")
+    defect = hermiticity_defect(m)
+    if defect > HERMITIAN_RTOL:
+        raise LinalgError(f"{name} is not Hermitian: relative defect {defect:.2e}")
+    return m
+
+
+def check_state(s, d: int, tol: float, label: str) -> np.ndarray:
+    """s as a complex vector (d,) or density matrix (d, d).  Raises LinalgError
+    naming `label` unless s has one of those shapes, is finite and keeps its
+    invariants within tol: |norm² − 1| for a vector; |trace − 1|, max|s − s†|
+    and −λ_min(hermitize(s)) for a matrix."""
+    s = np.asarray(s, dtype=complex)
+    if s.shape not in ((d,), (d, d)):
+        raise LinalgError(f"{label} has shape {s.shape}, which does not match H's {d}×{d}")
+    if not np.isfinite(s).all():
+        raise LinalgError(f"{label} is not finite")
+    if s.ndim == 1:
+        drift = abs(float(np.vdot(s, s).real) - 1.0)
+        if drift > tol:
+            raise LinalgError(f"{label}: norm² drift {drift:.2e} > {tol:.2e}")
+        return s
+    tr_drift = abs(np.trace(s).real - 1.0)
+    herm = np.abs(s - s.conj().T).max()
+    low = np.linalg.eigvalsh(hermitize(s))[0]
+    if tr_drift > tol or herm > tol or low < -tol:
+        raise LinalgError(f"{label}: trace drift {tr_drift:.2e}, hermiticity {herm:.2e}, "
+                          f"eigmin {low:.2e} outside ±{tol:.2e}")
+    return s
+
+
 def purity_residual(rho) -> float:
     """Frobenius norm of ρ² − ρ."""
     m = as_matrix(rho)
@@ -100,15 +136,13 @@ class Spectrum:
 
 
 def eig_hermitian(h) -> Spectrum:
-    """Eigendecomposition with degeneracy groups.
+    """Eigendecomposition with degeneracy groups, of an h that passes
+    check_hermitian.
 
     Consecutive eigenvalues within 1e-9 × the spectral range (1e-15 when the
     range is 0) are chained into one group.
     """
-    m = as_matrix(h)
-    if hermiticity_defect(m) > HERMITIAN_RTOL:
-        raise LinalgError("eig_hermitian requires a Hermitian matrix")
-    w, u = np.linalg.eigh(m)
+    w, u = np.linalg.eigh(check_hermitian(h))
     spread = float(w[-1] - w[0])
     tol = 1e-9 * spread if spread > 0 else 1e-15
     groups = []

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ensemble
 from .dynamics import check_stability, default_dt
-from .linalg import as_matrix, as_vector, eig_hermitian
+from .linalg import as_vector, eig_hermitian
 
 __all__ = [
     "gibbs_state",
@@ -39,7 +39,7 @@ class ReductionBudgetError(RuntimeError):
 
 def gibbs_state(h, beta: float) -> np.ndarray:
     """exp(−βH)/Z, computed in the eigenbasis (commutes with H by construction)."""
-    spec = eig_hermitian(as_matrix(h))
+    spec = eig_hermitian(h)
     e, u = spec.eigenvalues, spec.eigenvectors
     w = np.exp(-beta * (e - (e.min() if beta >= 0 else e.max())))   # every exponent ≤ 0
     w /= w.sum()
@@ -66,7 +66,6 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     `stall` when given.  workers=None runs on every CPU, as the CLI does.
     Returns the run, its outcome groups named by labels and their expected
     probabilities in expected."""
-    workers = ensemble._workers(workers)
     if not np.isfinite(e).all():   # before dt is derived from them
         raise ValueError(f"energies must be finite, got {e}")
     pop = np.real(np.diag(state)) if state.ndim == 2 else np.abs(state) ** 2
@@ -102,7 +101,7 @@ def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
     StabilityError when σ²ΔE²dt exceeds the hard bound, and ValueError, before
     the first step, when σ = 0 and V(0) > 0.
     """
-    spec = eig_hermitian(as_matrix(h))
+    spec = eig_hermitian(h)
     c0 = spec.eigenvectors.conj().T @ as_vector(chi0)
     weights = np.asarray(
         [sum(abs(c0[i]) ** 2 for i in g) for g in spec.degeneracy_groups])
@@ -170,7 +169,7 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
     """
     if not np.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    spec = eig_hermitian(as_matrix(h))
+    spec = eig_hermitian(h)
     e = spec.eigenvalues
     w = np.exp(-beta * (e - (e.min() if beta >= 0 else e.max())))   # every exponent ≤ 0
     w /= w.sum()

@@ -140,7 +140,8 @@ WEIGHTS = "weights must be finite and nonnegative with a positive sum, got -0.5,
     (["simulate", "--init", "{matrix}"], "does not hold a vector"),
     (["ensemble", "born", "--weights=-0.5,1.5"], WEIGHTS),
     (["ensemble", "luders", "--branch", "weights:-0.5,1.5"], WEIGHTS),
-    (["ensemble", "born", "--energies", "0,nan"], "energies must be finite, got [ 0. nan]"),
+    (["ensemble", "born", "--energies", "0,nan"],
+     "--energies must be comma-separated finite numbers, got 0,nan"),
     (["ensemble", "statdist", "--beta", "nan"], "beta must be finite, got nan"),
     (["accretion", "coherent", "--kmax", "100000"],   # unchecked, a 75 GiB array
      "n = 400, k = -100000 and |z| = 0.05 need 100570 Fock levels, above the cap of 4096"),
@@ -151,11 +152,29 @@ WEIGHTS = "weights must be finite and nonnegative with a positive sum, got -0.5,
     (["accretion", "coherent", "--kmax", "-1"], "--kmax must be nonnegative, got -1"),
     (["accretion", "coherent", "--kmax", "1000000000"],   # an 8 GB k array if built first
      "k = -1000000000 and |z| = 0.05 need 1000016223 Fock levels, above the cap of 4096"),
+    (["ensemble", "born", "--energies", "0,inf"],   # not "H is not finite", nor a warning
+     "--energies must be comma-separated finite numbers, got 0,inf"),
+    (["ensemble", "statdist", "--energies", "0,abc"],
+     "--energies must be comma-separated finite numbers, got 0,abc"),
+    (["ensemble", "luders", "--energies", "1,inf"],
+     "--energies must be comma-separated finite numbers, got 1,inf"),
+    (["accretion", "coherent", "--z", "1e200"],   # |z|² overflowed before the cap
+     "|z| = 1e+200 needs more Fock levels than the cap of 4096"),
+    (["accretion", "coherent", "--z", "abc"], "--z must be a complex number, got 'abc'"),
+    (["ensemble", "luders", "--alpha2", "-1"], "--alpha2 must be in (0, 1], got -1.0"),
+    (["ensemble", "luders", "--alpha2", "0"], "--alpha2 must be in (0, 1], got 0.0"),
+    (["ensemble", "luders", "--alpha2", "1.5"], "--alpha2 must be in (0, 1], got 1.5"),
+    (["simulate", "--density", "--scheme", "euler_maruyama"],
+     "scheme 'euler_maruyama' steps state vectors only: the density step always "
+     "renormalizes its trace"),
 ], ids=["born-weight-count", "quantity", "weights-sum", "vector-as-hamiltonian",
         "matrix-as-init", "born-negative-weight", "luders-negative-branch-weight",
         "born-nan-energy", "statdist-nan-beta", "coherent-kmax-past-the-cap",
         "hartree-one-coupling", "coherent-z-inf", "coherent-z-nan", "coherent-negative-kmax",
-        "coherent-kmax-past-the-cap-before-allocating"])
+        "coherent-kmax-past-the-cap-before-allocating", "born-inf-energy",
+        "statdist-unparsable-energy", "luders-inf-energy", "coherent-z-past-the-cap",
+        "coherent-unparsable-z", "luders-negative-alpha2", "luders-zero-alpha2",
+        "luders-alpha2-above-one", "simulate-density-euler-maruyama"])
 def test_bad_cli_input_exits_2_with_its_error_line(cmd, detail, tmp_path, capsys):
     (tmp_path / "vector.txt").write_text("2\n1 0\n0 0\n")
     (tmp_path / "matrix.txt").write_text("2\n1 0\n0 0\n0 0\n0 0\n")
@@ -198,7 +217,8 @@ def test_unstable_dt_exits_2_fast(tmp_path, capsys, mode):
      "weights must be finite and nonnegative with a positive sum, got -0.5,1.5"),
     (["--hamiltonian", "{skew}"], "H is not Hermitian: relative defect 1.00e+00"),
     (["--hamiltonian", "{skew}", "--density"], "H is not Hermitian: relative defect 1.00e+00"),
-    (["--hamiltonian", "diag:0,1,2"], "the state has shape (2,), which does not match H's 3×3")],
+    (["--hamiltonian", "diag:0,1,2"],
+     "initial state has shape (2,), which does not match H's 3×3")],
     ids=["nan-hamiltonian", "negative-weight", "non-hermitian", "non-hermitian-density",
          "dimension-mismatch"])
 def test_simulate_bad_input_exits_2_before_the_first_step(extra, message, tmp_path):

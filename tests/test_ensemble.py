@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import signal
 import tracemalloc
 
@@ -302,10 +303,13 @@ def test_bad_sigma_rejected_up_front(sigma):
         ensemble.run_ensemble([0.0, 1.0], np.diag([0.5, 0.5]), sigma, 1e-3, 0, 8)
 
 
-@pytest.mark.parametrize("rho0", [[[0.5, 0.3], [0.1, 0.5]],    # not Hermitian
-                                  [[0.5, 0.9], [0.9, 0.5]]])   # eigenvalue −0.4
-def test_bad_density_rejected_up_front(rho0):
-    with pytest.raises(ValueError, match="Hermitian and positive"):
+@pytest.mark.parametrize("rho0, defect", [
+    ([[0.5, 0.3], [0.1, 0.5]], "hermiticity 2.00e-01, eigmin 3.00e-01"),    # not Hermitian
+    ([[0.5, 0.9], [0.9, 0.5]], "hermiticity 0.00e+00, eigmin -4.00e-01")],  # eigenvalue −0.4
+    ids=["rho00", "rho01"])
+def test_bad_density_rejected_up_front(rho0, defect):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"initial state: trace drift 0.00e+00, {defect} outside ±1.00e-08") + "$"):
         ensemble.run_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8)
 
 
@@ -629,5 +633,6 @@ def test_run_ensemble_reads_the_kind_of_state_from_its_shape():
         run = ensemble.run_ensemble([0.0, 1.0], state, 1.0, 1e-3, 0, 4, workers=1)
         assert run.final_states.shape == (4,) + state.shape
     for state in (np.array(1.0), np.full((2, 2, 2), 0.125), np.full((2, 3), 0.5)):
-        with pytest.raises(ValueError, match="initial state must be finite amplitudes"):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"initial state has shape {state.shape}, which does not match H's 2×2") + "$"):
             ensemble.run_ensemble([0.0, 1.0], state, 1.0, 1e-3, 0, 4)

@@ -1,8 +1,12 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
-from reductionlab import linalg
-from reductionlab.composite import partial_expectation
+from reductionlab import ensemble, linalg
+from reductionlab.composite import CompositeSystem, hartree_vs_full, partial_expectation
+from reductionlab.dynamics import SdeConfig, evolve_trajectory
 from reductionlab.linalg import (
     LinalgError,
     eig_hermitian,
@@ -87,6 +91,58 @@ def test_eig_rejects_non_hermitian(rng):
     m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     with pytest.raises(LinalgError):
         eig_hermitian(m)
+
+
+# Each entry point that takes an initial state runs linalg.check_state on it,
+# naming the input; dt = 1e-10 gives evolve_trajectory the runner's 1e-8.
+STATE_ENTRY_POINTS = {
+    "run_ensemble": ("initial state",
+                     lambda s: ensemble.run_ensemble([0.0, 1.0], s, 1.0, 1e-3, 0, 4, workers=1)),
+    "evolve_trajectory": ("initial state", lambda s: evolve_trajectory(
+        s, np.diag([0.0, 1.0]), SdeConfig(sigma=1.0, dt=1e-10, n_steps=1), seed=0)),
+    "hartree_vs_full": ("rho1_0", lambda s: hartree_vs_full(
+        CompositeSystem(np.diag([0.0, 1.0]), np.diag([0.0, 1.0]), np.zeros((4, 4))), s,
+        np.diag([1.0, 0.0]), 1.0, 1e-3, 1e-3, [0.1], 2, workers=1)),
+}
+
+
+@pytest.mark.parametrize("state, detail", [
+    ([[np.nan, 0.0], [0.0, 1.0]], " is not finite"),
+    (np.eye(3) / 3, " has shape (3, 3), which does not match H's 2×2"),
+    ([[0.5, 0.3], [0.1, 0.5]],
+     ": trace drift 0.00e+00, hermiticity 2.00e-01, eigmin 3.00e-01 outside ±1.00e-08"),
+    ([[0.5, 0.9], [0.9, 0.5]],
+     ": trace drift 0.00e+00, hermiticity 0.00e+00, eigmin -4.00e-01 outside ±1.00e-08"),
+    (np.diag([0.6, 0.6]),
+     ": trace drift 2.00e-01, hermiticity 0.00e+00, eigmin 6.00e-01 outside ±1.00e-08")],
+    ids=["nan", "shape", "non-hermitian", "negative-eigenvalue", "trace"])
+@pytest.mark.parametrize("entry", STATE_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_bad_state_with_one_message(entry, state, detail):
+    label, call = STATE_ENTRY_POINTS[entry]
+    with pytest.raises(LinalgError, match=f"^{re.escape(label + detail)}$"):
+        call(np.asarray(state, complex))
+
+
+HAMILTONIAN_ENTRY_POINTS = {
+    "eig_hermitian": ("H", eig_hermitian),
+    "CompositeSystem": ("h1", lambda h: CompositeSystem(h, np.eye(2), np.eye(4))),
+    "evolve_trajectory": ("H", lambda h: evolve_trajectory(
+        np.array([1.0, 0.0]), h, SdeConfig(sigma=1.0, dt=1e-3, n_steps=1), seed=0)),
+}
+
+
+@pytest.mark.parametrize("h, detail", [
+    (np.diag([np.nan, 1.0]), " is not finite"),
+    (np.diag([np.inf, 1.0]), " is not finite"),
+    ([[0.0, 1.0], [0.0, 1.0]], " is not Hermitian: relative defect 1.00e+00")],
+    ids=["nan", "inf", "skew"])
+@pytest.mark.parametrize("entry", HAMILTONIAN_ENTRY_POINTS)
+def test_every_entry_point_rejects_a_bad_hamiltonian_with_one_message(entry, h, detail):
+    name, call = HAMILTONIAN_ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # inf − inf in the defect would warn
+        with pytest.raises(LinalgError, match=f"^{re.escape(name + detail)}$"):
+            call(np.asarray(h, complex))
 
 
 def test_hermitize_defect(rng):
