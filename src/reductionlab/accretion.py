@@ -99,22 +99,18 @@ class OccupancyResult:
     std: float
 
 
-def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
-                       sample_dt: float | None = None) -> OccupancyResult:
+def occupancy_simulate(model: AccretionModel, horizon: float, seed: int) -> OccupancyResult:
     """Simulate the per-site fill/evaporate chain with exact waiting times.
 
-    Samples taken every sample_dt (default: five relaxation times 5/(s+e),
-    so successive samples decorrelate) after a burn-in of ten relaxation
-    times; warns when the horizon is too short for the sampled halves to
-    agree on the mean.  Raises ValueError unless the horizon is finite and
-    positive.
+    Samples taken every five relaxation times 5/(s+e), so successive samples
+    decorrelate, after a burn-in of ten relaxation times; warns when the
+    horizon is too short for the sampled halves to agree on the mean.  Raises
+    ValueError unless the horizon is finite and positive.
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     s, ev, n_sites = model.sticking_rate, model.evaporation_rate, model.n_sites
     relax = 1.0 / (s + ev)
-    if sample_dt is None:
-        sample_dt = 5.0 * relax
     rng = np.random.default_rng(seed)
     t, n = 0.0, 0
     samples = []
@@ -128,7 +124,7 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int,
         t += rng.exponential(1.0 / total)
         while next_sample <= min(t, horizon):
             samples.append(n)
-            next_sample += sample_dt
+            next_sample += 5.0 * relax
         if t >= horizon:
             break
         n += 1 if rng.random() < rate_up / total else -1

@@ -37,9 +37,9 @@ import numpy as np
 
 from .dynamics import (ANTICOMMUTATOR, DOUBLE_COMMUTATOR, STABILITY_WARN, _dag, _embed,
                        _euler_step, _times, check_stability, noise_coefficient)
-from .ensemble import (CHUNK, NORM_TOL, _DensityKernel, _check_input, _noise_chunk,
+from .ensemble import (CHUNK, MAX_STEPS, NORM_TOL, _DensityKernel, _check_input, _noise_chunk,
                        _run_spans, _split, _workers)
-from .linalg import (as_matrix, check_hermitian, check_state, random_density_matrix,
+from .linalg import (LinalgError, as_matrix, check_hermitian, check_state, random_density_matrix,
                      random_hermitian, random_pure_state, write_csv)
 from .noise import trajectory_generator
 
@@ -57,14 +57,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CompositeSystem:
-    """Two tensor factors with Hamiltonians h1, h2 and a coupling delta_h
-    on the product space, scaled by g.  Each matrix must pass
-    `linalg.check_hermitian`; ValueError names the one that does not."""
+    """Two tensor factors with Hamiltonians h1, h2 and a coupling delta_h on
+    the product space, which total_hamiltonian(g) scales by g.  Each matrix
+    must pass `linalg.check_hermitian`; ValueError names the one that does not."""
 
     h1: np.ndarray
     h2: np.ndarray
     delta_h: np.ndarray
-    g: float = 1.0
 
     def __post_init__(self):
         for name in ("h1", "h2", "delta_h"):
@@ -76,11 +75,10 @@ class CompositeSystem:
     def dims(self):
         return self.h1.shape[0], self.h2.shape[0]
 
-    def total_hamiltonian(self, g: float | None = None) -> np.ndarray:
-        """H1⊗1 + 1⊗H2 + g·ΔH, at coupling g (default self.g)."""
+    def total_hamiltonian(self, g: float) -> np.ndarray:
+        """H1⊗1 + 1⊗H2 + g·ΔH, at coupling g."""
         d1, d2 = self.dims
-        return (np.kron(self.h1, np.eye(d2)) + np.kron(np.eye(d1), self.h2)
-                + (self.g if g is None else g) * self.delta_h)
+        return np.kron(self.h1, np.eye(d2)) + np.kron(np.eye(d1), self.h2) + g * self.delta_h
 
 
 def clustering_noise_residual(rho1, rho2, h1, h2, form: str = ANTICOMMUTATOR) -> float:
@@ -317,16 +315,19 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     stays at or below `dynamics.STABILITY_WARN` at every g (1e-3 when σ·ΔE
     is 0); the report's dt is the step taken.  Raises ValueError on bad
     input (an empty or non-finite g list, a non-finite or negative σ, an
-    initial state that fails `linalg.check_state` within `ensemble.NORM_TOL`,
-    a horizon that rounds to no step and workers other than None or an
-    integer ≥ 1 included) or non-finite finals, and StabilityError when
-    σ²ΔE²dt exceeds the hard bound at some g.
+    initial state that is no density matrix or fails `linalg.check_state`
+    within `ensemble.NORM_TOL`, a horizon that rounds to no step or to more
+    than `ensemble.MAX_STEPS`, workers other than None or an integer ≥ 1) or
+    non-finite finals, and StabilityError when σ²ΔE²dt exceeds the hard bound at some g.
     """
     workers = _workers(workers)
     _check_input(sigma, 1.0 if dt is None else dt, n_traj)   # σ before dt is derived from it
     d1, d2 = system.dims
-    r1 = check_state(as_matrix(rho1_0), d1, NORM_TOL, "rho1_0")
-    r2 = check_state(as_matrix(rho2_0), d2, NORM_TOL, "rho2_0")
+    r1, r2 = (check_state(r, d, NORM_TOL, name)
+              for r, d, name in ((rho1_0, d1, "rho1_0"), (rho2_0, d2, "rho2_0")))
+    for name, r in (("rho1_0", r1), ("rho2_0", r2)):
+        if r.ndim != 2:   # check_state passes a unit vector as a pure state
+            raise LinalgError(f"{name} must be a density matrix, got shape {r.shape}")
     gv = np.asarray(g_values, float)
     if not gv.size or not np.isfinite(gv).all():
         raise ValueError(f"g values must be a nonempty list of finite numbers, got {gv}")
@@ -338,10 +339,10 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
         while 0 < scale < np.inf and scale * dt > STABILITY_WARN:   # the division rounded up
             dt = float(np.nextafter(dt, 0.0))
     check_stability(sigma, dt, h_range)
-    n_steps = int(round(horizon / dt)) if np.isfinite(horizon) else 0
-    if n_steps < 1:
-        raise ValueError(f"horizon must be finite and round to at least one step of "
-                         f"dt = {dt}, got {horizon}")
+    n_steps = int(round(horizon / dt)) if np.isfinite(horizon / dt) else 0
+    if not 1 <= n_steps <= MAX_STEPS:   # before any span forks
+        raise ValueError(f"horizon must be finite and round to between 1 and {MAX_STEPS} "
+                         f"steps of dt = {dt}, got {horizon}")
     spans = _split(n_traj, max(1, min(workers, n_traj // 2)))   # none one trajectory wide
     parts = _run_spans(functools.partial(_paired_finals, system, gv, spectra, r1, r2, sigma, dt,
                                          n_steps, base_seed), spans)

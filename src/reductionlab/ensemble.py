@@ -105,6 +105,7 @@ CHECK_STRIDE = 8
 REDUCTION_EPS = 0.01
 POPULATION_MIN = 0.99
 NORM_TOL = 1e-8
+MAX_STEPS = 10_000_000   # the step budget of one trajectory
 
 
 @dataclass
@@ -518,7 +519,7 @@ def _check_reducible(sigma, e, p, stop_on_reduction=True) -> float:
 
 def run_ensemble(energies, state, sigma: float, dt: float, base_seed: int, n_traj: int, *,
                  groups=None, horizon_steps: int = 0, record_stride: int = 0,
-                 stop_on_reduction: bool = True, max_steps: int = 10_000_000,
+                 stop_on_reduction: bool = True, max_steps: int = MAX_STEPS,
                  workers: int | None = None) -> EnsembleRun:
     """Integrate n_traj trajectories in the H eigenbasis, energies its
     eigenvalues: state vectors for amplitudes `state` of shape (d,) and unit

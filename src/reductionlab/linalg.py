@@ -70,8 +70,10 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 def check_hermitian(h, name: str = "H") -> np.ndarray:
     """h as a complex square matrix.  Raises LinalgError naming it unless h is
-    finite and its hermiticity_defect is at most HERMITIAN_RTOL."""
-    m = as_matrix(h)
+    square, finite and its hermiticity_defect is at most HERMITIAN_RTOL."""
+    m = np.asarray(h, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise LinalgError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise LinalgError(f"{name} is not finite")
     defect = hermiticity_defect(m)

@@ -37,13 +37,17 @@ class ReductionBudgetError(RuntimeError):
     """More than the allowed fraction of trajectories failed to reduce."""
 
 
+def _gibbs_weights(e, beta):
+    """exp(−βe)/Z, e shifted by its least value if β ≥ 0, else by its greatest: no exponent > 0."""
+    w = np.exp(-beta * (e - (e.min() if beta >= 0 else e.max())))
+    return w / w.sum()
+
+
 def gibbs_state(h, beta: float) -> np.ndarray:
     """exp(−βH)/Z, computed in the eigenbasis (commutes with H by construction)."""
     spec = eig_hermitian(h)
-    e, u = spec.eigenvalues, spec.eigenvectors
-    w = np.exp(-beta * (e - (e.min() if beta >= 0 else e.max())))   # every exponent ≤ 0
-    w /= w.sum()
-    return (u * w) @ u.conj().T
+    u = spec.eigenvectors
+    return (u * _gibbs_weights(spec.eigenvalues, beta)) @ u.conj().T
 
 
 def _energy_classes(spec):
@@ -59,7 +63,7 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     """What every scenario shares, for energies e and, in their eigenbasis,
     amplitudes or a density matrix `state`: ΔE over the occupied levels
     (nonzero |amplitude|² or diagonal entry), dt from it when None, the
-    stability and σ = 0 checks before the first step, the ensemble run to
+    stability check before the first step, the ensemble run to
     reduction after a recorded horizon (None: 20/(σ²ΔE²), which covers the
     bulk of the reduction, stragglers retiring afterwards; 0 when σ·ΔE = 0,
     where nothing evolves), and the budget check, whose message ends in
@@ -73,7 +77,6 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
     rng = float(occupied.max() - occupied.min()) if occupied.size else 0.0
     dt = default_dt(sigma, rng) if dt is None else dt
     check_stability(sigma, dt, rng)
-    ensemble._check_reducible(sigma, e, pop)
     if horizon is None:   # nothing evolves when σ·ΔE = 0
         rate = sigma * sigma * rng ** 2
         horizon = 20.0 / rate if rate > 0 else 0.0
@@ -88,7 +91,7 @@ def _run_scenario(e, state, sigma, n_traj, base_seed, *, dt, max_steps, budget_f
 
 
 def born_statistics(h, chi0, sigma: float, n_traj: int, base_seed: int, *,
-                    dt: float | None = None, max_steps: int = 10_000_000,
+                    dt: float | None = None, max_steps: int = ensemble.MAX_STEPS,
                     budget_fraction: float = 0.01,
                     workers: int | None = None) -> ensemble.EnsembleRun:
     """Run state-vector trajectories to reduction and tally the outcomes.
@@ -157,7 +160,7 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
                             base_seed: int, *, dt: float | None = None,
                             horizon: float | None = None,
                             record_stride: int = 100,
-                            max_steps: int = 10_000_000,
+                            max_steps: int = ensemble.MAX_STEPS,
                             budget_fraction: float = 0.01,
                             workers: int | None = None) -> StatdistReport:
     """Evolve ρ0 = exp(−βH)/Z under the pure-noise martingale equation.
@@ -171,8 +174,7 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
         raise ValueError(f"beta must be finite, got {beta}")
     spec = eig_hermitian(h)
     e = spec.eigenvalues
-    w = np.exp(-beta * (e - (e.min() if beta >= 0 else e.max())))   # every exponent ≤ 0
-    w /= w.sum()
+    w = _gibbs_weights(e, beta)
     gw = np.array([w[list(g)].sum() for g in spec.degeneracy_groups])
     run = _run_scenario(
         e, np.diag(w).astype(complex), sigma, n_traj, base_seed, dt=dt, max_steps=max_steps,
@@ -216,8 +218,6 @@ class LudersReport:
 def luders_scenario(alpha: complex, branch_amplitudes, measured_weights,
                     measured_energies, sigma: float, n_traj: int,
                     base_seed: int, *, dt: float | None = None,
-                    max_steps: int = 10_000_000,
-                    budget_fraction: float = 0.01,
                     workers: int | None = None) -> LudersReport:
     """Partial measurement: amplitude alpha to pass through untouched.
 
@@ -226,7 +226,7 @@ def luders_scenario(alpha: complex, branch_amplitudes, measured_weights,
     branch sits alone at its entry of measured_energies.  Checks that the
     transmitted outcome occurs with frequency |alpha|², and that
     transmitted endpoints reproduce the branch state — relative phases
-    included.  Raises the errors of born_statistics.
+    included.  Runs on born_statistics' default budget and raises its errors.
     """
     bamp = np.asarray(branch_amplitudes, complex)
     bamp = bamp / np.linalg.norm(bamp)
@@ -244,8 +244,8 @@ def luders_scenario(alpha: complex, branch_amplitudes, measured_weights,
     c0 = np.concatenate([alpha * bamp, beta * np.sqrt(mw)])
     expected = np.concatenate([[abs(alpha) ** 2], beta**2 * mw])
     run = _run_scenario(
-        e, c0, sigma, n_traj, base_seed, dt=dt, max_steps=max_steps,
-        budget_fraction=budget_fraction, workers=workers,
+        e, c0, sigma, n_traj, base_seed, dt=dt, max_steps=ensemble.MAX_STEPS,
+        budget_fraction=0.01, workers=workers,
         groups=(tuple(range(nb)),) + tuple((nb + i,) for i in range(nm)),
         labels=["transmitted"] + [f"outcome_{i}" for i in range(nm)], expected=expected,
         stall="(insufficient branch energy separation stalls reduction)")
@@ -280,20 +280,19 @@ class ScalingReport:
     n_unreduced: int
 
 
-def reduction_time_scaling(de_values, sigma_values, *, sigma_ref: float = 1.0,
-                           n_traj: int = 512, base_seed: int = 0,
-                           max_steps: int = 1_000_000,
+def reduction_time_scaling(de_values, sigma_values, *, n_traj: int = 512, base_seed: int = 0,
                            workers: int | None = None) -> ScalingReport:
     """Scan two-level systems and fit median reduction time power laws.
 
     Expected exponents are −2 in both σ (at splitting 1) and the
-    splitting ΔE (at fixed sigma_ref).  The scan's points run as contiguous
-    spans on min(workers, points) forked processes, workers=None meaning
-    every CPU, each point on one worker, so the medians are the same bytes
-    for any worker count.  Raises ValueError, before the first run, when a
-    run would pair σ = 0 with a nonzero splitting, on fewer than two distinct
-    σ or ΔE values, which fit no exponent, and on workers other than None or
-    an integer ≥ 1.
+    splitting ΔE (at σ = 1).  Each point runs its trajectories for at most
+    10⁶ steps and counts those left unreduced.  The scan's points run as
+    contiguous spans on min(workers, points) forked processes, workers=None
+    meaning every CPU, each point on one worker, so the medians are the same
+    bytes for any worker count.  Raises ValueError, before the first run, on
+    a σ of 0, which never reduces the splitting-1 state, on fewer than two
+    distinct σ or ΔE values, which fit no exponent, and on workers other than
+    None or an integer ≥ 1.
     """
     workers = ensemble._workers(workers)
     sv = np.asarray(sigma_values, float)
@@ -302,16 +301,16 @@ def reduction_time_scaling(de_values, sigma_values, *, sigma_ref: float = 1.0,
         raise ValueError(f"the power-law fits need two distinct sigma values and two distinct "
                          f"splittings, got {sv.tolist()} and {dv.tolist()}")
     scan = ([(s, 1.0, base_seed + 1000 + i) for i, s in enumerate(sv)]
-            + [(sigma_ref, de, base_seed + 2000 + i) for i, de in enumerate(dv)])
-    for s, de, _ in scan:
-        ensemble._check_reducible(s, [0.0, de], [0.5, 0.5])
+            + [(1.0, de, base_seed + 2000 + i) for i, de in enumerate(dv)])
+    for s in sv:   # the ΔE points run at σ = 1
+        ensemble._check_reducible(s, [0.0, 1.0], [0.5, 0.5])
 
     def points(lo, hi):
         """(median reduction time, unreduced count) of scan points lo..hi−1."""
         out = []
         for s, de, seed in scan[lo:hi]:
             run = _run_scenario(np.array([0.0, de]), np.sqrt(np.array([0.5, 0.5], complex)),
-                                s, n_traj, seed, dt=None, max_steps=max_steps,
+                                s, n_traj, seed, dt=None, max_steps=1_000_000,
                                 budget_fraction=1.0, workers=1)
             out.append((float(np.nanmedian(run.reduction_times)), run.n_unreduced))
         return out

@@ -51,7 +51,8 @@ def test_single_site_stationary_probability():
 
 def test_fast_evaporation_empties_surface():
     m = AccretionModel(5, 1.0, 1.0, 1e6)
-    res = occupancy_simulate(m, horizon=50.0, seed=3, sample_dt=0.01)
+    # samples come every five relaxation times, 5e-6 here: 10⁵ of them by t = 0.5
+    res = occupancy_simulate(m, horizon=0.5, seed=3)
     assert res.mean <= 1e-3
 
 

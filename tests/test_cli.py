@@ -3,7 +3,6 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -272,7 +271,7 @@ def test_hartree_default_dt_is_the_largest_at_the_comfort_bound(seed, sigma):
     system, _, _ = composite.hartree_instance(np.random.default_rng(seed + 101))
     gv = [0.1, 0.2, 0.4, 0.0]
     dt = hartree_default_dt(seed, sigma)
-    spectra = [np.linalg.eigh(replace(system, g=g).total_hamiltonian())[0] for g in gv]
+    spectra = [np.linalg.eigh(system.total_hamiltonian(g))[0] for g in gv]
     h_range = max(e[-1] - e[0] for e in spectra)   # as hartree_vs_full forms it
     product = sigma * sigma * h_range * h_range   # as check_stability forms it
     assert product * dt <= dynamics.STABILITY_WARN < product * np.nextafter(dt, 1.0)
@@ -280,6 +279,19 @@ def test_hartree_default_dt_is_the_largest_at_the_comfort_bound(seed, sigma):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         dynamics.check_stability(sigma, dt, h_range)
+
+
+def test_hartree_compare_horizon_above_the_step_budget_exits_2_fast(tmp_path):
+    # a horizon of 10⁹ ran without end before the budget check: so in a child
+    # process, and serial, so that the timeout leaves no forked worker running
+    proc = subprocess.run([sys.executable, "-m", "reductionlab.cli", "hartree", "compare",
+                           "--ntraj", "4", "--horizon", "1e9", "--workers", "1",
+                           "--out-dir", str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=10.0)
+    assert proc.returncode == 2
+    assert (f"ERROR module=hartree-compare detail=horizon must be finite and round to between 1 "
+            f"and {ensemble.MAX_STEPS} steps of dt = ") in proc.stderr
+    assert "got 1000000000.0" in proc.stderr
 
 
 def test_hartree_compare_bad_sigma_records_no_dt(tmp_path, capsys):

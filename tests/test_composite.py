@@ -92,32 +92,32 @@ def test_partial_expectation_kron_oracle(rng):
 
 def test_total_hamiltonian_identity_case():
     # I₂ ⊗ I₃ + I₂ ⊗ 0 is the identity on the product space
-    sys = CompositeSystem(np.eye(2), np.zeros((3, 3)), np.eye(6), g=0.0)
-    assert np.array_equal(sys.total_hamiltonian(), np.eye(6))
+    sys = CompositeSystem(np.eye(2), np.zeros((3, 3)), np.eye(6))
+    assert np.array_equal(sys.total_hamiltonian(0.0), np.eye(6))
 
 
 def test_total_hamiltonian_kron_order():
     # the first factor varies slowest: diag(1, 2) ⊗ I₃ + I₂ ⊗ diag(0, 10, 20)
     sys = CompositeSystem(np.diag([1.0, 2.0]), np.diag([0.0, 10.0, 20.0]), np.zeros((6, 6)))
-    assert np.array_equal(sys.total_hamiltonian(), np.diag([1.0, 11, 21, 2, 12, 22]))
+    assert np.array_equal(sys.total_hamiltonian(1.0), np.diag([1.0, 11, 21, 2, 12, 22]))
 
 
 def test_total_hamiltonian_spectrum_is_the_sums(rng):
     # at g = 0 the spectrum is every sum of a factor's eigenvalues
     h1, h2, dh = random_hermitian(2, rng), random_hermitian(3, rng), random_hermitian(6, rng)
     sums = np.add.outer(np.linalg.eigvalsh(h1), np.linalg.eigvalsh(h2)).ravel()
-    total0 = CompositeSystem(h1, h2, dh, g=0.0).total_hamiltonian()
+    sys = CompositeSystem(h1, h2, dh)
+    total0 = sys.total_hamiltonian(0.0)
     assert np.allclose(np.linalg.eigvalsh(total0), np.sort(sums), atol=1e-12)
-    assert np.allclose(CompositeSystem(h1, h2, dh, g=0.3).total_hamiltonian(), total0 + 0.3 * dh,
-                       atol=1e-15)
+    assert np.allclose(sys.total_hamiltonian(0.3), total0 + 0.3 * dh, atol=1e-15)
 
 
 def test_composite_system_validation(rng):
     h1 = random_hermitian(2, rng)
     h2 = random_hermitian(3, rng)
     dh = random_hermitian(6, rng)
-    sys = CompositeSystem(h1, h2, dh, g=0.3)
-    total = sys.total_hamiltonian()
+    sys = CompositeSystem(h1, h2, dh)
+    total = sys.total_hamiltonian(0.3)
     assert np.abs(total - total.conj().T).max() < 1e-12
     with pytest.raises(ValueError):
         CompositeSystem(h1, h2, random_hermitian(4, rng))
@@ -141,12 +141,12 @@ def test_hartree_g_zero_decouples(rng):
     h1 = random_hermitian(d, rng)
     h2 = random_hermitian(d, rng)
     dh = random_hermitian(d * d, rng)
-    sys0 = CompositeSystem(h1, h2, dh, g=0.0)
+    sys0 = CompositeSystem(h1, h2, dh)
     r1 = _pure(rng, d)
     r2 = random_density_matrix(d, rng)
     dt, dw = 1e-3, 0.02
     new = composite._mean_field_step(composite._stacked(r1, r2, (1, 1)),
-                                     composite._real_maps(sys0, [sys0.g]), 1.0, dt,
+                                     composite._real_maps(sys0, [0.0]), 1.0, dt,
                                      np.array([0.5 * dw]))
     n1, n2 = new[0, 0, 0], new[1, 0, 0]
     assert np.allclose(n1, step_density(r1, h1, 1.0, dt, dw), atol=1e-13)
@@ -162,11 +162,11 @@ def test_hartree_incoherent_environment_bare_hamiltonian(rng):
     a = random_hermitian(d, rng)
     b = np.array([[0.0, 1.0], [1.0, 0.0]], complex)   # offdiagonal: ⟨B⟩ = 0
     r2 = np.diag([1.0, 0.0]).astype(complex)
-    sys = CompositeSystem(h1, h2, np.kron(a, b), g=0.7)
+    sys = CompositeSystem(h1, h2, np.kron(a, b))
     r1 = _pure(rng, d)
     dt, dw = 1e-3, -0.013
     new = composite._mean_field_step(composite._stacked(r1, r2, (1, 1)),
-                                     composite._real_maps(sys, [sys.g]), 1.0, dt,
+                                     composite._real_maps(sys, [0.7]), 1.0, dt,
                                      np.array([0.5 * dw]))
     n1 = new[0, 0, 0]
     assert np.allclose(n1, step_density(r1, h1, 1.0, dt, dw), atol=1e-13)
@@ -175,9 +175,9 @@ def test_hartree_incoherent_environment_bare_hamiltonian(rng):
 def test_hartree_step_preserves_traces(rng):
     d = 3
     sys = CompositeSystem(random_hermitian(d, rng), random_hermitian(d, rng),
-                          random_hermitian(d * d, rng), g=0.4)
+                          random_hermitian(d * d, rng))
     a = composite._stacked(_pure(rng, d), random_density_matrix(d, rng), (1, 1))
-    maps = composite._real_maps(sys, [sys.g])
+    maps = composite._real_maps(sys, [0.4])
     for dw in np.random.default_rng(0).standard_normal(5) * 0.03:
         a = composite._mean_field_step(a, maps, 1.0, 1e-3, np.array([0.5 * dw]))
         r1, r2 = a[0, 0, 0], a[1, 0, 0]
@@ -262,11 +262,11 @@ def _ref_batched_step(r, h, sigma, dt, dws):
     return out / np.einsum("bii->b", out).real[:, None, None]
 
 
-def _ref_mean_field_step(sysg, a1, a2, sigma, dt, dws):
-    d1, d2 = sysg.dims
-    g, dh4 = sysg.g, sysg.delta_h.reshape(d1, d2, d1, d2)
-    h1_eff = sysg.h1[None] + g * np.einsum("bkm,imjk->bij", a2, dh4)
-    h2_eff = sysg.h2[None] + g * np.einsum("bim,mkil->bkl", a1, dh4)
+def _ref_mean_field_step(sys, g, a1, a2, sigma, dt, dws):
+    d1, d2 = sys.dims
+    dh4 = sys.delta_h.reshape(d1, d2, d1, d2)
+    h1_eff = sys.h1[None] + g * np.einsum("bkm,imjk->bij", a2, dh4)
+    h2_eff = sys.h2[None] + g * np.einsum("bim,mkil->bkl", a1, dh4)
     comm1 = (np.einsum("bij,bjk->bik", h1_eff, a1)
              - np.einsum("bij,bjk->bik", a1, h1_eff))
     corr = g * np.einsum("ikml,bmi->bkl", dh4, comm1)
@@ -278,8 +278,8 @@ def _ref_mean_field_step(sysg, a1, a2, sigma, dt, dws):
     return new1, new2
 
 
-def _ref_finals(sysg, r1, r2, sigma, dt, n_steps, n_traj, base_seed):
-    hfull = sysg.total_hamiltonian()
+def _ref_finals(sys, g, r1, r2, sigma, dt, n_steps, n_traj, base_seed):
+    hfull = sys.total_hamiltonian(g)
     rho = np.tile(np.kron(r1, r2), (n_traj, 1, 1))
     a1 = np.tile(r1, (n_traj, 1, 1))
     a2 = np.tile(r2, (n_traj, 1, 1))
@@ -291,7 +291,7 @@ def _ref_finals(sysg, r1, r2, sigma, dt, n_steps, n_traj, base_seed):
         for j in range(n):
             dwj = dws[:, j]
             rho = _ref_batched_step(rho, hfull, sigma, dt, dwj)
-            a1, a2 = _ref_mean_field_step(sysg, a1, a2, sigma, dt, dwj)
+            a1, a2 = _ref_mean_field_step(sys, g, a1, a2, sigma, dt, dwj)
             done += 1
     return rho, a1, a2
 
@@ -300,8 +300,7 @@ def _ref_report(sys, r1, r2, sigma, dt, n_steps, g_values, n_traj, base_seed):
     d1, d2 = sys.dims
     means, sems = [], []
     for g in g_values:
-        sysg = CompositeSystem(sys.h1, sys.h2, sys.delta_h, g=g)
-        rho, a1, _ = _ref_finals(sysg, r1, r2, sigma, dt, n_steps, n_traj, base_seed)
+        rho, a1, _ = _ref_finals(sys, g, r1, r2, sigma, dt, n_steps, n_traj, base_seed)
         red = np.einsum("bikjk->bij", rho.reshape(n_traj, d1, d2, d1, d2))
         dev = np.linalg.norm(red - a1, axis=(1, 2))
         means.append(dev.mean())
@@ -331,13 +330,12 @@ DIFF_STEPS = 300
 @pytest.mark.parametrize("g", [0.0, 0.4])
 def test_eigenbasis_full_system_matches_dense_stepper(g, env):
     sys, r1, r2 = _diff_case(env)
-    sysg = CompositeSystem(sys.h1, sys.h2, sys.delta_h, g=g)
-    spectrum = np.linalg.eigh(sysg.total_hamiltonian())
+    spectrum = np.linalg.eigh(sys.total_hamiltonian(g))
     kw = DIFF_KW
     rho, a1, a2 = (f[0] for f in composite._paired_finals(
         sys, [g], [spectrum], r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS, kw["base_seed"], 0,
         kw["n_traj"]))
-    ref_rho, ref_a1, ref_a2 = _ref_finals(sysg, r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS,
+    ref_rho, ref_a1, ref_a2 = _ref_finals(sys, g, r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS,
                                           kw["n_traj"], kw["base_seed"])
     assert np.abs(rho - ref_rho).max() <= 1e-12
     assert np.abs(a1 - ref_a1).max() <= 1e-12
@@ -364,8 +362,7 @@ def test_coupling_batch_matches_single_g_calls():
     iu = np.triu_indices(9, 1)
     support = []
     for g in (0.0, 0.4):
-        u = np.linalg.eigh(CompositeSystem(sys.h1, sys.h2, sys.delta_h, g=g)
-                           .total_hamiltonian())[1]
+        u = np.linalg.eigh(sys.total_hamiltonian(g))[1]
         support.append((u.conj().T @ np.kron(r1, r2) @ u)[iu] != 0)
     assert support[0].sum() < support[1].sum() == iu[0].size   # the union support is used
     kw = dict(DIFF_KW, horizon=DIFF_STEPS * DIFF_KW["dt"])
@@ -396,11 +393,11 @@ def test_hartree_vs_full_matches_dense_reference():
 def test_hartree_step_is_a_row_of_the_batched_step(rng):
     d1, d2, b = 3, 2, 5
     sys = CompositeSystem(random_hermitian(d1, rng), random_hermitian(d2, rng),
-                          random_hermitian(d1 * d2, rng), g=0.3)
+                          random_hermitian(d1 * d2, rng))
     a1 = np.stack([_pure(rng, d1) for _ in range(b)])
     a2 = np.stack([random_density_matrix(d2, rng) for _ in range(b)])
     dws = rng.standard_normal(b) * 0.03
-    maps = composite._real_maps(sys, [sys.g])
+    maps = composite._real_maps(sys, [0.3])
     new = composite._mean_field_step(composite._stacked(a1, a2, (1, b)), maps, 1.0, 1e-3,
                                      0.5 * dws)
     new1, new2 = new[0, 0, :, :d1, :d1], new[1, 0, :, :d2, :d2]
@@ -425,14 +422,14 @@ def test_hartree_step_is_a_row_of_the_batched_step(rng):
        dw=st.floats(-0.1, 0.1), dt=st.floats(1e-4, 1e-2))
 def test_mean_field_step_properties(d1, d2, seed, g, dw, dt):
     rng = np.random.default_rng(seed)
-    sysg = CompositeSystem(random_hermitian(d1, rng), random_hermitian(d2, rng),
-                           random_hermitian(d1 * d2, rng), g=g)
+    sys = CompositeSystem(random_hermitian(d1, rng), random_hermitian(d2, rng),
+                          random_hermitian(d1 * d2, rng))
     # hartree_vs_full steps only at or below the hard bound (its stability guard)
-    assume(spectral_range(sysg.total_hamiltonian()) ** 2 * dt <= STABILITY_HARD)
+    assume(spectral_range(sys.total_hamiltonian(g)) ** 2 * dt <= STABILITY_HARD)
     a1, a2 = random_density_matrix(d1, rng), random_density_matrix(d2, rng)
-    maps, dws = composite._real_maps(sysg, [g]), np.array([dw])
+    maps, dws = composite._real_maps(sys, [g]), np.array([dw])
     a = composite._mean_field_step(composite._stacked(a1, a2, (1, 1)), maps, 1.0, dt, 0.5 * dws)
-    ref = _ref_mean_field_step(sysg, a1[None], a2[None], 1.0, dt, dws)
+    ref = _ref_mean_field_step(sys, g, a1[None], a2[None], 1.0, dt, dws)
     for n, r, d in zip(a[:, 0, 0], ref, (d1, d2)):
         assert (n == n.conj().T).all()   # exactly Hermitian (±0 compare equal)
         assert abs(np.trace(n) - 1.0) <= 1e-12
@@ -523,12 +520,12 @@ def test_hartree_vs_full_rejects_a_draw_above_the_hard_bound():
     # 50 steps: σ²ΔE²dt = 1.64 there, so hartree_vs_full refuses to step it at all
     d, g, dt = 3, 1.0, 0.009765625
     rng = np.random.default_rng(1643)
-    sysg = CompositeSystem(random_hermitian(d, rng), random_hermitian(d, rng),
-                           random_hermitian(d * d, rng), g=g)
+    sys = CompositeSystem(random_hermitian(d, rng), random_hermitian(d, rng),
+                          random_hermitian(d * d, rng))
     a1, a2 = random_density_matrix(d, rng), random_density_matrix(d, rng)
-    assert spectral_range(sysg.total_hamiltonian()) ** 2 * dt > 1.6
+    assert spectral_range(sys.total_hamiltonian(g)) ** 2 * dt > 1.6
     with pytest.raises(StabilityError, match="exceeds hard bound"):
-        hartree_vs_full(sysg, a1, a2, sigma=1.0, dt=dt, horizon=50 * dt, g_values=[g], n_traj=2)
+        hartree_vs_full(sys, a1, a2, sigma=1.0, dt=dt, horizon=50 * dt, g_values=[g], n_traj=2)
 
 
 def test_hartree_vs_full_stability_guard():

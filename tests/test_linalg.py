@@ -145,6 +145,17 @@ def test_every_entry_point_rejects_a_bad_hamiltonian_with_one_message(entry, h, 
             call(np.asarray(h, complex))
 
 
+@pytest.mark.parametrize("call, value, message", [
+    (HAMILTONIAN_ENTRY_POINTS["CompositeSystem"][1], np.ones((2, 3)),
+     "h1 must be a square matrix, got shape (2, 3)"),
+    (STATE_ENTRY_POINTS["hartree_vs_full"][1], np.array([1.0, 0.0]),
+     "rho1_0 must be a density matrix, got shape (2,)")],
+    ids=["CompositeSystem-h1", "hartree_vs_full-rho1_0"])
+def test_a_shape_error_names_its_input(call, value, message):
+    with pytest.raises(LinalgError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
 def test_hermitize_defect(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert linalg.hermiticity_defect(hermitize(m)) < 1e-15

@@ -131,8 +131,7 @@ def test_scaling_sigma_zero_reports_unreduced():
 
 
 def test_scaling_two_point_smoke():
-    rep = reduction_time_scaling([1.0, 2.0], [1.0, 2.0], n_traj=160,
-                                 base_seed=4, max_steps=400_000)
+    rep = reduction_time_scaling([1.0, 2.0], [1.0, 2.0], n_traj=160, base_seed=4)
     # quadrupling expected when doubling either knob
     assert 2.5 < rep.de_medians[0] / rep.de_medians[1] < 6.5
     assert 2.5 < rep.sigma_medians[0] / rep.sigma_medians[1] < 6.5
@@ -204,14 +203,13 @@ def test_scenarios_enforce_stability_guard(scenario):
     lambda: statdist_martingale_run(np.diag([0.0, 1.0]), 0.5, 0.0, 64, 0),
     lambda: luders_scenario(0.7, [1.0, 1.0], [0.5, 0.5], [1.0, 3.0], 0.0, 64, 0),
     lambda: reduction_time_scaling([1.0, 2.0], [1.0, 0.0], n_traj=64),
-    lambda: reduction_time_scaling([1.0, 2.0], [1.0, 2.0], sigma_ref=0.0, n_traj=64),
-], ids=["born", "statdist", "luders", "scaling-sigma", "scaling-sigma-ref"])
+], ids=["born", "statdist", "luders", "scaling-sigma"])
 def test_scenarios_reject_sigma_zero_before_the_first_step(scenario, monkeypatch):
-    # σ = 0 never reduces a state with V(0) > 0: no run may start
+    # σ = 0 never reduces a state with V(0) > 0: no span may start
     def no_run(*args, **kwargs):
-        raise AssertionError("an ensemble run started")
+        raise AssertionError("a span started")
 
-    monkeypatch.setattr(reduction.ensemble, "run_ensemble", no_run)
+    monkeypatch.setattr(reduction.ensemble, "_run_spans", no_run)
     with pytest.raises(ValueError, match="sigma = 0 never reduces"):
         scenario()
 
