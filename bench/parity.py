@@ -76,6 +76,9 @@ INVOCATIONS = {
     "error-simulate-dimension-mismatch": ["simulate", "--hamiltonian", "diag:0,1,2"],
     "error-born-inf-energy": ["ensemble", "born", "--energies", "0,inf", "--workers", "1"],
     "error-coherent-z-past-the-cap": ["accretion", "coherent", "--z", "1e200"],
+    "error-occupancy-over-the-sample-budget": ["accretion", "occupancy", "--sites", "5",
+                                               "--stick", "1", "--evap", "1e6",
+                                               "--horizon", "50"],
 }
 
 

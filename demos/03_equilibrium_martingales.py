@@ -24,8 +24,8 @@ h = np.diag([0.0, 1.0]).astype(complex)
 rep = statdist_martingale_run(h, beta, sigma=1.0, n_traj=2000, base_seed=3,
                               dt=1e-3)
 print("== two-level Gibbs ensemble ==")
-print(f"sup_t ||mean rho(t) − Gibbs||_F = {rep.sup_mean_deviation:.2e} "
-      f"(allowed {rep.sup_allowed:.2e})")
+print(f"worst ||mean rho(t) − Gibbs||_F / (5 SEM) = {rep.mean_dev_ratio:.3f} "
+      f"at t = {rep.worst_time:g}: {rep.worst_deviation:.2e} (allowed {rep.worst_allowed:.2e})")
 for lab, f, w in zip(rep.stats.outcome_labels, rep.stats.frequencies,
                      rep.gibbs_weights):
     print(f"  outcome {lab}: frequency {f:.4f} vs Gibbs weight {w:.4f}")

@@ -26,6 +26,8 @@ import numpy as np
 
 from .linalg import MAX_DIM
 
+MAX_SAMPLES = 1_000_000   # the occupancy chain's sample budget
+
 __all__ = [
     "AccretionModel",
     "fock_ladder",
@@ -105,11 +107,16 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int) -> Occu
     Samples taken every five relaxation times 5/(s+e), so successive samples
     decorrelate, after a burn-in of ten relaxation times; warns when the
     horizon is too short for the sampled halves to agree on the mean.  Raises
-    ValueError unless the horizon is finite and positive.
+    ValueError, before the chain starts, unless the horizon is finite and
+    positive and its horizon·(s + e)/5 samples are at most MAX_SAMPLES.
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     s, ev, n_sites = model.sticking_rate, model.evaporation_rate, model.n_sites
+    n_samples = horizon * (s + ev) / 5.0   # one every five relaxation times
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"horizon {horizon} takes {n_samples:.3g} samples, one every "
+                         f"5/(s + e), above the budget of {MAX_SAMPLES}")
     relax = 1.0 / (s + ev)
     rng = np.random.default_rng(seed)
     t, n = 0.0, 0

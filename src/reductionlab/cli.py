@@ -192,8 +192,8 @@ def cmd_ensemble_statdist(args, rep: Reporter, out: Path) -> None:
     _record_dt(out, args, report.stats)
     report.stats.outcome_csv(out / "statdist-frequencies.csv")
     report.stats.series_csv(out / "statdist-series.csv")
-    rep.check("statdist-mean", report.mean_dev_ratio <= 1.0,
-              sup_dev=report.sup_mean_deviation, allowed=report.sup_allowed)
+    rep.check("statdist-mean", report.mean_dev_ratio <= 1.0, ratio=report.mean_dev_ratio,
+              t=report.worst_time, dev=report.worst_deviation, allowed=report.worst_allowed)
     rep.bands("statdist", report.stats, "gibbs")
 
 

@@ -252,14 +252,13 @@ def _euler_step(rho, rh, ch, sigma, dt, us, noise=None):
 
 
 def step_density(rho, h, sigma: float, dt: float, dW: float,
-                 noise_form: str = ANTICOMMUTATOR,
-                 psd_tol: float | None = None) -> np.ndarray:
+                 noise_form: str = ANTICOMMUTATOR) -> np.ndarray:
     """One Euler–Maruyama step of the density-matrix equation.
 
     The result is exactly Hermitian and trace-renormalized (the exact
     equations preserve both; Euler violates the trace at O(dt²) per step).
-    The smallest eigenvalue must stay above −psd_tol (default 100·dt); a
-    violation means dt is too large for this Hamiltonian and sigma.
+    The smallest eigenvalue must stay above −100·dt; a violation, raised as
+    PositivityError, means dt is too large for this Hamiltonian and sigma.
     """
     if noise_form not in (ANTICOMMUTATOR, DOUBLE_COMMUTATOR):
         raise ValueError(f"unknown noise form {noise_form!r}")
@@ -269,7 +268,7 @@ def step_density(rho, h, sigma: float, dt: float, dW: float,
     noise = r @ rh - rh @ r if noise_form == DOUBLE_COMMUTATOR else None
     out = _euler_step(r, rh, _times(_dag(rh) - rh, rm), sigma, dt,
                       0.5 * sigma * np.array([dW], float), noise)[0]
-    tol = 100.0 * dt if psd_tol is None else psd_tol
+    tol = 100.0 * dt
     low = np.linalg.eigvalsh(out)[0]
     if low < -tol:
         raise PositivityError(

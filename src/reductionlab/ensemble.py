@@ -51,15 +51,17 @@ CHUNK·b buffer when it starts and draws every chunk into its contiguous
 (n, alive) prefix, so it holds one chunk, 2 KB a trajectory, and never the
 next chunk beside the last one.
 
-A run has two phases: an optional fixed-horizon recording phase in which
-every trajectory keeps evolving (so recorded ensemble means are unbiased),
-followed, when stop_on_reduction is set, by a first-passage phase in which
-trajectories are retired once V ≤ REDUCTION_EPS·V(0) and a dominant
-outcome-group population is ≥ POPULATION_MIN, so every retired endpoint
-classifies unambiguously.  One stepping loop runs both phases and checks
-that rule every CHECK_STRIDE steps and at the horizon: V over the batch,
-then the group sums of only the columns that pass.  A trajectory's reduction
-time is the first check it meets, in either phase.  At the first it meets in
+A run has two phases: a fixed-horizon recording phase of horizon_steps
+(possibly none) in which every trajectory keeps evolving (so recorded
+ensemble means are unbiased), followed, up to max_steps, by a first-passage
+phase in which trajectories are retired once V ≤ REDUCTION_EPS·V(0) and a
+dominant outcome-group population is ≥ POPULATION_MIN, so every retired
+endpoint classifies unambiguously.  max_steps = horizon_steps is the
+fixed-horizon mode: no first-passage step, so nothing retires.  One stepping
+loop runs both phases and checks that rule every CHECK_STRIDE steps, and at
+the horizon when a first-passage phase follows: V over the batch, then the
+group sums of only the columns that pass.  A trajectory's reduction time is
+the first check it meets, in either phase.  At the first it meets in
 the first-passage phase it retires, recording only its step and its kernel
 column; the span's end records the alive columns at its last step, then
 derives every outcome (−1 where nothing retired) and final from them.
@@ -69,13 +71,15 @@ contiguous span of whole blocks as one batch, so its stragglers share one
 first-passage tail; recorded sums are taken per block and added in block
 order.  workers=None means every CPU, for the runners as for the scenarios
 and the Hartree harness.  With workers > 1 the spans run in forked
-processes, which inherit the inputs without a re-import; without the fork
-start method they run serially.  The pool, _run_spans, takes its work as a
-callable of (lo, hi): the eigenbasis runner passes _run_span bound to its
-plan, and composite.hartree_vs_full its paired full and mean-field run.  The
-eigenbasis kernels call no BLAS, but the mean-field step's matmuls do, so a
-Hartree worker runs BLAS after the fork.  A test checks that forked workers
-get correct BLAS matmuls after the parent has run a threaded 800×800 one.
+processes, which inherit the inputs without a re-import, and on Linux are
+killed when the process that forked them exits, so a CLI killed alone leaves
+no worker running; without the fork start method they run serially.  The
+pool, _run_spans, takes its work as a callable of (lo, hi): the eigenbasis
+runner passes _run_span bound to its plan, and composite.hartree_vs_full its
+paired full and mean-field run.  The eigenbasis kernels call no BLAS, but the
+mean-field step's matmuls do, so a Hartree worker runs BLAS after the fork.
+A test checks that forked workers get correct BLAS matmuls after the parent
+has run a threaded 800×800 one.
 """
 
 from __future__ import annotations
@@ -85,6 +89,8 @@ import math
 import multiprocessing
 import numbers
 import os
+import signal
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -362,7 +368,7 @@ def _group_sums(pop, index):
 
 # everything a span needs besides its index range
 _Plan = namedtuple("_Plan", "kernel index dt base_seed v_stop horizon_steps "
-                            "record_stride stop_on_reduction max_steps")
+                            "record_stride max_steps")
 
 
 def _run_span(plan: _Plan, lo: int, hi: int):
@@ -425,7 +431,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
     if plan.record_stride:
         record()
     run_to(plan.horizon_steps, False)
-    if plan.stop_on_reduction:
+    if plan.max_steps > plan.horizon_steps:
         check(True)
         run_to(plan.max_steps, True)
     retired = stop >= 0
@@ -440,7 +446,21 @@ def _fork_context():
     return multiprocessing.get_context("fork") if ok else None
 
 
-def _span_child(work, lo, hi, conn):
+def _die_with(parent):
+    """On Linux, have this forked worker killed when its parent exits, and
+    exit at once if parent, the pid that forked it, is already gone."""
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)   # 1: PR_SET_PDEATHSIG
+        if os.getppid() != parent:   # the parent died before the prctl call
+            os._exit(1)
+
+
+def _span_child(work, lo, hi, conn, parent):
+    _die_with(parent)
     try:
         conn.send((True, work(lo, hi)))
     except Exception as exc:  # report to the parent, which re-raises
@@ -471,11 +491,11 @@ def _run_spans(work, spans):
     ctx = _fork_context()
     if len(spans) == 1 or ctx is None:
         return [work(lo, hi) for lo, hi in spans]
-    procs, results = [], []
+    procs, results, parent = [], [], os.getpid()
     try:
         for lo, hi in spans:
             r, w = ctx.Pipe(duplex=False)
-            p = ctx.Process(target=_span_child, args=(work, lo, hi, w))
+            p = ctx.Process(target=_span_child, args=(work, lo, hi, w, parent))
             p.start()
             w.close()
             procs.append((p, r))
@@ -505,13 +525,18 @@ def _check_input(sigma, dt, n_traj):
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
 
 
-def _check_reducible(sigma, e, p, stop_on_reduction=True) -> float:
-    """V(0) of populations p over energies e.  Raises ValueError when σ = 0 meets
-    V(0) > 0 under stop_on_reduction: nothing reduces, and the first-passage
-    phase would run to max_steps."""
+def _variance(e, p) -> float:
+    """V of populations p over energies e."""
     e, p = np.asarray(e, float), np.asarray(p, float)
-    v0 = float(p @ (e * e) - (p @ e) ** 2)
-    if stop_on_reduction and sigma == 0 and v0 > 0:
+    return float(p @ (e * e) - (p @ e) ** 2)
+
+
+def _check_reducible(sigma, e, p) -> float:
+    """V(0) of populations p over energies e.  Raises ValueError when σ = 0 meets
+    V(0) > 0: nothing reduces, and the first-passage phase would run to
+    max_steps."""
+    v0 = _variance(e, p)
+    if sigma == 0 and v0 > 0:
         raise ValueError(f"sigma = 0 never reduces a state with energy variance "
                          f"V(0) = {v0:.3g} > 0")
     return v0
@@ -519,7 +544,7 @@ def _check_reducible(sigma, e, p, stop_on_reduction=True) -> float:
 
 def run_ensemble(energies, state, sigma: float, dt: float, base_seed: int, n_traj: int, *,
                  groups=None, horizon_steps: int = 0, record_stride: int = 0,
-                 stop_on_reduction: bool = True, max_steps: int = MAX_STEPS,
+                 max_steps: int = MAX_STEPS,
                  workers: int | None = None) -> EnsembleRun:
     """Integrate n_traj trajectories in the H eigenbasis, energies its
     eigenvalues: state vectors for amplitudes `state` of shape (d,) and unit
@@ -531,14 +556,15 @@ def run_ensemble(energies, state, sigma: float, dt: float, base_seed: int, n_tra
 
     For [ρ0, H] = 0 the drift factors are inert on the populated entries and
     this is exactly the pure-noise martingale evolution.  groups: outcome
-    classes (default: one per level).  The blocks run on min(workers, blocks)
-    processes, workers=None meaning every CPU, with the same results for any
-    worker count.  Raises ValueError on a state that fails `linalg.check_state`
+    classes (default: one per level).  max_steps = horizon_steps is the
+    fixed-horizon mode: every outcome is −1, every final taken at the horizon.
+    The blocks run on min(workers, blocks) processes, workers=None meaning
+    every CPU, with the same results for any worker count.  Raises ValueError on a state that fails `linalg.check_state`
     within NORM_TOL, non-finite energies, a non-finite or negative sigma
     or dt ≤ 0, workers other than None or an integer ≥ 1, or populations
-    that turn non-finite or negative; with stop_on_reduction, also on
-    max_steps < horizon_steps and on sigma = 0 with V(0) > 0, which could
-    never stop.
+    that turn non-finite or negative, on max_steps < horizon_steps, and, when
+    max_steps > horizon_steps, on sigma = 0 with V(0) > 0, which could never
+    stop.
     """
     e = np.asarray(energies, dtype=float)
     _check_input(sigma, dt, n_traj)
@@ -551,14 +577,15 @@ def run_ensemble(energies, state, sigma: float, dt: float, base_seed: int, n_tra
                                ("record_stride", record_stride, 0), ("max_steps", max_steps, 1)):
         if not value >= least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    if stop_on_reduction and max_steps < horizon_steps:
-        raise ValueError(f"max_steps must be >= horizon_steps with stop_on_reduction, "
+    if max_steps < horizon_steps:
+        raise ValueError(f"max_steps must be >= horizon_steps, "
                          f"got max_steps = {max_steps} < horizon_steps = {horizon_steps}")
     groups = tuple((i,) for i in range(e.shape[0])) if groups is None else tuple(groups)
-    v0 = _check_reducible(sigma, e, kernel.populations(kernel.x0), stop_on_reduction)
+    p0 = kernel.populations(kernel.x0)
+    v0 = _check_reducible(sigma, e, p0) if max_steps > horizon_steps else _variance(e, p0)
     plan = _Plan(kernel, _group_index(groups, e.shape[0]), dt, base_seed,
                  REDUCTION_EPS * v0 if v0 > 0 else 0.0, horizon_steps, record_stride,
-                 stop_on_reduction, max_steps)
+                 max_steps)
     n_blocks = -(-n_traj // BATCH_SIZE)
     blocks = _split(n_blocks, min(workers, n_blocks))
     results = _run_spans(functools.partial(_run_span, plan),

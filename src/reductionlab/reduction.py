@@ -151,8 +151,10 @@ class StatdistReport:
     stats: ensemble.EnsembleRun
     gibbs_weights: np.ndarray          # per degeneracy group
     sup_mean_deviation: float          # sup_t ‖mean ρ(t) − f(H)‖_F
-    sup_allowed: float                 # 5 × max Frobenius SEM over the grid
     mean_dev_ratio: float              # sup of deviation / (5·SEM) over grid
+    worst_time: float                  # the record time where that ratio peaks
+    worst_deviation: float             # ‖mean ρ − f(H)‖_F at worst_time
+    worst_allowed: float               # 5 × Frobenius SEM at worst_time
     final_group_diagonals: list        # per group: mean diagonal split of finals
 
 
@@ -186,6 +188,7 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
     allowed = 5.0 * run.sem_rho_frob
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(allowed > 0, dev / allowed, 0.0)
+    worst = int(ratio.argmax())
 
     final_diag = np.einsum("bii->bi", run.final_states).real
     splits = []
@@ -200,8 +203,10 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
         stats=run,
         gibbs_weights=gw,
         sup_mean_deviation=float(dev.max()),
-        sup_allowed=float(allowed.max()),
-        mean_dev_ratio=float(ratio.max()),
+        mean_dev_ratio=float(ratio[worst]),
+        worst_time=float(run.times[worst]),
+        worst_deviation=float(dev[worst]),
+        worst_allowed=float(allowed[worst]),
         final_group_diagonals=splits,
     )
 

@@ -112,7 +112,7 @@ def test_criterion_09_variance_decay_law():
     run = ensemble.run_ensemble(
         np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
         sigma=1.0, dt=1e-3, base_seed=909, n_traj=10_000,
-        horizon_steps=2000, record_stride=40, stop_on_reduction=False)
+        horizon_steps=2000, record_stride=40, max_steps=2000)
     fit = reduction.variance_decay_check(run, sigma=1.0)
     monotone = np.all(np.diff(run.mean_v) <= 5.0 * (run.sem_v[1:] + run.sem_v[:-1]))
     ok = abs(fit.slope - 1.0) <= 0.1 and bool(monotone)

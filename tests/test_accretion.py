@@ -56,6 +56,17 @@ def test_fast_evaporation_empties_surface():
     assert res.mean <= 1e-3
 
 
+def test_occupancy_over_the_sample_budget_raises_before_the_chain(monkeypatch):
+    # horizon·(s + e)/5 = 10⁷ samples, ten times accretion.MAX_SAMPLES
+    def no_chain(seed):
+        raise AssertionError("the chain started")
+
+    monkeypatch.setattr(accretion.np.random, "default_rng", no_chain)
+    with pytest.raises(ValueError, match=r"horizon 50.0 takes 1e\+07 samples, .* above the "
+                                         r"budget of 1000000"):
+        occupancy_simulate(AccretionModel(5, 1.0, 1.0, 1e6), horizon=50.0, seed=3)
+
+
 def test_occupancy_rms_matches_sqrt_mean_dilute():
     m = AccretionModel(400, 1.0, 0.01, 0.99)   # X = 4, dilute
     res = occupancy_simulate(m, horizon=30_000.0, seed=8)

@@ -1,8 +1,11 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +297,56 @@ def test_hartree_compare_horizon_above_the_step_budget_exits_2_fast(tmp_path):
     assert "got 1000000000.0" in proc.stderr
 
 
+def _running(pid):
+    """Whether pid is a process that has not exited: /proc lists a zombie
+    until whoever adopted it reaps it, which a container's init may never do."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+def _children(pid):
+    """The running children of pid, from /proc."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except OSError:   # gone since the listing
+            continue
+        if ppid == pid and _running(int(stat.parent.name)):
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="workers die with their parent on Linux only; the test reads /proc")
+def test_span_workers_die_with_a_killed_cli(tmp_path):
+    # a CLI killed alone, as a timeout kills its child, left both workers running
+    cli = subprocess.Popen([sys.executable, "-m", "reductionlab.cli", "ensemble", "born",
+                            "--ntraj", "20000", "--workers", "2", "--out-dir", str(tmp_path / "b")],
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while len(workers) < 2 and cli.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            workers = _children(cli.pid)
+        assert len(workers) == 2, f"the CLI started {len(workers)} workers"
+        cli.kill()
+        cli.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(_running, workers))
+    finally:
+        cli.kill()
+        cli.wait()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
 def test_hartree_compare_bad_sigma_records_no_dt(tmp_path, capsys):
     # sigma is rejected before a step is derived, so the config keeps dt null
     assert run_cli(["hartree", "compare", "--sigma", "inf", "--ntraj", "2", "--horizon", "0.01",
@@ -350,6 +403,22 @@ def test_statdist_of_a_reduced_state_exits_0(extra, tmp_path, capsys):
                   "--out-dir", str(tmp_path / "s")] + extra)
     assert rc == 0
     assert "status=FAIL" not in capsys.readouterr().out
+
+
+def test_statdist_mean_line_shows_its_worst_time(tmp_path, capsys):
+    # one Gibbs weight is 1.9e-22: the line fails at the record time where
+    # dev/allowed peaks, and must show dev above allowed there
+    rc = run_cli(["ensemble", "statdist", "--beta", "-50", "--ntraj", "8", "--workers", "1",
+                  "--out-dir", str(tmp_path / "s")])
+    assert rc == 1
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if "check=statdist-mean " in ln)
+    assert "status=FAIL" in line
+    info = dict(kv.split("=") for kv in line.split()[3:])
+    assert set(info) == {"ratio", "t", "dev", "allowed"}
+    ratio, t, dev, allowed = (float(info[k]) for k in ("ratio", "t", "dev", "allowed"))
+    assert ratio > 1 and dev > allowed and t > 0
+    assert ratio == dev / allowed
 
 
 @pytest.mark.parametrize("extra", [["--energies", "1,1", "--weights", "0.5,0.5"],
@@ -494,11 +563,14 @@ def test_occupancy_with_fewer_than_two_bins_exits_2(horizon, tmp_path, capsys):
     ("--horizon", "inf", "horizon must be finite and positive, got inf"),
     ("--horizon", "0", "horizon must be finite and positive, got 0.0"),
     ("--horizon", "-5", "horizon must be finite and positive, got -5.0"),
+    ("--horizon", "1e7", "horizon 10000000.0 takes 2e+06 samples, one every 5/(s + e), "
+                         "above the budget of 1000000"),
     ("--stick", "inf", "rates must be finite and nonnegative, got sticking rate inf"),
     ("--stick", "nan", "rates must be finite and nonnegative, got sticking rate nan"),
     ("--evap", "inf", "rates must be finite and nonnegative, got sticking rate 0.005 and "
                       "evaporation rate inf")],
-    ids=["horizon-inf", "horizon-0", "horizon--5", "stick-inf", "stick-nan", "evap-inf"])
+    ids=["horizon-inf", "horizon-0", "horizon--5", "horizon-over-the-sample-budget", "stick-inf",
+         "stick-nan", "evap-inf"])
 def test_occupancy_bad_input_exits_2(flag, value, message, tmp_path):
     # in a child process, so that input which would hang the chain fails the test instead
     proc = subprocess.run([sys.executable, "-m", "reductionlab.cli", "accretion", "occupancy",

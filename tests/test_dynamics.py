@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -10,6 +10,7 @@ from reductionlab.dynamics import (
     ANTICOMMUTATOR,
     DOUBLE_COMMUTATOR,
     EULER_MARUYAMA,
+    PositivityError,
     SdeConfig,
     StabilityError,
     energy_variance,
@@ -102,7 +103,7 @@ def test_energy_expectation_is_martingale():
     run = run_ensemble(
         np.array([0.0, 1.0]), np.sqrt([0.3, 0.7]).astype(complex),
         sigma=1.0, dt=1e-3, base_seed=77, n_traj=2000,
-        horizon_steps=1000, record_stride=100, stop_on_reduction=False)
+        horizon_steps=1000, record_stride=100, max_steps=1000)
     drift = run.mean_e[-1] - run.mean_e[0]
     assert abs(drift) <= 4.0 * run.sem_e[-1]
 
@@ -427,11 +428,15 @@ def test_step_density_is_a_row_of_the_batched_step(d, seed, form, dw, dt):
     h = random_hermitian(d, rng)
     rhos = np.stack([random_density_matrix(d, rng) for _ in range(3)])
     dws = np.array([-0.07, dw, 0.03])
-    # positivity is not under test: a mixed state near the PSD boundary may
-    # leave it at these dW and dt
-    out = step_density(rhos[1], h, 1.0, dt, dw, noise_form=form, psd_tol=np.inf)
-    _check_step(out, _batched_step(rhos, h, 1.0, dt, dws, form)[1],
-                _ref_step_density(rhos[1], h, 1.0, dt, dw, form))
+    row = _batched_step(rhos, h, 1.0, dt, dws, form)[1]
+    try:
+        out = step_density(rhos[1], h, 1.0, dt, dw, noise_form=form)
+    except PositivityError:
+        # a mixed state near the PSD boundary may leave it at these dW and dt;
+        # step_density raises only where the row's lowest eigenvalue is below −100·dt
+        assert np.linalg.eigvalsh(row)[0] < -100.0 * dt
+        reject()
+    _check_step(out, row, _ref_step_density(rhos[1], h, 1.0, dt, dw, form))
 
 
 @settings(max_examples=100, deadline=None)

@@ -205,7 +205,7 @@ def test_bad_step_counts_rejected_up_front(option, value):
 
 
 def test_max_steps_below_horizon_rejected_up_front():
-    # with stop_on_reduction the first-passage phase would get no step
+    # a run records to the horizon before max_steps can end it
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
     rho0 = np.diag([0.5, 0.5])
     steps = {"horizon_steps": 100, "max_steps": 50}
@@ -213,10 +213,6 @@ def test_max_steps_below_horizon_rejected_up_front():
         ensemble.run_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, 8, **steps)
     with pytest.raises(ValueError, match="max_steps = 50 < horizon_steps = 100"):
         ensemble.run_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8, **steps)
-    # without it the run ends at the horizon and max_steps bounds nothing
-    run = ensemble.run_ensemble([0.0, 1.0], rho0, 1.0, 1e-3, 0, 8,
-                                stop_on_reduction=False, **steps)
-    assert run.n_unreduced == 8
 
 
 @pytest.mark.parametrize("density", [False, True], ids=["state", "density"])
@@ -229,7 +225,7 @@ def test_sigma_zero_rejected_when_nothing_can_reduce(density, monkeypatch):
 
     # accepted: V(0) = 0 is reduced at once, and a fixed horizon ends by itself
     assert list(run([0.0, 1.0]).outcomes) == [1] * 8
-    fixed = run([0.5, 0.5], horizon_steps=100, stop_on_reduction=False)
+    fixed = run([0.5, 0.5], horizon_steps=100, max_steps=100)
     assert fixed.n_unreduced == 8 and np.isnan(fixed.reduction_times).all()
 
     def no_run(*args):
@@ -271,7 +267,7 @@ def test_recording_phase_hits_keep_their_first_hit_step():
     run = ensemble.run_ensemble(*args, horizon_steps=horizon, record_stride=100,
                                 workers=1)
     fixed = ensemble.run_ensemble(*args, horizon_steps=horizon, record_stride=100,
-                                  stop_on_reduction=False, workers=1)
+                                  max_steps=horizon, workers=1)
     assert run.mean_v.tobytes() == fixed.mean_v.tobytes()
     steps = np.round(run.reduction_times / run.dt)
     assert run.n_unreduced == 0 and fixed.n_unreduced == 64
@@ -338,7 +334,7 @@ def test_runners_default_to_every_cpu(monkeypatch):
     monkeypatch.setattr(ensemble, "_run_spans", spy)
     c0 = np.sqrt(np.array([0.5, 0.5], complex))
     runs = [ensemble.run_ensemble([0.0, 1.0], c0, 1.0, 1e-3, 0, n, horizon_steps=40,
-                                  record_stride=20, stop_on_reduction=False, workers=w)
+                                  record_stride=20, max_steps=40, workers=w)
             for w in (None, 1)]
     assert widths == [min(2, os.cpu_count() or 1), 1]
     assert runs[0].mean_v.tobytes() == runs[1].mean_v.tobytes()
@@ -569,7 +565,8 @@ def test_serial_span_holds_one_noise_chunk(monkeypatch):
     chunk_bytes = ensemble.CHUNK * b * 8
     _, plan = _capture_plan(lambda: ensemble.run_ensemble(
         [0.0, 1.0], np.sqrt(np.array([0.5, 0.5], complex)), 1.0, 1e-3, 5, 2,
-        horizon_steps=3 * ensemble.CHUNK, stop_on_reduction=False, workers=1), monkeypatch)
+        horizon_steps=3 * ensemble.CHUNK, max_steps=3 * ensemble.CHUNK, workers=1),
+        monkeypatch)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -19,13 +19,7 @@ PACKAGE = ROOT / "src" / "reductionlab"
 CALLERS = ("src", "demos", "perfbench", "bench")
 
 ALLOWED = {
-    "ensemble.run_ensemble(stop_on_reduction)":
-        "False is the fixed-horizon mode: criterion 09 and the martingale tests run every "
-        "trajectory to the horizon, none retiring",
     "cli.main(argv)": "tests drive the CLI in process through its argument list",
-    "dynamics.step_density(psd_tol)":
-        "the Hypothesis row test draws mixed states that one step at its largest dW takes "
-        "below the default −100·dt, and positivity is not what it tests",
 }
 
 
@@ -74,7 +68,7 @@ def test_every_default_is_set_by_some_call():
     params = [p for path in sorted(PACKAGE.glob("*.py")) for p in _defaulted(path)]
     labels = {label for label, *_ in params}
     # the walk sees parameters that only a test sets, and keyword-only ones
-    assert {"dynamics.step_density(psd_tol)", "reduction.born_statistics(workers)"} <= labels
+    assert {"cli.main(argv)", "reduction.born_statistics(workers)"} <= labels
     calls = _calls()
     unset = {label for label, *p in params if not _is_set(calls, *p)}
     unlisted = sorted(unset - set(ALLOWED))

@@ -76,7 +76,7 @@ def test_born_nontrivial_basis(rng):
 def test_decay_check_requires_trajectories():
     run = ensemble.run_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
                                 sigma=1.0, dt=1e-3, base_seed=0, n_traj=50,
-                                horizon_steps=100, record_stride=50, stop_on_reduction=False)
+                                horizon_steps=100, record_stride=50, max_steps=100)
     with pytest.raises(ValueError, match="at least 100 trajectories"):
         variance_decay_check(run, sigma=1.0)
 
@@ -84,8 +84,7 @@ def test_decay_check_requires_trajectories():
 def test_decay_sigma_zero_trivial():
     run = ensemble.run_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
                                 sigma=0.0, dt=1e-3, base_seed=0, n_traj=200,
-                                horizon_steps=400, record_stride=100,
-                                stop_on_reduction=False)
+                                horizon_steps=400, record_stride=100, max_steps=400)
     # deterministic Euler drift of the populations is O(dt²) per step
     assert np.abs(np.diff(run.mean_v)).max() < 1e-4
     fit = variance_decay_check(run, sigma=0.0)
@@ -121,11 +120,11 @@ def test_luders_validation():
 def test_scaling_sigma_zero_reports_unreduced():
     from reductionlab.ensemble import run_ensemble
 
-    # σ = 0 with V(0) > 0 is rejected under stop_on_reduction; over a fixed
-    # horizon every trajectory comes back unreduced
+    # σ = 0 with V(0) > 0 is rejected when first-passage steps follow the
+    # horizon; over a fixed horizon every trajectory comes back unreduced
     run = run_ensemble(np.array([0.0, 1.0]), np.sqrt([0.5, 0.5]).astype(complex),
                        sigma=0.0, dt=1e-3, base_seed=0, n_traj=16,
-                       horizon_steps=2000, stop_on_reduction=False)
+                       horizon_steps=2000, max_steps=2000)
     assert run.n_unreduced == 16
     assert np.all(np.isnan(run.reduction_times))
 
