@@ -5,9 +5,13 @@
 DIR is a checkout of each commit, as for bench/record.py.  Each of the
 INVOCATIONS runs as `python -m reductionlab.cli` from the checkout's src/,
 with PYTHONDONTWRITEBYTECODE=1 and no REDUCTIONLAB_SEED, into a fresh
-out-dir of its own.  For each invocation the two sides must agree on:
+out-dir of its own, for at most TIMEOUT seconds and under an address-space
+cap of MEMORY bytes: a side that hangs, or that builds an array per site
+of a 10⁸-site surface, stops on its own and reads as different instead of
+stalling the comparison or filling the host's memory.  For each invocation
+the two sides must agree on:
 
-* the exit status;
+* the exit status (or that both timed out);
 * the bytes of every file in the out-dir: the CSV artifacts as written, and
   config-resolved.json with the out-dir path replaced by <OUT>;
 * stdout, with the out-dir replaced by <OUT>;
@@ -36,6 +40,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -44,6 +49,8 @@ from pathlib import Path
 
 ENV = {k: v for k, v in os.environ.items() if k != "REDUCTIONLAB_SEED"}
 ENV["PYTHONDONTWRITEBYTECODE"] = "1"
+TIMEOUT = 60.0      # seconds per invocation and side
+MEMORY = 2 << 30    # bytes of address space per invocation and side
 
 # every subcommand at small sizes; --workers 1 and 2 where a command takes it
 INVOCATIONS = {
@@ -65,6 +72,8 @@ INVOCATIONS = {
     "hartree-compare-default-dt": ["hartree", "compare", "--ntraj", "4", "--horizon", "0.02",
                                    "--workers", "2"],
     "accretion-occupancy": ["accretion", "occupancy", "--horizon", "2000"],
+    "accretion-occupancy-1e8-sites": ["accretion", "occupancy", "--sites", "100000000",
+                                      "--horizon", "2000"],
     "accretion-coherent": ["accretion", "coherent"],
     "accretion-coherent-wide": ["accretion", "coherent", "--z", "0.3", "--kmax", "60"],
     "phenom-t-reduce": ["phenom", "t-reduce", "--delta-e", "8.6e-6eV"],
@@ -79,21 +88,35 @@ INVOCATIONS = {
     "error-occupancy-over-the-sample-budget": ["accretion", "occupancy", "--sites", "5",
                                                "--stick", "1", "--evap", "1e6",
                                                "--horizon", "50"],
+    "error-occupancy-1e8-sites-without-samples": ["accretion", "occupancy", "--sites",
+                                                  "100000000", "--horizon", "1"],
+    "error-hartree-over-the-work-budget": ["hartree", "compare", "--ntraj", "400",
+                                           "--horizon", "1e3"],
 }
 
 
 def run(checkout: Path, argv, out: Path) -> dict:
     """Exit status, masked stdout and stderr, and every file of one invocation."""
-    proc = subprocess.run([sys.executable, "-m", "reductionlab.cli", *argv, "--out-dir", str(out)],
-                          capture_output=True, text=True, cwd=out.parent,
-                          env={**ENV, "PYTHONPATH": str(checkout / "src")})
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+    try:
+        proc = subprocess.run([sys.executable, "-m", "reductionlab.cli", *argv,
+                               "--out-dir", str(out)],
+                              capture_output=True, text=True, cwd=out.parent,
+                              env={**ENV, "PYTHONPATH": str(checkout / "src")},
+                              timeout=TIMEOUT, preexec_fn=cap_memory)
+        status, stdout, stderr = str(proc.returncode), proc.stdout, proc.stderr
+    except subprocess.TimeoutExpired as exc:   # its output comes as bytes, if any
+        status = f"timed out after {TIMEOUT:g} s"
+        stdout, stderr = ((b or b"").decode(errors="replace") for b in (exc.stdout, exc.stderr))
     files = {}
     for path in sorted(out.iterdir()) if out.is_dir() else ():
         data = path.read_bytes()
         files[path.name] = data if path.suffix == ".csv" else data.replace(
             str(out).encode(), b"<OUT>")
-    stderr = proc.stderr.replace(str(out), "<OUT>").replace(str(checkout), "<TREE>")
-    return {"exit status": str(proc.returncode), "stdout": proc.stdout.replace(str(out), "<OUT>"),
+    stderr = stderr.replace(str(out), "<OUT>").replace(str(checkout), "<TREE>")
+    return {"exit status": status, "stdout": stdout.replace(str(out), "<OUT>"),
             "stderr": re.sub(r"cli\.py:\d+", "cli.py:<line>", stderr), "files": files}
 
 

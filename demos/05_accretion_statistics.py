@@ -38,7 +38,7 @@ print(f"{'n':>3}{'sampled':>10}{'binomial':>10}{'poisson':>10}")
 counts = np.arange(11)
 pb = stationary_binomial_pmf(model, counts)
 pp = poisson_pmf(model.mean_occupancy, counts)
-freq = res.histogram[:11] / res.samples.size
+freq = res.histogram[counts - res.first_occupancy] / res.samples.size   # the range starts at 0
 for n, f, b, p in zip(counts, freq, pb, pp):
     print(f"{n:>3}{f:>10.4f}{b:>10.4f}{p:>10.4f}")
 

@@ -1,8 +1,9 @@
 """Surface-accretion statistics and the coherent (forced-oscillator) case.
 
 The incoherent side models molecules binding to and evaporating from N
-single-occupancy surface sites as a continuous-time birth-death chain with
-exact exponential waiting times; the stationary total count is
+single-occupancy surface sites as a continuous-time birth-death chain of
+independent sites, read on a regular time grid through its exact transition
+law (two binomial draws a sample); the stationary total count is
 Binomial(N, s/(s+e)), which approaches Poisson in the dilute limit.  The
 coherent side treats one multiply-occupiable site driven by a c-number
 environment amplitude λ: the Hamiltonian is a harmonic oscillator displaced
@@ -11,9 +12,9 @@ eigenstates are computed exactly on a truncated Fock space (one matrix
 exponential for a whole spectrum of k), via a Laguerre closed form, and in
 the large-quantum-number Bessel approximation with its smooth envelope.
 
-scipy is imported inside the functions that use it (the pmfs, the matrix
-exponential and the Bessel approximation), so importing this module costs
-numpy only.
+scipy is imported inside the functions that use it (the occupancy
+histogram's range, the pmfs, the matrix exponential and the Bessel
+approximation), so importing this module costs numpy only.
 """
 
 from __future__ import annotations
@@ -96,20 +97,36 @@ class OccupancyResult:
     """Stationary statistics of the occupancy chain."""
 
     samples: np.ndarray        # occupancy sampled on a regular grid
-    histogram: np.ndarray      # counts of samples per occupancy value
+    histogram: np.ndarray      # counts of samples per occupancy, from first_occupancy up
+    first_occupancy: int       # the occupancy that histogram[0] counts
     mean: float
     std: float
 
 
-def occupancy_simulate(model: AccretionModel, horizon: float, seed: int) -> OccupancyResult:
-    """Simulate the per-site fill/evaporate chain with exact waiting times.
+def _site_transition(model: AccretionModel, relaxations: float) -> tuple[float, float]:
+    """Probabilities that a filled and an empty site are filled after
+    `relaxations` relaxation times 1/(s+e): π + (1 − π)q and π(1 − q), with
+    π = s/(s+e) and q = e^{−relaxations}."""
+    pi, q = model.fill_probability, math.exp(-relaxations)
+    return pi + (1.0 - pi) * q, -pi * math.expm1(-relaxations)
 
-    Samples taken every five relaxation times 5/(s+e), so successive samples
-    decorrelate, after a burn-in of ten relaxation times; warns when the
-    horizon is too short for the sampled halves to agree on the mean.  Raises
-    ValueError, before the chain starts, unless the horizon is finite and
-    positive and its horizon·(s + e)/5 samples are at most MAX_SAMPLES.
+
+def occupancy_simulate(model: AccretionModel, horizon: float, seed: int) -> OccupancyResult:
+    """Sample the per-site fill/evaporate chain through its exact transition.
+
+    The sites are independent two-state chains, so over a time Δ the
+    occupancy N moves to Binomial(N, π + (1 − π)q) + Binomial(M − N, π(1 − q)),
+    M the site count and q = e^{−(s+e)Δ}.  The chain starts empty; its first
+    sample is one such step of ten relaxation times 1/(s+e), and each later
+    one a step of five, so successive samples decorrelate.  Warns when the
+    horizon is too short for the sampled halves to agree on the mean.  The
+    histogram covers one range of occupancies that holds every sample and
+    all but at most 1e-12 of the stationary binomial mass on either side.
+    Raises ValueError, before the chain starts, unless the horizon is finite
+    and positive and its horizon·(s + e)/5 samples are at most MAX_SAMPLES.
     """
+    from scipy.stats import binom
+
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     s, ev, n_sites = model.sticking_rate, model.evaporation_rate, model.n_sites
@@ -118,40 +135,27 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int) -> Occu
         raise ValueError(f"horizon {horizon} takes {n_samples:.3g} samples, one every "
                          f"5/(s + e), above the budget of {MAX_SAMPLES}")
     relax = 1.0 / (s + ev)
+    stay, fill = _site_transition(model, 5.0)
     rng = np.random.default_rng(seed)
-    t, n = 0.0, 0
-    samples = []
-    next_sample = 10.0 * relax
-    while t < horizon:
-        rate_up = s * (n_sites - n)
-        rate_dn = ev * n
-        total = rate_up + rate_dn
-        if total == 0:
-            break
-        t += rng.exponential(1.0 / total)
-        while next_sample <= min(t, horizon):
-            samples.append(n)
-            next_sample += 5.0 * relax
-        if t >= horizon:
-            break
-        n += 1 if rng.random() < rate_up / total else -1
+    t, n, samples = 10.0 * relax, rng.binomial(n_sites, _site_transition(model, 10.0)[1]), []
+    while t <= horizon:
+        samples.append(n)
+        n = rng.binomial(n, stay) + rng.binomial(n_sites - n, fill)
+        t += 5.0 * relax
     samples = np.asarray(samples, int)
-    warn = False
-    if len(samples) < 100:
-        warn = True
-    else:
-        half = len(samples) // 2
-        m1, m2 = samples[:half].mean(), samples[half:].mean()
-        pooled = samples.std(ddof=1) / math.sqrt(half) if samples.std() > 0 else 0.0
-        if pooled > 0 and abs(m1 - m2) > 6.0 * pooled:
-            warn = True
-    if warn:
+    half = len(samples) // 2
+    if len(samples) < 100 or (abs(samples[:half].mean() - samples[half:].mean())
+                              > 6.0 * (samples.std(ddof=1) / math.sqrt(half))):
         warnings.warn("horizon may be too short for stationary statistics",
                       RuntimeWarning, stacklevel=2)
-    hist = np.bincount(samples, minlength=model.n_sites + 1)
+    law = binom(n_sites, model.fill_probability)
+    lo, hi = int(law.ppf(1e-12)), int(law.isf(1e-12))
+    if len(samples):
+        lo, hi = min(lo, int(samples.min())), max(hi, int(samples.max()))
     return OccupancyResult(
         samples=samples,
-        histogram=hist,
+        histogram=np.bincount(samples - lo, minlength=hi - lo + 1),
+        first_occupancy=lo,
         mean=float(samples.mean()) if len(samples) else 0.0,
         std=float(samples.std(ddof=1)) if len(samples) > 1 else 0.0,
     )

@@ -260,16 +260,23 @@ def cmd_hartree(args, rep: Reporter, out: Path) -> None:
 
 
 def cmd_accretion_occupancy(args, rep: Reporter, out: Path) -> None:
+    from scipy.stats import binom
+
     model = accretion.AccretionModel(args.sites, args.mass, args.stick, args.evap)
     res = accretion.occupancy_simulate(model, args.horizon, args.seed)
-    write_csv(out / "occupancy-histogram.csv", "count,samples",
-              enumerate(res.histogram))
-    n = np.arange(len(res.histogram))
-    expected = accretion.stationary_binomial_pmf(model, n) * res.samples.size
-    obs, exp = _merge_bins(res.histogram, expected)
+    need = ("the chi-squared test needs two bins of 5 expected counts; {} samples fill {}; "
+            "raise --horizon")
+    if res.samples.size < 10:   # before the pmf and the CSV: fewer fill size // 5 bins
+        raise ValueError(need.format(res.samples.size, res.samples.size // 5))
+    n = res.first_occupancy + np.arange(res.histogram.size)
+    write_csv(out / "occupancy-histogram.csv", "count,samples", zip(n, res.histogram))
+    law = binom(model.n_sites, model.fill_probability)
+    expected = accretion.stationary_binomial_pmf(model, n)
+    expected[0] += law.cdf(n[0] - 1)   # the end bins take the mass outside the range
+    expected[-1] += law.sf(n[-1])
+    obs, exp = _merge_bins(res.histogram, expected * res.samples.size)
     if len(obs) < 2:
-        raise ValueError(f"the chi-squared test needs two bins of 5 expected counts; "
-                         f"{res.samples.size} samples fill {len(obs)}; raise --horizon")
+        raise ValueError(need.format(res.samples.size, len(obs)))
     pval = _chi2_pvalue(float(((obs - exp) ** 2 / exp).sum()), len(obs) - 1)
     rep.check("occupancy-binomial", pval > 1e-3, p_value=pval,
               mean=res.mean, expected_mean=model.mean_occupancy)

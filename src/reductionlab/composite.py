@@ -43,6 +43,8 @@ from .linalg import (LinalgError, as_matrix, check_hermitian, check_state, rando
                      random_hermitian, random_pure_state, write_csv)
 from .noise import trajectory_generator
 
+MAX_TRAJ_STEPS = 10**8   # (trajectory, coupling)-steps that one hartree_vs_full call may take
+
 __all__ = [
     "CompositeSystem",
     "clustering_noise_residual",
@@ -317,7 +319,8 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     input (an empty or non-finite g list, a non-finite or negative σ, an
     initial state that is no density matrix or fails `linalg.check_state`
     within `ensemble.NORM_TOL`, a horizon that rounds to no step or to more
-    than `ensemble.MAX_STEPS`, workers other than None or an integer ≥ 1) or
+    than `ensemble.MAX_STEPS`, n_traj × steps × couplings above
+    MAX_TRAJ_STEPS, workers other than None or an integer ≥ 1) or
     non-finite finals, and StabilityError when σ²ΔE²dt exceeds the hard bound at some g.
     """
     workers = _workers(workers)
@@ -343,6 +346,11 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     if not 1 <= n_steps <= MAX_STEPS:   # before any span forks
         raise ValueError(f"horizon must be finite and round to between 1 and {MAX_STEPS} "
                          f"steps of dt = {dt}, got {horizon}")
+    if n_traj * n_steps * gv.size > MAX_TRAJ_STEPS:
+        raise ValueError(f"n_traj = {n_traj} trajectories of {n_steps} steps (horizon {horizon}, "
+                         f"dt = {dt}) at {gv.size} couplings take "
+                         f"{n_traj * n_steps * gv.size:.3g} trajectory-steps, above the budget "
+                         f"of {MAX_TRAJ_STEPS:.3g}; lower n_traj or horizon")
     spans = _split(n_traj, max(1, min(workers, n_traj // 2)))   # none one trajectory wide
     parts = _run_spans(functools.partial(_paired_finals, system, gv, spectra, r1, r2, sigma, dt,
                                          n_steps, base_seed), spans)

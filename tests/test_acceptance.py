@@ -231,7 +231,7 @@ def test_criterion_14_coherent_accretion_appendix():
     # occupancy chain: exact Binomial stationary law, Poisson in dilute limit
     model = accretion.AccretionModel(1000, 1.0, 0.005, 0.995)
     res = accretion.occupancy_simulate(model, horizon=20_000.0, seed=1414)
-    counts = np.arange(len(res.histogram))
+    counts = res.first_occupancy + np.arange(len(res.histogram))
     nsamp = res.samples.size
     exp_b = accretion.stationary_binomial_pmf(model, counts) * nsamp
     exp_p = accretion.poisson_pmf(model.mean_occupancy, counts) * nsamp

@@ -73,15 +73,64 @@ def test_occupancy_rms_matches_sqrt_mean_dilute():
     assert abs(res.std - math.sqrt(m.mean_occupancy)) / math.sqrt(m.mean_occupancy) < 0.1
 
 
-def test_stationary_histogram_binomial_chisquare():
-    m = AccretionModel(50, 1.0, 0.08, 0.92)
-    res = occupancy_simulate(m, horizon=40_000.0, seed=21)
-    n = np.arange(len(res.histogram))
+def _binomial_pvalue(m, res):
+    """χ² p-value of the histogram against the stationary binomial law, over
+    the bins that expect more than 5 counts."""
+    n = res.first_occupancy + np.arange(len(res.histogram))
     expected = stationary_binomial_pmf(m, n) * res.samples.size
     keep = expected > 5
     chi2 = float(((res.histogram[keep] - expected[keep]) ** 2 / expected[keep]).sum())
-    pval = float(sstats.chi2.sf(chi2, keep.sum() - 1))
-    assert pval > 1e-3
+    return float(sstats.chi2.sf(chi2, keep.sum() - 1))
+
+
+def test_stationary_histogram_binomial_chisquare():
+    m = AccretionModel(50, 1.0, 0.08, 0.92)
+    res = occupancy_simulate(m, horizon=40_000.0, seed=21)
+    assert _binomial_pvalue(m, res) > 1e-3
+
+
+def test_occupancy_pvalues_over_seeds_look_uniform():
+    # criterion 14's model: at most 10 of 100 seeds below p = 0.05 (5 expected)
+    m = AccretionModel(1000, 1.0, 0.005, 0.995)
+    pvals = [_binomial_pvalue(m, occupancy_simulate(m, horizon=20_000.0, seed=seed))
+             for seed in range(100)]
+    assert sum(p < 0.05 for p in pvals) <= 10
+
+
+@pytest.mark.parametrize("n_sites", [1, 3])
+@pytest.mark.parametrize("stick, evap", [(0.3, 0.7), (0.005, 0.995), (2.0, 0.5)])
+def test_occupancy_transition_is_the_birth_death_propagator(n_sites, stick, evap):
+    # Binomial(N, stay) + Binomial(M − N, fill) is exp(QΔ) at Δ = 5/(s + e)
+    from scipy.linalg import expm
+
+    m = AccretionModel(n_sites, 1.0, stick, evap)
+    stay, fill = accretion._site_transition(m, 5.0)
+    ns = np.arange(n_sites + 1)
+    conv = np.array([np.convolve(sstats.binom.pmf(ns[:n + 1], n, stay),
+                                 sstats.binom.pmf(ns[:n_sites - n + 1], n_sites - n, fill))
+                     for n in ns])
+    gen = np.diag(stick * (n_sites - ns[:-1]), 1) + np.diag(evap * ns[1:], -1)
+    gen -= np.diag(gen.sum(axis=1))
+    np.testing.assert_allclose(conv, expm(gen * 5.0 / (stick + evap)), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_sites, stick, evap", [(1000, 0.005, 0.995), (50, 0.08, 0.92),
+                                                  (10**8, 0.005, 0.995), (10, 0.0, 1.0)])
+def test_occupancy_histogram_covers_the_occupied_range(n_sites, stick, evap):
+    m = AccretionModel(n_sites, 1.0, stick, evap)
+    res = occupancy_simulate(m, horizon=2000.0, seed=4)
+    lo, hi = res.first_occupancy, res.first_occupancy + len(res.histogram) - 1
+    assert res.histogram.sum() == res.samples.size
+    assert lo <= res.samples.min() and res.samples.max() <= hi
+    law = sstats.binom(n_sites, m.fill_probability)
+    assert law.cdf(lo - 1) <= 1e-12 and law.sf(hi) <= 1e-12
+    assert len(res.histogram) < 20 * law.std() + 40   # never n_sites + 1 bins for large n_sites
+
+
+def test_occupancy_with_no_sticking_samples_the_full_grid():
+    # π = 0: a constant chain on every grid point, where the event loop stopped at once
+    res = occupancy_simulate(AccretionModel(10, 1.0, 0.0, 1.0), horizon=2000.0, seed=4)
+    assert res.samples.size == 399 and not res.samples.any()
 
 
 def test_energy_fluctuation():
@@ -219,15 +268,8 @@ def test_envelope_tracks_windowed_average():
 def test_occupancy_seed_invariance_distribution():
     # same chain, two seeds: histograms agree distributionally
     m = AccretionModel(30, 1.0, 0.1, 0.9)
-    r1 = occupancy_simulate(m, horizon=20_000.0, seed=1)
-    r2 = occupancy_simulate(m, horizon=20_000.0, seed=2)
-    n = np.arange(max(len(r1.histogram), len(r2.histogram)))
-    expected = stationary_binomial_pmf(m, n)
-    for r in (r1, r2):
-        e = expected[: len(r.histogram)] * r.samples.size
-        keep = e > 5
-        chi2 = float(((r.histogram[keep] - e[keep]) ** 2 / e[keep]).sum())
-        assert sstats.chi2.sf(chi2, keep.sum() - 1) > 1e-3
+    for seed in (1, 2):
+        assert _binomial_pvalue(m, occupancy_simulate(m, horizon=20_000.0, seed=seed)) > 1e-3
 
 
 def test_poisson_limit_of_binomial():

@@ -580,6 +580,43 @@ def test_occupancy_bad_input_exits_2(flag, value, message, tmp_path):
     assert f"ERROR module=accretion-occupancy detail={message}" in proc.stderr
 
 
+def _child_cli(argv, tmp_path, timeout):
+    """Run the CLI in a child process, so that a run that would hang fails the test."""
+    return subprocess.run([sys.executable, "-m", "reductionlab.cli", *argv,
+                           "--out-dir", str(tmp_path / "o")],
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_occupancy_of_1e8_sites_without_samples_exits_2_fast(tmp_path):
+    # the burn-in of ten relaxation times outlasts the horizon: no sample, and
+    # no histogram or pmf over the 10⁸ + 1 occupancies
+    proc = _child_cli(["accretion", "occupancy", "--sites", "100000000", "--horizon", "1"],
+                      tmp_path, timeout=5.0)
+    assert proc.returncode == 2
+    assert ("ERROR module=accretion-occupancy detail=the chi-squared test needs two bins of 5 "
+            "expected counts; 0 samples fill 0; raise --horizon") in proc.stderr
+
+
+def test_occupancy_of_1e8_sites_writes_only_the_occupied_range(tmp_path):
+    proc = _child_cli(["accretion", "occupancy", "--sites", "100000000", "--horizon", "2000"],
+                      tmp_path, timeout=10.0)
+    assert proc.returncode == 0, proc.stderr
+    assert "RESULT check=occupancy-binomial status=PASS" in proc.stdout
+    mean = float(proc.stdout.split(" mean=")[1].split()[0])
+    assert abs(mean - 5e5) < 300   # 399 samples of standard deviation 705
+    rows = (tmp_path / "o" / "occupancy-histogram.csv").read_text().splitlines()
+    assert rows[0] == "count,samples" and len(rows) < 20_000
+
+
+def test_hartree_over_the_work_budget_exits_2_fast(tmp_path):
+    # 400 trajectories × 6.5·10⁶ steps × 4 couplings: each trajectory's steps pass MAX_STEPS
+    proc = _child_cli(["hartree", "compare", "--ntraj", "400", "--horizon", "1e3"],
+                      tmp_path, timeout=5.0)
+    assert proc.returncode == 2
+    assert "ERROR module=hartree-compare detail=n_traj = 400 trajectories" in proc.stderr
+    assert "(horizon 1000.0," in proc.stderr and "above the budget of 1e+08" in proc.stderr
+
+
 def test_coherent_wide_kmax_exits_0_fast(tmp_path):
     # in a child process: one matrix exponential per k took minutes here
     proc = subprocess.run([sys.executable, "-m", "reductionlab.cli", "accretion", "coherent",
@@ -620,9 +657,12 @@ def test_occupancy_p_value_matches_scipy_chi2(tmp_path, capsys):
     assert run_cli(["accretion", "occupancy", "--horizon", "4000", "--seed", "3",
                     "--out-dir", str(tmp_path / "o")]) == 0
     pval = _p_value(capsys.readouterr().out, "occupancy-binomial")
-    hist = np.loadtxt(tmp_path / "o" / "occupancy-histogram.csv", delimiter=",",
-                      skiprows=1)[:, 1]
-    expected = sstats.binom.pmf(np.arange(hist.size), sites, stick / (stick + evap))
+    n, hist = np.loadtxt(tmp_path / "o" / "occupancy-histogram.csv", delimiter=",",
+                         skiprows=1).T
+    law = sstats.binom(sites, stick / (stick + evap))
+    expected = law.pmf(n)
+    expected[0] += law.cdf(n[0] - 1)   # the mass outside the rows goes to the end bins
+    expected[-1] += law.sf(n[-1])
     obs, exp = _merge_bins(hist, expected * hist.sum())
     ref = sstats.chi2.sf(((obs - exp) ** 2 / exp).sum(), len(obs) - 1)
     assert abs(pval - ref) <= 1e-12 * ref
