@@ -9,8 +9,8 @@ State vectors evolve as real populations p, shape (d, b).  The Euler step
 of the amplitudes multiplies cᵢ by f = 1 − (σ²/8)k²dt + (σ/2)k dW − iEᵢdt,
 k = Eᵢ − ⟨H⟩, and renormalizes; the populations therefore follow
 p ← p·|f|² / Σp·|f|², the same discrete process, positive by construction.
-Amplitudes are rebuilt at retirement as c0ᵢ/|c0ᵢ|·√pᵢ·e^{−iEᵢt}, so relative
-phases inside a degenerate group stay exact.
+A final's amplitudes are rebuilt at its time t as c0ᵢ/|c0ᵢ|·√pᵢ·e^{−iEᵢt}, so
+relative phases inside a degenerate group stay exact.
 
 Density matrices evolve on the support of ρ0, shape (d + m, b): the d
 populations, then the m nonzero upper-triangle coherences of ρ0, each entry
@@ -53,18 +53,17 @@ next chunk beside the last one.
 
 A run has two phases: a fixed-horizon recording phase of horizon_steps
 (possibly none) in which every trajectory keeps evolving (so recorded
-ensemble means are unbiased), followed, up to max_steps, by a first-passage
-phase in which trajectories are retired once V ≤ REDUCTION_EPS·V(0) and a
-dominant outcome-group population is ≥ POPULATION_MIN, so every retired
-endpoint classifies unambiguously.  max_steps = horizon_steps is the
-fixed-horizon mode: no first-passage step, so nothing retires.  One stepping
-loop runs both phases and checks that rule every CHECK_STRIDE steps, and at
-the horizon when a first-passage phase follows: V over the batch, then the
-group sums of only the columns that pass.  A trajectory's reduction time is
-the first check it meets, in either phase.  At the first it meets in
-the first-passage phase it retires, recording only its step and its kernel
-column; the span's end records the alive columns at its last step, then
-derives every outcome (−1 where nothing retired) and final from them.
+ensemble means are unbiased), then a first-passage phase up to max_steps
+(none when max_steps = horizon_steps).  One stepping loop runs both and
+checks the stopping rule every CHECK_STRIDE steps, and at the horizon when a
+first-passage phase follows: V ≤ REDUCTION_EPS·V(0) over the batch, then a
+dominant outcome-group population ≥ POPULATION_MIN among the columns that
+pass, so every stopped state classifies unambiguously.  A trajectory has one
+record, its time and kernel column at the first check it meets, in either
+phase, and its outcome and final come from that column.  A first-passage
+check drops every column with a record (at the horizon, also those of the
+recording phase).  One that never met the rule gets outcome −1, a NaN time
+and its column at the last step.
 
 Trajectories come in blocks of BATCH_SIZE indices.  A worker runs a
 contiguous span of whole blocks as one batch, so its stragglers share one
@@ -118,7 +117,9 @@ MAX_STEPS = 10_000_000   # the step budget of one trajectory
 class EnsembleRun:
     """Aggregated result of an ensemble integration, and the result of every
     ensemble scenario of `reduction`, which also names each outcome group in
-    outcome_labels and gives its expected probability in expected."""
+    outcome_labels and gives its expected probability in expected.  Each
+    trajectory's reduction time, outcome and final state are of one step, its
+    first that met the stopping rule (NaN, −1 and the last step if none)."""
 
     n_traj: int
     dt: float
@@ -379,7 +380,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
     noise = np.empty(CHUNK * b)   # every chunk, in its (n, alive.size) prefix
     x, alive, step = kern.start(b), np.arange(b), 0
     rows = alive   # the noise-chunk column of each alive trajectory
-    tred, stop, xs = np.full(b, np.nan), np.full(b, -1), np.empty_like(x)   # x at each stop
+    tred, xs = np.full(b, np.nan), np.empty_like(x)   # each stopping time and its column
     blocks = range(0, b, BATCH_SIZE)
     recs = [[] for _ in blocks]
 
@@ -389,7 +390,7 @@ def _run_span(plan: _Plan, lo: int, hi: int):
         for rec, s in zip(recs, blocks):
             rec.append([t[..., s:s + BATCH_SIZE].sum(-1) for t in terms])
 
-    def check(retire):   # the stopping rule: first hits, and with retire set, retirement
+    def check(retire):   # the stopping rule: each first hit, and with retire set, retirement
         nonlocal x, alive, rows
         kern.renorm(x)
         pop, _, v = kern.moments(x)
@@ -399,15 +400,12 @@ def _run_span(plan: _Plan, lo: int, hi: int):
         if low < 0:
             raise ValueError(f"negative population at step {step}; dt too large?")
         hit = np.flatnonzero(v <= plan.v_stop)   # the variance half over the batch
-        if hit.size:   # the dominance half over its candidates
+        if hit.size:   # the dominance half over its candidates, then the first hits
             hit = hit[_group_sums(pop[:, hit], plan.index).max(0) >= POPULATION_MIN]
-        if not hit.size:
-            return
-        gi = alive[hit]
-        tred[gi[np.isnan(tred[gi])]] = step * dt
-        if retire:
-            stop[gi], xs[..., gi] = step, x[..., hit]
-            keep = np.bincount(hit, minlength=alive.size) == 0   # the columns not hit
+            hit = hit[np.isnan(tred[alive[hit]])]
+            tred[alive[hit]], xs[..., alive[hit]] = step * dt, x[..., hit]
+        if retire and (hit.size or step == plan.horizon_steps):   # drop every stopped column
+            keep = np.isnan(tred[alive])
             x, alive, rows = kern.compact(x, keep), alive[keep], rows[keep]
 
     def run_to(end, retire):   # step every alive trajectory to step `end`
@@ -434,11 +432,12 @@ def _run_span(plan: _Plan, lo: int, hi: int):
     if plan.max_steps > plan.horizon_steps:
         check(True)
         run_to(plan.max_steps, True)
-    retired = stop >= 0
-    stop[alive], xs[..., alive] = step, x
-    outcomes = np.where(retired, _group_sums(kern.populations(xs), plan.index).argmax(0), -1)
+    left = np.isnan(tred[alive])   # never met the rule: the column at the last step
+    xs[..., alive[left]] = x[..., left]
+    reduced = ~np.isnan(tred)
+    outcomes = np.where(reduced, _group_sums(kern.populations(xs), plan.index).argmax(0), -1)
     sums = [[np.array(col) for col in zip(*rec)] for rec in recs]
-    return sums, outcomes, tred, kern.final(xs, stop * dt)
+    return sums, outcomes, tred, kern.final(xs, np.where(reduced, tred, step * dt))
 
 
 def _fork_context():
@@ -557,14 +556,14 @@ def run_ensemble(energies, state, sigma: float, dt: float, base_seed: int, n_tra
     For [ρ0, H] = 0 the drift factors are inert on the populated entries and
     this is exactly the pure-noise martingale evolution.  groups: outcome
     classes (default: one per level).  max_steps = horizon_steps is the
-    fixed-horizon mode: every outcome is −1, every final taken at the horizon.
+    fixed-horizon mode; time, outcome and final still come from each first hit.
     The blocks run on min(workers, blocks) processes, workers=None meaning
-    every CPU, with the same results for any worker count.  Raises ValueError on a state that fails `linalg.check_state`
-    within NORM_TOL, non-finite energies, a non-finite or negative sigma
-    or dt ≤ 0, workers other than None or an integer ≥ 1, or populations
-    that turn non-finite or negative, on max_steps < horizon_steps, and, when
-    max_steps > horizon_steps, on sigma = 0 with V(0) > 0, which could never
-    stop.
+    every CPU, with the same results for any worker count.  Raises ValueError
+    on a state that fails `linalg.check_state` within NORM_TOL, non-finite
+    energies, a non-finite or negative sigma or dt ≤ 0, workers other than
+    None or an integer ≥ 1, or populations that turn non-finite or negative,
+    on max_steps < horizon_steps, and, when max_steps > horizon_steps, on
+    sigma = 0 with V(0) > 0, which could never stop.
     """
     e = np.asarray(energies, dtype=float)
     _check_input(sigma, dt, n_traj)

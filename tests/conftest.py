@@ -1,21 +1,25 @@
 """Shared fixtures, and the opt-in ``--digest PATH`` option.
 
-With ``--digest PATH`` the session wraps the entry points that perfbench's
-tracer wraps (every public function of `reduction`, `ensemble.run_*_ensemble`
-and `composite.hartree_vs_full`) and writes one line per call made in the
-pytest process: the test id, the entry point, and a sha256 of every ndarray
-in its result (fields and properties of dataclasses, nested ones included;
-float values are written exactly, as float.hex).  A call made in a forked
-worker is written to ``PATH.<pid>`` with its place: the parent's line count
-at the fork and the worker's multiprocessing identity.  close() merges those
-lines in, each worker's after the parent lines written before its fork, in
-the order the workers were started, so a pool's calls land where a serial
-run writes them and the file is the same for any worker count.  Run the
-same tests in two trees and compare the two files (bench/parity.py does) to
-see whether their results are byte-identical.  Without the option nothing
-is wrapped.  Each wrapper runs with globals named inside the package,
-so that `dynamics.check_stability`, which warns at the first caller outside
-the package, passes over it to the test.
+With ``--digest PATH`` the session wraps the entry points that compute
+results: every public function of `reduction`, `ensemble.run_ensemble`,
+`composite.hartree_vs_full`, `accretion.occupancy_simulate`,
+`accretion.pnk_exact` and `dynamics.evolve_trajectory`.  The wrappers are in
+place before the test modules are collected, so a name that a test imports
+from its module is wrapped too.  The session writes one line per call: the
+test id, the entry point, and a sha256 of every ndarray in its result
+(fields and properties of dataclasses, nested ones included; float values
+are written exactly, as float.hex; ints and other values are not written).
+A call made in a forked worker is written to ``PATH.<pid>`` with its place:
+the parent's line count at the fork and the worker's multiprocessing
+identity.  close() merges those lines in, each worker's after the parent
+lines written before its fork, in the order the workers were started, so a
+pool's calls land where a serial run writes them and the file is the same
+for any worker count.  Run the same tests in two trees and compare the two
+files (bench/parity.py does) to see whether their results are
+byte-identical.  Without the option nothing is wrapped.  Each wrapper runs
+with globals named inside the package, so that `dynamics.check_stability`,
+which warns at the first caller outside the package, passes over it to the
+test.
 """
 
 import dataclasses
@@ -30,7 +34,7 @@ import types
 import numpy as np
 import pytest
 
-from reductionlab import composite, ensemble, reduction
+from reductionlab import accretion, composite, dynamics, ensemble, reduction
 
 _DIGEST = pytest.StashKey()
 
@@ -42,9 +46,9 @@ def pytest_addoption(parser):
 
 def _entry_points():
     pts = [(reduction, n) for n in reduction.__all__ if inspect.isfunction(getattr(reduction, n))]
-    pts += [(ensemble, n) for n in ensemble.__all__
-            if n.startswith("run_") and n.endswith("_ensemble")]
-    return pts + [(composite, "hartree_vs_full")]
+    return pts + [(ensemble, "run_ensemble"), (composite, "hartree_vs_full"),
+                  (accretion, "occupancy_simulate"), (accretion, "pnk_exact"),
+                  (dynamics, "evolve_trajectory")]
 
 
 def _fields(value, name=""):

@@ -270,24 +270,65 @@ def test_recording_phase_hits_keep_their_first_hit_step():
                                   max_steps=horizon, workers=1)
     assert run.mean_v.tobytes() == fixed.mean_v.tobytes()
     steps = np.round(run.reduction_times / run.dt)
-    assert run.n_unreduced == 0 and fixed.n_unreduced == 64
+    assert run.n_unreduced == 0
+    assert ((fixed.outcomes < 0) == np.isnan(fixed.reduction_times)).all()
     assert (run.reduction_times == steps * run.dt).all()
     assert (steps % ensemble.CHECK_STRIDE == 0).all()
-    # a first hit while recording is the reduction time, with or without a first-passage phase
+    # a first hit while recording gives the reduction time, outcome and final, with or
+    # without a first-passage phase
     early = steps <= horizon
-    assert run.reduction_times[early].tobytes() == fixed.reduction_times[early].tobytes()
-    assert np.isnan(fixed.reduction_times[~early]).all()
-    # one that meets the rule at the horizon retires there, with the outcome of its state
-    # there; one that has left it since retires at a later check
-    pop = np.abs(fixed.final_states) ** 2
-    v, v0 = pop[:, 0] * pop[:, 1], 0.25   # V of two levels at energies 0 and 1
-    there = early & (v <= ensemble.REDUCTION_EPS * v0) & (pop.max(1) >= ensemble.POPULATION_MIN)
-    assert 0 < there.sum() < early.sum()
-    assert run.final_states[there].tobytes() == fixed.final_states[there].tobytes()
-    assert (run.outcomes[there] == pop[there].argmax(1)).all()
-    later = np.abs(run.final_states[early & ~there]) ** 2
-    assert (later.max(1) >= ensemble.POPULATION_MIN).all()
-    assert not np.allclose(later, pop[early & ~there])
+    assert 0 < early.sum() < early.size and fixed.n_unreduced == (~early).sum()
+    for field in ("reduction_times", "outcomes", "final_states"):
+        assert getattr(run, field)[early].tobytes() == getattr(fixed, field)[early].tobytes()
+    pop = np.abs(run.final_states[early]) ** 2
+    assert (pop.max(1) >= ensemble.POPULATION_MIN).all()
+    assert (run.outcomes[early] == pop.argmax(1)).all()
+
+
+STOPPING_STATES = {   # energies, initial state, outcome groups
+    "state": ([0.0, 1.0, 1.0, 2.5],
+              np.sqrt([0.25, 0.16, 0.25, 0.34]) * np.exp(1j * np.array([0.0, 1.6, 1.1, 3.1])),
+              ((0,), (1, 2), (3,))),
+    "density": ([0.0, 1.0, 2.0], _coherent_rho0()[1:, 1:] / 0.7, None),
+}
+
+
+@pytest.mark.parametrize("horizon, max_steps", [(0, ensemble.MAX_STEPS),
+                                                (400, ensemble.MAX_STEPS), (400, 400)],
+                         ids=["first-passage", "recorded", "fixed-horizon"])
+@pytest.mark.parametrize("kind", STOPPING_STATES)
+def test_one_stopping_time_per_trajectory(kind, horizon, max_steps, monkeypatch):
+    # each trajectory's time, outcome and final come from the first check it meets,
+    # in either phase, for any worker count; 100 trajectories in two 64-wide blocks
+    monkeypatch.setattr(ensemble, "BATCH_SIZE", 64)
+    e, state, groups = STOPPING_STATES[kind]
+    e = np.array(e)
+    runs = [ensemble.run_ensemble(e, state, 2.0, 2e-3, 51, 100, groups=groups,
+                                  horizon_steps=horizon, record_stride=100 if horizon else 0,
+                                  max_steps=max_steps, workers=w) for w in (1, 2)]
+    for field in dataclasses.fields(ensemble.EnsembleRun):
+        a, b = getattr(runs[0], field.name), getattr(runs[1], field.name)
+        if isinstance(a, np.ndarray):
+            assert a.tobytes() == b.tobytes(), field.name
+    run = runs[0]
+    t = run.reduction_times
+    reduced = np.isfinite(t)
+    assert ((run.outcomes >= 0) == reduced).all()
+    assert 0 < reduced.sum() and (reduced.all() or max_steps == horizon)
+    assert not horizon or (t < horizon * run.dt).any()   # some stop while recording
+    if state.ndim == 1:
+        pop, p0 = np.abs(run.final_states) ** 2, np.abs(state) ** 2
+        at = np.where(reduced, t, max_steps * run.dt)   # the final's time
+        phases = np.exp(1j * (np.angle(state) - e * at[:, None]))
+        assert np.abs(run.final_states - phases * np.sqrt(pop)).max() <= 1e-12
+    else:
+        pop, p0 = np.einsum("bii->bi", run.final_states).real, np.diag(state).real
+    v = pop @ e**2 - (pop @ e) ** 2
+    v0 = p0 @ e**2 - (p0 @ e) ** 2
+    assert (v[reduced] <= ensemble.REDUCTION_EPS * v0 * (1 + 1e-9)).all()
+    sums = np.array([pop[:, list(g)].sum(1) for g in groups or [(i,) for i in range(e.size)]])
+    assert (sums.max(0)[reduced] >= ensemble.POPULATION_MIN - 1e-12).all()
+    assert (sums.argmax(0)[reduced] == run.outcomes[reduced]).all()
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
