@@ -24,15 +24,19 @@ its first differing line.
 
 Then `pytest tests -q -p no:cacheprovider --digest FILE` runs in each
 checkout, with the same environment, and the two digest files are compared
-line by line within each (test id, entry point): every parent line must
-reappear in the change's file.  Each parent line that does not is printed,
-as `changed` beside the change's unmatched line of the same test and entry
-point, or else as `missing`; the change's unmatched lines are counted as
-added (new tests, and calls made in forked workers, which the change's
-tests/conftest.py may digest where the parent's did not).  The pytest exit
-statuses are compared too.
+field by field.  Within each (test id, entry point) the k-th parent line is
+matched to the k-th change line, in call order.  Each field that both
+lines write with different values is printed as `changed`; a parent line
+with no match is printed as `missing`.  Fields that only one side writes
+are counted by name, as removed (parent only) or added (change only), and
+the change's unmatched lines are counted as added lines (new tests, and
+calls made in forked workers, which the change's tests/conftest.py may
+digest where the parent's did not).  The pytest exit statuses are compared
+too.
 
-The exit status is 1 on any difference, else 0.
+The exit status is 1 on a difference in any invocation, on a changed
+digest value or a missing digest line, or on different pytest statuses;
+removed and added fields and added lines alone leave it 0.
 """
 
 from __future__ import annotations
@@ -160,24 +164,29 @@ def digest(checkout: Path, path: Path) -> tuple:
 
 
 def compare_digests(parent: list, change: list) -> tuple:
-    """Each parent digest line that the change lacks, as (kind, parent line,
-    change line or None), and the count of the change's added lines.  Lines
-    are matched within one (test id, entry point), whatever their order."""
+    """Two digest files compared field by field: each changed value, as (test
+    id, entry point, field, parent value, change value), each parent line
+    with no match, the Counters of removed and of added fields by name, and
+    the count of the change's added lines.  Within one (test id, entry point)
+    the lines are matched in call order."""
     def grouped(lines):
         out = defaultdict(list)
         for line in lines:
-            test, label = line.split(" ", 2)[:2]
-            out[test, label].append(line)
+            test, label, *fields = line.split(" ")
+            out[test, label].append((line, dict(f.partition("=")[::2] for f in fields if f)))
         return out
 
-    theirs, diffs, added = grouped(change), [], 0
-    for key, mine in grouped(parent).items():
-        a, b = Counter(mine), Counter(theirs.pop(key, []))
-        lost, new = list((a - b).elements()), list((b - a).elements())
-        diffs += [("changed", line, new[k]) if k < len(new) else ("missing", line, None)
-                  for k, line in enumerate(lost)]
-        added += max(len(new) - len(lost), 0)
-    return diffs, added + sum(map(len, theirs.values()))
+    theirs, changed, missing, removed, added = grouped(change), [], [], Counter(), Counter()
+    new_lines = 0
+    for (test, label), mine in grouped(parent).items():
+        other = theirs.pop((test, label), [])
+        for (_, a), (_, b) in zip(mine, other):
+            changed += [(test, label, k, a[k], b[k]) for k in a if k in b and a[k] != b[k]]
+            removed.update(k for k in a if k not in b)
+            added.update(k for k in b if k not in a)
+        missing += [line for line, _ in mine[len(other):]]
+        new_lines += max(len(other) - len(mine), 0)
+    return changed, missing, removed, added, new_lines + sum(map(len, theirs.values()))
 
 
 def main(argv=None) -> int:
@@ -203,12 +212,19 @@ def main(argv=None) -> int:
                 for side, checkout in sides.items()}
     for side, (status, last, lines) in runs.items():
         print(f"pytest {side}: exit status {status}, {len(lines)} digest lines: {last}")
-    diffs, added = compare_digests(runs["parent"][2], runs["change"][2])
-    for kind, line, theirs in diffs:
-        print(f"{kind}: {line}" + (f"\n  change: {theirs}" if theirs else ""))
-    print(f"digest: {len(diffs)} parent lines missing or changed, {added} lines added")
+    changed, missing, removed, added, new_lines = compare_digests(runs["parent"][2],
+                                                                  runs["change"][2])
+    for test, label, field, a, b in changed:
+        print(f"changed: {test} {label} {field}\n  parent: {a}\n  change: {b}")
+    for line in missing:
+        print(f"missing: {line}")
+    for kind, fields in (("removed", removed), ("added", added)):
+        print(f"{kind} fields: " + (", ".join(f"{k} ({n} lines)" for k, n in sorted(
+            fields.items())) or "none"))
+    print(f"digest: {len(changed)} values changed, {len(missing)} parent lines missing, "
+          f"{new_lines} lines added")
     statuses = runs["parent"][0] != runs["change"][0]
-    return 1 if differ or diffs or statuses else 0
+    return 1 if differ or changed or missing or statuses else 0
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ print("\n== reduction driven by environmental fluctuations ==")
 print(f"  one proton mass of spread:  t_R = {t_reduce(PROTON_MASS).to('s'):.2g} s")
 print(f"  one N2 molecule of spread:  t_R = {t_reduce(NITROGEN_MASS).to('s'):.2g} s")
 
-thermal = thermal_fluctuation(qty(298, "K"), qty(4.18, "J/K"))
-print(f"  1 g of water at 298 K:      dE_rms = {thermal.de_rms.to('GeV'):.1f} GeV "
+de_rms = thermal_fluctuation(qty(298, "K"), qty(4.18, "J/K"))
+print(f"  1 g of water at 298 K:      dE_rms = {de_rms.to('GeV'):.1f} GeV "
       "(but exchanged too slowly to matter)")
 
 shot = shot_noise_energy(6e7, 1e4, ELECTRON_MASS)

@@ -155,7 +155,8 @@ def cmd_simulate(args, rep: Reporter, out: Path) -> None:
     traj = dynamics.evolve_trajectory(init, h, cfg, seed=args.seed)
     traj.to_csv(out / "trajectory.csv")
     if args.dump_noise:
-        wiener_path(args.seed, args.dt, args.steps).to_csv(out / "noise.csv")
+        dw = wiener_path(args.seed, args.dt, args.steps)
+        write_csv(out / "noise.csv", "step,dW", enumerate(dw))
     rep.value("simulate", final_V=traj.variance[-1], final_E=traj.energy_mean[-1],
               rows=len(traj.times))
 

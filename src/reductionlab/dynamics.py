@@ -299,7 +299,6 @@ class Trajectory:
     energy_mean: np.ndarray
     variance: np.ndarray
     purity_residual: np.ndarray
-    kind: str = "state_vector"          # or "density"
     dt: float = 0.0
 
     def validate(self) -> None:
@@ -354,8 +353,7 @@ def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
 
     s = raw.copy()
     record(0, s)
-    for k in range(config.n_steps):
-        dW = path.increments[k]
+    for k, dW in enumerate(path):
         try:
             if is_vec:
                 s = step_state_vector(s, m, config.sigma, config.dt, dW,
@@ -374,7 +372,6 @@ def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
         energy_mean=np.asarray(means),
         variance=np.asarray(variances),
         purity_residual=np.asarray(purities),
-        kind="state_vector" if is_vec else "density",
         dt=config.dt,
     )
     traj.validate()

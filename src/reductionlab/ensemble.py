@@ -123,14 +123,11 @@ class EnsembleRun:
 
     n_traj: int
     dt: float
-    energies: np.ndarray
     groups: tuple
     times: np.ndarray | None = None
     mean_v: np.ndarray | None = None
     sem_v: np.ndarray | None = None
     mean_v2: np.ndarray | None = None
-    mean_e: np.ndarray | None = None
-    sem_e: np.ndarray | None = None
     mean_rho: np.ndarray | None = None
     sem_rho_frob: np.ndarray | None = None
     outcomes: np.ndarray | None = None
@@ -205,10 +202,10 @@ class _Kernel:
         return x
 
     def moments(self, x):
-        """The populations, ⟨H⟩ and V of every column."""
+        """The populations and V of every column."""
         w, pop = self.w, self.populations(x)
         eh = _colsum(np.multiply(pop, w.e, out=w.pe))
-        return pop, eh, _colsum(np.multiply(pop, w.e2, out=w.pe)) - eh * eh
+        return pop, _colsum(np.multiply(pop, w.e2, out=w.pe)) - eh * eh
 
 
 class _StateKernel(_Kernel):
@@ -385,15 +382,15 @@ def _run_span(plan: _Plan, lo: int, hi: int):
     recs = [[] for _ in blocks]
 
     def record():
-        _, eh, v = kern.moments(x)
-        terms = (v, v * v, eh, eh * eh) + kern.record(x)
+        v = kern.moments(x)[1]
+        terms = (v, v * v) + kern.record(x)
         for rec, s in zip(recs, blocks):
             rec.append([t[..., s:s + BATCH_SIZE].sum(-1) for t in terms])
 
     def check(retire):   # the stopping rule: each first hit, and with retire set, retirement
         nonlocal x, alive, rows
         kern.renorm(x)
-        pop, _, v = kern.moments(x)
+        pop, v = kern.moments(x)
         low, high = float(pop.min()), float(pop.max())   # a NaN propagates into both
         if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError(f"non-finite populations at step {step}; dt too large?")
@@ -589,15 +586,14 @@ def run_ensemble(energies, state, sigma: float, dt: float, base_seed: int, n_tra
     blocks = _split(n_blocks, min(workers, n_blocks))
     results = _run_spans(functools.partial(_run_span, plan),
                          [(lo * BATCH_SIZE, min(hi * BATCH_SIZE, n_traj)) for lo, hi in blocks])
-    out = EnsembleRun(n_traj=n_traj, dt=dt, energies=e, groups=groups)
+    out = EnsembleRun(n_traj=n_traj, dt=dt, groups=groups)
     out.outcomes, out.reduction_times, out.final_states = (
         np.concatenate([r[k] for r in results]) for k in (1, 2, 3))
     if record_stride:
         sums = [sum(terms) for terms in zip(*(blk for r in results for blk in r[0]))]
-        n, (s_v, s_v2, s_e, s_e2) = n_traj, sums[:4]  # sums added in block order
+        n, (s_v, s_v2) = n_traj, sums[:2]  # sums added in block order
         out.times = np.arange(s_v.shape[0]) * record_stride * dt
-        out.mean_v, out.mean_v2, out.mean_e = s_v / n, s_v2 / n, s_e / n
+        out.mean_v, out.mean_v2 = s_v / n, s_v2 / n
         out.sem_v = np.sqrt(np.maximum(out.mean_v2 - out.mean_v**2, 0.0) / n)
-        out.sem_e = np.sqrt(np.maximum(s_e2 / n - out.mean_e**2, 0.0) / n)
-        kernel.summarize(out, sums[4:], n)
+        kernel.summarize(out, sums[2:], n)
     return out

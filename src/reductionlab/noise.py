@@ -10,38 +10,16 @@ s is member 0 of base seed s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import write_csv
-
 __all__ = [
-    "NoisePath",
     "wiener_path",
     "trajectory_generator",
 ]
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """Seeded sequence of Wiener increments with step size dt."""
-
-    seed: int
-    dt: float
-    increments: np.ndarray
-
-    def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
-
-    def to_csv(self, path) -> None:
-        write_csv(path, "step,dW", enumerate(self.increments))
-
-
-def wiener_path(seed: int, dt: float, n_steps: int) -> NoisePath:
-    """Generate n_steps independent Gaussian(0, dt) increments.
+def wiener_path(seed: int, dt: float, n_steps: int) -> np.ndarray:
+    """n_steps independent Gaussian(0, dt) increments, as a read-only array.
 
     The path is ensemble member 0 of base seed `seed`, bit for bit: a longer
     path extends a shorter one drawn from the same seed.
@@ -51,7 +29,8 @@ def wiener_path(seed: int, dt: float, n_steps: int) -> NoisePath:
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     inc = trajectory_generator(seed, 0).standard_normal(n_steps) * np.sqrt(dt)
-    return NoisePath(seed=seed, dt=dt, increments=inc)
+    inc.setflags(write=False)
+    return inc
 
 
 def trajectory_generator(base_seed: int, index: int) -> np.random.Generator:

@@ -39,7 +39,6 @@ __all__ = [
     "t_reduce",
     "AccretionEstimate",
     "t_reduce_accretion",
-    "ThermalFluctuation",
     "thermal_fluctuation",
     "decoherence_rate",
     "decoherence_rate_general",
@@ -240,23 +239,13 @@ def t_reduce_accretion(area: Quantity, mass_rate: Quantity,
     return AccretionEstimate(t_r=t_r, molecules=molecules, valid=molecules >= 1.0)
 
 
-@dataclass(frozen=True)
-class ThermalFluctuation:
-    de_rms: Quantity
-    dt_rms: Quantity
-
-
-def thermal_fluctuation(temperature: Quantity, heat_capacity: Quantity) -> ThermalFluctuation:
-    """Canonical-ensemble spreads ⟨ΔE²⟩ = k_B T² C_V and ⟨ΔT²⟩ = k_B T²/C_V."""
+def thermal_fluctuation(temperature: Quantity, heat_capacity: Quantity) -> Quantity:
+    """The canonical-ensemble energy spread ΔE_rms, with ⟨ΔE²⟩ = k_B T² C_V."""
     temperature._require(TEMPERATURE, "temperature")
     heat_capacity._require(HEAT_CAPACITY, "heat capacity")
     if temperature.value <= 0 or heat_capacity.value <= 0:
         raise ValueError("temperature and heat capacity must be positive")
-    kt2 = K_BOLTZMANN * temperature * temperature
-    return ThermalFluctuation(
-        de_rms=(kt2 * heat_capacity).sqrt(),
-        dt_rms=(kt2 / heat_capacity).sqrt(),
-    )
+    return (K_BOLTZMANN * temperature * temperature * heat_capacity).sqrt()
 
 
 def decoherence_rate(scattering_rate: Quantity) -> Quantity:
@@ -488,7 +477,7 @@ PAPER_VALUES = (
     _within_two(2, "eq27-intergalactic-relaxed",
                 lambda: _area(INTERGALACTIC, 3e-4).area.to("m2"), 1.0),
     PaperValue(3, "eq23-water-14GeV",
-               lambda: thermal_fluctuation(qty(298, "K"), qty(4.18, "J/K")).de_rms.to("GeV"),
+               lambda: thermal_fluctuation(qty(298, "K"), qty(4.18, "J/K")).to("GeV"),
                14.0, 11.2, 16.8),
     _within_two(4, "eq32-air-decoherence",
                 lambda: (decoherence_rate(qty(1e10, "1/s")) * _air().molecules).to("1/s"),

@@ -150,7 +150,6 @@ class StatdistReport:
 
     stats: ensemble.EnsembleRun
     gibbs_weights: np.ndarray          # per degeneracy group
-    sup_mean_deviation: float          # sup_t ‖mean ρ(t) − f(H)‖_F
     mean_dev_ratio: float              # sup of deviation / (5·SEM) over grid
     worst_time: float                  # the record time where that ratio peaks
     worst_deviation: float             # ‖mean ρ − f(H)‖_F at worst_time
@@ -202,7 +201,6 @@ def statdist_martingale_run(h, beta: float, sigma: float, n_traj: int,
     return StatdistReport(
         stats=run,
         gibbs_weights=gw,
-        sup_mean_deviation=float(dev.max()),
         mean_dev_ratio=float(ratio[worst]),
         worst_time=float(run.times[worst]),
         worst_deviation=float(dev[worst]),

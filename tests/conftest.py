@@ -8,18 +8,18 @@ place before the test modules are collected, so a name that a test imports
 from its module is wrapped too.  The session writes one line per call: the
 test id, the entry point, and a sha256 of every ndarray in its result
 (fields and properties of dataclasses, nested ones included; float values
-are written exactly, as float.hex; ints and other values are not written).
-A call made in a forked worker is written to ``PATH.<pid>`` with its place:
-the parent's line count at the fork and the worker's multiprocessing
-identity.  close() merges those lines in, each worker's after the parent
-lines written before its fork, in the order the workers were started, so a
-pool's calls land where a serial run writes them and the file is the same
-for any worker count.  Run the same tests in two trees and compare the two
-files (bench/parity.py does) to see whether their results are
-byte-identical.  Without the option nothing is wrapped.  Each wrapper runs
-with globals named inside the package, so that `dynamics.check_stability`,
-which warns at the first caller outside the package, passes over it to the
-test.
+are written exactly, as float.hex, and Python and numpy ints in decimal;
+bools and other values are not written).  A call made in a forked worker is
+written to ``PATH.<pid>`` with its place: the parent's line count at the
+fork and the worker's multiprocessing identity.  close() merges those lines
+in, each worker's after the parent lines written before its fork, in the
+order the workers were started, so a pool's calls land where a serial run
+writes them and the file is the same for any worker count.  Run the same
+tests in two trees and compare the two files (bench/parity.py does) to see
+whether their results are byte-identical.  Without the option nothing is
+wrapped.  Each wrapper runs with globals named inside the package, so that
+`dynamics.check_stability`, which warns at the first caller outside the
+package, passes over it to the test.
 """
 
 import dataclasses
@@ -52,8 +52,8 @@ def _entry_points():
 
 
 def _fields(value, name=""):
-    """(name, digest) of every ndarray and float in value, through dataclass
-    fields and properties, lists and tuples."""
+    """(name, digest) of every ndarray, float and int (not bool) in value,
+    through dataclass fields and properties, lists and tuples."""
     if isinstance(value, np.ndarray):
         h = hashlib.sha256(f"{value.dtype} {value.shape} ".encode())
         h.update(repr(value.tolist()).encode() if value.dtype == object
@@ -61,6 +61,8 @@ def _fields(value, name=""):
         yield name, h.hexdigest()
     elif isinstance(value, float):
         yield name, value.hex()
+    elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        yield name, str(int(value))
     elif dataclasses.is_dataclass(value):
         names = [f.name for f in dataclasses.fields(value)]
         names += [k for k, _ in inspect.getmembers(type(value), lambda a: isinstance(a, property))]

@@ -2,8 +2,9 @@
 
 The README promises one format for all artifacts: a header row, LF line
 endings and 17 significant digits, which is enough to round-trip any
-float64.  The round-trip test holds each record writer to that promise; the
-AST test keeps file writing out of every module but `linalg` and `cli`.
+float64.  The round-trip test holds each record writer, and the CLI's noise
+dump, to that promise; the AST test keeps file writing out of every module
+but `linalg` and `cli`.
 """
 
 import ast
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 from reductionlab import phenomenology as ph
+from reductionlab.cli import main
 from reductionlab.composite import HartreeReport
 from reductionlab.dynamics import Trajectory
 from reductionlab.ensemble import EnsembleRun
-from reductionlab.noise import NoisePath
+from reductionlab.noise import wiener_path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reductionlab"
 WRITERS = ("linalg.py", "cli.py")
@@ -39,16 +41,22 @@ def _trajectory(n):
 
 
 def _noise(n):
-    inc = _floats(n, 4)
-    return NoisePath(seed=0, dt=1e-3, increments=inc).to_csv, "step,dW", list(enumerate(inc))
+    # the table `simulate --dump-noise` writes, run in process: the increments
+    # of wiener_path for the run's seed, dt and step count
+    def write(path):
+        out = path.parent / "simulate"
+        assert main(["simulate", "--steps", str(n), "--dt", "1e-3", "--seed", "11",
+                     "--dump-noise", "--out-dir", str(out)]) == 0
+        (out / "noise.csv").replace(path)
+    return write, "step,dW", list(enumerate(wiener_path(11, 1e-3, n)))
 
 
 def _outcomes(n):
     # n outcome groups over 7n trajectories, a few unreduced: the frequencies
     # and their bands are derived from the outcomes
     outcomes = np.random.default_rng(5).integers(-1, n, 7 * n)
-    run = EnsembleRun(n_traj=7 * n, dt=1e-3, energies=np.arange(n, dtype=float),
-                      groups=tuple((k,) for k in range(n)), outcomes=outcomes,
+    run = EnsembleRun(n_traj=7 * n, dt=1e-3, groups=tuple((k,) for k in range(n)),
+                      outcomes=outcomes,
                       outcome_labels=[f"E={k}" for k in range(n)])
     return run.outcome_csv, "outcome,frequency,ci_lo,ci_hi", list(
         zip(run.outcome_labels, run.frequencies, run.ci_lo, run.ci_hi))
@@ -56,8 +64,8 @@ def _outcomes(n):
 
 def _series(n):
     cols = [_floats(n, s) for s in range(8, 12)]
-    run = EnsembleRun(n_traj=n, dt=1e-3, energies=np.zeros(1), groups=((0,),), times=cols[0],
-                      mean_v=cols[1], sem_v=cols[2], mean_v2=cols[3])
+    run = EnsembleRun(n_traj=n, dt=1e-3, groups=((0,),), times=cols[0], mean_v=cols[1],
+                      sem_v=cols[2], mean_v2=cols[3])
     return run.series_csv, "t,EV,EV_sem,EV2", list(zip(*cols))
 
 

@@ -437,8 +437,8 @@ def test_born_over_zero_weights_or_one_group_passes(extra, tmp_path, capsys):
 
 
 def test_born_count_in_a_zero_weight_outcome_fails(tmp_path, capsys, monkeypatch):
-    run = ensemble.EnsembleRun(n_traj=100, dt=1e-3, energies=np.array([0.0, 1.0]),
-                               groups=((0,), (1,)), outcomes=np.array([0] * 99 + [1]),
+    run = ensemble.EnsembleRun(n_traj=100, dt=1e-3, groups=((0,), (1,)),
+                               outcomes=np.array([0] * 99 + [1]),
                                outcome_labels=["E=0", "E=1"], expected=np.array([1.0, 0.0]))
     monkeypatch.setattr(reduction, "born_statistics", lambda *a, **k: run)
     assert run_cli(["ensemble", "born", "--weights", "1,0", "--workers", "1",

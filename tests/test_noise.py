@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from reductionlab.cli import main
 from reductionlab.noise import (
-    NoisePath,
     trajectory_generator,
     wiener_path,
 )
@@ -13,14 +13,14 @@ from reductionlab.noise import (
 def test_same_seed_identical():
     a = wiener_path(7, 1e-3, 1000)
     b = wiener_path(7, 1e-3, 1000)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a, b)
 
 
 def test_variance_within_four_sigma():
     dt = 1e-3
     n = 1_000_000
     path = wiener_path(123, dt, n)
-    s2 = path.increments.var(ddof=1)
+    s2 = path.var(ddof=1)
     # chi-square variance test: Var(s²) = 2·dt²/(n−1)
     band = 4.0 * dt * math.sqrt(2.0 / (n - 1))
     assert abs(s2 - dt) <= band
@@ -31,13 +31,13 @@ def test_mean_within_four_sigma():
     n = 200_000
     path = wiener_path(5, dt, n)
     sem = math.sqrt(dt / n)
-    assert abs(path.increments.mean()) <= 4.0 * sem
+    assert abs(path.mean()) <= 4.0 * sem
 
 
 def test_distinct_seeds_uncorrelated():
     dt, n = 1e-3, 200_000
-    a = wiener_path(1, dt, n).increments
-    b = wiener_path(2, dt, n).increments
+    a = wiener_path(1, dt, n)
+    b = wiener_path(2, dt, n)
     r = float(np.dot(a, b) / n / dt)
     assert abs(r) <= 4.0 / math.sqrt(n)
 
@@ -52,7 +52,7 @@ def test_chunked_matches_oneshot_prefix():
         gen = trajectory_generator(seed, 0)
         member = np.concatenate([gen.standard_normal(min(256, n - k)) * np.sqrt(dt)
                                  for k in range(0, n, 256)])
-        assert wiener_path(seed, dt, n).increments.tobytes() == member.tobytes()
+        assert wiener_path(seed, dt, n).tobytes() == member.tobytes()
 
 
 def test_trajectory_streams_independent_of_order():
@@ -71,16 +71,18 @@ def test_parameter_validation():
 
 
 def test_csv_dump(tmp_path):
-    p = wiener_path(11, 0.5, 3)
-    p.to_csv(tmp_path / "noise.csv")
+    # the noise dump is written by `simulate --dump-noise`
+    assert main(["simulate", "--steps", "3", "--dt", "0.01", "--seed", "11",
+                 "--dump-noise", "--out-dir", str(tmp_path)]) == 0
+    p = wiener_path(11, 0.01, 3)
     lines = (tmp_path / "noise.csv").read_text().splitlines()
     assert lines[0] == "step,dW"
     assert len(lines) == 4
-    assert float(lines[1].split(",")[1]) == p.increments[0]
+    assert float(lines[1].split(",")[1]) == p[0]
 
 
-def test_noisepath_frozen():
+def test_wiener_path_is_read_only():
     p = wiener_path(0, 1.0, 4)
-    assert isinstance(p, NoisePath)
+    assert p.shape == (4,) and p.dtype == float
     with pytest.raises(ValueError):
-        p.increments[0] = 5.0
+        p[0] = 5.0

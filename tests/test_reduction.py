@@ -238,7 +238,8 @@ def test_statdist_default_horizon_is_zero_when_nothing_evolves(h, beta, sigma, d
     rep = statdist_martingale_run(h, beta, sigma, 32, 0, dt=dt, workers=1)
     assert rep.stats.n_unreduced == 0 and rep.stats.frequencies[0] == 1.0
     assert rep.stats.times.size == 2
-    assert rep.sup_mean_deviation <= 1e-15
+    dev = np.linalg.norm(rep.stats.mean_rho - gibbs_state(h, beta), axis=(1, 2))
+    assert dev.max() <= 1e-15
 
 
 @pytest.mark.parametrize("workers", [0, -2, 2.5])
