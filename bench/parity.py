@@ -96,6 +96,10 @@ INVOCATIONS = {
                                                   "100000000", "--horizon", "1"],
     "error-hartree-over-the-work-budget": ["hartree", "compare", "--ntraj", "400",
                                            "--horizon", "1e3"],
+    "error-phenom-zero-area": ["phenom", "accretion", "--area=0cm2"],
+    "error-phenom-negative-area": ["phenom", "accretion", "--area=-1cm2"],
+    "error-phenom-infinite-area": ["phenom", "accretion", "--area=1e400cm2"],
+    "error-t-reduce-infinite-delta-e": ["phenom", "t-reduce", "--delta-e=1e400eV"],
 }
 
 

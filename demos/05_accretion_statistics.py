@@ -12,6 +12,7 @@ n spreads over occupations n−k with probabilities that oscillate like
 import math
 
 import numpy as np
+from scipy.stats import poisson
 
 from reductionlab.accretion import (
     AccretionModel,
@@ -22,22 +23,19 @@ from reductionlab.accretion import (
     pnk_bessel,
     pnk_envelope,
     pnk_exact,
-    poisson_pmf,
-    stationary_binomial_pmf,
 )
 
-model = AccretionModel(n_sites=1000, molecule_mass=1.0,
-                       sticking_rate=0.005, evaporation_rate=0.995)
+model = AccretionModel(n_sites=1000, sticking_rate=0.005, evaporation_rate=0.995)
 res = occupancy_simulate(model, horizon=10_000.0, seed=6)
 print(f"mean occupancy X = {model.mean_occupancy:.2f}; "
       f"sampled mean {res.mean:.2f}, rms {res.std:.2f} "
       f"(sqrt(X) = {math.sqrt(model.mean_occupancy):.2f})")
-print(f"energy spread m*sqrt(X) = {energy_fluctuation_accretion(model):.3f}\n")
+print(f"energy spread m*sqrt(X) = {energy_fluctuation_accretion(model, 1.0):.3f}\n")
 
 print(f"{'n':>3}{'sampled':>10}{'binomial':>10}{'poisson':>10}")
 counts = np.arange(11)
-pb = stationary_binomial_pmf(model, counts)
-pp = poisson_pmf(model.mean_occupancy, counts)
+pb = model.stationary_law().pmf(counts)
+pp = poisson.pmf(counts, model.mean_occupancy)
 freq = res.histogram[counts - res.first_occupancy] / res.samples.size   # the range starts at 0
 for n, f, b, p in zip(counts, freq, pb, pp):
     print(f"{n:>3}{f:>10.4f}{b:>10.4f}{p:>10.4f}")

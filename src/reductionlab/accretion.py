@@ -12,8 +12,8 @@ eigenstates are computed exactly on a truncated Fock space (one matrix
 exponential for a whole spectrum of k), via a Laguerre closed form, and in
 the large-quantum-number Bessel approximation with its smooth envelope.
 
-scipy is imported inside the functions that use it (the occupancy
-histogram's range, the pmfs, the matrix exponential and the Bessel
+scipy is imported inside the functions that use it (the stationary law,
+the matrix exponential, the Laguerre polynomial and the Bessel
 approximation), so importing this module costs numpy only.
 """
 
@@ -34,8 +34,6 @@ __all__ = [
     "fock_ladder",
     "OccupancyResult",
     "occupancy_simulate",
-    "stationary_binomial_pmf",
-    "poisson_pmf",
     "energy_fluctuation_accretion",
     "TruncationError",
     "displacement_matrix",
@@ -56,12 +54,10 @@ class TruncationError(ValueError):
 
 @dataclass(frozen=True)
 class AccretionModel:
-    """Surface with n_sites accretion sites for molecules of mass
-    molecule_mass, filling at sticking_rate and emptying at
-    evaporation_rate (per site)."""
+    """Surface with n_sites accretion sites, filling at sticking_rate and
+    emptying at evaporation_rate (per site)."""
 
     n_sites: int
-    molecule_mass: float
     sticking_rate: float
     evaporation_rate: float
 
@@ -82,6 +78,13 @@ class AccretionModel:
     @property
     def mean_occupancy(self) -> float:
         return self.n_sites * self.fill_probability
+
+    def stationary_law(self):
+        """The exact stationary law of the total count, Binomial(n_sites,
+        fill_probability), as a frozen scipy.stats distribution."""
+        from scipy.stats import binom
+
+        return binom(self.n_sites, self.fill_probability)
 
 
 def fock_ladder(n_max: int):
@@ -125,8 +128,6 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int) -> Occu
     Raises ValueError, before the chain starts, unless the horizon is finite
     and positive and its horizon·(s + e)/5 samples are at most MAX_SAMPLES.
     """
-    from scipy.stats import binom
-
     if not (np.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
     s, ev, n_sites = model.sticking_rate, model.evaporation_rate, model.n_sites
@@ -148,7 +149,7 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int) -> Occu
                               > 6.0 * (samples.std(ddof=1) / math.sqrt(half))):
         warnings.warn("horizon may be too short for stationary statistics",
                       RuntimeWarning, stacklevel=2)
-    law = binom(n_sites, model.fill_probability)
+    law = model.stationary_law()
     lo, hi = int(law.ppf(1e-12)), int(law.isf(1e-12))
     if len(samples):
         lo, hi = min(lo, int(samples.min())), max(hi, int(samples.max()))
@@ -161,62 +162,10 @@ def occupancy_simulate(model: AccretionModel, horizon: float, seed: int) -> Occu
     )
 
 
-def _stirlerr(m):
-    """log m! − [(m + ½)·log m − m + ½·log 2π] for m ≥ 1: the remainder of
-    Stirling's series, summed directly for m ≤ 15 and by its first five
-    terms above, so it keeps full relative accuracy at large m."""
-    from scipy.special import gammaln
-
-    m = np.asarray(m, float)
-    direct = gammaln(m + 1) - (m + 0.5) * np.log(m) + m - 0.5 * math.log(2 * math.pi)
-    r = 1.0 / (m * m)
-    series = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r * (1 / 1680 - r / 1188)))) / m
-    return np.where(m <= 15, direct, series)
-
-
-def stationary_binomial_pmf(model: AccretionModel, n) -> np.ndarray:
-    """Exact stationary law of the total count: Binomial(N, s/(s+e)).
-
-    Computed in log space in Loader's saddle-point form, which avoids the
-    cancellation of log N! − log n! − log (N−n)! at large N: the ends
-    n = 0 and n = N are q^N and p^N, and the interior is
-    √(N/2πn(N−n))·exp(δ(N) − δ(n) − δ(N−n) − n·log(n/Np) − (N−n)·log((N−n)/Nq))
-    with δ the Stirling remainder; the two logs are taken as log1p of
-    ±(n − Np) over Np and Nq, so their rounding scales with n − Np, not N.
-    Zero off the integers of [0, N]; p ∈ {0, 1} gives a point mass.
-    """
-    from scipy.special import xlog1py, xlogy
-
-    big_n, p = model.n_sites, model.fill_probability
-    n = np.asarray(n)
-    out = np.where(n == 0, np.exp(xlog1py(big_n, -p)), 0.0)
-    out = np.where(n == big_n, np.exp(xlogy(big_n, p)), out)
-    inner = (n > 0) & (n < big_n) & (n == np.floor(n))
-    if 0 < p < 1 and inner.any():
-        k = n[inner].astype(float)
-        rest, mu, nu = big_n - k, big_n * p, big_n * (1 - p)
-        log_pmf = (_stirlerr(big_n) - _stirlerr(k) - _stirlerr(rest)
-                   - k * np.log1p((k - mu) / mu) - rest * np.log1p((mu - k) / nu))
-        out[inner] = np.sqrt(big_n / (2 * math.pi * k * rest)) * np.exp(log_pmf)
-    return out[()]
-
-
-def poisson_pmf(mean: float, n) -> np.ndarray:
-    """Poisson(mean) pmf in log space; zero off the nonnegative integers,
-    a point mass at 0 for mean 0, and NaN everywhere for a negative mean."""
-    from scipy.special import gammaln, xlogy
-
-    n = np.asarray(n)
-    if not mean >= 0:
-        return np.full(n.shape, np.nan)[()]
-    ok = (n >= 0) & (n == np.floor(n))
-    m = np.where(ok, n, 0)
-    return np.where(ok, np.exp(xlogy(m, mean) - mean - gammaln(m + 1)), 0.0)[()]
-
-
-def energy_fluctuation_accretion(model: AccretionModel) -> float:
-    """RMS energy fluctuation m·√X from the fluctuating accreted count."""
-    return model.molecule_mass * math.sqrt(model.mean_occupancy)
+def energy_fluctuation_accretion(model: AccretionModel, molecule_mass: float) -> float:
+    """RMS energy fluctuation m·√X from the fluctuating accreted count of
+    molecules of mass m."""
+    return molecule_mass * math.sqrt(model.mean_occupancy)
 
 
 # --- coherent case -----------------------------------------------------------
@@ -287,20 +236,11 @@ def pnk_exact(n: int, k, z: complex, n_max: int | None = None):
     return float(p) if ks.ndim == 0 else p
 
 
-def _laguerre(n: int, alpha: int, x: float) -> float:
-    """Generalized Laguerre L_n^{(α)}(x) by the three-term recurrence in n."""
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - x
-    for m in range(1, n):
-        prev, cur = cur, ((2 * m + 1 + alpha - x) * cur - (m + alpha) * prev) / (m + 1)
-    return cur
-
-
 def pnk_laguerre(n: int, k: int, z: complex) -> float:
-    """Closed form for the same probability: Laguerre polynomial with the
+    """Closed form for the same probability: the generalized Laguerre
+    polynomial L_{n_lo}^{(|k|)}(|z|²), n_lo = min(n, n − k), with the
     factorial ratio taken in log space (safe for large n)."""
-    from scipy.special import gammaln
+    from scipy.special import eval_genlaguerre, gammaln
 
     if n < 0 or n - k < 0:
         raise ValueError("need n ≥ 0 and n−k ≥ 0")
@@ -310,7 +250,7 @@ def pnk_laguerre(n: int, k: int, z: complex) -> float:
     if x == 0.0:
         return 1.0 if k == 0 else 0.0
     lg = gammaln(n_lo + 1) - gammaln(n_lo + ak + 1) + ak * math.log(x) - x
-    lag = _laguerre(n_lo, ak, x)
+    lag = float(eval_genlaguerre(n_lo, ak, x))
     return math.exp(lg) * lag * lag
 
 

@@ -261,9 +261,7 @@ def cmd_hartree(args, rep: Reporter, out: Path) -> None:
 
 
 def cmd_accretion_occupancy(args, rep: Reporter, out: Path) -> None:
-    from scipy.stats import binom
-
-    model = accretion.AccretionModel(args.sites, args.mass, args.stick, args.evap)
+    model = accretion.AccretionModel(args.sites, args.stick, args.evap)
     res = accretion.occupancy_simulate(model, args.horizon, args.seed)
     need = ("the chi-squared test needs two bins of 5 expected counts; {} samples fill {}; "
             "raise --horizon")
@@ -271,8 +269,8 @@ def cmd_accretion_occupancy(args, rep: Reporter, out: Path) -> None:
         raise ValueError(need.format(res.samples.size, res.samples.size // 5))
     n = res.first_occupancy + np.arange(res.histogram.size)
     write_csv(out / "occupancy-histogram.csv", "count,samples", zip(n, res.histogram))
-    law = binom(model.n_sites, model.fill_probability)
-    expected = accretion.stationary_binomial_pmf(model, n)
+    law = model.stationary_law()
+    expected = law.pmf(n)
     expected[0] += law.cdf(n[0] - 1)   # the end bins take the mass outside the range
     expected[-1] += law.sf(n[-1])
     obs, exp = _merge_bins(res.histogram, expected * res.samples.size)
@@ -487,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     asub = acc.add_subparsers(dest="mode", required=True)
     p = asub.add_parser("occupancy")
     p.add_argument("--sites", type=int, default=1000)
-    p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--stick", type=float, default=0.005)
     p.add_argument("--evap", type=float, default=0.995)
     p.add_argument("--horizon", type=float, default=20000.0)

@@ -210,8 +210,8 @@ _LIGHT_SPEED_CM_S = 2.99792458e10
 def t_reduce(de: Quantity) -> Quantity:
     """Reduction time (2.8 MeV / ΔE)² seconds for energy spread ΔE."""
     de._require(ENERGY, "energy spread")
-    if de.value <= 0:
-        raise ValueError("energy spread must be positive")
+    if not (math.isfinite(de.value) and de.value > 0):
+        raise ValueError(f"energy spread must be finite and positive, got {de.value} eV")
     ratio = REDUCTION_CONSTANT / de
     return ratio * ratio * _SECOND
 
@@ -228,8 +228,11 @@ class AccretionEstimate:
 def t_reduce_accretion(area: Quantity, mass_rate: Quantity,
                        species_mass: Quantity = NITROGEN_MASS) -> AccretionEstimate:
     """t_R = (2.8 MeV/(A·M))^{2/3} s^{1/3} with M the mass accretion rate
-    per unit area; self-consistent with the direct law under ΔE = A·M·t_R."""
+    per unit area; self-consistent with the direct law under ΔE = A·M·t_R.
+    Raises ValueError unless the area is finite and positive."""
     area._require(AREA, "area")
+    if not (math.isfinite(area.value) and area.value > 0):
+        raise ValueError(f"area must be finite and positive, got {area.value} cm2")
     mass_rate._require(MASS_RATE_PER_AREA, "mass accretion rate")
     species_mass._require(ENERGY, "species mass")
     x = REDUCTION_CONSTANT / (area * mass_rate)      # dimension: time

@@ -229,12 +229,12 @@ def test_criterion_14_coherent_accretion_appendix():
                and accretion.pnk_envelope(ne, int(edge) + 3, ze).region == "tail"
                and accretion.pnk_envelope(ne, 0, ze).region == "band")
     # occupancy chain: exact Binomial stationary law, Poisson in dilute limit
-    model = accretion.AccretionModel(1000, 1.0, 0.005, 0.995)
+    model = accretion.AccretionModel(1000, 0.005, 0.995)
     res = accretion.occupancy_simulate(model, horizon=20_000.0, seed=1414)
     counts = res.first_occupancy + np.arange(len(res.histogram))
     nsamp = res.samples.size
-    exp_b = accretion.stationary_binomial_pmf(model, counts) * nsamp
-    exp_p = accretion.poisson_pmf(model.mean_occupancy, counts) * nsamp
+    exp_b = model.stationary_law().pmf(counts) * nsamp
+    exp_p = sstats.poisson.pmf(counts, model.mean_occupancy) * nsamp
     keep = exp_b > 5
     chi_b = float(((res.histogram[keep] - exp_b[keep]) ** 2 / exp_b[keep]).sum())
     p_binom = float(sstats.chi2.sf(chi_b, keep.sum() - 1))

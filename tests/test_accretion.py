@@ -19,8 +19,6 @@ from reductionlab.accretion import (
     pnk_envelope,
     pnk_exact,
     pnk_laguerre,
-    poisson_pmf,
-    stationary_binomial_pmf,
 )
 
 
@@ -32,17 +30,18 @@ def test_fock_commutator_below_truncation():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        AccretionModel(0, 1.0, 0.1, 0.9)
+        AccretionModel(0, 0.1, 0.9)
     with pytest.raises(ValueError):
-        AccretionModel(5, 1.0, -0.1, 0.9)
-    m = AccretionModel(10, 2.0, 0.25, 0.75)
+        AccretionModel(5, -0.1, 0.9)
+    m = AccretionModel(10, 0.25, 0.75)
     assert abs(m.fill_probability - 0.25) < 1e-15
     assert abs(m.mean_occupancy - 2.5) < 1e-15
+    assert m.stationary_law().args == (10, m.fill_probability)
 
 
 def test_single_site_stationary_probability():
     # two-state Markov chain closed form: P(occupied) = s/(s+e)
-    m = AccretionModel(1, 1.0, 0.3, 0.7)
+    m = AccretionModel(1, 0.3, 0.7)
     res = occupancy_simulate(m, horizon=30_000.0, seed=12)
     p_occ = res.samples.mean()
     n = res.samples.size
@@ -50,7 +49,7 @@ def test_single_site_stationary_probability():
 
 
 def test_fast_evaporation_empties_surface():
-    m = AccretionModel(5, 1.0, 1.0, 1e6)
+    m = AccretionModel(5, 1.0, 1e6)
     # samples come every five relaxation times, 5e-6 here: 10⁵ of them by t = 0.5
     res = occupancy_simulate(m, horizon=0.5, seed=3)
     assert res.mean <= 1e-3
@@ -64,11 +63,11 @@ def test_occupancy_over_the_sample_budget_raises_before_the_chain(monkeypatch):
     monkeypatch.setattr(accretion.np.random, "default_rng", no_chain)
     with pytest.raises(ValueError, match=r"horizon 50.0 takes 1e\+07 samples, .* above the "
                                          r"budget of 1000000"):
-        occupancy_simulate(AccretionModel(5, 1.0, 1.0, 1e6), horizon=50.0, seed=3)
+        occupancy_simulate(AccretionModel(5, 1.0, 1e6), horizon=50.0, seed=3)
 
 
 def test_occupancy_rms_matches_sqrt_mean_dilute():
-    m = AccretionModel(400, 1.0, 0.01, 0.99)   # X = 4, dilute
+    m = AccretionModel(400, 0.01, 0.99)   # X = 4, dilute
     res = occupancy_simulate(m, horizon=30_000.0, seed=8)
     assert abs(res.std - math.sqrt(m.mean_occupancy)) / math.sqrt(m.mean_occupancy) < 0.1
 
@@ -77,21 +76,21 @@ def _binomial_pvalue(m, res):
     """χ² p-value of the histogram against the stationary binomial law, over
     the bins that expect more than 5 counts."""
     n = res.first_occupancy + np.arange(len(res.histogram))
-    expected = stationary_binomial_pmf(m, n) * res.samples.size
+    expected = m.stationary_law().pmf(n) * res.samples.size
     keep = expected > 5
     chi2 = float(((res.histogram[keep] - expected[keep]) ** 2 / expected[keep]).sum())
     return float(sstats.chi2.sf(chi2, keep.sum() - 1))
 
 
 def test_stationary_histogram_binomial_chisquare():
-    m = AccretionModel(50, 1.0, 0.08, 0.92)
+    m = AccretionModel(50, 0.08, 0.92)
     res = occupancy_simulate(m, horizon=40_000.0, seed=21)
     assert _binomial_pvalue(m, res) > 1e-3
 
 
 def test_occupancy_pvalues_over_seeds_look_uniform():
     # criterion 14's model: at most 10 of 100 seeds below p = 0.05 (5 expected)
-    m = AccretionModel(1000, 1.0, 0.005, 0.995)
+    m = AccretionModel(1000, 0.005, 0.995)
     pvals = [_binomial_pvalue(m, occupancy_simulate(m, horizon=20_000.0, seed=seed))
              for seed in range(100)]
     assert sum(p < 0.05 for p in pvals) <= 10
@@ -103,7 +102,7 @@ def test_occupancy_transition_is_the_birth_death_propagator(n_sites, stick, evap
     # Binomial(N, stay) + Binomial(M − N, fill) is exp(QΔ) at Δ = 5/(s + e)
     from scipy.linalg import expm
 
-    m = AccretionModel(n_sites, 1.0, stick, evap)
+    m = AccretionModel(n_sites, stick, evap)
     stay, fill = accretion._site_transition(m, 5.0)
     ns = np.arange(n_sites + 1)
     conv = np.array([np.convolve(sstats.binom.pmf(ns[:n + 1], n, stay),
@@ -117,7 +116,7 @@ def test_occupancy_transition_is_the_birth_death_propagator(n_sites, stick, evap
 @pytest.mark.parametrize("n_sites, stick, evap", [(1000, 0.005, 0.995), (50, 0.08, 0.92),
                                                   (10**8, 0.005, 0.995), (10, 0.0, 1.0)])
 def test_occupancy_histogram_covers_the_occupied_range(n_sites, stick, evap):
-    m = AccretionModel(n_sites, 1.0, stick, evap)
+    m = AccretionModel(n_sites, stick, evap)
     res = occupancy_simulate(m, horizon=2000.0, seed=4)
     lo, hi = res.first_occupancy, res.first_occupancy + len(res.histogram) - 1
     assert res.histogram.sum() == res.samples.size
@@ -129,14 +128,15 @@ def test_occupancy_histogram_covers_the_occupied_range(n_sites, stick, evap):
 
 def test_occupancy_with_no_sticking_samples_the_full_grid():
     # π = 0: a constant chain on every grid point, where the event loop stopped at once
-    res = occupancy_simulate(AccretionModel(10, 1.0, 0.0, 1.0), horizon=2000.0, seed=4)
+    res = occupancy_simulate(AccretionModel(10, 0.0, 1.0), horizon=2000.0, seed=4)
     assert res.samples.size == 399 and not res.samples.any()
 
 
 def test_energy_fluctuation():
-    assert energy_fluctuation_accretion(AccretionModel(10, 1.0, 0.0, 1.0)) == 0.0
-    m = AccretionModel(100, 1.0, 1.0, 3.0)   # X = 25
-    assert abs(energy_fluctuation_accretion(m) - 5.0) < 1e-12
+    assert energy_fluctuation_accretion(AccretionModel(10, 0.0, 1.0), 1.0) == 0.0
+    m = AccretionModel(100, 1.0, 3.0)   # X = 25
+    assert abs(energy_fluctuation_accretion(m, 1.0) - 5.0) < 1e-12
+    assert abs(energy_fluctuation_accretion(m, 2.0) - 10.0) < 1e-12
 
 
 def test_displacement_ground_state_is_coherent():
@@ -267,44 +267,20 @@ def test_envelope_tracks_windowed_average():
 
 def test_occupancy_seed_invariance_distribution():
     # same chain, two seeds: histograms agree distributionally
-    m = AccretionModel(30, 1.0, 0.1, 0.9)
+    m = AccretionModel(30, 0.1, 0.9)
     for seed in (1, 2):
         assert _binomial_pvalue(m, occupancy_simulate(m, horizon=20_000.0, seed=seed)) > 1e-3
 
 
 def test_poisson_limit_of_binomial():
-    m = AccretionModel(1000, 1.0, 0.005, 0.995)
+    m = AccretionModel(1000, 0.005, 0.995)
     n = np.arange(16)
-    pb = stationary_binomial_pmf(m, n)
-    pp = poisson_pmf(m.mean_occupancy, n)
+    pb = m.stationary_law().pmf(n)
+    pp = sstats.poisson.pmf(n, m.mean_occupancy)
     assert np.abs(pb - pp).max() < 2e-3
 
 
 def test_occupancy_short_horizon_warns():
-    m = AccretionModel(10, 1.0, 0.1, 0.9)
+    m = AccretionModel(10, 0.1, 0.9)
     with pytest.warns(RuntimeWarning):
         occupancy_simulate(m, horizon=20.0, seed=0)
-
-
-@pytest.mark.parametrize("n_sites, stick, evap", [
-    (1, 0.5, 0.5), (2, 0.5, 0.5), (7, 0.001, 0.999), (50, 0.2, 0.8),
-    (1000, 0.005, 0.995), (1000, 0.3, 0.7), (1000, 1.0, 1e-9),
-    (10, 0.0, 1.0), (10, 1.0, 0.0)])        # p = 0 and p = 1
-def test_binomial_pmf_matches_scipy(n_sites, stick, evap):
-    m = AccretionModel(n_sites, 1.0, stick, evap)
-    n = np.r_[np.arange(-3, n_sites + 4), 0.5, n_sites - 0.5]   # off-support and non-integer
-    ours = stationary_binomial_pmf(m, n)
-    ref = sstats.binom.pmf(n, n_sites, m.fill_probability)
-    assert np.array_equal(ours == 0, ref == 0)
-    np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=np.finfo(float).tiny)
-    assert np.ndim(stationary_binomial_pmf(m, 1)) == 0
-
-
-@pytest.mark.parametrize("mean", [0.0, 0.3, 5.0, 50.0, 700.0, -1.0, math.nan])
-def test_poisson_pmf_matches_scipy(mean):
-    n = np.r_[np.arange(-2, 1500), 2.5]
-    ours, ref = poisson_pmf(mean, n), sstats.poisson.pmf(n, mean)
-    assert np.array_equal(ours == 0, ref == 0)
-    assert np.array_equal(np.isnan(ours), np.isnan(ref))
-    np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=np.finfo(float).tiny)
-    assert np.ndim(poisson_pmf(mean, 1)) == 0

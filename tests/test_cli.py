@@ -169,6 +169,14 @@ WEIGHTS = "weights must be finite and nonnegative with a positive sum, got -0.5,
     (["simulate", "--density", "--scheme", "euler_maruyama"],
      "scheme 'euler_maruyama' steps state vectors only: the density step always "
      "renormalizes its trace"),
+    (["phenom", "accretion", "--area=0cm2"],   # a ZeroDivisionError traceback
+     "area must be finite and positive, got 0.0 cm2"),
+    (["phenom", "accretion", "--area=-1cm2"],   # a negative molecule count
+     "area must be finite and positive, got -1.0 cm2"),
+    (["phenom", "accretion", "--area=1e400cm2"],   # t_r_s=0
+     "area must be finite and positive, got inf cm2"),
+    (["phenom", "t-reduce", "--delta-e=1e400eV"],   # t_r_s=0
+     "energy spread must be finite and positive, got inf eV"),
 ], ids=["born-weight-count", "quantity", "weights-sum", "vector-as-hamiltonian",
         "matrix-as-init", "born-negative-weight", "luders-negative-branch-weight",
         "born-nan-energy", "statdist-nan-beta", "coherent-kmax-past-the-cap",
@@ -176,7 +184,8 @@ WEIGHTS = "weights must be finite and nonnegative with a positive sum, got -0.5,
         "coherent-kmax-past-the-cap-before-allocating", "born-inf-energy",
         "statdist-unparsable-energy", "luders-inf-energy", "coherent-z-past-the-cap",
         "coherent-unparsable-z", "luders-negative-alpha2", "luders-zero-alpha2",
-        "luders-alpha2-above-one", "simulate-density-euler-maruyama"])
+        "luders-alpha2-above-one", "simulate-density-euler-maruyama", "phenom-zero-area",
+        "phenom-negative-area", "phenom-infinite-area", "t-reduce-infinite-delta-e"])
 def test_bad_cli_input_exits_2_with_its_error_line(cmd, detail, tmp_path, capsys):
     (tmp_path / "vector.txt").write_text("2\n1 0\n0 0\n")
     (tmp_path / "matrix.txt").write_text("2\n1 0\n0 0\n0 0\n0 0\n")
@@ -650,6 +659,20 @@ def test_coherent_below_the_crosscheck_range_passes(n, tmp_path, capsys):
 def test_occupancy_default_run_passes(tmp_path, capsys):
     assert run_cli(["accretion", "occupancy", "--out-dir", str(tmp_path / "o")]) == 0
     assert "RESULT check=occupancy-binomial status=PASS" in capsys.readouterr().out
+
+
+def test_occupancy_takes_no_mass_but_loads_a_config_that_has_one(tmp_path, capsys):
+    # the occupancy law has no mass in it; a config written while --mass was a flag still loads
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["accretion", "occupancy", "--mass", "2", "--out-dir", str(tmp_path / "m")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mass 2" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mass": 1.0, "horizon": 4000.0, "seed": 3}))
+    assert run_cli(["accretion", "occupancy", "--config", str(cfg),
+                    "--out-dir", str(tmp_path / "o")]) == 0
+    resolved = json.loads((tmp_path / "o" / "config-resolved.json").read_text())
+    assert resolved["horizon"] == 4000.0 and "mass" not in resolved
 
 
 def test_occupancy_p_value_matches_scipy_chi2(tmp_path, capsys):

@@ -8,11 +8,8 @@ ALLOWED with the reason it stays.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "reductionlab"
-USERS = ("src", "demos", "perfbench", "bench")
+from guards import check_listed, modules, program_nodes
 
 ALLOWED = {
     "dynamics.evolve_expectation": "the paper's expectation flow E[ρ](t), in closed form",
@@ -24,11 +21,11 @@ ALLOWED = {
 }
 
 
-def _exports(path):
-    """(name, first line, last line) of each `__all__` name of the module at
-    path, with the lines of its top-level definition ((0, -1) if none)."""
+def _exports(tree):
+    """(name, first line, last line) of each `__all__` name of a module's
+    tree, with the lines of its top-level definition ((0, -1) if none)."""
     spans, names = {}, []
-    for node in ast.parse(path.read_text(), filename=str(path)).body:
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             spans[node.name] = (node.lineno, node.end_lineno)
         elif isinstance(node, ast.Assign):
@@ -43,32 +40,29 @@ def _references():
     """name → (path, line) of each place it is loaded, read as an attribute
     or imported."""
     refs = {}
-    for top in USERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                else:
-                    continue
-                refs.setdefault(name, []).append((path, node.lineno))
+    for path, node in program_nodes():
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        refs.setdefault(name, []).append((path, node.lineno))
     return refs
 
 
 def test_every_export_is_used_or_allowed():
     refs = _references()
     exports = {f"{path.stem}.{name}": (path, name, lo, hi)
-               for path in sorted(PACKAGE.glob("*.py")) for name, lo, hi in _exports(path)}
+               for path, tree in modules() for name, lo, hi in _exports(tree)}
     # the walk sees names of each kind: a class, a function, a constant
     assert {"linalg.Spectrum", "reduction.born_statistics", "dynamics.ANTICOMMUTATOR"} <= set(
         exports)
     unused = {label for label, (path, name, lo, hi) in exports.items()
               if all(where == path and lo <= line <= hi for where, line in refs.get(name, ()))}
-    unlisted = sorted(unused - set(ALLOWED))
-    assert not unlisted, ("nothing in src/, demos/, perfbench/ or bench/ uses these exports; "
-                          "remove each, or allow it with a reason: " + ", ".join(unlisted))
-    stale = sorted(set(ALLOWED) - unused)
-    assert not stale, "these allowed exports are used now; drop their entries: " + ", ".join(stale)
+    check_listed(unused, ALLOWED,
+                 "nothing in src/, demos/, perfbench/ or bench/ uses these exports; "
+                 "remove each, or allow it with a reason: ",
+                 "these allowed exports are used now; drop their entries: ")

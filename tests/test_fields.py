@@ -11,11 +11,8 @@ that is gone, is stale.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "reductionlab"
-READERS = ("src", "demos", "perfbench", "bench")
+from guards import check_listed, modules, program_nodes
 
 ALLOWED = {
     "phenomenology.PaperValue.criterion": "the acceptance criteria 01–05 select their rows by it",
@@ -29,9 +26,9 @@ def _is(decorator, name):
     return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
 
 
-def _fields(path):
+def _fields(path, tree):
     """(label, name) of each dataclass field and each property in the module at path."""
-    for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         data = any(_is(d, "dataclass") for d in cls.decorator_list)
@@ -47,23 +44,20 @@ def _fields(path):
 
 
 def _reads():
-    """The name of every attribute that code in READERS loads."""
-    return {node.attr for top in READERS for path in sorted((ROOT / top).rglob("*.py"))
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    """The name of every attribute that a program loads."""
+    return {node.attr for _, node in program_nodes()
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def test_every_field_is_read_or_allowed():
-    fields = dict(f for path in sorted(PACKAGE.glob("*.py")) for f in _fields(path))
+    fields = dict(f for path, tree in modules() for f in _fields(path, tree))
     # the walk sees fields of each kind: a dataclass field with and without a
     # default, and a property
     assert {"linalg.Spectrum.eigenvalues", "ensemble.EnsembleRun.outcomes",
             "ensemble.EnsembleRun.frequencies"} <= set(fields)
     reads = _reads()
     unread = {label for label, name in fields.items() if name not in reads}
-    unlisted = sorted(unread - set(ALLOWED))
-    assert not unlisted, ("nothing in src/, demos/, perfbench/ or bench/ reads these fields; "
-                          "remove each, or allow it with a reason: " + ", ".join(unlisted))
-    stale = sorted(set(ALLOWED) - unread)
-    assert not stale, ("these allowed fields are read by a program now, or gone; drop their "
-                       "entries: " + ", ".join(stale))
+    check_listed(unread, ALLOWED,
+                 "nothing in src/, demos/, perfbench/ or bench/ reads these fields; "
+                 "remove each, or allow it with a reason: ",
+                 "these allowed fields are read by a program now, or gone; drop their entries: ")

@@ -12,21 +12,18 @@ arguments (a method's self or cls not counted); a call that splats *args or
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "reductionlab"
-CALLERS = ("src", "demos", "perfbench", "bench")
+from guards import check_listed, modules, program_nodes
 
 ALLOWED = {
     "cli.main(argv)": "tests drive the CLI in process through its argument list",
 }
 
 
-def _defaulted(path):
+def _defaulted(path, tree):
     """(label, name, keyword, position) of each defaulted parameter of each
-    function in path; position is None for a keyword-only parameter."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    function of the module at path; position is None for a keyword-only
+    parameter."""
     methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
     for f in ast.walk(tree):
         if not isinstance(f, ast.FunctionDef):
@@ -45,16 +42,13 @@ def _defaulted(path):
 def _calls():
     """name → list of (keywords, positional count, splats *args, splats **kwargs)."""
     calls = {}
-    for top in CALLERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-                    star = any(isinstance(x, ast.Starred) for x in node.args)
-                    keys = {k.arg for k in node.keywords}
-                    calls.setdefault(name, []).append(
-                        (keys - {None}, len(node.args), star, None in keys))
+    for _, node in program_nodes():
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            star = any(isinstance(x, ast.Starred) for x in node.args)
+            keys = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((keys - {None}, len(node.args), star, None in keys))
     return calls
 
 
@@ -65,15 +59,13 @@ def _is_set(calls, name, arg, position):
 
 
 def test_every_default_is_set_by_some_call():
-    params = [p for path in sorted(PACKAGE.glob("*.py")) for p in _defaulted(path)]
+    params = [p for path, tree in modules() for p in _defaulted(path, tree)]
     labels = {label for label, *_ in params}
     # the walk sees parameters that only a test sets, and keyword-only ones
     assert {"cli.main(argv)", "reduction.born_statistics(workers)"} <= labels
     calls = _calls()
     unset = {label for label, *p in params if not _is_set(calls, *p)}
-    unlisted = sorted(unset - set(ALLOWED))
-    assert not unlisted, ("nothing in src/, demos/, perfbench/ or bench/ sets these defaults; "
-                          "make each a constant, or allow it with a reason: " + ", ".join(unlisted))
-    stale = sorted(set(ALLOWED) - unset)
-    assert not stale, ("these allowed defaults are set by a program now, or gone; drop their "
-                       "entries: " + ", ".join(stale))
+    check_listed(unset, ALLOWED,
+                 "nothing in src/, demos/, perfbench/ or bench/ sets these defaults; "
+                 "make each a constant, or allow it with a reason: ",
+                 "these allowed defaults are set by a program now, or gone; drop their entries: ")
