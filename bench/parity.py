@@ -20,7 +20,9 @@ the two sides must agree on:
   edit to cli.py; nothing else is masked.
 
 Each invocation prints `same` or `DIFF` and, for each part that differs,
-its first differing line.
+its count of differing lines and the first SHOWN of them, each with its line
+number on either side.  The lines of the two sides are matched by difflib,
+so a line that only one side has shows alone and does not shift the rest.
 
 Then `pytest tests -q -p no:cacheprovider --digest FILE` runs in each
 checkout, with the same environment, and the two digest files are compared
@@ -42,6 +44,8 @@ removed and added fields and added lines alone leave it 0.
 from __future__ import annotations
 
 import argparse
+import difflib
+import itertools
 import os
 import re
 import resource
@@ -55,6 +59,7 @@ ENV = {k: v for k, v in os.environ.items() if k != "REDUCTIONLAB_SEED"}
 ENV["PYTHONDONTWRITEBYTECODE"] = "1"
 TIMEOUT = 60.0      # seconds per invocation and side
 MEMORY = 2 << 30    # bytes of address space per invocation and side
+SHOWN = 10          # differing lines printed per part; the rest are counted
 
 # every subcommand at small sizes; --workers 1 and 2 where a command takes it
 INVOCATIONS = {
@@ -100,6 +105,9 @@ INVOCATIONS = {
     "error-phenom-negative-area": ["phenom", "accretion", "--area=-1cm2"],
     "error-phenom-infinite-area": ["phenom", "accretion", "--area=1e400cm2"],
     "error-t-reduce-infinite-delta-e": ["phenom", "t-reduce", "--delta-e=1e400eV"],
+    "error-phenom-area-past-the-float-range": ["phenom", "accretion", "--area=1e300cm2"],
+    "error-phenom-area-below-the-float-range": ["phenom", "accretion", "--area=1e-300cm2"],
+    "error-t-reduce-delta-e-past-the-float-range": ["phenom", "t-reduce", "--delta-e=1e300eV"],
 }
 
 
@@ -128,31 +136,38 @@ def run(checkout: Path, argv, out: Path) -> dict:
             "stderr": re.sub(r"cli\.py:\d+", "cli.py:<line>", stderr), "files": files}
 
 
-def first_difference(name: str, a, b) -> str:
-    """The first differing line of a and b (str or bytes), as text."""
+def differences(name: str, a, b) -> str:
+    """Every differing line of a and b (str or bytes), as text: their count,
+    and the first SHOWN of them.  A replaced line is a parent line and a
+    change line together; a line only one side has stands alone."""
     if isinstance(a, bytes):
         a, b = a.decode(errors="replace"), b.decode(errors="replace")
     la, lb = a.splitlines(), b.splitlines()
-    for k, (x, y) in enumerate(zip(la, lb), 1):
-        if x != y:
-            return f"{name} line {k}:\n  parent: {x}\n  change: {y}"
-    k = min(len(la), len(lb)) + 1
-    if len(la) != len(lb):
-        return f"{name} line {k}: only {'parent' if len(la) > len(lb) else 'change'} has it"
-    return f"{name}: line endings differ"
+    rows = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, la, lb, autojunk=False).get_opcodes():
+        if tag != "equal":
+            rows += itertools.zip_longest(
+                [f"parent line {i + 1}: {la[i]}" for i in range(i1, i2)],
+                [f"change line {j + 1}: {lb[j]}" for j in range(j1, j2)])
+    if not rows:
+        return f"{name}: line endings differ"
+    shown = f", the first {SHOWN} shown" if len(rows) > SHOWN else ""
+    lines = [line for row in rows[:SHOWN] for line in row if line is not None]
+    count = "1 line differs" if len(rows) == 1 else f"{len(rows)} lines differ"
+    return "\n  ".join([f"{name}: {count}{shown}"] + lines)
 
 
 def compare(parent: dict, change: dict) -> list:
-    """The first difference of each part that differs between two invocation
+    """The differences of each part that differs between two invocation
     records: exit status, stdout, stderr, then each file by name."""
-    diffs = [first_difference(key, parent[key], change[key])
+    diffs = [differences(key, parent[key], change[key])
              for key in ("exit status", "stdout", "stderr") if parent[key] != change[key]]
     for name in sorted(set(parent["files"]) | set(change["files"])):
         a, b = parent["files"].get(name), change["files"].get(name)
         if a is None or b is None:
             diffs.append(f"{name}: only {'parent' if b is None else 'change'} wrote it")
         elif a != b:
-            diffs.append(first_difference(name, a, b))
+            diffs.append(differences(name, a, b))
     return diffs
 
 

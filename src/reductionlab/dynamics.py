@@ -189,9 +189,9 @@ def noise_coefficient(rho, h, form: str = ANTICOMMUTATOR) -> np.ndarray:
 def step_state_vector(chi, h, sigma: float, dt: float, dW: float,
                       scheme: str = EULER_RENORMALIZED,
                       h_range: float | None = None) -> np.ndarray:
-    """One Euler–Maruyama step of the state-vector equation.
-
-    ⟨H⟩ is evaluated on the incoming (normalized) state.  With
+    """One Euler–Maruyama step of the state-vector equation, its −i term on
+    (H − ⟨H⟩)χ: that drops only a global phase, so the step sees H only through
+    H − ⟨H⟩.  ⟨H⟩ is evaluated on the incoming (normalized) state.  With
     scheme=euler_renormalized the result is divided by its norm.
     """
     v = as_vector(chi)
@@ -201,7 +201,7 @@ def step_state_vector(chi, h, sigma: float, dt: float, dW: float,
     e = np.vdot(v, hv).real
     kv = hv - e * v                       # (H − ⟨H⟩) χ
     k2v = m @ kv - e * kv                 # (H − ⟨H⟩)² χ
-    out = v + dt * (-1j * hv - 0.125 * sigma * sigma * k2v) + (0.5 * sigma * dW) * kv
+    out = v + dt * (-1j * kv - 0.125 * sigma * sigma * k2v) + (0.5 * sigma * dW) * kv
     if scheme == EULER_RENORMALIZED:
         out = out / np.linalg.norm(out)
     return out

@@ -5,10 +5,10 @@ arithmetic mixes trajectories, so results are byte-identical for any
 batching or worker count.  Evolution happens in the eigenbasis of H, where
 the updates are elementwise.
 
-State vectors evolve as real populations p, shape (d, b).  The Euler step
-of the amplitudes multiplies cᵢ by f = 1 − (σ²/8)k²dt + (σ/2)k dW − iEᵢdt,
-k = Eᵢ − ⟨H⟩, and renormalizes; the populations therefore follow
-p ← p·|f|² / Σp·|f|², the same discrete process, positive by construction.
+State vectors evolve as real populations p, shape (d, b).  A step
+multiplies the amplitudes cᵢ by e^{−iEᵢdt}·a, a = 1 + k((σ/2)dW − (σ²/8)k dt),
+k = Eᵢ − ⟨H⟩, and renormalizes; the populations follow p ← p·a² / Σp·a²,
+positive by construction, and see H only through k, as the equation does.
 A final's amplitudes are rebuilt at its time t as c0ᵢ/|c0ᵢ|·√pᵢ·e^{−iEᵢt}, so
 relative phases inside a degenerate group stay exact.
 
@@ -27,7 +27,7 @@ coherent one is evolved in complex arithmetic, which agrees with its float64
 run to rounding.)
 
 Each kernel steps on a workspace of its batch width b.  It holds the per-row
-constants (energies, their squares, (E·dt)², the drift factors, Eᵢ + Eⱼ)
+constants (energies, their squares, the drift factors, Eᵢ + Eⱼ)
 materialized to the full (…, b) shape, and the scratch arrays, so that each
 ufunc of a step and of the check runs on same-shape C-contiguous operands
 with out=: at these sizes a broadcast operand costs numpy about twice a
@@ -216,7 +216,7 @@ class _StateKernel(_Kernel):
     def __init__(self, e, c0, sigma, dt):
         self.x0, self.energies = np.abs(c0) ** 2, e
         self.phase0 = np.exp(1j * np.angle(c0))
-        self.rows = {"e": e[:, None], "e2": e[:, None] ** 2, "edt2": (e * dt)[:, None] ** 2}
+        self.rows = {"e": e[:, None], "e2": e[:, None] ** 2}
         self.half_sigma, self.drift = 0.5 * sigma, 0.125 * sigma * sigma * dt
 
     def advance(self, p, u):
@@ -230,8 +230,7 @@ class _StateKernel(_Kernel):
         np.subtract(s, t, out=t)
         np.multiply(k, t, out=t)
         np.add(t, 1.0, out=t)                       # a = 1 + k(u − drift·k)
-        np.multiply(t, t, out=t)
-        np.add(t, w.edt2, out=t)                    # |f|² = a² + (E dt)²
+        np.multiply(t, t, out=t)                    # |e^{−iE dt}·a|² = a²
         p *= t
         np.copyto(s, _colsum(p))
         p /= s

@@ -207,13 +207,22 @@ _SECOND = qty(1.0, "s")
 _LIGHT_SPEED_CM_S = 2.99792458e10
 
 
+def _finite_positive(x: float) -> bool:
+    return math.isfinite(x) and x > 0
+
+
 def t_reduce(de: Quantity) -> Quantity:
-    """Reduction time (2.8 MeV / ΔE)² seconds for energy spread ΔE."""
+    """Reduction time (2.8 MeV / ΔE)² seconds for energy spread ΔE.  Raises
+    ValueError unless ΔE, and the t_R it gives, are finite and positive."""
     de._require(ENERGY, "energy spread")
-    if not (math.isfinite(de.value) and de.value > 0):
+    if not _finite_positive(de.value):
         raise ValueError(f"energy spread must be finite and positive, got {de.value} eV")
     ratio = REDUCTION_CONSTANT / de
-    return ratio * ratio * _SECOND
+    t_r = ratio * ratio * _SECOND
+    if not _finite_positive(t_r.value):
+        raise ValueError(f"energy spread {de.value} eV gives t_R = {t_r.value} s, "
+                         f"outside the float range")
+    return t_r
 
 
 @dataclass(frozen=True)
@@ -229,9 +238,10 @@ def t_reduce_accretion(area: Quantity, mass_rate: Quantity,
                        species_mass: Quantity = NITROGEN_MASS) -> AccretionEstimate:
     """t_R = (2.8 MeV/(A·M))^{2/3} s^{1/3} with M the mass accretion rate
     per unit area; self-consistent with the direct law under ΔE = A·M·t_R.
-    Raises ValueError unless the area is finite and positive."""
+    Raises ValueError unless the area, and the t_R and molecule count it
+    gives, are finite and positive."""
     area._require(AREA, "area")
-    if not (math.isfinite(area.value) and area.value > 0):
+    if not _finite_positive(area.value):
         raise ValueError(f"area must be finite and positive, got {area.value} cm2")
     mass_rate._require(MASS_RATE_PER_AREA, "mass accretion rate")
     species_mass._require(ENERGY, "species mass")
@@ -239,6 +249,9 @@ def t_reduce_accretion(area: Quantity, mass_rate: Quantity,
     t_r = (x * x * _SECOND) ** (1.0 / 3.0)
     accreted_energy = area * mass_rate * t_r
     molecules = (accreted_energy / species_mass).value
+    if not (_finite_positive(t_r.value) and _finite_positive(molecules)):
+        raise ValueError(f"area {area.value} cm2 gives t_R = {t_r.value} s and "
+                         f"{molecules} molecules, outside the float range")
     return AccretionEstimate(t_r=t_r, molecules=molecules, valid=molecules >= 1.0)
 
 

@@ -177,6 +177,14 @@ WEIGHTS = "weights must be finite and nonnegative with a positive sum, got -0.5,
      "area must be finite and positive, got inf cm2"),
     (["phenom", "t-reduce", "--delta-e=1e400eV"],   # t_r_s=0
      "energy spread must be finite and positive, got inf eV"),
+    (["phenom", "accretion", "--area=1e300cm2"],   # t_r_s=0 molecules=nan
+     "area 1e+300 cm2 gives t_R = 0.0 s and nan molecules, outside the float range"),
+    (["phenom", "accretion", "--area=1e-300cm2"],   # t_r_s=inf molecules=inf
+     "area 1e-300 cm2 gives t_R = inf s and inf molecules, outside the float range"),
+    (["phenom", "t-reduce", "--delta-e=1e300eV"],   # t_r_s=0
+     "energy spread 1e+300 eV gives t_R = 0.0 s, outside the float range"),
+    (["phenom", "t-reduce", "--delta-e=1e-300eV"],   # t_r_s=inf
+     "energy spread 1e-300 eV gives t_R = inf s, outside the float range"),
 ], ids=["born-weight-count", "quantity", "weights-sum", "vector-as-hamiltonian",
         "matrix-as-init", "born-negative-weight", "luders-negative-branch-weight",
         "born-nan-energy", "statdist-nan-beta", "coherent-kmax-past-the-cap",
@@ -185,7 +193,9 @@ WEIGHTS = "weights must be finite and nonnegative with a positive sum, got -0.5,
         "statdist-unparsable-energy", "luders-inf-energy", "coherent-z-past-the-cap",
         "coherent-unparsable-z", "luders-negative-alpha2", "luders-zero-alpha2",
         "luders-alpha2-above-one", "simulate-density-euler-maruyama", "phenom-zero-area",
-        "phenom-negative-area", "phenom-infinite-area", "t-reduce-infinite-delta-e"])
+        "phenom-negative-area", "phenom-infinite-area", "t-reduce-infinite-delta-e",
+        "phenom-area-past-the-float-range", "phenom-area-below-the-float-range",
+        "t-reduce-delta-e-past-the-float-range", "t-reduce-delta-e-below-the-float-range"])
 def test_bad_cli_input_exits_2_with_its_error_line(cmd, detail, tmp_path, capsys):
     (tmp_path / "vector.txt").write_text("2\n1 0\n0 0\n")
     (tmp_path / "matrix.txt").write_text("2\n1 0\n0 0\n0 0\n0 0\n")

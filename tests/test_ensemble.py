@@ -13,13 +13,14 @@ from reductionlab import ensemble, noise
 
 
 def _complex_step(c, e, sigma, dt, dw):
-    """Reference: one Euler step of the eigenbasis amplitudes c, shape (b, d),
+    """Reference: one step of the eigenbasis amplitudes c, shape (b, d), by the
+    factor e^{−iEᵢdt}·(1 + k(u − δk)), u = (σ/2)dW, δ = σ²dt/8, k = Eᵢ − ⟨H⟩,
     then renormalization; the population kernel must reproduce |c|²."""
     pop = c.real**2 + c.imag**2
     eh = pop @ e
     k = e[None, :] - eh[:, None]
-    drift = 1.0 + dt * (-1j * e[None, :] - 0.125 * sigma * sigma * k * k)
-    c *= drift + (0.5 * sigma) * k * dw[:, None]
+    u = (0.5 * sigma) * dw[:, None]
+    c *= np.exp(-1j * dt * e)[None, :] * (1.0 + k * (u - 0.125 * sigma * sigma * dt * k))
     c /= np.sqrt((c.real**2 + c.imag**2).sum(1))[:, None]
 
 
