@@ -5,12 +5,13 @@ terms for product states, and the mean-field (Hartree) factorized
 evolution for a system weakly coupled to an equilibrium environment, with
 an error-scaling harness against the full product-space evolution driven
 by the identical noise path.  The harness sweeps every coupling g in one
-pass: each trajectory's noise is drawn once, as u = (σ/2)·dW into one
-chunk buffer, and the same row drives the full and the mean-field step at
-every g.  The full systems run in the eigenbases of their Hamiltonians as
-one stack of spectra on the ensemble density kernel, where the Euler step
-is elementwise; the mean-field pairs take one batched step for all
-couplings and trajectories.
+pass of the ensemble stepping loop (`ensemble._run_span`, fixed horizon):
+each step's u = (σ/2)·dW of a trajectory drives its full and mean-field
+step at every g.  The full systems run in the eigenbases of their
+Hamiltonians as one stack of spectra on the ensemble density kernel, where
+the Euler step is elementwise and the populations are checked every
+`ensemble.CHECK_STRIDE` steps; the mean-field pairs, held by the same
+kernel, take one batched step for all couplings and trajectories.
 Both factors live in one C-contiguous (2, G, b, D, D) array, D = max(d1, d2),
 the smaller factor zero-padded: its padded rows and columns stay exactly 0
 and its trace is unchanged, so every step is one code path whatever the
@@ -37,11 +38,10 @@ import numpy as np
 
 from .dynamics import (ANTICOMMUTATOR, DOUBLE_COMMUTATOR, STABILITY_WARN, _dag, _embed,
                        _euler_step, _times, check_stability, noise_coefficient)
-from .ensemble import (CHUNK, MAX_STEPS, NORM_TOL, _DensityKernel, _check_input, _noise_chunk,
+from .ensemble import (MAX_STEPS, NORM_TOL, _DensityKernel, _Plan, _check_input, _run_span,
                        _run_spans, _split, _workers)
 from .linalg import (LinalgError, as_matrix, check_hermitian, check_state, random_density_matrix,
                      random_hermitian, random_pure_state, write_csv)
-from .noise import trajectory_generator
 
 MAX_TRAJ_STEPS = 10**8   # (trajectory, coupling)-steps that one hartree_vs_full call may take
 
@@ -267,33 +267,31 @@ class HartreeReport:
                   zip(self.g_values, self.mean_discrepancy, self.sem))
 
 
-def _paired_finals(system: CompositeSystem, g_values, spectra, rho1, rho2, sigma, dt,
-                   n_steps, base_seed, lo, hi):
-    """Full-system and mean-field finals of trajectories lo..hi−1 at every
-    coupling, shaped (G, hi − lo, …), trajectory i on the Wiener path of
-    trajectory_generator(base_seed, i) at every g.  The full system at
-    g_values[k] runs in the eigenbasis spectra[k] = (e, u) of its
-    Hamiltonian, all G of them on one stacked ensemble density kernel; the
-    mean-field pairs take one batched step."""
-    rho0 = np.kron(rho1, rho2)
-    kern = _DensityKernel(np.stack([e for e, _ in spectra]),
-                          np.stack([u.conj().T @ rho0 @ u for _, u in spectra]), sigma, dt)
-    maps = _real_maps(system, g_values)
-    b = hi - lo
-    x = kern.start(b)
-    a = _stacked(rho1, rho2, (len(g_values), b))
-    gens = [trajectory_generator(base_seed, i) for i in range(lo, hi)]
-    noise = np.empty(CHUNK * b)   # each chunk's (σ/2)·dW, shared by both steps
-    for done in range(0, n_steps, CHUNK):
-        n = min(CHUNK, n_steps - done)
-        for u in _noise_chunk(noise[:n * b].reshape(n, b), gens, np.sqrt(dt), kern.half_sigma):
-            kern.advance(x, u)
-            kern.renorm(x)
-            a = _mean_field_step(a, maps, sigma, dt, u)
-    finals = kern.final(x, n_steps * dt)
-    d1, d2 = system.dims
-    return (np.stack([u @ f @ u.conj().T for (_, u), f in zip(spectra, finals)]),
-            a[0, ..., :d1, :d1], a[1, ..., :d2, :d2])
+class _PairKernel(_DensityKernel):
+    """The full system at every coupling g_values[k], in the eigenbasis
+    spectra[k] = (e, u) of its Hamiltonian, on one stacked density kernel, and
+    their mean-field pairs, the (2, G, b, D, D) stack self.a, stepped on the
+    same u; for fixed-horizon runs only, since compact leaves self.a whole."""
+
+    def __init__(self, system: CompositeSystem, g_values, spectra, rho1, rho2, sigma, dt):
+        rho0, self.us = np.kron(rho1, rho2), [u for _, u in spectra]
+        super().__init__(np.stack([e for e, _ in spectra]),
+                         np.stack([u.conj().T @ rho0 @ u for u in self.us]), sigma, dt)
+        self.rho, self.mf = (rho1, rho2), (_real_maps(system, g_values), sigma, dt)
+
+    def start(self, b):
+        self.a = _stacked(*self.rho, (len(self.us), b))
+        return super().start(b)
+
+    def advance(self, x, u):
+        super().advance(x, u)
+        self.a = _mean_field_step(self.a, *self.mf, u)
+
+    def final(self, x, t):
+        """The product-basis full-system states and both mean-field factors, (G, b, …) each."""
+        (d1, _), (d2, _) = (r.shape for r in self.rho)
+        return (np.stack([u @ f @ u.conj().T for u, f in zip(self.us, super().final(x, t))]),
+                self.a[0, ..., :d1, :d1], self.a[1, ..., :d2, :d2])
 
 
 def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
@@ -320,8 +318,9 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
     initial state that is no density matrix or fails `linalg.check_state`
     within `ensemble.NORM_TOL`, a horizon that rounds to no step or to more
     than `ensemble.MAX_STEPS`, n_traj × steps × couplings above
-    MAX_TRAJ_STEPS, workers other than None or an integer ≥ 1) or
-    non-finite finals, and StabilityError when σ²ΔE²dt exceeds the hard bound at some g.
+    MAX_TRAJ_STEPS, workers other than None or an integer ≥ 1), on full-system
+    populations that turn non-finite or negative, or on non-finite finals, and
+    StabilityError when σ²ΔE²dt exceeds the hard bound at some g.
     """
     workers = _workers(workers)
     _check_input(sigma, 1.0 if dt is None else dt, n_traj)   # σ before dt is derived from it
@@ -352,9 +351,10 @@ def hartree_vs_full(system: CompositeSystem, rho1_0, rho2_0, sigma: float,
                          f"{n_traj * n_steps * gv.size:.3g} trajectory-steps, above the budget "
                          f"of {MAX_TRAJ_STEPS:.3g}; lower n_traj or horizon")
     spans = _split(n_traj, max(1, min(workers, n_traj // 2)))   # none one trajectory wide
-    parts = _run_spans(functools.partial(_paired_finals, system, gv, spectra, r1, r2, sigma, dt,
-                                         n_steps, base_seed), spans)
-    finals = [np.concatenate(f, axis=1) for f in zip(*parts)]
+    plan = _Plan(_PairKernel(system, gv, spectra, r1, r2, sigma, dt), None, dt, base_seed,
+                 -np.inf, n_steps, 0, n_steps)   # a fixed horizon: nothing stops
+    parts = _run_spans(functools.partial(_run_span, plan), spans)
+    finals = [np.concatenate(f, axis=1) for f in zip(*(p[3] for p in parts))]
     means, sems = [], []
     for g, rho, a1, a2 in zip(gv, *finals):
         if not all(np.isfinite(a).all() for a in (rho, a1, a2)):

@@ -18,6 +18,7 @@ multiplied by its own factor per step.  A zero entry stays zero and the
 (j, i) factor is the exact conjugate of the (i, j) one, so the lower triangle
 is implied.  The array is float64 for a diagonal ρ0 (every Gibbs run) and
 complex otherwise; dense (d, d) matrices are built only for finals and means.
+A population rounded below 0, as in a composite run's rotated ρ0, starts at 0.
 The density kernel also takes a stack of G spectra with their rotated ρ0
 (composite.hartree_vs_full runs every coupling so): it then evolves one
 (d + m, G, b) array on the union of the G supports, in which an entry off one
@@ -27,7 +28,7 @@ coherent one is evolved in complex arithmetic, which agrees with its float64
 run to rounding.)
 
 Each kernel steps on a workspace of its batch width b.  It holds the per-row
-constants (energies, their squares, the drift factors, Eᵢ + Eⱼ)
+constants (energies, the drift factors, Eᵢ + Eⱼ)
 materialized to the full (…, b) shape, and the scratch arrays, so that each
 ufunc of a step and of the check runs on same-shape C-contiguous operands
 with out=: at these sizes a broadcast operand costs numpy about twice a
@@ -74,11 +75,11 @@ processes, which inherit the inputs without a re-import, and on Linux are
 killed when the process that forked them exits, so a CLI killed alone leaves
 no worker running; without the fork start method they run serially.  The
 pool, _run_spans, takes its work as a callable of (lo, hi): the eigenbasis
-runner passes _run_span bound to its plan, and composite.hartree_vs_full its
-paired full and mean-field run.  The eigenbasis kernels call no BLAS, but the
-mean-field step's matmuls do, so a Hartree worker runs BLAS after the fork.
-A test checks that forked workers get correct BLAS matmuls after the parent
-has run a threaded 800×800 one.
+runner and composite.hartree_vs_full both pass _run_span bound to a plan, so
+one loop steps and checks every batched kernel.  The eigenbasis kernels call
+no BLAS, but the mean-field step's matmuls do, so a Hartree worker runs BLAS
+after the fork.  A test checks that forked workers get correct BLAS matmuls
+after the parent has run a threaded 800×800 one.
 """
 
 from __future__ import annotations
@@ -202,10 +203,10 @@ class _Kernel:
         return x
 
     def moments(self, x):
-        """The populations and V of every column."""
+        """The populations and V = Σp(e − ⟨e⟩)² of every column."""
         w, pop = self.w, self.populations(x)
-        eh = _colsum(np.multiply(pop, w.e, out=w.pe))
-        return pop, _colsum(np.multiply(pop, w.e2, out=w.pe)) - eh * eh
+        k = np.subtract(w.e, _colsum(np.multiply(pop, w.e, out=w.pe)), out=w.pe)
+        return pop, _colsum(np.multiply(np.multiply(k, k, out=k), pop, out=k))
 
 
 class _StateKernel(_Kernel):
@@ -216,7 +217,7 @@ class _StateKernel(_Kernel):
     def __init__(self, e, c0, sigma, dt):
         self.x0, self.energies = np.abs(c0) ** 2, e
         self.phase0 = np.exp(1j * np.angle(c0))
-        self.rows = {"e": e[:, None], "e2": e[:, None] ** 2}
+        self.rows = {"e": e[:, None]}
         self.half_sigma, self.drift = 0.5 * sigma, 0.125 * sigma * sigma * dt
 
     def advance(self, p, u):
@@ -265,13 +266,13 @@ class _DensityKernel(_Kernel):
         self.d, self.iu, self.ju = d, iu[on], ju[on]
         i, j = np.r_[np.arange(d), self.iu], np.r_[np.arange(d), self.ju]
         x0 = r0[..., i, j]
-        x0[..., :d] = x0[..., :d].real
+        x0[..., :d] = np.maximum(x0[..., :d].real, 0.0)   # rounded below 0: starts at 0
         x0, e = np.moveaxis(x0, -1, 0), np.moveaxis(e, -1, 0)  # level axis first
         de = e[i] - e[j]
         drift = 1.0 + dt * (-1j * de - 0.125 * sigma * sigma * de ** 2)
         real = not self.iu.size  # a diagonal ρ0 stays diagonal: evolve it as float64
         self.x0 = x0.real if real else x0
-        self.rows = {"e": e[..., None], "e2": e[..., None] ** 2, "drift": drift.real[..., None],
+        self.rows = {"e": e[..., None], "drift": drift.real[..., None],
                      "anti": (e[i] + e[j])[..., None]}
         # the imaginary part of the step factor drift + f, as numpy forms it for a real f
         self.drift_imag = None if real else drift.imag[..., None] + 0.0
@@ -521,9 +522,9 @@ def _check_input(sigma, dt, n_traj):
 
 
 def _variance(e, p) -> float:
-    """V of populations p over energies e."""
+    """V = Σp(e − ⟨e⟩)² of populations p over energies e, as the kernels take it."""
     e, p = np.asarray(e, float), np.asarray(p, float)
-    return float(p @ (e * e) - (p @ e) ** 2)
+    return float(p @ (e - p @ e) ** 2)
 
 
 def _check_reducible(sigma, e, p) -> float:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from reductionlab import composite
+from reductionlab import composite, ensemble
 from reductionlab.composite import (
     CompositeSystem,
     clustering_drift_residual,
@@ -332,9 +332,10 @@ def test_eigenbasis_full_system_matches_dense_stepper(g, env):
     sys, r1, r2 = _diff_case(env)
     spectrum = np.linalg.eigh(sys.total_hamiltonian(g))
     kw = DIFF_KW
-    rho, a1, a2 = (f[0] for f in composite._paired_finals(
-        sys, [g], [spectrum], r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS, kw["base_seed"], 0,
-        kw["n_traj"]))
+    kern = composite._PairKernel(sys, [g], [spectrum], r1, r2, kw["sigma"], kw["dt"])
+    plan = ensemble._Plan(kern, None, kw["dt"], kw["base_seed"], -np.inf, DIFF_STEPS, 0,
+                          DIFF_STEPS)
+    rho, a1, a2 = (f[0] for f in ensemble._run_span(plan, 0, kw["n_traj"])[3])
     ref_rho, ref_a1, ref_a2 = _ref_finals(sys, g, r1, r2, kw["sigma"], kw["dt"], DIFF_STEPS,
                                           kw["n_traj"], kw["base_seed"])
     assert np.abs(rho - ref_rho).max() <= 1e-12
@@ -472,21 +473,38 @@ def test_hartree_vs_full_rejects_bad_input(key, value):
 
 
 def test_hartree_vs_full_non_finite_finals_raise(monkeypatch):
-    # bad input is rejected before any step, so poison one final state
-    paired = composite._paired_finals
+    # bad input is rejected before any step, and the run checks only the full
+    # system, so poison the mean-field system factor at every step
+    step = composite._mean_field_step
 
     def poisoned(*args):
-        rho, a1, a2 = paired(*args)
-        a1[0, 0, 0, 0] = np.nan
-        return rho, a1, a2
+        a = step(*args)
+        a[0, 0, 0, 0, 0] = np.nan
+        return a
 
-    monkeypatch.setattr(composite, "_paired_finals", poisoned)
+    monkeypatch.setattr(composite, "_mean_field_step", poisoned)
     sys, r1, r2 = _diff_case()
     # at workers=2 the four trajectories run as two forked spans, each poisoned
     for workers, n_traj in ((1, 2), (2, 4)):
         with pytest.raises(ValueError, match="non-finite final states at g=0.2"):
             hartree_vs_full(sys, r1, r2, sigma=1.0, dt=1e-3, horizon=0.01,
                             g_values=[0.2], n_traj=n_traj, workers=workers)
+
+
+def test_hartree_vs_full_non_finite_full_system_stops_the_run(monkeypatch):
+    start = composite._PairKernel.start
+
+    def poisoned(self, b):   # one population of the last trajectory at the last coupling
+        x = start(self, b)
+        x[0, -1, -1] = np.nan
+        return x
+
+    monkeypatch.setattr(composite._PairKernel, "start", poisoned)
+    sys, r1, r2 = _diff_case()
+    for workers, n_traj in ((1, 2), (2, 4)):
+        with pytest.raises(ValueError, match="non-finite populations at step 8;"):
+            hartree_vs_full(sys, r1, r2, sigma=1.0, dt=1e-3, horizon=0.01,
+                            g_values=[0.0, 0.2], n_traj=n_traj, workers=workers)
 
 
 @pytest.mark.parametrize("seed", [3, 4])

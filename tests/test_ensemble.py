@@ -446,6 +446,16 @@ def test_negative_populations_raise(workers):
         ensemble.run_ensemble([0.0, 3.0], rho0, 1.0, 0.05, 0, 2048, workers=workers)
 
 
+def test_populations_rounded_below_zero_start_at_zero():
+    # check_state accepts a population of −1e-18, as rounding leaves one in a
+    # rotated ρ0; the density kernel starts it at 0 instead of raising at step 0
+    rho0 = np.diag([0.5, 0.5, -1e-18, 1e-18])
+    assert ensemble._DensityKernel(np.arange(4.0), rho0, 1.0, 1e-3).x0.tolist() == [
+        0.5, 0.5, 0.0, 1e-18]
+    run = ensemble.run_ensemble(np.arange(4.0), rho0, 1.0, 1e-3, 3, 16)
+    assert run.n_unreduced == 0 and set(run.outcomes.tolist()) <= {0, 1}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_nonfinite_populations_raise(workers):
     c0 = np.sqrt(np.array([0.5, 0.5], complex))

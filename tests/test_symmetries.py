@@ -5,7 +5,8 @@ constant added to every energy changes no observable, and an uncoupled system
 in an energy eigenstate adds exactly such a constant.  And the map
 (H, σ, dt) → (λH, σ/√λ, dt/λ) carries each path onto a path in time t/λ:
 for λ a power of 4, every step is the same floating-point arithmetic scaled
-by powers of two.  Neither relation pins a discretization.
+by powers of two, on the ensemble kernels as on the Hartree harness's full
+and mean-field pair.  Neither relation pins a discretization.
 """
 
 import functools
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from reductionlab import dynamics, ensemble
+from reductionlab import composite, dynamics, ensemble
 
 # four levels with phases, at σ²ΔE²dt = 0.01
 ENERGIES = np.array([0.0, 1.0, 2.0, 3.0])
@@ -46,13 +47,15 @@ def _assert_same_outcomes(run, ref):
     assert run.reduction_times.tobytes() == ref.reduction_times.tobytes()
 
 
-# The density kernel takes Tr ρH on a trace that drifts from 1 between
-# renormalizations, and each step multiplies that drift by about
-# 1 − σ⟨H⟩√dt·z.  At SHIFT these 64 trajectories keep their times, but 2 of
-# the first 256 do not; at 10·SHIFT a rounding error grows to a negative
-# population within 8 steps.
+# The state kernel takes V as Σp(E − ⟨H⟩)², so the stopping rule sees no
+# E² that a shift inflates.  The density kernel takes Tr ρH on a trace that
+# drifts from 1 between renormalizations, and each step multiplies that drift
+# by about 1 − σ⟨H⟩√dt·z.  At SHIFT these 64 trajectories keep their times,
+# but 2 of the first 256 do not; at 10·SHIFT a rounding error grows to a
+# negative population within 8 steps.
 @pytest.mark.parametrize("kind, shift", [
-    ("state", SHIFT), ("density", SHIFT), ("state", 10 * SHIFT),
+    ("state", SHIFT), ("density", SHIFT), ("state", 10 * SHIFT), ("state", 100 * SHIFT),
+    ("state", 1000 * SHIFT),
     pytest.param("density", 10 * SHIFT, marks=pytest.mark.xfail(
         strict=True, raises=ValueError, reason="the density kernel's trace drift"))])
 def test_zero_of_energy_changes_no_outcome(kind, shift):
@@ -112,3 +115,21 @@ def test_ensemble_scaling_maps_paths_onto_paths(d, seed, lam, kind):
     if kind != "state":
         assert scaled.mean_rho.tobytes() == ref.mean_rho.tobytes()
 
+
+
+@functools.lru_cache(maxsize=None)
+def _hartree(lam):
+    """The Hartree harness on 8 trajectories at (λH, σ/√λ, dt/λ, horizon/λ)."""
+    system, rho1, rho2 = composite.hartree_instance(np.random.default_rng(1213))
+    scaled = composite.CompositeSystem(lam * system.h1, lam * system.h2, lam * system.delta_h)
+    return composite.hartree_vs_full(scaled, rho1, rho2, 1.0 / math.sqrt(lam), 1e-4 / lam,
+                                     0.05 / lam, [0.0, 0.2, 0.4], 8, base_seed=1213, workers=1)
+
+
+@pytest.mark.parametrize("lam", [0.25, 4.0, 16.0])
+def test_hartree_scaling_maps_paths_onto_paths(lam):
+    ref, scaled = _hartree(1.0), _hartree(lam)
+    assert ref.mean_discrepancy[1] > 1e-6   # the coupled rows did move apart
+    assert scaled.dt * lam == ref.dt
+    assert scaled.mean_discrepancy.tobytes() == ref.mean_discrepancy.tobytes()
+    assert scaled.sem.tobytes() == ref.sem.tobytes()
