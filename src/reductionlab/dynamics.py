@@ -20,7 +20,9 @@ Every density-matrix Euler step, here and in the mean-field step of
 trace.  Its products ρH right-multiply by the real 2d×2d embedding of H.
 It takes u = (σ/2)·dW per column; the single-state steppers convert dW.
 
-All steppers take array-likes and return plain complex ndarrays.
+A full trajectory steps on H minus its spectrum's midpoint and reads ⟨H⟩ and V
+from H's eigenbasis, as the ensemble kernels do.  All steppers take
+array-likes and return plain complex ndarrays.
 """
 
 from __future__ import annotations
@@ -45,8 +47,6 @@ __all__ = [
     "PositivityError",
     "default_dt",
     "spectral_range",
-    "expectation",
-    "energy_variance",
     "noise_coefficient",
     "step_state_vector",
     "step_density",
@@ -140,30 +140,10 @@ class SdeConfig:
             raise ValueError("record_stride must be >= 1")
 
 
-def expectation(state, h) -> float:
-    """⟨H⟩ for a state vector or density matrix."""
-    m = as_matrix(h)
-    s = np.asarray(state, complex)
-    if s.ndim == 1:
-        return float(np.vdot(s, m @ s).real)
-    return float(np.trace(s @ m).real)
-
-
-def energy_variance(state, h) -> float:
-    """V = Tr ρH² − (Tr ρH)², clamped at the −1e-12 float floor."""
-    m = as_matrix(h)
-    s = np.asarray(state, complex)
-    if s.ndim == 1:
-        hs = m @ s
-        e1 = np.vdot(s, hs).real
-        e2 = np.vdot(hs, hs).real
-    else:
-        e1 = np.trace(s @ m).real
-        e2 = np.trace(s @ m @ m).real
-    v = float(e2 - e1 * e1)
-    if v < -1e-12:
-        raise ValueError(f"negative variance {v:.3e} beyond tolerance")
-    return max(v, 0.0)
+def _variance(e, p) -> float:
+    """V = Σp(e − ⟨e⟩)² of populations p over energies e, as the ensemble kernels take it."""
+    e, p = np.asarray(e, float), np.asarray(p, float)
+    return float(p @ (e - p @ e) ** 2)
 
 
 def noise_coefficient(rho, h, form: str = ANTICOMMUTATOR) -> np.ndarray:
@@ -320,6 +300,10 @@ def _state_tol(dt) -> float:
 def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
     """Integrate a full sample path, recording ⟨H⟩, V and the purity residual.
 
+    One eigendecomposition H = U diag(e) U† gives the stability range, the step
+    Hamiltonian H − (e[0] + e[-1])/2, and each record's populations p in that
+    basis, clipped at 0 and normalized, for ⟨H⟩ = p·e and V = Σp(e − ⟨H⟩)².
+
     `init` may be a state vector or a density matrix; density evolution
     follows the anticommutator-form equation unless the config selects the
     double-commutator form (pure states only — the two differ on mixed ones).
@@ -334,8 +318,10 @@ def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
     if raw.ndim == 2 and config.scheme != EULER_RENORMALIZED:
         raise ValueError(f"scheme {config.scheme!r} steps state vectors only: the density "
                          f"step always renormalizes its trace")
-    h_rng = spectral_range(m)
+    e, u = np.linalg.eigh(m)
+    h_rng = float(e[-1] - e[0])
     check_stability(config.sigma, config.dt, h_rng)
+    m = m - 0.5 * (e[0] + e[-1]) * np.eye(len(e))   # the step sees H − E_mid
     path = wiener_path(seed, config.dt, config.n_steps)
     is_vec = raw.ndim == 1
 
@@ -344,12 +330,12 @@ def evolve_trajectory(init, h, config: SdeConfig, seed: int) -> Trajectory:
     def record(k, s):
         times.append(k * config.dt)
         states.append(s.copy())
-        means.append(expectation(s, m))
-        variances.append(energy_variance(s, m))
-        if is_vec:
-            purities.append(abs(float(np.vdot(s, s).real) - 1.0))
-        else:
-            purities.append(purity_residual(s))
+        purities.append(abs(float(np.vdot(s, s).real) - 1.0) if is_vec else purity_residual(s))
+        c = u.conj().T @ s   # in H's eigenbasis: the amplitudes, or U†ρ
+        p = np.maximum(np.abs(c) ** 2 if is_vec else np.einsum("ij,ji->i", c, u).real, 0.0)
+        p = p / p.sum()
+        means.append(float(p @ e))
+        variances.append(_variance(e, p))
 
     s = raw.copy()
     record(0, s)

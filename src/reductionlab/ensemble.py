@@ -19,6 +19,8 @@ multiplied by its own factor per step.  A zero entry stays zero and the
 is implied.  The array is float64 for a diagonal ρ0 (every Gibbs run) and
 complex otherwise; dense (d, d) matrices are built only for finals and means.
 A population rounded below 0, as in a composite run's rotated ρ0, starts at 0.
+The energies are centered on the occupied levels' midpoint, so Tr ρH stays
+small on a trace that drifts between renormalizations, at any zero of energy.
 The density kernel also takes a stack of G spectra with their rotated ρ0
 (composite.hartree_vs_full runs every coupling so): it then evolves one
 (d + m, G, b) array on the union of the G supports, in which an entry off one
@@ -97,7 +99,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import check_sigma_dt
+from .dynamics import _variance, check_sigma_dt
 from .linalg import check_state, write_csv
 from .noise import trajectory_generator
 
@@ -267,11 +269,13 @@ class _DensityKernel(_Kernel):
         i, j = np.r_[np.arange(d), self.iu], np.r_[np.arange(d), self.ju]
         x0 = r0[..., i, j]
         x0[..., :d] = np.maximum(x0[..., :d].real, 0.0)   # rounded below 0: starts at 0
+        occ = x0[..., :d].real > 0   # each spectrum is centered on its occupied levels
+        mid = (np.where(occ, e, np.inf).min(-1) + np.where(occ, e, -np.inf).max(-1)) / 2
         x0, e = np.moveaxis(x0, -1, 0), np.moveaxis(e, -1, 0)  # level axis first
         de = e[i] - e[j]
         drift = 1.0 + dt * (-1j * de - 0.125 * sigma * sigma * de ** 2)
         real = not self.iu.size  # a diagonal ρ0 stays diagonal: evolve it as float64
-        self.x0 = x0.real if real else x0
+        self.x0, e = (x0.real if real else x0), e - mid
         self.rows = {"e": e[..., None], "drift": drift.real[..., None],
                      "anti": (e[i] + e[j])[..., None]}
         # the imaginary part of the step factor drift + f, as numpy forms it for a real f
@@ -519,12 +523,6 @@ def _check_input(sigma, dt, n_traj):
     check_sigma_dt(sigma, dt)
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-
-
-def _variance(e, p) -> float:
-    """V = Σp(e − ⟨e⟩)² of populations p over energies e, as the kernels take it."""
-    e, p = np.asarray(e, float), np.asarray(p, float)
-    return float(p @ (e - p @ e) ** 2)
 
 
 def _check_reducible(sigma, e, p) -> float:

@@ -19,7 +19,9 @@ tests in two trees and compare the two files (bench/parity.py does) to see
 whether their results are byte-identical.  Without the option nothing is
 wrapped.  Each wrapper runs with globals named inside the package, so that
 `dynamics.check_stability`, which warns at the first caller outside the
-package, passes over it to the test.
+package, passes over it to the test.  With the option, Hypothesis draws its
+examples derandomized and without its example database, so that two runs of
+the same tree write the same file.
 """
 
 import dataclasses
@@ -31,6 +33,7 @@ import multiprocessing
 import os
 import types
 
+import hypothesis
 import numpy as np
 import pytest
 
@@ -127,6 +130,8 @@ class _Digest:
 
 def pytest_configure(config):
     if config.getoption("--digest"):
+        hypothesis.settings.register_profile("digest", derandomize=True, database=None)
+        hypothesis.settings.load_profile("digest")
         config.stash[_DIGEST] = _Digest(config.getoption("--digest"))
 
 

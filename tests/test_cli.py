@@ -67,6 +67,17 @@ def test_simulate_writes_trajectory(tmp_path):
     assert (tmp_path / "s" / "config-resolved.json").exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--density"]], ids=["vector", "density"])
+def test_simulate_far_from_the_zero_of_energy_records_the_same_variance(extra, tmp_path):
+    def variance(energies):
+        out = tmp_path / energies
+        assert run_cli(["simulate", "--hamiltonian", f"diag:{energies}", "--steps", "500",
+                        "--stride", "100", "--out-dir", str(out), *extra]) == 0
+        return np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 2]
+
+    assert np.abs(variance("100000000,100000001") - variance("0,1")).max() <= 1e-12
+
+
 def test_born_small_run(tmp_path, capsys):
     rc = run_cli(["ensemble", "born", "--dim", "2", "--weights", "0.3,0.7",
                   "--ntraj", "300", "--dt", "0.001", "--seed", "5",

@@ -13,7 +13,6 @@ from reductionlab.dynamics import (
     PositivityError,
     SdeConfig,
     StabilityError,
-    energy_variance,
     evolve_expectation,
     evolve_trajectory,
     noise_coefficient,
@@ -91,7 +90,7 @@ def test_eigenstate_is_fixed_point(rng):
     chi = np.array([0.0, 1.0, 0.0], complex)
     for dw in rng.standard_normal(5) * 0.03:
         out = step_state_vector(chi, h, 1.0, 1e-3, dw)
-        assert abs(dynamics.expectation(out, h) - 1.0) < 1e-12
+        assert abs(np.vdot(out, h @ out).real - 1.0) < 1e-12
         # noise coefficient annihilates the eigenstate
         assert np.linalg.norm((h - 1.0 * np.eye(3)) @ chi) == 0.0
 
@@ -365,15 +364,16 @@ def test_sde_config_rejects_non_finite_sigma_and_dt(sigma, dt, message):
         SdeConfig(sigma=sigma, dt=dt, n_steps=5)
 
 
-def test_variance_helper(rng):
-    h = np.diag([0.0, 1.0]).astype(complex)
-    assert energy_variance(np.array([1, 0], complex), h) == 0.0
-    v = np.sqrt(np.array([0.5, 0.5], complex))
-    assert abs(energy_variance(v, h) - 0.25) < 1e-14
+def test_recorded_moments_match_the_trace_oracle(rng):
+    # at t = 0, ⟨H⟩ and V from H's eigenbasis against Tr ρH and Tr ρH² − (Tr ρH)²
     h = random_hermitian(4, rng)
-    rho = random_density_matrix(4, rng)
-    oracle = np.trace(rho @ h @ h).real - np.trace(rho @ h).real ** 2
-    assert abs(energy_variance(rho, h) - oracle) < 1e-12
+    cfg = SdeConfig(sigma=1.0, dt=1e-5, n_steps=1)
+    for state in (random_pure_state(4, rng), random_density_matrix(4, rng)):
+        rho = np.outer(state, state.conj()) if state.ndim == 1 else state
+        e1 = np.trace(rho @ h).real
+        traj = evolve_trajectory(state, h, cfg, seed=0)
+        assert abs(traj.energy_mean[0] - e1) < 1e-12
+        assert abs(traj.variance[0] - (np.trace(rho @ h @ h).real - e1 * e1)) < 1e-12
 
 
 def test_default_dt_rule(rng):
